@@ -19,11 +19,6 @@
 //                      simulated results, stdout tables, and JSON point
 //                      order are byte-identical at any job count — only
 //                      host wall clock changes
-//   --des-threads <n>  run each experiment's event loop on n threads under
-//                      the conservative-PDES engine (default 1 = the exact
-//                      serial scheduler). Simulated output is byte-identical
-//                      at any thread count (CI enforces it); composes with
-//                      --jobs (points x threads host parallelism)
 //   --no-crypto-cache  single escape hatch for every crypto cache: disables
 //                      the host-side signature-verification cache
 //                      (simulated results must not change; see
@@ -76,7 +71,6 @@ struct Args {
   bool streaming = false;
   int reps = 1;
   int jobs = 0;  // resolved: 0 -> hardware concurrency
-  int des_threads = 1;  // per-experiment PDES threads (1 = serial engine)
   int metrics_period_ms = 250;
   std::string json_path;
   std::string metrics_out;
@@ -126,9 +120,6 @@ inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
     if (a == "--jobs" && i + 1 < argc) {
       out.jobs = std::max(1, std::atoi(argv[++i]));
     }
-    if (a == "--des-threads" && i + 1 < argc) {
-      out.des_threads = std::max(1, std::atoi(argv[++i]));
-    }
   }
   if (out.jobs <= 0) {
     out.jobs = static_cast<int>(fabricsim::runner::ThreadPool::DefaultJobs());
@@ -136,7 +127,6 @@ inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
   fabricsim::crypto::VerifyCache::Instance().SetEnabled(out.crypto_cache);
   RecorderSlot() = std::make_unique<fabricsim::bench::Recorder>(
       bench_name, out.Mode(), out.crypto_cache, out.reps, out.jobs);
-  RecorderSlot()->SetDesThreads(out.des_threads);
   return out;
 }
 
@@ -160,7 +150,6 @@ class Sweep {
   void Add(fabricsim::fabric::ExperimentConfig config, std::string label) {
     config.profile = config.profile || args_.profile;
     config.streaming_stats = config.streaming_stats || args_.streaming;
-    if (config.des_threads <= 1) config.des_threads = args_.des_threads;
     if (!args_.metrics_out.empty() && config.registry == nullptr) {
       auto reg = std::make_unique<fabricsim::metrics::Registry>();
       config.registry = reg.get();

@@ -80,22 +80,6 @@ class Recorder {
     emit_tracker_stats_ = on;
   }
 
-  /// The --des-threads setting the run used (conservative-PDES engine).
-  /// Emitted under "host" when > 1 — informational, like "jobs", so
-  /// baselines recorded serially compare cleanly against parallel runs.
-  void SetDesThreads(int n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    des_threads_ = n;
-  }
-
-  /// Host core count, emitted under "host" when set — pdes_speedup records
-  /// it so a speedup trajectory is interpretable (a 1-core container cannot
-  /// show one).
-  void SetNproc(int n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    nproc_ = n;
-  }
-
   /// Set when any repetition of any point disagreed on the chain head — a
   /// determinism violation worth failing loudly over.
   void MarkNondeterministic() {
@@ -144,8 +128,6 @@ class Recorder {
   bool crypto_cache_;
   int reps_;
   int jobs_;
-  int des_threads_ = 1;
-  int nproc_ = 0;
   bool deterministic_ = true;
   double total_wall_s_ = 0.0;
   std::uint64_t total_events_ = 0;

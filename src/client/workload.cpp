@@ -55,11 +55,8 @@ void WorkloadController::ScheduleNext(std::size_t ci) {
   env_.Sched().ScheduleAt(
       when,
       [this, ci] {
-        generated_.fetch_add(1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lock(log_mu_);
-          generated_log_.Record(env_.Now());
-        }
+        ++generated_;
+        generated_log_.Record(env_.Now());
         clients_[ci]->Submit(NextInvocation(ci),
                              [this, ci] { ScheduleNext(ci); });
       },

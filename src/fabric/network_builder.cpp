@@ -12,9 +12,6 @@ FabricNetwork::FabricNetwork(NetworkOptions options)
                             options_.topology.endorsing_peers)) {
   if (options_.channels < 1) options_.channels = 1;
   env_->SetTracer(options_.tracer);
-  // Marks issued from inside parallel windows are deferred and applied in
-  // deterministic key order at the window barrier (no-op while serial).
-  tracker_.BindScheduler(&env_->Sched());
 
   chaincodes_->Install(std::make_shared<chaincode::KvWriteChaincode>());
   chaincodes_->Install(std::make_shared<chaincode::TokenChaincode>());

@@ -27,6 +27,9 @@ int IndexOf(const std::string& name, const std::string& prefix) {
 }  // namespace
 
 void FaultInjector::Arm() {
+  // Resolve every target once before anything is scheduled, so a name that
+  // parses but matches no node fails here instead of aborting mid-run.
+  for (const FaultEvent& ev : schedule_.events) CheckTargets(ev);
   for (const FaultEvent& ev : schedule_.events) {
     net_.Env().Sched().ScheduleAt(ev.at, [this, &ev] { Fire(ev); });
   }
@@ -118,33 +121,12 @@ void FaultInjector::Fire(const FaultEvent& ev) {
       return;
     case FaultKind::kSlowCpu: {
       const std::string& name = ev.groups.at(0).at(0);
-      sim::Cpu* cpu = nullptr;
-      for (std::size_t i = 0; i < env.MachineCount(); ++i) {
-        if (env.MachineAt(i).Name() == name) {
-          cpu = &env.MachineAt(i).GetCpu();
-          break;
-        }
-      }
-      if (cpu == nullptr) {
-        throw std::invalid_argument("unknown machine for slow fault: " + name);
-      }
-      ScaleSpeed(cpu, "cpu " + name, ev.value, ev.until);
+      ScaleSpeed(ResolveMachineCpu(name), "cpu " + name, ev.value, ev.until);
       return;
     }
     case FaultKind::kSlowDisk: {
       const std::string& name = ev.groups.at(0).at(0);
-      sim::Cpu* disk = nullptr;
-      for (std::size_t i = 0; i < net_.PeerCount(); ++i) {
-        peer::PeerNode& p = net_.Peer(i);
-        if (net.NameOf(p.NetId()) == name) {
-          disk = &p.MutableDisk();
-          break;
-        }
-      }
-      if (disk == nullptr) {
-        throw std::invalid_argument("unknown peer for slowdisk fault: " + name);
-      }
-      ScaleSpeed(disk, "disk " + name, ev.value, ev.until);
+      ScaleSpeed(ResolvePeerDisk(name), "disk " + name, ev.value, ev.until);
       return;
     }
     case FaultKind::kEquivocate:
@@ -239,6 +221,52 @@ void FaultInjector::FireReplayTx(const FaultEvent& ev) {
   }
   Note("replay-tx: re-broadcast " + std::to_string(victims.size()) +
        " committed tx");
+}
+
+void FaultInjector::CheckTargets(const FaultEvent& ev) {
+  switch (ev.kind) {
+    case FaultKind::kCrash:
+    case FaultKind::kRevive:
+    case FaultKind::kPartition:
+      for (const auto& names : ev.groups) {
+        for (const auto& name : names) (void)ResolveNodes(name);
+      }
+      return;
+    case FaultKind::kSlowCpu:
+      (void)ResolveMachineCpu(ev.groups.at(0).at(0));
+      return;
+    case FaultKind::kSlowDisk:
+      (void)ResolvePeerDisk(ev.groups.at(0).at(0));
+      return;
+    case FaultKind::kEquivocate:
+    case FaultKind::kTamperBlock:
+    case FaultKind::kBogusBackfill:
+      for (const auto& name : ev.groups.at(0)) (void)ResolveOsns(name);
+      return;
+    case FaultKind::kForgeEndorsement:
+      for (const auto& name : ev.groups.at(0)) (void)ResolvePeers(name);
+      return;
+    case FaultKind::kHeal:
+    case FaultKind::kLoss:
+    case FaultKind::kReplayTx:
+      return;
+  }
+}
+
+sim::Cpu* FaultInjector::ResolveMachineCpu(const std::string& name) {
+  sim::Environment& env = net_.Env();
+  for (std::size_t i = 0; i < env.MachineCount(); ++i) {
+    if (env.MachineAt(i).Name() == name) return &env.MachineAt(i).GetCpu();
+  }
+  throw std::invalid_argument("unknown machine for slow fault: " + name);
+}
+
+sim::Cpu* FaultInjector::ResolvePeerDisk(const std::string& name) {
+  for (std::size_t i = 0; i < net_.PeerCount(); ++i) {
+    peer::PeerNode& p = net_.Peer(i);
+    if (net_.Env().Net().NameOf(p.NetId()) == name) return &p.MutableDisk();
+  }
+  throw std::invalid_argument("unknown peer for slowdisk fault: " + name);
 }
 
 std::vector<ordering::OsnBase*> FaultInjector::ResolveOsns(

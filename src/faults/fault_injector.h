@@ -1,11 +1,13 @@
 // FaultInjector: executes a FaultSchedule against a built FabricNetwork.
 //
-// Arm() schedules every event through the simulation scheduler; target names
-// resolve when the event fires, so `crash:leader@30s` crashes whichever node
-// leads at t=30s. Aliases (`leader`, `osn<i>`, `broker<i>`) fan out across
-// channels: `osn0` crashes every channel's instance hosted on orderer 0,
-// matching a whole orderer process dying. Every action is recorded in a
-// timestamped log for reports and the invariant checker.
+// Arm() checks that every target names a node of the built network (throwing
+// std::invalid_argument if not) and then schedules every event through the
+// simulation scheduler; target names resolve again when the event fires, so
+// `crash:leader@30s` crashes whichever node leads at t=30s. Aliases
+// (`leader`, `osn<i>`, `broker<i>`) fan out across channels: `osn0` crashes
+// every channel's instance hosted on orderer 0, matching a whole orderer
+// process dying. Every action is recorded in a timestamped log for reports
+// and the invariant checker.
 #pragma once
 
 #include <map>
@@ -34,7 +36,9 @@ class FaultInjector {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Schedules every event. Call once, before (or during) the run; events
-  /// whose time already passed fire on the next scheduler step.
+  /// whose time already passed fire on the next scheduler step. Throws
+  /// std::invalid_argument, scheduling nothing, when a target matches no
+  /// node (e.g. `peer99`, or `broker0` without Kafka).
   void Arm();
 
   [[nodiscard]] const FaultSchedule& Schedule() const { return schedule_; }
@@ -44,6 +48,9 @@ class FaultInjector {
 
  private:
   void Fire(const FaultEvent& ev);
+  /// Resolves every target of `ev` the way Fire would, discarding the
+  /// result. Throws std::invalid_argument for a target that matches nothing.
+  void CheckTargets(const FaultEvent& ev);
   /// Crashes `id` if it is up; returns false (and only logs) when the node
   /// is already down, so overlapping crash windows never double-crash and a
   /// window's undo only revives nodes that window itself took down.
@@ -62,6 +69,12 @@ class FaultInjector {
   /// under Kafka resolves to a broker, which cannot equivocate on deliver).
   [[nodiscard]] std::vector<ordering::OsnBase*> ResolveOsns(
       const std::string& name);
+  /// The CPU of the machine named `name`, for `slow` faults. Throws when no
+  /// machine has that name.
+  [[nodiscard]] sim::Cpu* ResolveMachineCpu(const std::string& name);
+  /// The ledger disk of the peer named `name`, for `slowdisk` faults.
+  /// Throws when no peer has that name.
+  [[nodiscard]] sim::Cpu* ResolvePeerDisk(const std::string& name);
   /// Resolves a name to peer nodes (for endorser-side attacks).
   [[nodiscard]] std::vector<peer::PeerNode*> ResolvePeers(
       const std::string& name);

@@ -82,9 +82,11 @@ InvariantReport CheckInvariants(fabric::FabricNetwork& net,
       // the genesis config transaction. Only kValid occurrences count as
       // committed — a resubmitted envelope may legitimately appear in a
       // later block flagged kDuplicateTxId by the committer's dedup.
+      // Under retention the check covers the resident blocks only.
       std::unordered_set<std::string> seen;
       for (std::uint64_t n = 1; n < chain.Height(); ++n) {
         const proto::BlockPtr block = chain.Store().GetBlock(n);
+        if (block == nullptr) continue;  // pruned under retention
         const auto& codes = chain.Store().CodesFor(n);
         for (std::size_t t = 0; t < block->transactions.size(); ++t) {
           const auto& tx = block->transactions[t];
@@ -115,15 +117,17 @@ InvariantReport CheckInvariants(fabric::FabricNetwork& net,
       }
     }
 
-    // No forks: all peers agree on every block number both have.
+    // No forks: all peers agree on every block number both still hold.
     for (std::size_t i = 1; i < committers.size(); ++i) {
       const auto& ref = committers[0]->Chain();
       const auto& other = committers[i]->Chain();
       const std::uint64_t shared = std::min(ref.Height(), other.Height());
       for (std::uint64_t n = 0; n < shared; ++n) {
+        const proto::BlockPtr a = ref.Store().GetBlock(n);
+        const proto::BlockPtr b = other.Store().GetBlock(n);
+        if (a == nullptr || b == nullptr) continue;  // pruned under retention
         ++report.blocks_compared;
-        if (!(ref.Store().GetBlock(n)->header.Hash() ==
-              other.Store().GetBlock(n)->header.Hash())) {
+        if (!(a->header.Hash() == b->header.Hash())) {
           std::ostringstream os;
           os << channel << " block " << n << ": " << names[i]
              << " diverges from " << names[0];
@@ -161,8 +165,10 @@ InvariantReport CheckInvariants(fabric::FabricNetwork& net,
             }
           }
           if (best * 2 <= hashes.size()) continue;  // no majority
+          const proto::BlockPtr block = chain.Store().GetBlock(n);
+          if (block == nullptr) continue;  // pruned under retention
           ++report.blocks_compared;
-          if (!(chain.Store().GetBlock(n)->header.Hash() == hashes[0])) {
+          if (!(block->header.Hash() == hashes[0])) {
             std::ostringstream os;
             os << names[i] << "/" << channel << " block " << n
                << " diverges from the ordering service's canonical chain";

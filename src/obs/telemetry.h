@@ -20,7 +20,6 @@
 // admission queues via AddGauge.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -83,9 +82,7 @@ class TelemetrySampler : public sim::NetworkObserver {
   [[nodiscard]] const std::vector<TelemetrySample>& Samples() const {
     return samples_;
   }
-  [[nodiscard]] std::uint64_t BytesInFlight() const {
-    return bytes_in_flight_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t BytesInFlight() const { return bytes_in_flight_; }
 
   /// Writes `time_s,resource,metric,value` rows with a header.
   void WriteCsv(std::ostream& os) const;
@@ -118,11 +115,7 @@ class TelemetrySampler : public sim::NetworkObserver {
   sim::Scheduler* sched_ = nullptr;
   sim::EventId tick_event_ = 0;
   bool running_ = false;
-  // Atomic: OnSend/OnDeliver fire from whichever lane the sender/receiver
-  // endpoint lives on under the PDES engine. The +/- updates commute, so
-  // the value read at a sampling instant (all lanes parked) is independent
-  // of host execution order.
-  std::atomic<std::uint64_t> bytes_in_flight_{0};
+  std::uint64_t bytes_in_flight_ = 0;
   bool watching_network_ = false;
   std::vector<TelemetrySample> samples_;
 };

@@ -48,7 +48,7 @@ class OsnBase {
   [[nodiscard]] sim::NodeId NetId() const { return net_id_; }
 
   /// The machine hosting this node (its scheduler lane owns all the
-  /// node's timers and deliveries under the PDES engine).
+  /// node's timers and deliveries).
   [[nodiscard]] sim::Machine& Host() { return machine_; }
   [[nodiscard]] const crypto::Identity& GetIdentity() const {
     return identity_;

@@ -56,7 +56,7 @@ class PeerNode {
   [[nodiscard]] sim::NodeId NetId() const { return net_id_; }
 
   /// The machine hosting this node (its scheduler lane owns all the
-  /// node's timers and deliveries under the PDES engine).
+  /// node's timers and deliveries).
   [[nodiscard]] sim::Machine& Host() { return machine_; }
   [[nodiscard]] bool IsEndorsing() const { return endorsing_; }
   [[nodiscard]] const crypto::Identity& GetIdentity() const {

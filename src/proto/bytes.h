@@ -71,13 +71,14 @@ inline std::mutex& CacheStripe(const void* p) {
 /// RESETS the cache: a copy that is then mutated (e.g. a tampering test)
 /// recomputes honestly.
 ///
-/// Thread-safe for concurrent Get: under the PDES engine the same shared
-/// block reaches several lanes at once. The fast path is one acquire load;
-/// on a miss the value is computed OUTSIDE the lock (build chains may nest
-/// — signers over digest over serialized bytes — so holding a stripe while
-/// computing could deadlock on stripe ordering) and installed first-writer
-/// -wins, which is sound because builds are deterministic functions of the
-/// immutable struct, so racing computes produce identical values.
+/// Thread-safe for concurrent Get: the committer's --opt-vscc-workers host
+/// pool warms envelope memos on pool threads. The fast path is one acquire
+/// load; on a miss the value is computed OUTSIDE the lock (build chains
+/// may nest — signers over digest over serialized bytes — so holding a
+/// stripe while computing could deadlock on stripe ordering) and installed
+/// first-writer-wins, which is sound because builds are deterministic
+/// functions of the immutable struct, so racing computes produce identical
+/// values.
 /// Invalidate/copy/assign are NOT concurrency-safe — they belong to
 /// single-threaded construction and test phases, per the contract above.
 template <typename T>

@@ -88,9 +88,9 @@ struct TransactionEnvelope {
   // Signer-verification memo with the same copy-resets semantics as
   // CachedValue (a mutated copy must re-verify honestly). The registry
   // pointer doubles as the atomic ready flag — it is set (release) only
-  // after `value` is installed, so concurrent lanes validating the same
-  // shared envelope are safe; negative results (nullopt value with the
-  // registry set) stay cached. Like CachedValue, resets are reserved for
+  // after `value` is installed, so host threads warming the same shared
+  // envelope (the --opt-vscc-workers precompute) are safe; negative results
+  // (nullopt value with the registry set) stay cached. Like CachedValue, resets are reserved for
   // single-threaded phases.
   struct SignerCache {
     SignerCache() = default;

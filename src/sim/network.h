@@ -11,7 +11,6 @@
 // exercise Raft/Kafka failure paths.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -119,21 +118,15 @@ class Network {
   [[nodiscard]] const std::string& NameOf(NodeId id) const;
   [[nodiscard]] std::size_t NodeCount() const { return nodes_.size(); }
 
-  /// Totals for reporting. Counters are atomic (relaxed) because endpoints
-  /// on different lanes update them concurrently under the PDES engine; the
-  /// final values are order-independent sums, so they stay deterministic.
-  [[nodiscard]] std::uint64_t MessagesSent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
+  /// Totals for reporting.
+  [[nodiscard]] std::uint64_t MessagesSent() const { return messages_sent_; }
   [[nodiscard]] std::uint64_t MessagesDelivered() const {
-    return messages_delivered_.load(std::memory_order_relaxed);
+    return messages_delivered_;
   }
   [[nodiscard]] std::uint64_t MessagesDropped() const {
-    return messages_dropped_.load(std::memory_order_relaxed);
+    return messages_dropped_;
   }
-  [[nodiscard]] std::uint64_t BytesSent() const {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t BytesSent() const { return bytes_sent_; }
 
   [[nodiscard]] const NetworkConfig& Config() const { return config_; }
 
@@ -153,16 +146,6 @@ class Network {
     return nodes_.at(static_cast<std::size_t>(id)).lane;
   }
 
-  /// Conservative-PDES static lookahead: a lower bound on the delay of any
-  /// cross-node message. Every delivery time is at least
-  /// minimum-serialization (framing overhead over the link bandwidth) plus
-  /// minimum propagation latency (base latency at the lowest jitter draw)
-  /// after its send; the per-connection FIFO clamp only pushes deliveries
-  /// later. Loopback is faster but intra-lane, so it does not bound the
-  /// lookahead. With defaults (120 B overhead, 1 Gbps, 180 us +/- 10%) this
-  /// is ~163 us.
-  [[nodiscard]] SimDuration LookaheadFloor() const;
-
  private:
   struct Endpoint {
     std::string name;
@@ -171,8 +154,7 @@ class Network {
     bool crashed = false;
     int lane = Scheduler::kGlobalLane;
     // Per-destination sender-owned state, indexed by destination NodeId and
-    // grown on first use. Keeping it on the sender (instead of network-wide
-    // maps) makes the send path lane-local under the PDES engine.
+    // grown on first use.
     //
     // FIFO floor: connections are stream-oriented (gRPC over TCP), so
     // delivery within one directed pair never reorders even when latency
@@ -180,8 +162,8 @@ class Network {
     std::vector<SimTime> last_to;
     // Per-directed-pair RNG streams for loss and jitter draws. Seeded from
     // (link_seed_base_, from, to) only, so the draw sequence on one link is
-    // independent of traffic on every other link — this is what keeps
-    // results identical when lanes execute in different host orders.
+    // independent of traffic on every other link, so adding or removing a
+    // message on one link never shifts another link's loss or jitter.
     std::vector<std::optional<Rng>> link_rng;
   };
 
@@ -194,10 +176,10 @@ class Network {
   NetworkConfig config_;
   std::vector<Endpoint> nodes_;
   std::unordered_set<std::uint64_t> partitions_;
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> messages_delivered_{0};
-  std::atomic<std::uint64_t> messages_dropped_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
+  std::uint64_t messages_sent_ = 0;
+  std::uint64_t messages_delivered_ = 0;
+  std::uint64_t messages_dropped_ = 0;
+  std::uint64_t bytes_sent_ = 0;
   NetworkObserver* observer_ = nullptr;
 };
 

@@ -64,33 +64,6 @@ ProfileReport DesProfiler::Report() const {
   return out;
 }
 
-void DesProfiler::Merge(const DesProfiler& other) {
-  if (!other.started_) return;
-  if (!started_) {
-    started_ = true;
-    first_ns_ = other.first_ns_;
-  } else {
-    first_ns_ = std::min(first_ns_, other.first_ns_);
-  }
-  last_ns_ = std::max(last_ns_, other.last_ns_);
-  for (const auto& [tag, counts] : other.by_tag_) {
-    Counts& c = by_tag_[tag];
-    c.count += counts.count;
-    c.total_ns += counts.total_ns;
-  }
-  events_ += other.events_;
-  total_ns_ += other.total_ns_;
-  for (const ProfileSample& s : other.timeline_) timeline_.push_back(s);
-  std::sort(timeline_.begin(), timeline_.end(),
-            [](const ProfileSample& a, const ProfileSample& b) {
-              return a.host_ns < b.host_ns;
-            });
-  for (const Span& s : other.spans_) {
-    if (spans_.size() >= kMaxSpans) break;
-    spans_.push_back(s);
-  }
-}
-
 void DesProfiler::Reset() {
   by_tag_.clear();
   timeline_.clear();

@@ -6,9 +6,9 @@
 // bracketed with steady_clock reads and attributed to the event's tag — the
 // string literal passed at ScheduleAt/ScheduleAfter time. The result is a
 // per-handler table (count, total host ns) plus an events/s timeline sampled
-// every 2^16 events, which is the measurement that decides where a PDES
-// partitioning of the core should cut (ROADMAP item 2): there is no point
-// parallelizing handlers that account for 2% of host time.
+// every 2^16 events, which is the measurement that decides which handlers
+// are worth optimizing: there is no point speeding up handlers that account
+// for 2% of host time.
 //
 // Attribution is by tag identity (pointer), merged by name at report time,
 // so tagging costs one stored pointer per event and nothing at dispatch.
@@ -67,12 +67,6 @@ class DesProfiler {
                std::uint64_t t1_ns);
 
   [[nodiscard]] ProfileReport Report() const;
-
-  /// Folds another profiler's measurements into this one — the PDES engine
-  /// gives each worker thread a private profiler and merges them into the
-  /// attached one at the end of the run. Timeline points are re-sorted by
-  /// host time; spans are appended up to the cap.
-  void Merge(const DesProfiler& other);
 
   void Reset();
 

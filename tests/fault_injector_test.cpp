@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "fabric/experiment.h"
 #include "fabric/network_builder.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_schedule.h"
@@ -167,10 +168,24 @@ TEST(FaultInjector, OverlappingSlowDiskWindowsUnwind) {
   EXPECT_NEAR(disk.SpeedFactor(), 1.0, 1e-9);
 }
 
-TEST(FaultInjector, UnknownTargetThrowsWhenFired) {
+TEST(FaultInjector, UnknownTargetThrowsAtArm) {
   InjectorFixture f;
-  f.Arm("crash:no-such-node@1s");
-  EXPECT_THROW(f.RunUntil(2.0), std::invalid_argument);
+  const std::size_t pending = f.net->Env().Sched().PendingEvents();
+  // The valid first event must not be scheduled either: a rejected schedule
+  // leaves the run untouched.
+  EXPECT_THROW(f.Arm("crash:osn0@1s,crash:no-such-node@2s"),
+               std::invalid_argument);
+  EXPECT_EQ(f.net->Env().Sched().PendingEvents(), pending);
+  EXPECT_THROW(f.Arm("crash:broker0@1s"), std::invalid_argument);  // no Kafka
+  EXPECT_THROW(f.Arm("slow:no-such-machine:0.5@1s"), std::invalid_argument);
+  EXPECT_THROW(f.Arm("forge-endorsement:osn0@1s-2s"), std::invalid_argument);
+}
+
+TEST(FaultInjector, ExperimentRejectsUnknownTarget) {
+  fabric::ExperimentConfig config;
+  config.workload.duration = sim::FromSeconds(10);
+  config.faults = "crash:peer99@10s-12s";
+  EXPECT_THROW((void)fabric::RunExperiment(config), std::invalid_argument);
 }
 
 TEST(FaultInjector, WindowedLeaderCrashRevivesTheCrashedNode) {

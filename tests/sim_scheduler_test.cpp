@@ -238,5 +238,173 @@ TEST(SchedulerPool, CancelDestroysCallbackImmediately) {
   EXPECT_TRUE(observer.expired());
 }
 
+// ---------------------------------------------------------------------------
+// Lanes: the (time, lane, lane_seq) key that pins every tie-break.
+// ---------------------------------------------------------------------------
+
+// One executed event: which marker ran, and the lane it ran in.
+struct Ran {
+  int marker;
+  int lane;
+  bool operator==(const Ran&) const = default;
+};
+
+TEST(SchedulerLanes, SameTimeEventsRunInLaneThenSeqOrder) {
+  Scheduler s;
+  const int a = s.AddLane();
+  const int b = s.AddLane();
+  std::vector<Ran> ran;
+  auto at = [&](int lane, int marker) {
+    Scheduler::LaneScope scope(s, lane);
+    s.ScheduleAt(10, [&ran, &s, marker] {
+      ran.push_back({marker, s.CurrentLane()});
+    });
+  };
+  // Inserted highest lane first: the order must not depend on it.
+  at(b, 1);
+  at(a, 2);
+  at(b, 3);
+  at(Scheduler::kGlobalLane, 4);
+  at(a, 5);
+  s.Run();
+  EXPECT_EQ(ran, (std::vector<Ran>{{4, Scheduler::kGlobalLane},
+                                   {2, a},
+                                   {5, a},
+                                   {1, b},
+                                   {3, b}}));
+  EXPECT_EQ(s.CurrentLane(), Scheduler::kGlobalLane);  // restored after Run
+}
+
+TEST(SchedulerLanes, ScheduleAtLaneOrdersBySenderKey) {
+  Scheduler s;
+  const int sender = s.AddLane();
+  const int receiver = s.AddLane();
+  const int later = s.AddLane();
+  std::vector<Ran> ran;
+  auto record = [&ran, &s](int marker) {
+    return [&ran, &s, marker] { ran.push_back({marker, s.CurrentLane()}); };
+  };
+  {
+    // Both queued before the send, at the delivery instant.
+    Scheduler::LaneScope scope(s, receiver);
+    s.ScheduleAt(100, record(1));
+  }
+  {
+    Scheduler::LaneScope scope(s, later);
+    s.ScheduleAt(100, record(2));
+  }
+  {
+    Scheduler::LaneScope scope(s, sender);
+    s.ScheduleAt(50, [&] {
+      // Runs in the receiver's lane, but sorts by the sender's key: ahead of
+      // the receiver's own same-time event.
+      s.ScheduleAtLane(receiver, 100, [&] {
+        ran.push_back({3, s.CurrentLane()});
+        // What the delivery schedules is keyed by the receiving lane.
+        s.ScheduleAt(100, record(4));
+      });
+    });
+  }
+  {
+    // A send from the highest lane sorts last, whichever lane it runs in.
+    Scheduler::LaneScope scope(s, later);
+    s.ScheduleAtLane(sender, 100, record(5));
+  }
+  s.Run();
+  EXPECT_EQ(ran, (std::vector<Ran>{{3, receiver},
+                                   {1, receiver},
+                                   {4, receiver},
+                                   {2, later},
+                                   {5, sender}}));
+}
+
+TEST(SchedulerLanes, OutOfRangeLanesFallBackToGlobal) {
+  Scheduler s;
+  const int lane = s.AddLane();
+  {
+    Scheduler::LaneScope scope(s, lane + 7);
+    EXPECT_EQ(s.CurrentLane(), Scheduler::kGlobalLane);
+    {
+      Scheduler::LaneScope inner(s, lane);
+      EXPECT_EQ(s.CurrentLane(), lane);
+    }
+    EXPECT_EQ(s.CurrentLane(), Scheduler::kGlobalLane);
+  }
+  int ran_in = -1;
+  s.ScheduleAtLane(-3, 5, [&] { ran_in = s.CurrentLane(); });
+  s.Run();
+  EXPECT_EQ(ran_in, Scheduler::kGlobalLane);
+}
+
+TEST(SchedulerLanes, CancelWorksAcrossLanes) {
+  Scheduler s;
+  const int a = s.AddLane();
+  const int b = s.AddLane();
+  bool sent_ran = false;
+  bool b_ran = false;
+  EventId sent = 0;
+  EventId b_event = 0;
+  {
+    Scheduler::LaneScope scope(s, a);
+    sent = s.ScheduleAtLane(b, 20, [&] { sent_ran = true; });
+  }
+  {
+    Scheduler::LaneScope scope(s, b);
+    b_event = s.ScheduleAt(30, [&] { b_ran = true; });
+  }
+  EXPECT_NE(sent, 0u);
+  EXPECT_EQ(s.PendingEvents(), 2u);
+  EXPECT_TRUE(s.Cancel(sent));  // from the global lane, into lane b
+  {
+    Scheduler::LaneScope scope(s, a);
+    // From inside lane a's callback, cancel lane b's own event.
+    s.ScheduleAt(10, [&] { EXPECT_TRUE(s.Cancel(b_event)); });
+  }
+  s.Run();
+  EXPECT_FALSE(sent_ran);
+  EXPECT_FALSE(b_ran);
+  EXPECT_FALSE(s.Cancel(b_event));
+  EXPECT_EQ(s.PendingEvents(), 0u);
+  EXPECT_EQ(s.ExecutedEvents(), 1u);
+}
+
+TEST(SchedulerLanes, CountersAndPoolSpanAllLanes) {
+  Scheduler s;
+  constexpr int kLanes = 64;
+  constexpr int kPerLane = 5;
+  std::vector<int> lanes;
+  for (int i = 0; i < kLanes; ++i) lanes.push_back(s.AddLane());
+  EXPECT_EQ(s.LaneCount(), kLanes + 1);
+  std::vector<EventId> cancel;
+  int ran = 0;
+  for (int lane : lanes) {
+    Scheduler::LaneScope scope(s, lane);
+    for (int i = 0; i < kPerLane; ++i) {
+      const EventId id = s.ScheduleAt(i, [&ran] { ++ran; });
+      if (i == 0) cancel.push_back(id);
+    }
+    // Observer events occupy slots but never count as executed.
+    s.ScheduleObserverAt(kPerLane, [] {});
+    // A cross-lane send to the next lane over.
+    s.ScheduleAtLane(lanes[static_cast<std::size_t>(lane) % kLanes],
+                     kPerLane, [&ran] { ++ran; });
+  }
+  constexpr std::size_t kTotal = kLanes * (kPerLane + 2);
+  EXPECT_EQ(s.PendingEvents(), kTotal);
+  EXPECT_EQ(s.PoolCapacity(), kTotal);
+  EXPECT_EQ(s.PoolFree(), 0u);
+  for (EventId id : cancel) EXPECT_TRUE(s.Cancel(id));
+  EXPECT_EQ(s.PendingEvents(), kTotal - kLanes);
+  EXPECT_EQ(s.PoolFree(), static_cast<std::size_t>(kLanes));
+
+  // Run() counts every dispatch; ExecutedEvents() leaves observers out.
+  EXPECT_EQ(s.Run(), kTotal - kLanes);
+  EXPECT_EQ(ran, kLanes * kPerLane);  // (kPerLane - 1) local + 1 sent each
+  EXPECT_EQ(s.ExecutedEvents(), static_cast<std::uint64_t>(kLanes * kPerLane));
+  EXPECT_EQ(s.PendingEvents(), 0u);
+  EXPECT_EQ(s.PoolFree(), s.PoolCapacity());
+  EXPECT_EQ(s.PoolCapacity(), kTotal);  // reused, never grown
+}
+
 }  // namespace
 }  // namespace fabricsim::sim

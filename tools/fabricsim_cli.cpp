@@ -13,6 +13,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,6 @@ struct CliOptions {
   std::size_t history_per_key = 0;   // history-index cap (0 = all)
   std::vector<double> sweep;  // arrival rates; non-empty = sweep mode
   int jobs = 1;               // host threads for --sweep (0 = hw concurrency)
-  int des_threads = 1;        // conservative-PDES threads (1 = serial DES)
   fabric::OptimizationOptions optimizations;  // Thakkar-style validate fixes
 };
 
@@ -183,10 +183,6 @@ void PrintHelp() {
       "  --jobs=<n>                   host worker threads for --sweep\n"
       "                               (default 1; 0 = hardware concurrency);\n"
       "                               results are identical at any setting\n"
-      "  --des-threads=<n>            run the event loop itself on n threads\n"
-      "                               (conservative PDES; default 1 = serial;\n"
-      "                               simulated output is byte-identical at\n"
-      "                               any thread count)\n"
       "  --opt-msp-cache              MSP identity-verification cache on the\n"
       "                               committers: repeat cert chains skip the\n"
       "                               full validation cost (Thakkar et al.,\n"
@@ -383,7 +379,6 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
         number("--retry-after-ms", out.retry_after_ms) ||
         number("--flow-window", out.flow_window) ||
         number("--pace-tps", out.pace_tps) || number("--jobs", out.jobs) ||
-        number("--des-threads", out.des_threads) ||
         number("--metrics-period-ms", out.metrics_period_ms) ||
         number("--retain-blocks", out.retain_blocks) ||
         number("--history-per-key", out.history_per_key) ||
@@ -441,7 +436,6 @@ int main(int argc, char** argv) {
   config.network.retention.history_per_key = cli.history_per_key;
   config.network.optimizations = cli.optimizations;
   config.metrics_period = sim::FromMillis(cli.metrics_period_ms);
-  config.des_threads = std::max(1, cli.des_threads);
 
   if (!cli.overload.empty()) {
     fabric::OverloadOptions& ov = config.network.overload;
@@ -561,7 +555,16 @@ int main(int argc, char** argv) {
     config.profiler = &profiler;
   }
 
-  const auto result = fabric::RunExperiment(config);
+  // Configuration the network rejects while it is built (a fault target
+  // that names no node, e.g. peer99, or an unparsable --policy) is a usage
+  // error, reported before the run starts.
+  fabric::ExperimentResult result;
+  try {
+    result = fabric::RunExperiment(config);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   const auto& r = result.report;
 
   if (tracer) tracer->ExportChromeTrace(trace_os);
