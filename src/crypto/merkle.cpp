@@ -4,12 +4,23 @@ namespace fabricsim::crypto {
 namespace {
 constexpr std::uint8_t kLeafTag = 0x00;
 constexpr std::uint8_t kInteriorTag = 0x01;
+
+std::vector<Digest> HashLeaves(const std::vector<proto::Bytes>& leaves) {
+  std::vector<Digest> digests;
+  digests.reserve(leaves.size());
+  for (const auto& leaf : leaves) digests.push_back(MerkleTree::HashLeaf(leaf));
+  return digests;
+}
 }  // namespace
 
 Digest MerkleTree::HashLeaf(proto::BytesView payload) {
+  return HashLeafParts({&payload, 1});
+}
+
+Digest MerkleTree::HashLeafParts(std::span<const proto::BytesView> parts) {
   Sha256 h;
   h.Update(proto::BytesView(&kLeafTag, 1));
-  h.Update(payload);
+  for (proto::BytesView part : parts) h.Update(part);
   return h.Finalize();
 }
 
@@ -22,15 +33,19 @@ Digest MerkleTree::HashInterior(const Digest& left, const Digest& right) {
 }
 
 MerkleTree::MerkleTree(const std::vector<proto::Bytes>& leaves)
-    : leaf_count_(leaves.size()) {
-  if (leaves.empty()) {
+    : MerkleTree(LeafDigests{}, HashLeaves(leaves)) {}
+
+MerkleTree MerkleTree::FromLeafDigests(std::vector<Digest> leaf_digests) {
+  return MerkleTree(LeafDigests{}, std::move(leaf_digests));
+}
+
+MerkleTree::MerkleTree(LeafDigests, std::vector<Digest> leaf_digests) {
+  leaf_count_ = leaf_digests.size();
+  if (leaf_digests.empty()) {
     root_ = Hash(proto::BytesView{});
     return;
   }
-  std::vector<Digest> level;
-  level.reserve(leaves.size());
-  for (const auto& leaf : leaves) level.push_back(HashLeaf(leaf));
-  levels_.push_back(level);
+  levels_.push_back(std::move(leaf_digests));
   while (levels_.back().size() > 1) {
     const auto& prev = levels_.back();
     std::vector<Digest> next;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -30,6 +31,10 @@ class MerkleTree {
   /// as root (matching an empty block's data hash).
   explicit MerkleTree(const std::vector<proto::Bytes>& leaves);
 
+  /// Builds the tree over leaf digests already hashed with HashLeaf, so a
+  /// caller that can stream each leaf's parts never concatenates them.
+  static MerkleTree FromLeafDigests(std::vector<Digest> leaf_digests);
+
   [[nodiscard]] const Digest& Root() const { return root_; }
   [[nodiscard]] std::size_t LeafCount() const { return leaf_count_; }
 
@@ -43,10 +48,16 @@ class MerkleTree {
   /// Hashes a leaf payload (domain-separated from interior nodes).
   static Digest HashLeaf(proto::BytesView payload);
 
+  /// HashLeaf of the concatenation of `parts`, without concatenating them.
+  static Digest HashLeafParts(std::span<const proto::BytesView> parts);
+
   /// Hashes two child digests into a parent (domain-separated).
   static Digest HashInterior(const Digest& left, const Digest& right);
 
  private:
+  struct LeafDigests {};
+  MerkleTree(LeafDigests, std::vector<Digest> leaf_digests);
+
   std::size_t leaf_count_ = 0;
   // levels_[0] = leaf digests, levels_.back() = {root}.
   std::vector<std::vector<Digest>> levels_;

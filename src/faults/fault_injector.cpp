@@ -197,9 +197,8 @@ void FaultInjector::FireReplayTx(const FaultEvent& ev) {
   for (std::uint64_t n = store.Height(); victims.size() < count && n-- > 1;) {
     const proto::BlockPtr b = store.GetBlock(n);
     if (b == nullptr) break;  // outside the retained window
-    for (auto it = b->transactions.rbegin();
-         it != b->transactions.rend() && victims.size() < count; ++it) {
-      victims.push_back(std::make_shared<proto::TransactionEnvelope>(*it));
+    for (std::size_t i = b->TxCount(); i-- > 0 && victims.size() < count;) {
+      victims.push_back(b->transactions.Ptr(i));
     }
   }
   if (victims.empty()) {

@@ -18,7 +18,7 @@
 
 namespace fabricsim::ordering {
 
-using EnvelopePtr = std::shared_ptr<const proto::TransactionEnvelope>;
+using proto::EnvelopePtr;
 using Batch = std::vector<EnvelopePtr>;
 
 struct BatchConfig {

@@ -10,13 +10,10 @@ BlockAssembler::BlockAssembler(const crypto::Identity& signer,
     : signer_(signer), hash_us_per_kib_(hash_us_per_kib), base_cpu_(base_cpu) {}
 
 AssembledBlock BlockAssembler::Assemble(const Batch& batch) {
-  std::vector<proto::TransactionEnvelope> txs;
-  txs.reserve(batch.size());
-  for (const auto& env : batch) txs.push_back(*env);
-
+  // The block shares the batch's envelopes: every OSN that cuts this batch
+  // (three under Kafka) points at the clients' one copy of each transaction.
   auto block = std::make_shared<proto::Block>(proto::Block::Make(
-      next_number_, next_number_ == 0 ? nullptr : &prev_hash_,
-      std::move(txs)));
+      next_number_, next_number_ == 0 ? nullptr : &prev_hash_, batch));
 
   // Orderer signs the header; validation codes are filled by committers.
   block->metadata.orderer_cert = signer_.Cert().Serialize();

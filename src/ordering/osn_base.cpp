@@ -312,10 +312,9 @@ void OsnBase::DeliverByzantine(const AssembledBlock& ready) {
 AssembledBlock OsnBase::TamperedCopy(const AssembledBlock& b) const {
   auto copy = std::make_shared<proto::Block>(*b.block);
   if (!copy->transactions.empty()) {
-    copy->transactions.front().chaincode_result.push_back(0xA5);
-    copy->transactions.front().InvalidateCaches();
+    copy->transactions.Mutable(0).chaincode_result.push_back(0xA5);
+    copy->InvalidateCaches();
   }
-  copy->InvalidateCaches();
   AssembledBlock out = b;
   out.block = std::move(copy);
   return out;
@@ -325,11 +324,8 @@ AssembledBlock OsnBase::ForgedVariant(const AssembledBlock& b) const {
   // Rebuild the block with one transaction's payload mutated, recompute the
   // data hash, and re-sign the header: structurally indistinguishable from
   // an honest block signed by this (trusted) orderer identity.
-  std::vector<proto::TransactionEnvelope> txs = b.block->transactions;
-  if (!txs.empty()) {
-    txs.front().chaincode_result.push_back(0x5A);
-    txs.front().InvalidateCaches();
-  }
+  proto::EnvelopeList txs = b.block->transactions;
+  if (!txs.empty()) txs.Mutable(0).chaincode_result.push_back(0x5A);
   auto forged = std::make_shared<proto::Block>(
       proto::Block::Make(b.block->header.number,
                          &b.block->header.previous_hash, std::move(txs)));

@@ -61,43 +61,57 @@ std::optional<BlockMetadata> BlockMetadata::Deserialize(BytesView data) {
   }
 }
 
-crypto::Digest Block::ComputeDataHash(
-    const std::vector<TransactionEnvelope>& txs) {
-  std::vector<Bytes> leaves;
+std::size_t BlockMetadata::WireSize() const {
+  return kBlobPrefixBytes + validation_codes.size() + kBlobPrefixBytes +
+         orderer_cert.size() + kBlobPrefixBytes +
+         orderer_signature.bytes.size();
+}
+
+EnvelopeList::EnvelopeList(std::vector<TransactionEnvelope> envelopes) {
+  envelopes_.reserve(envelopes.size());
+  for (auto& env : envelopes) {
+    envelopes_.push_back(
+        std::make_shared<const TransactionEnvelope>(std::move(env)));
+  }
+}
+
+TransactionEnvelope& EnvelopeList::Mutable(std::size_t i) {
+  auto copy = std::make_shared<TransactionEnvelope>(*envelopes_[i]);
+  TransactionEnvelope& out = *copy;
+  envelopes_[i] = std::move(copy);
+  return out;
+}
+
+crypto::Digest Block::ComputeDataHash(const EnvelopeList& txs) {
+  std::vector<crypto::Digest> leaves;
   leaves.reserve(txs.size());
-  for (const auto& tx : txs) leaves.push_back(tx.Serialize());
-  return crypto::MerkleTree(leaves).Root();
+  for (const auto& tx : txs) leaves.push_back(tx.LeafHash());
+  return crypto::MerkleTree::FromLeafDigests(std::move(leaves)).Root();
 }
 
 const crypto::Digest& Block::DataHash() const {
   return data_hash_cache_.Get([this] { return ComputeDataHash(transactions); });
 }
 
-void Block::InvalidateCaches() const {
-  serialized_cache_.Invalidate();
-  data_hash_cache_.Invalidate();
-  for (const auto& tx : transactions) tx.InvalidateCaches();
-}
+void Block::InvalidateCaches() const { data_hash_cache_.Invalidate(); }
 
 Block Block::Make(std::uint64_t number, const crypto::Digest* prev_hash,
-                  std::vector<TransactionEnvelope> txs) {
+                  EnvelopeList txs) {
   Block b;
   b.header.number = number;
   if (prev_hash != nullptr) b.header.previous_hash = *prev_hash;
-  b.header.data_hash = ComputeDataHash(txs);
   b.transactions = std::move(txs);
+  b.header.data_hash = b.DataHash();  // the memo moves with the block
   return b;
 }
 
-const Bytes& Block::Serialize() const {
-  return serialized_cache_.Get([this] {
-    Writer w;
-    w.Blob(header.Serialize());
-    w.U32(static_cast<std::uint32_t>(transactions.size()));
-    for (const auto& tx : transactions) w.Blob(tx.Serialize());
-    w.Blob(metadata.Serialize());
-    return w.Take();
-  });
+Bytes Block::Serialize() const {
+  Writer w;
+  w.Blob(header.Serialize());
+  w.U32(static_cast<std::uint32_t>(transactions.size()));
+  for (const auto& tx : transactions) w.Blob(tx.Serialize());
+  w.Blob(metadata.Serialize());
+  return w.Take();
 }
 
 std::optional<Block> Block::Deserialize(BytesView data) {
@@ -108,12 +122,14 @@ std::optional<Block> Block::Deserialize(BytesView data) {
     if (!hdr) return std::nullopt;
     out.header = *hdr;
     const std::uint32_t n = r.U32();
-    out.transactions.reserve(n);
+    std::vector<EnvelopePtr> txs;
+    txs.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       auto tx = TransactionEnvelope::Deserialize(r.Blob());
       if (!tx) return std::nullopt;
-      out.transactions.push_back(std::move(*tx));
+      txs.push_back(std::make_shared<const TransactionEnvelope>(std::move(*tx)));
     }
+    out.transactions = std::move(txs);
     auto md = BlockMetadata::Deserialize(r.Blob());
     if (!md) return std::nullopt;
     out.metadata = std::move(*md);
@@ -123,6 +139,12 @@ std::optional<Block> Block::Deserialize(BytesView data) {
   }
 }
 
-std::size_t Block::WireSize() const { return Serialize().size(); }
+std::size_t Block::WireSize() const {
+  std::size_t size = kBlobPrefixBytes + BlockHeader::kWireSize +
+                     kBlobPrefixBytes + metadata.WireSize() +
+                     sizeof(std::uint32_t);  // transaction count
+  for (const auto& tx : transactions) size += kBlobPrefixBytes + tx.WireSize();
+  return size;
+}
 
 }  // namespace fabricsim::proto

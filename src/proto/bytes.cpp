@@ -29,13 +29,26 @@ void Append(Bytes& dst, BytesView src) {
 
 void Writer::U8(std::uint8_t v) { buf_.push_back(v); }
 
-void Writer::U32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+namespace {
+
+template <typename T>
+std::array<std::uint8_t, sizeof(T)> LittleEndian(T v) {
+  std::array<std::uint8_t, sizeof(T)> le;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return le;
 }
 
-void Writer::U64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}  // namespace
+
+std::array<std::uint8_t, kBlobPrefixBytes> BlobPrefix(std::size_t n) {
+  return LittleEndian(static_cast<std::uint32_t>(n));
 }
+
+void Writer::U32(std::uint32_t v) { Append(buf_, LittleEndian(v)); }
+
+void Writer::U64(std::uint64_t v) { Append(buf_, LittleEndian(v)); }
 
 void Writer::Blob(BytesView b) {
   U32(static_cast<std::uint32_t>(b.size()));

@@ -6,6 +6,7 @@
 // and (2) stable byte strings for hashing and signing.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -31,6 +32,14 @@ std::string ToHex(BytesView b);
 
 /// Appends `src` to `dst`.
 void Append(Bytes& dst, BytesView src);
+
+/// Size of the u32 length prefix Writer::Blob and Writer::Str put before
+/// each payload.
+inline constexpr std::size_t kBlobPrefixBytes = 4;
+
+/// The prefix Writer::Blob writes before an `n`-byte payload, for sizing or
+/// hashing framed data without building it.
+std::array<std::uint8_t, kBlobPrefixBytes> BlobPrefix(std::size_t n);
 
 /// Little-endian canonical encoder. All integers are fixed-width LE; byte
 /// strings and strings are length-prefixed with u32.
@@ -67,9 +76,11 @@ inline std::mutex& CacheStripe(const void* p) {
 ///
 /// Wire structs are built once and then shared read-only (blocks and
 /// envelopes are shared_ptr'd across peers), so derived values — canonical
-/// bytes, digests — can be memoized. Copying or assigning a structure
+/// bytes, digests — can be memoized. Copying or copy-assigning a structure
 /// RESETS the cache: a copy that is then mutated (e.g. a tampering test)
-/// recomputes honestly.
+/// recomputes honestly. Moving carries the memo along with the value it
+/// was derived from (every member moves together) and leaves the source
+/// cold.
 ///
 /// Thread-safe for concurrent Get: the committer's --opt-vscc-workers host
 /// pool warms envelope memos on pool threads. The fast path is one acquire
@@ -79,7 +90,7 @@ inline std::mutex& CacheStripe(const void* p) {
 /// first-writer-wins, which is sound because builds are deterministic
 /// functions of the immutable struct, so racing computes produce identical
 /// values.
-/// Invalidate/copy/assign are NOT concurrency-safe — they belong to
+/// Invalidate/copy/move/assign are NOT concurrency-safe — they belong to
 /// single-threaded construction and test phases, per the contract above.
 template <typename T>
 class CachedValue {
@@ -90,9 +101,9 @@ class CachedValue {
     Invalidate();
     return *this;
   }
-  CachedValue(CachedValue&&) noexcept {}
-  CachedValue& operator=(CachedValue&&) noexcept {
-    Invalidate();
+  CachedValue(CachedValue&& other) noexcept { Take(other); }
+  CachedValue& operator=(CachedValue&& other) noexcept {
+    if (this != &other) Take(other);
     return *this;
   }
 
@@ -115,6 +126,13 @@ class CachedValue {
   }
 
  private:
+  void Take(CachedValue& other) noexcept {
+    cached_ = std::move(other.cached_);
+    ready_.store(other.ready_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    other.Invalidate();
+  }
+
   mutable std::optional<T> cached_;
   mutable std::atomic<bool> ready_{false};
 };

@@ -29,17 +29,15 @@ std::optional<ChaincodeInvocation> ChaincodeInvocation::Deserialize(
   }
 }
 
-const Bytes& Proposal::Serialize() const {
-  return serialized_cache_.Get([this] {
-    Writer w;
-    w.Str(channel_id);
-    w.Str(tx_id);
-    w.Blob(nonce);
-    w.Blob(creator_cert);
-    w.Blob(invocation.Serialize());
-    w.I64(client_timestamp);
-    return w.Take();
-  });
+Bytes Proposal::Serialize() const {
+  Writer w;
+  w.Str(channel_id);
+  w.Str(tx_id);
+  w.Blob(nonce);
+  w.Blob(creator_cert);
+  w.Blob(invocation.Serialize());
+  w.I64(client_timestamp);
+  return w.Take();
 }
 
 const crypto::Digest& Proposal::SerializedDigest() const {

@@ -37,8 +37,8 @@ struct Proposal {
   ChaincodeInvocation invocation;
   sim::SimTime client_timestamp = 0;
 
-  /// Cached after first use; copies reset the cache (proto::CachedBytes).
-  [[nodiscard]] const Bytes& Serialize() const;
+  /// Fresh canonical bytes: what the client signs.
+  [[nodiscard]] Bytes Serialize() const;
   /// SHA-256 of Serialize(), memoized (signatures are digest-based).
   [[nodiscard]] const crypto::Digest& SerializedDigest() const;
   static std::optional<Proposal> Deserialize(BytesView data);
@@ -47,7 +47,6 @@ struct Proposal {
   static std::string ComputeTxId(BytesView nonce, BytesView creator_cert);
 
  private:
-  CachedBytes serialized_cache_;
   CachedValue<crypto::Digest> serialized_digest_;
 };
 

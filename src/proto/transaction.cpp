@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "crypto/merkle.h"
+
 namespace fabricsim::proto {
 
 std::string ValidationCodeName(ValidationCode c) {
@@ -40,13 +42,25 @@ const Bytes& TransactionEnvelope::SignedBody() const {
   });
 }
 
-const Bytes& TransactionEnvelope::Serialize() const {
-  return serialized_cache_.Get([this] {
-    Writer w;
-    w.Blob(SignedBody());
-    w.Blob(client_signature.ToBytes());
-    return w.Take();
-  });
+Bytes TransactionEnvelope::Serialize() const {
+  Writer w;
+  w.Blob(SignedBody());
+  w.Blob(client_signature.bytes);
+  return w.Take();
+}
+
+std::size_t TransactionEnvelope::WireSize() const {
+  return kBlobPrefixBytes + SignedBody().size() + kBlobPrefixBytes +
+         client_signature.bytes.size();
+}
+
+crypto::Digest TransactionEnvelope::LeafHash() const {
+  const Bytes& body = SignedBody();
+  const auto body_prefix = BlobPrefix(body.size());
+  const auto sig_prefix = BlobPrefix(client_signature.bytes.size());
+  const BytesView parts[] = {body_prefix, body, sig_prefix,
+                             client_signature.bytes};
+  return crypto::MerkleTree::HashLeafParts(parts);
 }
 
 const crypto::Digest& TransactionEnvelope::SignedBodyDigest() const {
@@ -100,7 +114,6 @@ TransactionEnvelope::VerifiedSigners(const crypto::MspRegistry& msps) const {
 
 void TransactionEnvelope::InvalidateCaches() const {
   signed_body_cache_.Invalidate();
-  serialized_cache_.Invalidate();
   endorsed_payload_cache_.Invalidate();
   signed_body_digest_.Invalidate();
   endorsed_payload_digest_.Invalidate();

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,6 +34,12 @@ enum class ValidationCode : std::uint8_t {
 std::string ValidationCodeName(ValidationCode c);
 
 /// The transaction envelope submitted to ordering.
+///
+/// Ownership: an envelope is immutable once the client signs it. The
+/// client's EnvelopePtr is the only copy of the transaction — broadcast
+/// messages, Kafka records, cut batches, blocks and block stores all share
+/// it. Code that needs a different envelope (Byzantine tampering, tests)
+/// clones it first (see EnvelopeList::Mutable in proto/block.h).
 struct TransactionEnvelope {
   std::string channel_id;
   std::string tx_id;
@@ -49,9 +56,17 @@ struct TransactionEnvelope {
   /// proto::CachedBytes).
   [[nodiscard]] const Bytes& SignedBody() const;
 
-  [[nodiscard]] const Bytes& Serialize() const;
+  /// Fresh canonical bytes: blob(SignedBody()) || blob(signature). The
+  /// simulation never builds them; sizes and hashes come from the parts
+  /// (WireSize, LeafHash).
+  [[nodiscard]] Bytes Serialize() const;
   static std::optional<TransactionEnvelope> Deserialize(BytesView data);
-  [[nodiscard]] std::size_t WireSize() const { return Serialize().size(); }
+
+  /// Serialize().size(), from the part sizes.
+  [[nodiscard]] std::size_t WireSize() const;
+
+  /// crypto::MerkleTree::HashLeaf(Serialize()), streamed from the parts.
+  [[nodiscard]] crypto::Digest LeafHash() const;
 
   /// Bytes each endorser signed for this envelope's rwset/result; used by
   /// VSCC to re-verify endorsement signatures. Cached like SignedBody.
@@ -80,7 +95,6 @@ struct TransactionEnvelope {
 
  private:
   CachedBytes signed_body_cache_;
-  CachedBytes serialized_cache_;
   CachedBytes endorsed_payload_cache_;
   CachedValue<crypto::Digest> signed_body_digest_;
   CachedValue<crypto::Digest> endorsed_payload_digest_;
@@ -113,5 +127,8 @@ struct TransactionEnvelope {
   };
   SignerCache signers_;
 };
+
+/// A signed envelope, shared read-only from broadcast to ledger.
+using EnvelopePtr = std::shared_ptr<const TransactionEnvelope>;
 
 }  // namespace fabricsim::proto

@@ -251,8 +251,8 @@ TEST(Blockchain, RejectsTamperedDataHash) {
   Blockchain chain;
   auto block = std::make_shared<proto::Block>(
       proto::Block::Make(0, nullptr, {TxRW("t1", {}, {"a"})}));
-  block->transactions[0].tx_id = "tampered";
-  block->transactions[0].InvalidateCaches();
+  block->transactions.Mutable(0).tx_id = "tampered";
+  block->InvalidateCaches();
   std::string reason;
   EXPECT_FALSE(chain.ValidateLinkage(*block, &reason));
   EXPECT_EQ(reason, "data-hash mismatch");
@@ -268,11 +268,47 @@ TEST(Blockchain, AuditDetectsDeepTampering) {
   ASSERT_TRUE(chain.Audit().ok);
 
   // Tamper with the stored (shared) block 0 in place.
-  b0->transactions[0].rwset.ns_rwsets[0].writes[0].key = "evil";
+  b0->transactions.Mutable(0).rwset.ns_rwsets[0].writes[0].key = "evil";
   b0->InvalidateCaches();
   const auto audit = chain.Audit();
   EXPECT_FALSE(audit.ok);
   EXPECT_EQ(audit.bad_block, 0u);
+}
+
+TEST(Blockchain, MutableCopyLeavesTheSharedEnvelopeIntact) {
+  crypto::MspRegistry msps;
+  const crypto::Identity client =
+      msps.AddOrganization("ClientOrgMSP").Enroll("app0", crypto::Role::kClient);
+  proto::TransactionEnvelope tx = TxRW("t1", {}, {"a"});
+  tx.creator_cert = client.Cert().Serialize();
+  tx.client_signature = client.Sign(tx.SignedBody());
+  const auto original = MakeBlock(0, nullptr, {tx});
+  const proto::EnvelopePtr shared = original->transactions.Ptr(0);
+  ASSERT_TRUE(shared->VerifiedSigners(msps).has_value());
+  const crypto::Digest hash = original->DataHash();
+
+  proto::Block copy = *original;
+  copy.transactions.Mutable(0).tx_id = "tampered";
+  copy.InvalidateCaches();
+
+  // The original keeps the same envelope, its data-hash memo and its
+  // verified-signers memo.
+  EXPECT_EQ(original->transactions.Ptr(0), shared);
+  EXPECT_EQ(original->transactions[0].tx_id, "t1");
+  EXPECT_EQ(original->DataHash(), hash);
+  EXPECT_EQ(original->DataHash(), original->header.data_hash);
+  EXPECT_TRUE(shared->VerifiedSigners(msps).has_value());
+  EXPECT_TRUE(Blockchain().ValidateLinkage(*original, nullptr));
+
+  // The copy holds its own envelope, which no longer verifies, and its data
+  // hash no longer matches the header it kept.
+  EXPECT_NE(copy.transactions.Ptr(0), shared);
+  EXPECT_EQ(copy.header, original->header);
+  EXPECT_FALSE(copy.transactions[0].VerifiedSigners(msps).has_value());
+  EXPECT_NE(copy.DataHash(), copy.header.data_hash);
+  std::string reason;
+  EXPECT_FALSE(Blockchain().ValidateLinkage(copy, &reason));
+  EXPECT_EQ(reason, "data-hash mismatch");
 }
 
 // ------------------------------------------------------------ HistoryIndex

@@ -56,6 +56,20 @@ TEST(BlockAssembler, DataHashMatchesTransactions) {
             proto::Block::ComputeDataHash(built.block->transactions));
 }
 
+TEST(BlockAssembler, BlockSharesTheBatchEnvelopes) {
+  auto identity = OrdererIdentity();
+  BlockAssembler assembler(identity, 3.0, sim::FromMillis(1));
+  const Batch batch{Env("a"), Env("b"), Env("c")};
+  auto built = assembler.Assemble(batch);
+  ASSERT_EQ(built.block->TxCount(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(built.block->transactions.Ptr(i), batch[i]);
+    EXPECT_EQ(&built.block->transactions[i], batch[i].get());
+  }
+  EXPECT_EQ(built.block->DataHash(), built.block->header.data_hash);
+  EXPECT_EQ(built.wire_size, built.block->Serialize().size());
+}
+
 TEST(DeliverService, FansOutToAllSubscribers) {
   sim::Environment env(3);
   int received = 0;

@@ -311,6 +311,33 @@ TEST(Kafka, AllOsnsCutIdenticalBlocks) {
   EXPECT_EQ(f.sink.blocks[0]->header.Hash(), f.sink.blocks[1]->header.Hash());
 }
 
+TEST(Kafka, AllOsnsShareOneCopyOfEachEnvelope) {
+  KafkaFixture f(3, 3);
+  for (auto& o : f.osns) o->SubscribePeer(f.sink.peer_id);
+  f.env.Sched().RunUntil(sim::FromSeconds(2));
+  std::vector<EnvelopePtr> sent;
+  for (int i = 0; i < 3; ++i) {
+    sent.push_back(Env("tx" + std::to_string(i)));
+    f.env.Net().Send(f.sink.client_id, f.osns[0]->NetId(),
+                     std::make_shared<BroadcastEnvelopeMsg>(sent.back(), 500));
+  }
+  f.env.Sched().RunUntil(sim::FromSeconds(4));
+  // Each OSN assembles its own block at the same height; all three point at
+  // the client's envelopes rather than copies of them.
+  ASSERT_EQ(f.sink.blocks.size(), 3u);
+  for (std::size_t b = 0; b < f.sink.blocks.size(); ++b) {
+    const auto& block = f.sink.blocks[b];
+    EXPECT_EQ(block->header.number, f.sink.blocks[0]->header.number);
+    if (b > 0) {
+      EXPECT_NE(block.get(), f.sink.blocks[0].get());
+    }
+    ASSERT_EQ(block->TxCount(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      EXPECT_EQ(block->transactions.Ptr(i), sent[i]) << "osn block " << b;
+    }
+  }
+}
+
 TEST(Kafka, TtcCutsPendingBatchAcrossOsns) {
   KafkaFixture f;
   f.osns[1]->SubscribePeer(f.sink.peer_id);

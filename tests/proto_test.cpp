@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/ca.h"
+#include "crypto/merkle.h"
 #include "proto/block.h"
 #include "proto/proposal.h"
 #include "proto/rwset.h"
@@ -25,6 +26,13 @@ TEST(Writer, PrimitiveRoundTrip) {
   EXPECT_EQ(ToString(r.Blob()), "blob");
   EXPECT_EQ(r.Str(), "string");
   EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(Writer, FixedWidthIntegersAreLittleEndian) {
+  Writer w;
+  w.U32(0x04030201);
+  w.U64(0x0C0B0A0908070605ULL);
+  EXPECT_EQ(w.Data(), (Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}));
 }
 
 TEST(Reader, ThrowsOnTruncation) {
@@ -227,6 +235,99 @@ TEST(Block, SerializeRoundTrip) {
   EXPECT_EQ(parsed->TxCount(), 2u);
   EXPECT_EQ(parsed->metadata.validation_codes[1],
             ValidationCode::kMvccReadConflict);
+}
+
+/// An AND5-sized envelope: five endorsements, six certificates.
+TransactionEnvelope And5Envelope(int i) {
+  static crypto::CertificateAuthority ca("PeerOrgMSP");
+  TransactionEnvelope env;
+  env.channel_id = "mychannel";
+  env.tx_id = "and5-tx-" + std::to_string(i);
+  env.creator_cert = TestClient().Cert().Serialize();
+  env.rwset = SampleRwSet();
+  env.chaincode_result = ToBytes("ok");
+  env.chaincode_id = "kvwrite";
+  for (int p = 0; p < 5; ++p) {
+    const crypto::Identity peer =
+        ca.Enroll("peer" + std::to_string(p), crypto::Role::kPeer);
+    env.endorsements.push_back(
+        Endorsement{peer.Cert().Serialize(),
+                    peer.Sign(env.EndorsedPayloadBytes())});
+  }
+  env.client_timestamp = 1000 + i;
+  env.client_signature = TestClient().Sign(env.SignedBody());
+  return env;
+}
+
+/// The blocks the size and hash identities are pinned on: an empty block,
+/// a genesis block (one unsigned config envelope) and a seven-transaction
+/// AND5 block with filled metadata.
+std::vector<Block> IdentityBlocks() {
+  TransactionEnvelope config;
+  config.channel_id = "mychannel";
+  config.tx_id = "genesis:mychannel";
+  config.chaincode_result = ToBytes("OR('Org1MSP.peer')");
+  std::vector<TransactionEnvelope> and5;
+  for (int i = 0; i < 7; ++i) and5.push_back(And5Envelope(i));
+
+  std::vector<Block> out;
+  out.push_back(Block::Make(3, nullptr, {}));
+  out.push_back(Block::Make(0, nullptr, {config}));
+  const crypto::Digest prev = out.back().header.Hash();
+  Block full = Block::Make(1, &prev, std::move(and5));
+  full.metadata.validation_codes.assign(7, ValidationCode::kValid);
+  full.metadata.validation_codes[2] = ValidationCode::kMvccReadConflict;
+  full.metadata.orderer_cert = TestClient().Cert().Serialize();
+  full.metadata.orderer_signature = TestClient().Sign(full.header.Serialize());
+  out.push_back(std::move(full));
+  return out;
+}
+
+TEST(Block, WireSizeMatchesSerializedSize) {
+  for (const Block& b : IdentityBlocks()) {
+    EXPECT_EQ(b.WireSize(), b.Serialize().size()) << "block " << b.TxCount();
+    for (const auto& tx : b.transactions) {
+      EXPECT_EQ(tx.WireSize(), tx.Serialize().size()) << tx.tx_id;
+    }
+  }
+}
+
+TEST(Block, StreamedLeafHashMatchesSerializedLeaf) {
+  for (const Block& b : IdentityBlocks()) {
+    for (const auto& tx : b.transactions) {
+      EXPECT_EQ(tx.LeafHash(), crypto::MerkleTree::HashLeaf(tx.Serialize()))
+          << tx.tx_id;
+    }
+  }
+}
+
+TEST(Block, DataHashIsMerkleRootOfSerializedEnvelopes) {
+  for (const Block& b : IdentityBlocks()) {
+    std::vector<Bytes> leaves;
+    for (const auto& tx : b.transactions) leaves.push_back(tx.Serialize());
+    const crypto::Digest root = crypto::MerkleTree(leaves).Root();
+    EXPECT_EQ(Block::ComputeDataHash(b.transactions), root);
+    EXPECT_EQ(b.header.data_hash, root);
+    EXPECT_EQ(b.DataHash(), root);
+  }
+}
+
+TEST(Block, EnvelopeListIteratesSharedEnvelopesBothWays) {
+  const Block b = IdentityBlocks().back();
+  std::vector<std::string> forward, backward;
+  for (const TransactionEnvelope& tx : b.transactions) {
+    forward.push_back(tx.tx_id);
+  }
+  for (auto it = b.transactions.rbegin(); it != b.transactions.rend(); ++it) {
+    backward.insert(backward.begin(), it->tx_id);
+  }
+  EXPECT_EQ(forward, backward);
+  ASSERT_EQ(forward.size(), b.TxCount());
+  for (std::size_t i = 0; i < b.TxCount(); ++i) {
+    EXPECT_EQ(&b.transactions[i], b.transactions.Ptr(i).get());
+    EXPECT_EQ(forward[i], "and5-tx-" + std::to_string(i));
+  }
+  EXPECT_EQ(&b.transactions.front(), b.transactions.Ptr(0).get());
 }
 
 TEST(Block, HeaderHashSensitiveToEveryField) {
