@@ -11,11 +11,17 @@
 // pruned, so duplicate detection's horizon shrinks to the retained window.
 // That is safe whenever client resubmission of old tx ids is bounded (every
 // non-chaos run), and the soak bench relies on it for flat memory.
+//
+// Stored blocks are immutable: BlockPtr is shared_ptr<const Block>, and no
+// holder may edit a block (or swap its envelopes) after Append. The tx-id
+// index relies on it — its keys view the tx ids inside the resident blocks'
+// envelopes rather than copying them.
 #pragma once
 
 #include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -64,11 +70,12 @@ class BlockStore {
 
   /// True if a transaction with this id has been stored (valid or not —
   /// Fabric records invalid transactions too and rejects id reuse). Under
-  /// retention, only transactions in resident blocks are visible.
-  [[nodiscard]] bool HasTransaction(const std::string& tx_id) const;
+  /// retention, exactly the transactions in resident blocks are visible.
+  [[nodiscard]] bool HasTransaction(std::string_view tx_id) const;
 
+  /// Oldest resident occurrence of the id.
   [[nodiscard]] std::optional<TxLocation> FindTransaction(
-      const std::string& tx_id) const;
+      std::string_view tx_id) const;
 
   /// Validation codes recorded when block `number` was committed (empty for
   /// blocks appended without codes, e.g. on the orderer side, or pruned).
@@ -83,11 +90,20 @@ class BlockStore {
   [[nodiscard]] std::uint64_t StoredBytes() const { return stored_bytes_; }
 
  private:
+  // Index entry of one tx id: its oldest resident occurrence (whose
+  // envelope the key views) and how many later resident ones exist.
+  struct TxEntry {
+    TxLocation oldest;
+    std::uint32_t repeats = 0;
+  };
+  using TxIndex = std::unordered_map<std::string_view, TxEntry>;
+
   void PruneFront();
+  void ForgetOldest(TxIndex::iterator it);
 
   std::deque<proto::BlockPtr> blocks_;
   std::deque<std::vector<proto::ValidationCode>> codes_;
-  std::unordered_map<std::string, TxLocation> tx_index_;
+  TxIndex tx_index_;
   std::uint64_t first_block_num_ = 0;
   std::uint64_t keep_blocks_ = 0;  // 0 = unbounded
   std::uint64_t total_txs_ = 0;

@@ -1,7 +1,5 @@
 #include "ledger/history_index.h"
 
-#include "ledger/state_db.h"
-
 namespace fabricsim::ledger {
 
 const std::vector<KeyModification> HistoryIndex::kEmpty = {};
@@ -12,17 +10,14 @@ void HistoryIndex::IndexBlock(const proto::Block& block,
     if (i < codes.size() && codes[i] != proto::ValidationCode::kValid) {
       continue;
     }
-    const auto& tx = block.transactions[i];
-    for (const auto& ns : tx.rwset.ns_rwsets) {
+    const proto::EnvelopePtr& tx = block.transactions.Ptr(i);
+    for (const auto& ns : tx->rwset.ns_rwsets) {
+      if (ns.writes.empty()) continue;
+      auto& keys = index_.try_emplace(ns.ns).first->second;
       for (const auto& w : ns.writes) {
-        KeyModification mod;
-        mod.block_num = block.header.number;
-        mod.tx_index = static_cast<std::uint32_t>(i);
-        mod.tx_id = tx.tx_id;
-        mod.is_delete = w.is_delete;
-        mod.value = w.value;
-        auto& mods = index_[StateDb::CompositeKey(ns.ns, w.key)];
-        mods.push_back(std::move(mod));
+        auto& mods = keys.try_emplace(w.key).first->second;
+        mods.push_back(KeyModification{
+            block.header.number, static_cast<std::uint32_t>(i), tx, &w});
         if (per_key_cap_ > 0 && mods.size() > per_key_cap_) {
           mods.erase(mods.begin(),
                      mods.begin() +
@@ -35,9 +30,17 @@ void HistoryIndex::IndexBlock(const proto::Block& block,
 }
 
 const std::vector<KeyModification>& HistoryIndex::HistoryFor(
-    const std::string& ns, const std::string& key) const {
-  auto it = index_.find(StateDb::CompositeKey(ns, key));
-  return it == index_.end() ? kEmpty : it->second;
+    std::string_view ns, std::string_view key) const {
+  auto space = index_.find(ns);
+  if (space == index_.end()) return kEmpty;
+  auto it = space->second.find(key);
+  return it == space->second.end() ? kEmpty : it->second;
+}
+
+std::size_t HistoryIndex::TrackedKeys() const {
+  std::size_t count = 0;
+  for (const auto& [ns, keys] : index_) count += keys.size();
+  return count;
 }
 
 }  // namespace fabricsim::ledger

@@ -3,12 +3,17 @@
 // Records, per (namespace, key), the chronological list of valid
 // transactions that wrote it, enabling GetHistoryForKey-style queries and
 // giving tests an independent record to cross-check MVCC against.
+//
+// Entries share the committed block's envelope instead of copying its tx id
+// and value: each one holds the envelope and points at its write, so an
+// entry stays valid after the block store prunes the block.
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "ledger/state_db.h"
 #include "proto/block.h"
 
 namespace fabricsim::ledger {
@@ -17,9 +22,12 @@ namespace fabricsim::ledger {
 struct KeyModification {
   std::uint64_t block_num = 0;
   std::uint32_t tx_index = 0;
-  std::string tx_id;
-  bool is_delete = false;
-  proto::Bytes value;
+  proto::EnvelopePtr tx;                 // the writing transaction
+  const proto::KVWrite* write = nullptr;  // inside *tx
+
+  [[nodiscard]] const std::string& tx_id() const { return tx->tx_id; }
+  [[nodiscard]] const proto::Bytes& value() const { return write->value; }
+  [[nodiscard]] bool is_delete() const { return write->is_delete; }
 };
 
 class HistoryIndex {
@@ -36,12 +44,13 @@ class HistoryIndex {
 
   /// History of a key, oldest retained first. Empty if never written.
   [[nodiscard]] const std::vector<KeyModification>& HistoryFor(
-      const std::string& ns, const std::string& key) const;
+      std::string_view ns, std::string_view key) const;
 
-  [[nodiscard]] std::size_t TrackedKeys() const { return index_.size(); }
+  /// Number of keys with a history, across all namespaces.
+  [[nodiscard]] std::size_t TrackedKeys() const;
 
  private:
-  std::unordered_map<std::string, std::vector<KeyModification>> index_;
+  StringMap<StringMap<std::vector<KeyModification>>> index_;  // ns -> key
   std::size_t per_key_cap_ = 0;
   static const std::vector<KeyModification> kEmpty;
 };

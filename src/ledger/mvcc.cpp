@@ -2,20 +2,26 @@
 
 #include <map>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 namespace fabricsim::ledger {
 namespace {
 
 /// Pending view: committed state overlaid with writes from earlier valid
-/// transactions of the block being validated.
+/// transactions of the block being validated. The overlay views the
+/// block's own namespace and key strings, so it must not outlive the block.
 class PendingView {
  public:
-  explicit PendingView(const StateDb& state) : state_(state) {}
+  PendingView(const StateDb& state, std::size_t block_size)
+      : state_(state), block_size_(block_size) {}
 
   [[nodiscard]] std::optional<proto::KeyVersion> GetVersion(
-      const std::string& ns, const std::string& key) const {
-    auto it = overlay_.find(StateDb::CompositeKey(ns, key));
-    if (it != overlay_.end()) return it->second;  // nullopt-like: see Apply
+      std::string_view ns, std::string_view key) const {
+    if (const Overlay* overlay = Find(ns)) {
+      auto it = overlay->find(key);
+      if (it != overlay->end()) return it->second;  // nullopt = deleted
+    }
     return state_.GetVersion(ns, key);
   }
 
@@ -23,24 +29,22 @@ class PendingView {
   /// overlay: the (key, version) sequence a transaction validating now
   /// would observe. Used for phantom detection.
   [[nodiscard]] std::vector<std::pair<std::string, proto::KeyVersion>>
-  RangeVersions(const std::string& ns, const std::string& start_key,
-                const std::string& end_key) const {
-    std::map<std::string, std::optional<proto::KeyVersion>> merged;
-    for (const auto& [key, value] : state_.GetRange(ns, start_key, end_key)) {
-      merged[key] = value.version;
-    }
-    // Overlay entries within the namespace and range win.
-    const std::string prefix = StateDb::CompositeKey(ns, "");
-    for (const auto& [composite, version] : overlay_) {
-      if (composite.compare(0, prefix.size(), prefix) != 0) continue;
-      const std::string key = composite.substr(prefix.size());
-      if (key < start_key) continue;
-      if (!end_key.empty() && key >= end_key) continue;
-      merged[key] = version;  // nullopt = deleted in this block
+  RangeVersions(std::string_view ns, std::string_view start_key,
+                std::string_view end_key) const {
+    const auto committed = state_.GetRange(ns, start_key, end_key);
+    std::map<std::string_view, std::optional<proto::KeyVersion>> merged;
+    for (const auto& [key, value] : committed) merged[key] = value.version;
+    // Overlay entries within the range win.
+    if (const Overlay* overlay = Find(ns)) {
+      for (const auto& [key, version] : *overlay) {
+        if (key < start_key) continue;
+        if (!end_key.empty() && key >= end_key) continue;
+        merged[key] = version;  // nullopt = deleted in this block
+      }
     }
     std::vector<std::pair<std::string, proto::KeyVersion>> out;
     out.reserve(merged.size());
-    for (auto& [key, version] : merged) {
+    for (const auto& [key, version] : merged) {
       if (version) out.emplace_back(key, *version);
     }
     return out;
@@ -49,17 +53,40 @@ class PendingView {
   void ApplyWrites(const proto::TxReadWriteSet& rwset,
                    proto::KeyVersion version) {
     for (const auto& ns : rwset.ns_rwsets) {
+      if (ns.writes.empty()) continue;
+      Overlay& overlay = Space(ns.ns);
       for (const auto& w : ns.writes) {
-        overlay_[StateDb::CompositeKey(ns.ns, w.key)] =
+        overlay[w.key] =
             w.is_delete ? std::optional<proto::KeyVersion>{} : version;
       }
     }
   }
 
  private:
-  const StateDb& state_;
   // Value nullopt == key deleted in this block.
-  std::unordered_map<std::string, std::optional<proto::KeyVersion>> overlay_;
+  using Overlay =
+      std::unordered_map<std::string_view, std::optional<proto::KeyVersion>>;
+
+  // A block touches few namespaces, so they are searched linearly.
+  [[nodiscard]] const Overlay* Find(std::string_view ns) const {
+    for (const auto& [name, overlay] : overlays_) {
+      if (name == ns) return &overlay;
+    }
+    return nullptr;
+  }
+
+  Overlay& Space(std::string_view ns) {
+    for (auto& [name, overlay] : overlays_) {
+      if (name == ns) return overlay;
+    }
+    Overlay& overlay = overlays_.emplace_back(ns, Overlay{}).second;
+    overlay.reserve(block_size_);
+    return overlay;
+  }
+
+  const StateDb& state_;
+  std::size_t block_size_;
+  std::vector<std::pair<std::string_view, Overlay>> overlays_;
 };
 
 }  // namespace
@@ -69,7 +96,7 @@ MvccResult MvccValidator::Validate(
     const std::vector<proto::ValidationCode>* precomputed) {
   MvccResult out;
   out.codes.resize(block.transactions.size(), proto::ValidationCode::kValid);
-  PendingView view(state);
+  PendingView view(state, block.transactions.size());
 
   for (std::size_t i = 0; i < block.transactions.size(); ++i) {
     if (precomputed != nullptr && i < precomputed->size() &&

@@ -7,8 +7,6 @@
 // versions to (block number, tx index).
 #pragma once
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ledger/state_db.h"

@@ -4,85 +4,95 @@
 
 namespace fabricsim::ledger {
 
-std::string StateDb::CompositeKey(const std::string& ns,
-                                  const std::string& key) {
-  // The namespace length is encoded explicitly so that a NUL inside either
-  // component cannot make distinct (ns, key) pairs collide.
-  std::string out = std::to_string(ns.size());
-  out.reserve(out.size() + ns.size() + key.size() + 1);
-  out.push_back('\0');
-  out.append(ns);
-  out.append(key);
-  return out;
+const StateDb::Namespace* StateDb::Find(std::string_view ns) const {
+  auto it = namespaces_.find(ns);
+  return it == namespaces_.end() ? nullptr : &it->second;
 }
 
-std::optional<VersionedValue> StateDb::Get(const std::string& ns,
-                                           const std::string& key) const {
-  auto it = map_.find(CompositeKey(ns, key));
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
+const VersionedValue* StateDb::Lookup(std::string_view ns,
+                                      std::string_view key) const {
+  const Namespace* space = Find(ns);
+  if (space == nullptr) return nullptr;
+  auto it = space->keys.find(key);
+  return it == space->keys.end() ? nullptr : &it->second;
+}
+
+std::optional<VersionedValue> StateDb::Get(std::string_view ns,
+                                           std::string_view key) const {
+  const VersionedValue* vv = Lookup(ns, key);
+  if (vv == nullptr) return std::nullopt;
+  return *vv;
 }
 
 std::optional<proto::KeyVersion> StateDb::GetVersion(
-    const std::string& ns, const std::string& key) const {
-  auto it = map_.find(CompositeKey(ns, key));
-  if (it == map_.end()) return std::nullopt;
-  return it->second.version;
+    std::string_view ns, std::string_view key) const {
+  const VersionedValue* vv = Lookup(ns, key);
+  if (vv == nullptr) return std::nullopt;
+  return vv->version;
+}
+
+void StateDb::PutIn(Namespace& space, const std::string& key,
+                    proto::Bytes value, proto::KeyVersion version) {
+  auto [it, inserted] = space.keys.try_emplace(key, std::move(value), version);
+  if (inserted) {
+    space.sorted_valid = false;
+  } else {
+    // Overwrite: the key set is unchanged, the range index stays warm (it
+    // points at this node).
+    it->second.value = std::move(value);
+    it->second.version = version;
+  }
+}
+
+void StateDb::EraseFrom(Namespace& space, std::string_view key) {
+  auto it = space.keys.find(key);
+  if (it == space.keys.end()) return;
+  space.keys.erase(it);
+  space.sorted_valid = false;
+}
+
+std::size_t StateDb::KeyCount() const {
+  std::size_t count = 0;
+  for (const auto& [ns, space] : namespaces_) count += space.keys.size();
+  return count;
 }
 
 void StateDb::Put(const std::string& ns, const std::string& key,
                   proto::Bytes value, proto::KeyVersion version) {
-  auto [it, inserted] =
-      map_.try_emplace(CompositeKey(ns, key), std::move(value), version);
-  if (!inserted) {
-    // Overwrite: the key set is unchanged, the range index stays warm (it
-    // holds a stable pointer to this node).
-    it->second.value = std::move(value);
-    it->second.version = version;
-  } else if (!range_index_.empty()) {
-    InvalidateRange(ns);
-  }
+  PutIn(namespaces_.try_emplace(ns).first->second, key, std::move(value),
+        version);
 }
 
-void StateDb::Delete(const std::string& ns, const std::string& key) {
-  if (map_.erase(CompositeKey(ns, key)) != 0 && !range_index_.empty()) {
-    InvalidateRange(ns);
-  }
+void StateDb::Delete(std::string_view ns, std::string_view key) {
+  auto it = namespaces_.find(ns);
+  if (it != namespaces_.end()) EraseFrom(it->second, key);
 }
 
-void StateDb::InvalidateRange(const std::string& ns) const {
-  auto it = range_index_.find(ns);
-  if (it != range_index_.end()) it->second.valid = false;
-}
-
-const StateDb::RangeIndex& StateDb::RangeFor(const std::string& ns) const {
-  RangeIndex& idx = range_index_[ns];
-  if (idx.valid) return idx;
-  idx.keys.clear();
-  const std::string prefix = CompositeKey(ns, "");
-  for (const auto& [composite, vv] : map_) {
-    if (composite.size() >= prefix.size() &&
-        composite.compare(0, prefix.size(), prefix) == 0) {
-      idx.keys.emplace_back(composite.substr(prefix.size()), &vv);
-    }
-  }
-  std::sort(idx.keys.begin(), idx.keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  idx.valid = true;
-  return idx;
+const std::vector<const StateDb::Namespace::Entry*>& StateDb::Sorted(
+    const Namespace& space) {
+  if (space.sorted_valid) return space.sorted;
+  space.sorted.clear();
+  space.sorted.reserve(space.keys.size());
+  for (const auto& entry : space.keys) space.sorted.push_back(&entry);
+  std::sort(space.sorted.begin(), space.sorted.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  space.sorted_valid = true;
+  return space.sorted;
 }
 
 std::vector<std::pair<std::string, VersionedValue>> StateDb::GetRange(
-    const std::string& ns, const std::string& start_key,
-    const std::string& end_key) const {
+    std::string_view ns, std::string_view start_key,
+    std::string_view end_key) const {
   std::vector<std::pair<std::string, VersionedValue>> out;
-  const RangeIndex& idx = RangeFor(ns);
+  const Namespace* space = Find(ns);
+  if (space == nullptr) return out;
+  const auto& sorted = Sorted(*space);
   auto it = std::lower_bound(
-      idx.keys.begin(), idx.keys.end(), start_key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  for (; it != idx.keys.end(); ++it) {
-    if (!end_key.empty() && it->first >= end_key) break;
-    out.emplace_back(it->first, *it->second);
+      sorted.begin(), sorted.end(), start_key,
+      [](const auto* entry, std::string_view k) { return entry->first < k; });
+  for (; it != sorted.end(); ++it) {
+    if (!end_key.empty() && (*it)->first >= end_key) break;
+    out.emplace_back((*it)->first, (*it)->second);
   }
   return out;
 }
@@ -90,11 +100,13 @@ std::vector<std::pair<std::string, VersionedValue>> StateDb::GetRange(
 void StateDb::ApplyRwSet(const proto::TxReadWriteSet& rwset,
                          proto::KeyVersion version) {
   for (const auto& ns : rwset.ns_rwsets) {
+    if (ns.writes.empty()) continue;
+    Namespace& space = namespaces_.try_emplace(ns.ns).first->second;
     for (const auto& w : ns.writes) {
       if (w.is_delete) {
-        Delete(ns.ns, w.key);
+        EraseFrom(space, w.key);
       } else {
-        Put(ns.ns, w.key, w.value, version);
+        PutIn(space, w.key, w.value, version);
       }
     }
   }

@@ -5,17 +5,20 @@
 // versions during simulation; the committer compares them during MVCC
 // validation and bumps them at commit.
 //
-// Storage is a hash map keyed by composite (ns, key): the hot path — point
-// reads in endorsement and MVCC, writes at commit — is O(1) instead of the
-// O(log n) string-compare walks a tree map costs. Ordered range scans
-// (GetStateByRange) are served by a per-namespace sorted key index built
-// lazily on first scan and invalidated only when the namespace's key *set*
-// changes (new key, delete); overwrites keep it warm.
+// Storage is one hash map per namespace, keyed by the bare key: the hot
+// path — point reads in endorsement and MVCC, writes at commit — is O(1)
+// and, through the transparent hash, probes without building a string.
+// Ordered range scans (GetStateByRange) are served by the namespace's own
+// sorted key index, built lazily on first scan and invalidated only when
+// that namespace's key *set* changes (new key, delete); overwrites keep it
+// warm.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,6 +27,19 @@
 #include "proto/rwset.h"
 
 namespace fabricsim::ledger {
+
+/// Hash for string-keyed maps that also accepts std::string_view probes
+/// (heterogeneous lookup: find() without allocating a key).
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// An unordered_map keyed by std::string that looks up by string_view.
+template <typename V>
+using StringMap = std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// A value with its version, as stored.
 struct VersionedValue {
@@ -35,19 +51,19 @@ struct VersionedValue {
 class StateDb {
  public:
   /// Reads a key. Returns nullopt if absent (or deleted).
-  [[nodiscard]] std::optional<VersionedValue> Get(const std::string& ns,
-                                                  const std::string& key) const;
+  [[nodiscard]] std::optional<VersionedValue> Get(std::string_view ns,
+                                                  std::string_view key) const;
 
   /// Version-only read (what MVCC needs; cheaper than copying the value).
   [[nodiscard]] std::optional<proto::KeyVersion> GetVersion(
-      const std::string& ns, const std::string& key) const;
+      std::string_view ns, std::string_view key) const;
 
   /// Writes a key at `version`.
   void Put(const std::string& ns, const std::string& key, proto::Bytes value,
            proto::KeyVersion version);
 
-  /// Deletes a key.
-  void Delete(const std::string& ns, const std::string& key);
+  /// Deletes a key. A no-op for an unknown namespace or key.
+  void Delete(std::string_view ns, std::string_view key);
 
   /// Applies all writes of one transaction's rwset at `version`.
   void ApplyRwSet(const proto::TxReadWriteSet& rwset,
@@ -66,35 +82,48 @@ class StateDb {
   /// (an empty end_key means "to the end of the namespace"), with values
   /// and versions, in key order — Fabric's GetStateByRange.
   [[nodiscard]] std::vector<std::pair<std::string, VersionedValue>> GetRange(
-      const std::string& ns, const std::string& start_key,
-      const std::string& end_key) const;
+      std::string_view ns, std::string_view start_key,
+      std::string_view end_key) const;
 
   /// Number of live keys across all namespaces.
-  [[nodiscard]] std::size_t KeyCount() const { return map_.size(); }
+  [[nodiscard]] std::size_t KeyCount() const;
 
   /// Height of the last committed block (for recovery checks); updated by
   /// the committer via SetHeight.
   [[nodiscard]] std::uint64_t Height() const { return height_; }
   void SetHeight(std::uint64_t h) { height_ = h; }
 
-  /// Composite key helper (ns and key joined with an unambiguous separator).
-  static std::string CompositeKey(const std::string& ns,
-                                  const std::string& key);
-
  private:
-  // Sorted (key, entry) pairs of one namespace. Entry pointers stay valid
-  // across rehashes (unordered_map nodes are stable) and across overwrites;
-  // any key-set change invalidates the whole namespace index.
-  struct RangeIndex {
-    std::vector<std::pair<std::string, const VersionedValue*>> keys;
-    bool valid = false;
+  // One chaincode's keys plus its sorted range index. The index views the
+  // map's nodes (stable across rehashes and overwrites), so a copy starts
+  // with a cold index rather than views into the source's nodes.
+  struct Namespace {
+    using Entry = std::pair<const std::string, VersionedValue>;
+
+    Namespace() = default;
+    Namespace(const Namespace& other) : keys(other.keys) {}
+    Namespace& operator=(const Namespace& other) {
+      keys = other.keys;
+      sorted.clear();
+      sorted_valid = false;
+      return *this;
+    }
+
+    StringMap<VersionedValue> keys;
+    mutable std::vector<const Entry*> sorted;  // by key, when sorted_valid
+    mutable bool sorted_valid = false;
   };
 
-  void InvalidateRange(const std::string& ns) const;
-  const RangeIndex& RangeFor(const std::string& ns) const;
+  [[nodiscard]] const Namespace* Find(std::string_view ns) const;
+  static void PutIn(Namespace& space, const std::string& key,
+                    proto::Bytes value, proto::KeyVersion version);
+  static void EraseFrom(Namespace& space, std::string_view key);
+  [[nodiscard]] const VersionedValue* Lookup(std::string_view ns,
+                                             std::string_view key) const;
+  static const std::vector<const Namespace::Entry*>& Sorted(
+      const Namespace& space);
 
-  std::unordered_map<std::string, VersionedValue> map_;  // by composite key
-  mutable std::unordered_map<std::string, RangeIndex> range_index_;  // by ns
+  StringMap<Namespace> namespaces_;
   std::uint64_t height_ = 0;
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <future>
+#include <string_view>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "crypto/signature.h"
@@ -381,16 +383,18 @@ void Committer::SerialCommit(PendingBlock pb) {
   // The failpoint skips it so chaos tests can observe double commits.
   std::vector<proto::ValidationCode> codes = pb.vscc_codes;
   if (!dedup_disabled_) {
-    std::unordered_map<std::string, std::size_t> seen;
+    // Views of the block's own tx ids, alive for as long as pb.block.
+    std::unordered_set<std::string_view> seen;
+    seen.reserve(pb.block->transactions.size());
     for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
-      const auto& id = pb.block->transactions[i].tx_id;
-      if (chain_.Store().HasTransaction(id) || seen.count(id) != 0) {
+      const std::string_view id = pb.block->transactions[i].tx_id;
+      const bool repeated_in_block = !seen.insert(id).second;
+      if (repeated_in_block || chain_.Store().HasTransaction(id)) {
         if (codes[i] == proto::ValidationCode::kValid) {
           codes[i] = proto::ValidationCode::kDuplicateTxId;
           ++duplicate_tx_rejects_;
         }
       }
-      seen.emplace(id, i);
     }
   }
 

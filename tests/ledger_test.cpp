@@ -65,6 +65,25 @@ TEST(StateDb, ApplyRwSetWritesAndDeletes) {
   EXPECT_FALSE(db.Get("cc", "gone").has_value());
 }
 
+TEST(StateDb, DeleteInUnknownNamespaceIsNoOpAndKeyCountStaysExact) {
+  StateDb db;
+  db.Put("cc1", "a", ToBytes("1"), KeyVersion{1, 0});
+  db.Put("cc1", "b", ToBytes("2"), KeyVersion{1, 1});
+  db.Put("cc2", "a", ToBytes("3"), KeyVersion{1, 2});
+  EXPECT_EQ(db.KeyCount(), 3u);
+  db.Delete("nope", "a");
+  db.Delete("cc2", "missing");
+  EXPECT_EQ(db.KeyCount(), 3u);
+  EXPECT_FALSE(db.Get("nope", "a").has_value());
+  db.Put("cc1", "a", ToBytes("4"), KeyVersion{2, 0});  // overwrite
+  EXPECT_EQ(db.KeyCount(), 3u);
+  db.Delete("cc1", "a");
+  db.Delete("cc1", "a");
+  EXPECT_EQ(db.KeyCount(), 2u);
+  EXPECT_FALSE(db.Get("cc1", "a").has_value());
+  EXPECT_EQ(proto::ToString(db.Get("cc2", "a")->value), "3");
+}
+
 // ---------------------------------------------------------------- helpers
 
 proto::TransactionEnvelope TxRW(
@@ -199,6 +218,22 @@ TEST(Mvcc, DeleteInBlockMakesLaterNulloptReadValid) {
   EXPECT_EQ(result.codes[1], ValidationCode::kValid);
 }
 
+TEST(Mvcc, IntraBlockWriteInOtherNamespaceDoesNotConflict) {
+  // t1 writes ("cc1", "k"); t2 read ("cc2", "k") at its committed version.
+  // The pending view is per namespace, so t2 stays valid.
+  StateDb db;
+  db.Put("cc2", "k", ToBytes("v"), KeyVersion{1, 0});
+  proto::TransactionEnvelope writer = TxRW("t1", {}, {"k"});
+  writer.rwset.ns_rwsets[0].ns = "cc1";
+  proto::TransactionEnvelope reader = TxRW("t2", {{"k", KeyVersion{1, 0}}}, {});
+  reader.rwset.ns_rwsets[0].ns = "cc2";
+  auto block = MakeBlock(2, nullptr, {writer, reader});
+  const auto result = MvccValidator::Validate(*block, db);
+  EXPECT_EQ(result.codes[0], ValidationCode::kValid);
+  EXPECT_EQ(result.codes[1], ValidationCode::kValid);
+  EXPECT_EQ(result.valid_count, 2u);
+}
+
 // ------------------------------------------------------------- BlockStore
 
 TEST(BlockStore, AppendAndLookup) {
@@ -217,6 +252,71 @@ TEST(BlockStore, AppendAndLookup) {
   ASSERT_EQ(store.CodesFor(0).size(), 1u);
   EXPECT_EQ(store.CodesFor(0)[0], ValidationCode::kValid);
   EXPECT_GT(store.StoredBytes(), 0u);
+}
+
+TEST(BlockStore, ResubmittedTxIdStaysVisibleWhileAnOccurrenceIsResident) {
+  BlockStore store;
+  store.SetRetention(2);
+  store.Append(MakeBlock(0, nullptr, {TxRW("dup", {}, {"a"})}));
+  store.Append(MakeBlock(1, nullptr, {TxRW("dup", {}, {"a"})}));
+  store.Append(MakeBlock(2, nullptr, {TxRW("other", {}, {"b"})}));
+  ASSERT_EQ(store.FirstBlockNumber(), 1u);
+  ASSERT_EQ(store.GetBlock(1)->transactions[0].tx_id, "dup");
+  EXPECT_TRUE(store.HasTransaction("dup"));
+  const auto loc = store.FindTransaction("dup");
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->block_num, 1u);
+  EXPECT_EQ(loc->tx_index, 0u);
+
+  // Once the last occurrence is pruned, the id is gone.
+  store.Append(MakeBlock(3, nullptr, {TxRW("late", {}, {"c"})}));
+  EXPECT_FALSE(store.HasTransaction("dup"));
+  EXPECT_TRUE(store.HasTransaction("other"));
+  EXPECT_TRUE(store.HasTransaction("late"));
+}
+
+TEST(BlockStore, RepeatWithinOnePrunedBlockMovesToTheNextResidentOne) {
+  BlockStore store;
+  store.SetRetention(1);
+  store.Append(MakeBlock(0, nullptr, {TxRW("x", {}, {"a"}),
+                                      TxRW("x", {}, {"a"})}));
+  EXPECT_EQ(store.FindTransaction("x")->tx_index, 0u);
+  store.Append(MakeBlock(1, nullptr, {TxRW("y", {}, {"b"}),
+                                      TxRW("x", {}, {"a"})}));
+  const auto loc = store.FindTransaction("x");
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->block_num, 1u);
+  EXPECT_EQ(loc->tx_index, 1u);
+  store.Append(MakeBlock(2, nullptr, {}));
+  EXPECT_FALSE(store.HasTransaction("x"));
+  EXPECT_FALSE(store.HasTransaction("y"));
+}
+
+TEST(BlockStore, IndexLookupsWorkAfterPruning) {
+  BlockStore store;
+  store.SetRetention(2);
+  for (std::uint64_t n = 0; n < 5; ++n) {
+    const std::string id = "t" + std::to_string(n);
+    store.Append(MakeBlock(n, nullptr, {TxRW(id, {}, {"k"}),
+                                        TxRW(id + "b", {}, {"k"})}),
+                 {ValidationCode::kValid, ValidationCode::kMvccReadConflict});
+  }
+  EXPECT_EQ(store.Height(), 5u);
+  EXPECT_EQ(store.ResidentBlocks(), 2u);
+  EXPECT_EQ(store.TxCount(), 10u);
+  for (const std::string id : {"t0", "t1", "t2", "t0b", "t2b"}) {
+    EXPECT_FALSE(store.HasTransaction(id)) << id;
+  }
+  const auto loc = store.FindTransaction("t4b");
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->block_num, 4u);
+  EXPECT_EQ(loc->tx_index, 1u);
+  EXPECT_TRUE(store.HasTransaction("t3"));
+  EXPECT_EQ(store.GetBlock(2), nullptr);
+  ASSERT_NE(store.GetBlock(3), nullptr);
+  EXPECT_EQ(store.GetBlock(3)->transactions[1].tx_id, "t3b");
+  EXPECT_TRUE(store.CodesFor(2).empty());
+  EXPECT_EQ(store.CodesFor(4)[1], ValidationCode::kMvccReadConflict);
 }
 
 // ------------------------------------------------------------- Blockchain
@@ -321,7 +421,7 @@ TEST(HistoryIndex, TracksValidWritesOnly) {
                           ValidationCode::kMvccReadConflict});
   const auto& hist = idx.HistoryFor("cc", "k");
   ASSERT_EQ(hist.size(), 1u);
-  EXPECT_EQ(hist[0].tx_id, "t1");
+  EXPECT_EQ(hist[0].tx_id(), "t1");
   EXPECT_EQ(hist[0].block_num, 3u);
 }
 
@@ -333,13 +433,67 @@ TEST(HistoryIndex, ChronologicalAcrossBlocks) {
   idx.IndexBlock(*b1, {ValidationCode::kValid});
   const auto& hist = idx.HistoryFor("cc", "k");
   ASSERT_EQ(hist.size(), 2u);
-  EXPECT_EQ(hist[0].tx_id, "t1");
-  EXPECT_EQ(hist[1].tx_id, "t2");
+  EXPECT_EQ(hist[0].tx_id(), "t1");
+  EXPECT_EQ(hist[1].tx_id(), "t2");
 }
 
 TEST(HistoryIndex, UnknownKeyEmpty) {
   HistoryIndex idx;
   EXPECT_TRUE(idx.HistoryFor("cc", "never").empty());
+}
+
+TEST(HistoryIndex, EntriesOutliveThePrunedBlock) {
+  BlockStore store;
+  store.SetRetention(1);
+  HistoryIndex idx;
+  proto::TransactionEnvelope del = TxRW("t2", {}, {});
+  del.rwset.ns_rwsets[0].writes.push_back(proto::KVWrite{"k", {}, true});
+  auto b0 = MakeBlock(0, nullptr, {TxRW("t1", {}, {"k"}), del});
+  store.Append(b0, {ValidationCode::kValid, ValidationCode::kValid});
+  idx.IndexBlock(*b0, {ValidationCode::kValid, ValidationCode::kValid});
+  store.Append(MakeBlock(1, nullptr, {}));
+  ASSERT_EQ(store.GetBlock(0), nullptr);
+  b0.reset();  // the history index now holds the only references
+
+  const auto& hist = idx.HistoryFor("cc", "k");
+  ASSERT_EQ(hist.size(), 2u);
+  EXPECT_EQ(hist[0].tx_id(), "t1");
+  EXPECT_EQ(proto::ToString(hist[0].value()), "v");
+  EXPECT_FALSE(hist[0].is_delete());
+  EXPECT_EQ(hist[1].tx_id(), "t2");
+  EXPECT_TRUE(hist[1].is_delete());
+  EXPECT_EQ(hist[1].block_num, 0u);
+  EXPECT_EQ(hist[1].tx_index, 1u);
+}
+
+TEST(HistoryIndex, PerKeyCapReleasesDroppedEnvelopes) {
+  HistoryIndex idx;
+  idx.SetPerKeyCap(1);
+  auto b0 = MakeBlock(0, nullptr, {TxRW("t1", {}, {"k"})});
+  const proto::EnvelopePtr first = b0->transactions.Ptr(0);
+  const long before = first.use_count();
+  idx.IndexBlock(*b0, {ValidationCode::kValid});
+  EXPECT_EQ(first.use_count(), before + 1);
+
+  auto b1 = MakeBlock(1, nullptr, {TxRW("t2", {}, {"k"})});
+  idx.IndexBlock(*b1, {ValidationCode::kValid});
+  EXPECT_EQ(first.use_count(), before);
+  const auto& hist = idx.HistoryFor("cc", "k");
+  ASSERT_EQ(hist.size(), 1u);
+  EXPECT_EQ(hist[0].tx_id(), "t2");
+}
+
+TEST(HistoryIndex, KeysAreTrackedPerNamespace) {
+  HistoryIndex idx;
+  proto::TransactionEnvelope other = TxRW("t2", {}, {"k"});
+  other.rwset.ns_rwsets[0].ns = "cc2";
+  auto block = MakeBlock(0, nullptr, {TxRW("t1", {}, {"k"}), other});
+  idx.IndexBlock(*block, {ValidationCode::kValid, ValidationCode::kValid});
+  EXPECT_EQ(idx.TrackedKeys(), 2u);
+  ASSERT_EQ(idx.HistoryFor("cc", "k").size(), 1u);
+  EXPECT_EQ(idx.HistoryFor("cc", "k")[0].tx_id(), "t1");
+  ASSERT_EQ(idx.HistoryFor("cc2", "k").size(), 1u);
+  EXPECT_EQ(idx.HistoryFor("cc2", "k")[0].tx_id(), "t2");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // range-query info validation).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "chaincode/kvwrite.h"
 #include "ledger/mvcc.h"
 #include "ledger/state_db.h"
@@ -61,6 +63,38 @@ TEST(StateDbRange, EmptyRange) {
   StateDb db = SeededDb();
   EXPECT_TRUE(db.GetRange("cc", "x", "z").empty());
   EXPECT_TRUE(db.GetRange("nonexistent", "", "").empty());
+}
+
+TEST(StateDbRange, WarmIndexReflectsInsertDeleteAndOverwrite) {
+  StateDb db = SeededDb();
+  ASSERT_EQ(db.GetRange("cc", "", "").size(), 4u);  // warm the index
+  db.Put("cc", "bb", ToBytes("5"), KeyVersion{3, 0});
+  db.Delete("cc", "c");
+  db.Put("cc", "a", ToBytes("6"), KeyVersion{3, 1});
+  const auto all = db.GetRange("cc", "", "");
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all[0].first, "a");
+  EXPECT_EQ(proto::ToString(all[0].second.value), "6");
+  EXPECT_EQ(all[0].second.version, (KeyVersion{3, 1}));
+  EXPECT_EQ(all[1].first, "b");
+  EXPECT_EQ(all[2].first, "bb");
+  EXPECT_EQ(all[3].first, "d");
+  EXPECT_EQ(db.GetRange("other", "", "").size(), 1u);
+}
+
+TEST(StateDbRange, CopyScansItsOwnKeys) {
+  auto db = std::make_unique<StateDb>(SeededDb());
+  ASSERT_EQ(db->GetRange("cc", "", "").size(), 4u);  // warm the index
+  StateDb copy = *db;
+  db.reset();
+  // An overwrite keeps a warm index warm, so the copy must own its index.
+  copy.Put("cc", "b", ToBytes("7"), KeyVersion{3, 0});
+  const auto all = copy.GetRange("cc", "b", "");
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].first, "b");
+  EXPECT_EQ(proto::ToString(all[0].second.value), "7");
+  EXPECT_EQ(all[0].second.version, (KeyVersion{3, 0}));
+  EXPECT_EQ(all[2].first, "d");
 }
 
 TEST(RangeRead, DigestDetectsAnyChange) {
