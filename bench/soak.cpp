@@ -19,6 +19,15 @@
 // Points run strictly sequentially on one thread (RSS ordering matters), a
 // single repetition each — the binary overrides --jobs/--reps.
 //
+// The process-global verify cache (crypto/verify_cache.h) is bounded, but
+// it fills toward its cap with run length: the small point alone would
+// leave it about half full while the large point wraps it several times,
+// so the RSS ratio would measure the cache's one-off fill, not growth.
+// Before the small point the bench fills the cache halfway with synthetic
+// verdicts no real lookup can match; the small point's own verifications
+// then carry every stripe to its cap, as in the large point. A check
+// confirms the cap was reached inside the small point.
+//
 //   ./build/bench/soak [--quick] [--smoke] [--csv] [--json <path>]
 //
 // --smoke is the CI tier (25k / 250k transactions); the acceptance
@@ -28,6 +37,8 @@
 #include <string>
 
 #include "bench_common.h"
+#include "crypto/signature.h"
+#include "crypto/verify_cache.h"
 
 using namespace fabricsim;
 
@@ -66,6 +77,18 @@ fabric::ExperimentConfig SoakConfig(double duration_s, bool streaming) {
   config.network.retention.history_per_key = 4;
   config.network.retention.osn_history_blocks = 64;
   return config;
+}
+
+// Fills the verify cache to half its cap with synthetic verdicts. Stripes
+// are cleared wholesale only when full, so no stripe wraps here.
+void FillVerifyCacheHalfway() {
+  crypto::VerifyCache& cache = crypto::VerifyCache::Instance();
+  const crypto::Signature sig{};
+  for (std::size_t i = 0; i < crypto::VerifyCache::kMaxEntries / 2; ++i) {
+    const crypto::Digest key =
+        crypto::HashStr("soak-cache-fill-" + std::to_string(i));
+    cache.Insert(key, key, sig, true);
+  }
 }
 
 }  // namespace
@@ -108,7 +131,12 @@ int main(int argc, char** argv) {
     return row;
   };
 
+  crypto::VerifyCache& cache = crypto::VerifyCache::Instance();
+  if (cache.Enabled()) FillVerifyCacheHalfway();
+  const std::uint64_t evictions_before_small = cache.Evictions();
   const Row small = run(small_s, true, "streaming/small");
+  const std::uint64_t small_evictions =
+      cache.Evictions() - evictions_before_small;
   const Row large = run(large_s, true, "streaming/large");
   const Row full = run(large_s, false, "full/large");
 
@@ -138,6 +166,15 @@ int main(int argc, char** argv) {
                 "%llu -> %llu at 10x txs\n",
                 static_cast<unsigned long long>(small.result.tracker.records_hwm),
                 static_cast<unsigned long long>(large.result.tracker.records_hwm));
+    ok = false;
+  }
+
+  // The RSS comparison below assumes the verify cache hit its cap inside
+  // the small point (every stripe cleared once drops kMaxEntries entries).
+  if (cache.Enabled() && small_evictions < crypto::VerifyCache::kMaxEntries) {
+    std::printf("soak: verify cache did not reach its cap in the small "
+                "point (%llu evictions)\n",
+                static_cast<unsigned long long>(small_evictions));
     ok = false;
   }
 

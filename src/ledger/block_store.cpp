@@ -6,10 +6,17 @@ void BlockStore::Append(proto::BlockPtr block,
                         std::vector<proto::ValidationCode> codes) {
   const std::uint64_t num = Height();
   for (std::size_t i = 0; i < block->transactions.size(); ++i) {
-    auto [it, inserted] = tx_index_.try_emplace(
-        block->transactions[i].tx_id,
-        TxEntry{TxLocation{num, static_cast<std::uint32_t>(i)}});
-    if (!inserted) ++it->second.repeats;
+    const std::string_view id = block->transactions[i].tx_id;
+    const TxLocation loc{num, static_cast<std::uint32_t>(i)};
+    auto [it, inserted] = tx_index_.try_emplace(id, loc);
+    if (inserted) continue;
+    // A resubmitted id: re-point the entry, key view included, at this
+    // newest occurrence. It is pruned last, so the id stays visible while
+    // any occurrence is resident.
+    auto node = tx_index_.extract(it);
+    node.key() = id;
+    node.mapped() = loc;
+    tx_index_.insert(std::move(node));
   }
   total_txs_ += block->transactions.size();
   stored_bytes_ += block->WireSize();
@@ -21,45 +28,18 @@ void BlockStore::Append(proto::BlockPtr block,
 void BlockStore::PruneFront() {
   if (keep_blocks_ == 0) return;
   while (blocks_.size() > keep_blocks_) {
-    const proto::EnvelopeList& txs = blocks_.front()->transactions;
-    for (std::size_t i = 0; i < txs.size(); ++i) {
-      auto it = tx_index_.find(txs[i].tx_id);
-      // Pruning runs oldest first, so an entry that is not this occurrence
-      // already moved past it.
-      if (it != tx_index_.end() &&
-          it->second.oldest.block_num == first_block_num_ &&
-          it->second.oldest.tx_index == i) {
-        ForgetOldest(it);
+    const proto::BlockPtr& oldest = blocks_.front();
+    for (const auto& tx : oldest->transactions) {
+      auto it = tx_index_.find(tx.tx_id);
+      // Guard the block number: a resubmitted tx id may have landed again in
+      // a newer (retained) block, whose index entry must survive.
+      if (it != tx_index_.end() && it->second.block_num == first_block_num_) {
+        tx_index_.erase(it);
       }
     }
     blocks_.pop_front();
     codes_.pop_front();
     ++first_block_num_;
-  }
-}
-
-void BlockStore::ForgetOldest(TxIndex::iterator it) {
-  if (it->second.repeats == 0) {
-    tx_index_.erase(it);
-    return;
-  }
-  // A resubmitted id: re-point the entry, key view included, at the next
-  // occurrence, which is still resident for as long as the entry lives.
-  const std::string_view id = it->first;
-  const TxLocation from = it->second.oldest;
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const proto::EnvelopeList& txs = blocks_[b]->transactions;
-    const std::uint64_t num = first_block_num_ + b;
-    for (std::size_t i = num == from.block_num ? from.tx_index + 1 : 0;
-         i < txs.size(); ++i) {
-      if (txs[i].tx_id != id) continue;
-      auto node = tx_index_.extract(it);
-      node.key() = txs[i].tx_id;
-      node.mapped().oldest = TxLocation{num, static_cast<std::uint32_t>(i)};
-      --node.mapped().repeats;
-      tx_index_.insert(std::move(node));
-      return;
-    }
   }
 }
 
@@ -87,7 +67,7 @@ std::optional<TxLocation> BlockStore::FindTransaction(
     std::string_view tx_id) const {
   auto it = tx_index_.find(tx_id);
   if (it == tx_index_.end()) return std::nullopt;
-  return it->second.oldest;
+  return it->second;
 }
 
 }  // namespace fabricsim::ledger

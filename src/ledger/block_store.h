@@ -10,7 +10,10 @@
 // newest n blocks in memory — older blocks and their tx-index entries are
 // pruned, so duplicate detection's horizon shrinks to the retained window.
 // That is safe whenever client resubmission of old tx ids is bounded (every
-// non-chaos run), and the soak bench relies on it for flat memory.
+// non-chaos run), and the soak bench relies on it for flat memory. Pruning
+// frees a block's envelopes only once no history entry shares them (see
+// ledger/history_index.h), so memory stays flat only when the key space is
+// bounded or the per-key history cap drops old writes.
 //
 // Stored blocks are immutable: BlockPtr is shared_ptr<const Block>, and no
 // holder may edit a block (or swap its envelopes) after Append. The tx-id
@@ -73,7 +76,7 @@ class BlockStore {
   /// retention, exactly the transactions in resident blocks are visible.
   [[nodiscard]] bool HasTransaction(std::string_view tx_id) const;
 
-  /// Oldest resident occurrence of the id.
+  /// Newest resident occurrence of the id.
   [[nodiscard]] std::optional<TxLocation> FindTransaction(
       std::string_view tx_id) const;
 
@@ -90,20 +93,11 @@ class BlockStore {
   [[nodiscard]] std::uint64_t StoredBytes() const { return stored_bytes_; }
 
  private:
-  // Index entry of one tx id: its oldest resident occurrence (whose
-  // envelope the key views) and how many later resident ones exist.
-  struct TxEntry {
-    TxLocation oldest;
-    std::uint32_t repeats = 0;
-  };
-  using TxIndex = std::unordered_map<std::string_view, TxEntry>;
-
   void PruneFront();
-  void ForgetOldest(TxIndex::iterator it);
 
   std::deque<proto::BlockPtr> blocks_;
   std::deque<std::vector<proto::ValidationCode>> codes_;
-  TxIndex tx_index_;
+  std::unordered_map<std::string_view, TxLocation> tx_index_;
   std::uint64_t first_block_num_ = 0;
   std::uint64_t keep_blocks_ = 0;  // 0 = unbounded
   std::uint64_t total_txs_ = 0;

@@ -39,7 +39,9 @@ class HistoryIndex {
   /// Keeps only the newest `cap` modifications per key (0 = keep all, the
   /// default). Memory is otherwise O(total valid writes), which long soak
   /// runs cannot afford; Fabric's history DB is disk-backed so the real
-  /// system has no such bound.
+  /// system has no such bound. Each retained entry keeps its writing
+  /// envelope alive, after the block store prunes the block too: with a
+  /// fresh key per write, every valid envelope stays resident.
   void SetPerKeyCap(std::size_t cap) { per_key_cap_ = cap; }
 
   /// History of a key, oldest retained first. Empty if never written.

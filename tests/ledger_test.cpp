@@ -275,12 +275,12 @@ TEST(BlockStore, ResubmittedTxIdStaysVisibleWhileAnOccurrenceIsResident) {
   EXPECT_TRUE(store.HasTransaction("late"));
 }
 
-TEST(BlockStore, RepeatWithinOnePrunedBlockMovesToTheNextResidentOne) {
+TEST(BlockStore, RepeatedTxIdPointsAtItsNewestResidentOccurrence) {
   BlockStore store;
   store.SetRetention(1);
   store.Append(MakeBlock(0, nullptr, {TxRW("x", {}, {"a"}),
                                       TxRW("x", {}, {"a"})}));
-  EXPECT_EQ(store.FindTransaction("x")->tx_index, 0u);
+  EXPECT_EQ(store.FindTransaction("x")->tx_index, 1u);
   store.Append(MakeBlock(1, nullptr, {TxRW("y", {}, {"b"}),
                                       TxRW("x", {}, {"a"})}));
   const auto loc = store.FindTransaction("x");
