@@ -5,9 +5,10 @@
 // against Raft, Kafka, and Solo. With recovery enabled the clients fail over
 // to surviving orderer endpoints and the peers re-subscribe their deliver
 // streams, so Raft (leader re-election) and Kafka (controller re-election +
-// ISR shrink) keep committing; Solo, the paper's single point of failure,
-// stalls permanently — and the harness detects the stall instead of hanging.
-// After each run the ledger-consistency invariants are checked.
+// ISR shrink) keep committing. Solo, the paper's single point of failure,
+// has nothing to fail over to: nothing commits between the crash and the
+// revive, and the channel recovers only once the revived OSN backfills the
+// peers. After each run the ledger-consistency invariants are checked.
 //
 // Build & run:  cmake --build build && ./build/examples/failover_drill
 #include <iostream>
@@ -47,11 +48,17 @@ bool Drill(fabric::OrderingType ordering, const char* name) {
   }
   std::cout << "  " << result.invariants->Summary();
 
-  // Solo has nowhere to fail over to: the drill passes when the stall is
-  // *detected*. The replicated services must recover with a clean ledger.
+  // Solo has nowhere to fail over to: commits stop for the whole outage and
+  // resume only after the revive. The replicated services must recover with
+  // a clean ledger.
   bool ok;
   if (ordering == fabric::OrderingType::kSolo) {
-    ok = rec.stalled;
+    const double down_s = sim::ToSeconds(result.fault_log.back().at -
+                                         result.fault_log.front().at);
+    ok = !rec.stalled && rec.outage_s >= down_s &&
+         rec.time_to_recover_s >= down_s && result.invariants->Ok();
+    std::cout << "  no commits for " << rec.outage_s << " s of a " << down_s
+              << " s outage\n";
     std::cout << (ok ? "  OK: solo is a single point of failure (as §III "
                        "warns)\n\n"
                      : "  UNEXPECTED solo behaviour\n\n");

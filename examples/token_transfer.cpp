@@ -61,8 +61,10 @@ int main() {
   std::cout << "total (conserved):     " << total << " / "
             << kAccounts * kInitialBalance << "\n";
 
-  // Inspect one account's write history (the history database).
-  const auto& history = committer.History().HistoryFor("token", "acct0");
+  // Inspect one account's write history (the history database), built on
+  // demand from the block store.
+  const ledger::HistoryIndex history_index = committer.History();
+  const auto& history = history_index.HistoryFor("token", "acct0");
   std::cout << "acct0 write history:   " << history.size()
             << " committed updates\n";
 

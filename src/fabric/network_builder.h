@@ -99,7 +99,8 @@ struct RetentionOptions {
   /// Blocks kept resident per peer ledger (0 = all). Shrinks the committer's
   /// duplicate-tx-id detection horizon to the retained window.
   std::uint64_t ledger_blocks = 0;
-  /// Modifications kept per key in the history index (0 = all).
+  /// Modifications kept per key by perfbench's history replay, its only
+  /// reader (0 = all). Peers build key history on demand instead.
   std::size_t history_per_key = 0;
   /// Delivered blocks kept per OSN for backfill seeks (0 = all).
   std::size_t osn_history_blocks = 0;

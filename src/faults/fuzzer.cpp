@@ -74,6 +74,9 @@ fabric::ExperimentConfig ChaosCase::ToConfig() const {
   config.workload.duration = sim::FromSeconds(duration_s);
   config.workload.value_size = value_size;
   config.workload.key_space = 1000;
+  config.network.retention.ledger_blocks = retain_blocks;
+  config.network.retention.osn_history_blocks =
+      static_cast<std::size_t>(retain_blocks);
   config.faults = faults;
   config.check_invariants = true;
   // Stalls are classified by the oracle against the recoverability audit
@@ -117,6 +120,9 @@ std::vector<std::string> ChaosCase::ToArgs() const {
   }
   args.push_back("--seed=" + std::to_string(seed));
   if (!overload.empty()) args.push_back("--overload=" + overload);
+  if (retain_blocks != 0) {
+    args.push_back("--retain-blocks=" + std::to_string(retain_blocks));
+  }
   if (!faults.empty()) args.push_back("--faults=" + faults);
   args.push_back("--check-invariants");
   return args;
@@ -174,6 +180,9 @@ ChaosCase ChaosCase::FromArgs(const std::vector<std::string>& args) {
       c.seed = static_cast<std::uint64_t>(ParseDouble(*v, "--seed"));
     } else if (auto v = value(arg, "--overload")) {
       c.overload = *v;
+    } else if (auto v = value(arg, "--retain-blocks")) {
+      c.retain_blocks =
+          static_cast<std::uint64_t>(ParseDouble(*v, "--retain-blocks"));
     } else if (auto v = value(arg, "--faults")) {
       c.faults = *v;
     } else {

@@ -44,6 +44,9 @@ struct ChaosCase {
   std::size_t value_size = 1;
   std::uint64_t seed = 42;
   std::string overload;  // ""=off, else reject|drop-oldest|block
+  /// --retain-blocks: ledger and OSN backfill blocks kept (0 = all). Replays
+  /// and pinned corpus entries only; campaigns never sample it.
+  std::uint64_t retain_blocks = 0;
   /// Canonical fault spec (FaultSchedule::ToSpec of the generated events).
   std::string faults;
   /// True when ScheduleLooksRecoverable audited the schedule as one the

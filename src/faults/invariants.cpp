@@ -279,6 +279,17 @@ RecoverySummary AnalyzeRecovery(const metrics::RateLog& commits,
   }
   if (dip >= 0.0) s.dip_tps = dip;
 
+  // Outage: from the fault until the first later window that commits.
+  sim::SimTime resumed = end;
+  for (const auto& w : windows) {
+    if (w.start < fault_at) continue;
+    if (w.count > 0 || w.start >= end) {
+      resumed = std::min(w.start, end);
+      break;
+    }
+  }
+  if (resumed > fault_at) s.outage_s = sim::ToSeconds(resumed - fault_at);
+
   // Stall: a healthy pre-fault rate, and nothing commits in the tail.
   if (s.pre_fault_tps > 0.0 && fault_at + lead < end) {
     s.stalled = commits.MeanRate(end - lead, end) == 0.0;

@@ -75,6 +75,10 @@ struct RecoverySummary {
   /// Seconds from the fault until a window first reaches 90% of the
   /// pre-fault rate; negative if that never happens.
   double time_to_recover_s = -1.0;
+  /// Seconds from the fault until the first window starting at/after it
+  /// that commits anything (capped at `end`): how long commits stopped
+  /// dead. 0 when the first window after the fault still commits.
+  double outage_s = 0.0;
   /// True when commits never resume after the fault (permanent stall).
   bool stalled = false;
 };

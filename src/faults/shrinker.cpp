@@ -151,6 +151,7 @@ bool SimplifyKnobs(Shrink& shrink) {
   attempt([](ChaosCase& c) { c.channels = 1; });
   attempt([](ChaosCase& c) { c.overload.clear(); });
   attempt([](ChaosCase& c) { c.value_size = 1; });
+  attempt([](ChaosCase& c) { c.retain_blocks = 0; });
   attempt([](ChaosCase& c) { c.batch_size = 100; });
   attempt([](ChaosCase& c) { c.batch_timeout_s = 1.0; });
   attempt([](ChaosCase& c) { c.clients = -1; });

@@ -10,10 +10,10 @@
 // newest n blocks in memory — older blocks and their tx-index entries are
 // pruned, so duplicate detection's horizon shrinks to the retained window.
 // That is safe whenever client resubmission of old tx ids is bounded (every
-// non-chaos run), and the soak bench relies on it for flat memory. Pruning
-// frees a block's envelopes only once no history entry shares them (see
-// ledger/history_index.h), so memory stays flat only when the key space is
-// bounded or the per-key history cap drops old writes.
+// non-chaos run), and the soak bench relies on it for flat memory, for any
+// key space: key history is built on demand from the resident blocks (see
+// ledger/history_index.h), so nothing outside the store keeps a pruned
+// block's envelopes alive.
 //
 // Stored blocks are immutable: BlockPtr is shared_ptr<const Block>, and no
 // holder may edit a block (or swap its envelopes) after Append. The tx-id

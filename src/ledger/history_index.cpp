@@ -1,5 +1,7 @@
 #include "ledger/history_index.h"
 
+#include "ledger/block_store.h"
+
 namespace fabricsim::ledger {
 
 const std::vector<KeyModification> HistoryIndex::kEmpty = {};
@@ -35,6 +37,14 @@ const std::vector<KeyModification>& HistoryIndex::HistoryFor(
   if (space == index_.end()) return kEmpty;
   auto it = space->second.find(key);
   return it == space->second.end() ? kEmpty : it->second;
+}
+
+HistoryIndex BuildHistory(const BlockStore& store) {
+  HistoryIndex history;
+  for (std::uint64_t n = store.FirstBlockNumber(); n < store.Height(); ++n) {
+    history.IndexBlock(*store.GetBlock(n), store.CodesFor(n));
+  }
+  return history;
 }
 
 std::size_t HistoryIndex::TrackedKeys() const {

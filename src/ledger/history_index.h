@@ -4,9 +4,14 @@
 // transactions that wrote it, enabling GetHistoryForKey-style queries and
 // giving tests an independent record to cross-check MVCC against.
 //
+// Built on demand: BuildHistory replays a block store's resident blocks and
+// their validation codes, so no peer pays for an index while it commits
+// (Fabric's history database is optional too). Under block retention the
+// history covers resident blocks only, and the store alone decides which
+// envelopes stay alive.
+//
 // Entries share the committed block's envelope instead of copying its tx id
-// and value: each one holds the envelope and points at its write, so an
-// entry stays valid after the block store prunes the block.
+// and value: each one holds the envelope and points at its write.
 #pragma once
 
 #include <string>
@@ -17,6 +22,8 @@
 #include "proto/block.h"
 
 namespace fabricsim::ledger {
+
+class BlockStore;
 
 /// One historical modification of a key.
 struct KeyModification {
@@ -33,15 +40,12 @@ struct KeyModification {
 class HistoryIndex {
  public:
   /// Indexes the writes of all VALID transactions in `block`.
+  /// Outside BuildHistory, perfbench's ledger replay is its only reader.
   void IndexBlock(const proto::Block& block,
                   const std::vector<proto::ValidationCode>& codes);
 
   /// Keeps only the newest `cap` modifications per key (0 = keep all, the
-  /// default). Memory is otherwise O(total valid writes), which long soak
-  /// runs cannot afford; Fabric's history DB is disk-backed so the real
-  /// system has no such bound. Each retained entry keeps its writing
-  /// envelope alive, after the block store prunes the block too: with a
-  /// fresh key per write, every valid envelope stays resident.
+  /// default). Perfbench's ledger replay is its only reader.
   void SetPerKeyCap(std::size_t cap) { per_key_cap_ = cap; }
 
   /// History of a key, oldest retained first. Empty if never written.
@@ -56,5 +60,10 @@ class HistoryIndex {
   std::size_t per_key_cap_ = 0;
   static const std::vector<KeyModification> kEmpty;
 };
+
+/// The history of every key written by a valid transaction in `store`'s
+/// resident blocks, oldest first. Under retention, writes in pruned blocks
+/// are gone.
+[[nodiscard]] HistoryIndex BuildHistory(const BlockStore& store);
 
 }  // namespace fabricsim::ledger

@@ -422,7 +422,6 @@ void Committer::SerialCommit(PendingBlock pb) {
   } else {
     ledger::MvccValidator::Commit(*pb.block, mvcc.codes, state_);
   }
-  history_.IndexBlock(*pb.block, mvcc.codes);
 
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
     if (mvcc.codes[i] == proto::ValidationCode::kValid) {

@@ -8,6 +8,10 @@
 //      (block store append + state DB update), a single-writer, fsync-bound
 //      path. This is the paper's OR-policy bottleneck.
 // Blocks commit strictly in order.
+//
+// The ledger write updates the block store and the state DB only. Key
+// history (Fabric's optional history database) is not indexed while
+// committing: History() builds it on demand from the resident blocks.
 #pragma once
 
 #include <functional>
@@ -106,13 +110,10 @@ class Committer {
   }
 
   /// Applies ledger retention for bounded-memory soak runs: keep only the
-  /// newest `keep_blocks` blocks resident (0 = all) and the newest
-  /// `history_per_key` modifications per key (0 = all). See
+  /// newest `keep_blocks` blocks resident (0 = all). See
   /// ledger::BlockStore::SetRetention for the dedup-horizon caveat.
-  void SetLedgerRetention(std::uint64_t keep_blocks,
-                          std::size_t history_per_key) {
+  void SetLedgerRetention(std::uint64_t keep_blocks) {
     chain_.MutableStore().SetRetention(keep_blocks);
-    history_.SetPerKeyCap(history_per_key);
   }
 
   /// Blocks currently in VSCC or awaiting serial commit.
@@ -169,7 +170,11 @@ class Committer {
   [[nodiscard]] ledger::Blockchain& MutableChainForTest() { return chain_; }
   [[nodiscard]] const ledger::StateDb& State() const { return state_; }
   [[nodiscard]] ledger::StateDb& MutableState() { return state_; }
-  [[nodiscard]] const ledger::HistoryIndex& History() const { return history_; }
+  /// Key history of the resident blocks, replayed from the block store.
+  /// Returned by value: hold it in a local before referencing into it.
+  [[nodiscard]] ledger::HistoryIndex History() const {
+    return ledger::BuildHistory(chain_.Store());
+  }
   [[nodiscard]] std::uint64_t CommittedTx() const { return committed_tx_; }
   [[nodiscard]] std::uint64_t InvalidTx() const { return invalid_tx_; }
 
@@ -243,7 +248,6 @@ class Committer {
 
   ledger::Blockchain chain_;
   ledger::StateDb state_;
-  ledger::HistoryIndex history_;
 
   // Blocks by number: received, undergoing VSCC, awaiting serial commit.
   std::map<std::uint64_t, PendingBlock> pending_;

@@ -147,8 +147,7 @@ class PeerNode {
 
   /// Ledger retention for bounded-memory runs (see Committer::
   /// SetLedgerRetention). Applies to current and future channels.
-  void SetLedgerRetention(std::uint64_t keep_blocks,
-                          std::size_t history_per_key);
+  void SetLedgerRetention(std::uint64_t keep_blocks);
 
   /// Arms the validate-phase optimization knobs on every channel committer
   /// (see Committer::SetOptimizations). Applies to current and future
@@ -344,7 +343,6 @@ class PeerNode {
   std::size_t committer_pipeline_limit_ = 0;
   bool committer_dedup_disabled_ = false;
   std::uint64_t retain_blocks_ = 0;
-  std::size_t history_per_key_ = 0;
   fabric::OptimizationOptions optimizations_;  // all off by default
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -154,6 +155,23 @@ TEST(ChaosCaseArgs, FromArgsInvertsToArgs) {
     expected.expect_recovery = false;
     EXPECT_EQ(back, expected) << "case " << i;
   }
+}
+
+TEST(ChaosCaseArgs, RetainBlocksRoundTripsIntoTheConfig) {
+  ChaosCase c;
+  c.retain_blocks = 16;
+  const std::vector<std::string> args = c.ToArgs();
+  EXPECT_NE(std::find(args.begin(), args.end(), "--retain-blocks=16"),
+            args.end());
+  EXPECT_NE(c.ReproLine().find(" --retain-blocks=16 "), std::string::npos);
+  EXPECT_EQ(ChaosCase::FromArgs(args), c);
+
+  const fabric::ExperimentConfig config = c.ToConfig();
+  EXPECT_EQ(config.network.retention.ledger_blocks, 16u);
+  EXPECT_EQ(config.network.retention.osn_history_blocks, 16u);
+  // Unbounded retention stays off the command line, as in the CLI.
+  const std::string unbounded = ChaosCase().ReproLine();
+  EXPECT_EQ(unbounded.find("--retain-blocks"), std::string::npos);
 }
 
 TEST(ChaosCaseArgs, FromArgsRejectsUnknownFlag) {

@@ -129,6 +129,33 @@ TEST_P(DeterminismTest, EscapeHatchRunsAreDeterministicWithAllKnobs) {
   EXPECT_EQ(first, second);
 }
 
+TEST_P(DeterminismTest, BoundedRetentionMatchesUnbounded) {
+  // Differential oracle for --retain-blocks: on a run that never resubmits
+  // a tx id, pruning old blocks from every peer ledger and OSN backfill
+  // history frees host memory and changes no simulated result. Small
+  // blocks and a small read-write key space give a chain well past the
+  // retained window and a mix of valid and MVCC-invalid transactions.
+  ExperimentConfig config = ShortConfig(GetParam());
+  config.network.channel.batch.max_message_count = 20;
+  config.workload.kind = client::WorkloadKind::kKvReadWrite;
+  config.workload.key_space = 50;
+  const ExperimentResult unbounded = RunExperiment(config);
+  config.network.retention.ledger_blocks = 16;
+  config.network.retention.osn_history_blocks = 16;
+  const ExperimentResult bounded = RunExperiment(config);
+
+  ASSERT_GT(unbounded.chain_height, 2u * 16u);  // the window really slides
+  ASSERT_GT(unbounded.client_committed_invalid, 0u);
+  EXPECT_EQ(unbounded.duplicate_tx_rejects, 0u);  // nothing resubmitted
+  EXPECT_EQ(bounded.duplicate_tx_rejects, 0u);
+  EXPECT_EQ(bounded.chain_head_hex, unbounded.chain_head_hex);
+  EXPECT_EQ(bounded.chain_height, unbounded.chain_height);
+  EXPECT_EQ(bounded.client_committed_valid, unbounded.client_committed_valid);
+  EXPECT_EQ(bounded.client_committed_invalid,
+            unbounded.client_committed_invalid);
+  EXPECT_EQ(bounded.sched_events, unbounded.sched_events);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllOrderings, DeterminismTest,
                          ::testing::Values(OrderingType::kSolo,
                                            OrderingType::kKafka,

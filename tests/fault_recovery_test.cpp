@@ -98,6 +98,36 @@ TEST(FaultRecovery, SoloHaltIsDetectedNotHung) {
   EXPECT_TRUE(result.chain_audit_ok);
 }
 
+TEST(FaultRecovery, OutageIsTheCommitFreeSpanOpenedByTheFault) {
+  // 100 tps, except nothing commits from 15 s to 25 s (and, in `halted`,
+  // nothing after 15 s at all).
+  metrics::RateLog commits("commits");
+  metrics::RateLog halted("halted");
+  for (int s = 0; s < 30; ++s) {
+    for (int i = 0; i < 100; ++i) {
+      const sim::SimTime t = sim::FromSeconds(s) + i * sim::FromMillis(10);
+      if (s < 15) halted.Record(t);
+      if (s < 15 || s >= 25) commits.Record(t);
+    }
+  }
+  const sim::SimTime end = sim::FromSeconds(30);
+
+  const auto down = faults::AnalyzeRecovery(commits, sim::FromSeconds(15), end);
+  EXPECT_DOUBLE_EQ(down.outage_s, 10.0);
+  EXPECT_DOUBLE_EQ(down.time_to_recover_s, 10.0);
+  EXPECT_FALSE(down.stalled);
+
+  // Commits still flowing right after the fault: no outage yet.
+  EXPECT_DOUBLE_EQ(
+      faults::AnalyzeRecovery(commits, sim::FromSeconds(12), end).outage_s,
+      0.0);
+
+  // A permanent stall is an outage until the end of the analysis.
+  const auto stall = faults::AnalyzeRecovery(halted, sim::FromSeconds(15), end);
+  EXPECT_TRUE(stall.stalled);
+  EXPECT_DOUBLE_EQ(stall.outage_s, 15.0);
+}
+
 TEST(FaultRecovery, SameSeedAndScheduleIsBitIdentical) {
   auto run = [] {
     auto config = ChaosConfig(fabric::OrderingType::kRaft,

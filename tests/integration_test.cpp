@@ -307,9 +307,9 @@ TEST(Integration, InvalidTransactionsRecordedOnChainButNotInState) {
   EXPECT_EQ(store.TxCount(), 7u);  // genesis + all six recorded, valid or not
   EXPECT_GT(committer.InvalidTx(), 0u);
   // History only contains the winners.
-  const auto& history =
-      committer.History().HistoryFor("kvwrite", "contested");
-  EXPECT_EQ(history.size(), committer.CommittedTx());
+  const ledger::HistoryIndex history_index = committer.History();
+  EXPECT_EQ(history_index.HistoryFor("kvwrite", "contested").size(),
+            committer.CommittedTx());
 }
 
 }  // namespace

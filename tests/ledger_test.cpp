@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "crypto/ca.h"
 #include "ledger/block_store.h"
 #include "ledger/blockchain.h"
@@ -494,6 +496,112 @@ TEST(HistoryIndex, KeysAreTrackedPerNamespace) {
   EXPECT_EQ(idx.HistoryFor("cc", "k")[0].tx_id(), "t1");
   ASSERT_EQ(idx.HistoryFor("cc2", "k").size(), 1u);
   EXPECT_EQ(idx.HistoryFor("cc2", "k")[0].tx_id(), "t2");
+}
+
+// --------------------------------------------------- BuildHistory (on demand)
+
+std::string Numbered(const char* prefix, int n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
+using BlockSink = std::function<void(const proto::Block&,
+                                     const std::vector<ValidationCode>&)>;
+
+// A committed run at the ledger layer: blocks of read-modify-writes (and a
+// delete) over three keys, validated and committed in order as the
+// committer does. The first and last transaction of each block touch the
+// same key, so the last one conflicts and the run mixes valid and invalid
+// writes. Each value is its writer's tx id.
+// `on_commit` sees every block with its codes. Returns the invalid count.
+std::size_t CommitRun(BlockStore& store, int blocks,
+                      const BlockSink& on_commit) {
+  StateDb db;
+  std::size_t invalid = 0;
+  for (int b = 0; b < blocks; ++b) {
+    std::vector<proto::TransactionEnvelope> txs;
+    for (int j = 0; j < 4; ++j) {
+      const std::string key = Numbered("k", (b + j) % 3);
+      proto::TransactionEnvelope env =
+          TxRW(Numbered("t", b * 4 + j), {{key, db.GetVersion("cc", key)}}, {});
+      env.rwset.ns_rwsets[0].writes.push_back(
+          proto::KVWrite{key, ToBytes(env.tx_id), j == 1});
+      txs.push_back(std::move(env));
+    }
+    auto block =
+        MakeBlock(static_cast<std::uint64_t>(b), nullptr, std::move(txs));
+    const MvccResult mvcc = MvccValidator::Validate(*block, db);
+    MvccValidator::Commit(*block, mvcc.codes, db);
+    invalid += mvcc.conflict_count;
+    store.Append(block, mvcc.codes);
+    on_commit(*block, mvcc.codes);
+  }
+  return invalid;
+}
+
+void ExpectSameHistory(const std::vector<KeyModification>& got,
+                       const std::vector<KeyModification>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].block_num, want[i].block_num);
+    EXPECT_EQ(got[i].tx_index, want[i].tx_index);
+    EXPECT_EQ(got[i].tx_id(), want[i].tx_id());
+    EXPECT_EQ(got[i].value(), want[i].value());
+    EXPECT_EQ(got[i].is_delete(), want[i].is_delete());
+  }
+}
+
+TEST(BuildHistory, MatchesTheIndexFedBlockByBlock) {
+  BlockStore store;
+  HistoryIndex incremental;
+  std::size_t valid_writes = 0;
+  const std::size_t invalid =
+      CommitRun(store, 12, [&](const proto::Block& block,
+                               const std::vector<ValidationCode>& codes) {
+        incremental.IndexBlock(block, codes);
+        for (const ValidationCode c : codes) {
+          valid_writes += c == ValidationCode::kValid ? 1 : 0;
+        }
+      });
+  ASSERT_GT(invalid, 0u);  // the run exercises the invalid-tx filter
+
+  const HistoryIndex built = BuildHistory(store);
+  EXPECT_EQ(built.TrackedKeys(), incremental.TrackedKeys());
+  std::size_t entries = 0;
+  for (int k = 0; k < 3; ++k) {
+    const std::string key = Numbered("k", k);
+    const auto& hist = built.HistoryFor("cc", key);
+    ExpectSameHistory(hist, incremental.HistoryFor("cc", key));
+    for (const KeyModification& m : hist) {
+      EXPECT_EQ(store.CodesFor(m.block_num)[m.tx_index],
+                ValidationCode::kValid);
+      EXPECT_EQ(proto::ToString(m.value()), m.tx_id());
+    }
+    entries += hist.size();
+  }
+  EXPECT_EQ(entries, valid_writes);
+}
+
+TEST(BuildHistory, CoversResidentBlocksOnly) {
+  BlockStore store;
+  store.SetRetention(4);
+  HistoryIndex full;
+  CommitRun(store, 12, [&](const proto::Block& block,
+                           const std::vector<ValidationCode>& codes) {
+    full.IndexBlock(block, codes);
+  });
+  ASSERT_EQ(store.FirstBlockNumber(), 8u);
+
+  const HistoryIndex built = BuildHistory(store);
+  for (int k = 0; k < 3; ++k) {
+    const std::string key = Numbered("k", k);
+    std::vector<KeyModification> resident;
+    for (const KeyModification& m : full.HistoryFor("cc", key)) {
+      if (m.block_num >= store.FirstBlockNumber()) resident.push_back(m);
+    }
+    ExpectSameHistory(built.HistoryFor("cc", key), resident);
+  }
 }
 
 }  // namespace

@@ -72,7 +72,6 @@ struct CliOptions {
   bool profile = false;        // host-side DES profiler + top-N table
   std::string profile_trace;   // Chrome trace of sampled handler spans
   std::uint64_t retain_blocks = 0;   // ledger/OSN blocks kept (0 = all)
-  std::size_t history_per_key = 0;   // history-index cap (0 = all)
   std::vector<double> sweep;  // arrival rates; non-empty = sweep mode
   int jobs = 1;               // host threads for --sweep (0 = hw concurrency)
   fabric::OptimizationOptions optimizations;  // Thakkar-style validate fixes
@@ -160,8 +159,6 @@ void PrintHelp() {
       "                               backfill history (0 = all); bounds\n"
       "                               memory for long runs, shrinks the\n"
       "                               dedup horizon to the retained window\n"
-      "  --history-per-key=<n>        history-index modifications kept per\n"
-      "                               key (0 = all)\n"
       "  --metrics-out=<file>         write the metrics-registry timeline\n"
       "                               (queue depths, sheds, scheduler\n"
       "                               backlog, tracker occupancy) sampled\n"
@@ -381,7 +378,6 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
         number("--pace-tps", out.pace_tps) || number("--jobs", out.jobs) ||
         number("--metrics-period-ms", out.metrics_period_ms) ||
         number("--retain-blocks", out.retain_blocks) ||
-        number("--history-per-key", out.history_per_key) ||
         number("--opt-vscc-workers", out.optimizations.vscc_workers)) {
       continue;
     }
@@ -433,7 +429,6 @@ int main(int argc, char** argv) {
   config.network.retention.ledger_blocks = cli.retain_blocks;
   config.network.retention.osn_history_blocks =
       static_cast<std::size_t>(cli.retain_blocks);
-  config.network.retention.history_per_key = cli.history_per_key;
   config.network.optimizations = cli.optimizations;
   config.metrics_period = sim::FromMillis(cli.metrics_period_ms);
 
