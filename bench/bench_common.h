@@ -19,13 +19,6 @@
 //                      simulated results, stdout tables, and JSON point
 //                      order are byte-identical at any job count — only
 //                      host wall clock changes
-//   --no-crypto-cache  single escape hatch for every crypto cache: disables
-//                      the host-side signature-verification cache
-//                      (simulated results must not change; see
-//                      crypto/verify_cache.h) AND the --opt-msp-cache
-//                      identity cache (every lookup then verifies in full
-//                      at the uncached simulated cost; see
-//                      crypto/msp_cache.h)
 //   --profile          attach the host-side DES profiler to every point and
 //                      emit the top-10 handler table under each point's
 //                      "host.profile" (host-only; never gated)
@@ -38,20 +31,25 @@
 //                      simulated results are unchanged
 //   --metrics-period-ms <n>  registry sampling cadence (simulated ms,
 //                      default 250)
+//
+// An unknown flag, a value flag without its value, or a count that is not a
+// positive integer exits 2 with a one-line error before any point runs.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "bench/recorder.h"
 #include "crypto/msp_cache.h"
-#include "crypto/verify_cache.h"
 #include "fabric/experiment.h"
 #include "metrics/registry.h"
 #include "metrics/reporter.h"
@@ -66,7 +64,6 @@ struct Args {
   bool smoke = false;
   bool csv = false;
   bool attribution = false;
-  bool crypto_cache = true;
   bool profile = false;
   bool streaming = false;
   int reps = 1;
@@ -98,35 +95,65 @@ inline std::unique_ptr<fabricsim::bench::Recorder>& RecorderSlot() {
   return slot;
 }
 
+/// Prints "<bench>: <message>" and exits 2: the usage-error exit code.
+[[noreturn]] inline void UsageError(const std::string& bench_name,
+                                    const std::string& message) {
+  std::fprintf(stderr, "%s: %s\n", bench_name.c_str(), message.c_str());
+  std::exit(2);
+}
+
 inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
   Args out;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--quick") out.quick = true;
-    if (a == "--smoke") out.smoke = out.quick = true;
-    if (a == "--csv") out.csv = true;
-    if (a == "--attribution") out.attribution = true;
-    if (a == "--no-crypto-cache") out.crypto_cache = false;
-    if (a == "--profile") out.profile = true;
-    if (a == "--streaming") out.streaming = true;
-    if (a == "--json" && i + 1 < argc) out.json_path = argv[++i];
-    if (a == "--metrics-out" && i + 1 < argc) out.metrics_out = argv[++i];
-    if (a == "--metrics-period-ms" && i + 1 < argc) {
-      out.metrics_period_ms = std::max(1, std::atoi(argv[++i]));
-    }
-    if (a == "--reps" && i + 1 < argc) {
-      out.reps = std::max(1, std::atoi(argv[++i]));
-    }
-    if (a == "--jobs" && i + 1 < argc) {
-      out.jobs = std::max(1, std::atoi(argv[++i]));
+    // The argument after a value flag; a missing one (end of the line, or
+    // another flag) is a usage error.
+    auto value = [&]() -> std::string {
+      if (i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--")) {
+        UsageError(bench_name, a + " needs a value");
+      }
+      return argv[++i];
+    };
+    auto count = [&]() -> int {
+      const std::string v = value();
+      int n = 0;
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+      if (ec != std::errc() || end != v.data() + v.size() || n < 1) {
+        UsageError(bench_name, a + " needs a positive integer, got " + v);
+      }
+      return n;
+    };
+    if (a == "--quick") {
+      out.quick = true;
+    } else if (a == "--smoke") {
+      out.smoke = out.quick = true;
+    } else if (a == "--csv") {
+      out.csv = true;
+    } else if (a == "--attribution") {
+      out.attribution = true;
+    } else if (a == "--profile") {
+      out.profile = true;
+    } else if (a == "--streaming") {
+      out.streaming = true;
+    } else if (a == "--json") {
+      out.json_path = value();
+    } else if (a == "--metrics-out") {
+      out.metrics_out = value();
+    } else if (a == "--metrics-period-ms") {
+      out.metrics_period_ms = count();
+    } else if (a == "--reps") {
+      out.reps = count();
+    } else if (a == "--jobs") {
+      out.jobs = count();
+    } else {
+      UsageError(bench_name, "unknown flag " + a);
     }
   }
   if (out.jobs <= 0) {
     out.jobs = static_cast<int>(fabricsim::runner::ThreadPool::DefaultJobs());
   }
-  fabricsim::crypto::VerifyCache::Instance().SetEnabled(out.crypto_cache);
   RecorderSlot() = std::make_unique<fabricsim::bench::Recorder>(
-      bench_name, out.Mode(), out.crypto_cache, out.reps, out.jobs);
+      bench_name, out.Mode(), out.reps, out.jobs);
   return out;
 }
 
@@ -216,16 +243,12 @@ inline fabricsim::fabric::ExperimentResult RunPoint(
 /// exit code: nonzero when the bench failed, the write failed, or any
 /// measurement point was nondeterministic.
 inline int Finish(const Args& args, bool ok = true) {
-  const auto& cache = fabricsim::crypto::VerifyCache::Instance();
-  RecorderSlot()->SetVerifyCacheSample(
-      {cache.Hits(), cache.Misses(), cache.Evictions(),
-       static_cast<std::uint64_t>(cache.Size())});
   // MSP identity-cache aggregates (nonzero only when a point armed
   // --opt-msp-cache; the recorder omits the block otherwise).
   RecorderSlot()->SetMspCacheSample(
       {fabricsim::crypto::MspIdentityCache::GlobalHits(),
        fabricsim::crypto::MspIdentityCache::GlobalMisses(),
-       fabricsim::crypto::MspIdentityCache::GlobalEvictions(), 0});
+       fabricsim::crypto::MspIdentityCache::GlobalEvictions()});
   if (!RecorderSlot()->Deterministic()) {
     std::cerr << "bench: determinism violation across repetitions\n";
     ok = false;

@@ -97,11 +97,10 @@ std::uint64_t PeakRssKb() {
   return static_cast<std::uint64_t>(ru.ru_maxrss);  // Linux: kilobytes
 }
 
-Recorder::Recorder(std::string bench_name, std::string mode, bool crypto_cache,
-                   int reps, int jobs)
+Recorder::Recorder(std::string bench_name, std::string mode, int reps,
+                   int jobs)
     : bench_name_(std::move(bench_name)),
       mode_(std::move(mode)),
-      crypto_cache_(crypto_cache),
       reps_(reps),
       jobs_(jobs) {}
 
@@ -136,7 +135,6 @@ Json Recorder::ToJson() const {
   doc["bench"] = Json(bench_name_);
   Json config = Json::MakeObject();
   config["mode"] = Json(mode_);
-  config["crypto_cache"] = Json(crypto_cache_);
   config["reps"] = Json(reps_);
   doc["config"] = std::move(config);
   doc["deterministic"] = Json(deterministic_);
@@ -149,19 +147,6 @@ Json Recorder::ToJson() const {
                : 0.0);
   host["peak_rss_kb"] = Json(PeakRssKb());
   host["jobs"] = Json(jobs_);
-  if (cache_sample_) {
-    Json cache = Json::MakeObject();
-    cache["hits"] = Json(cache_sample_->hits);
-    cache["misses"] = Json(cache_sample_->misses);
-    cache["evictions"] = Json(cache_sample_->evictions);
-    cache["entries"] = Json(cache_sample_->entries);
-    const double total =
-        static_cast<double>(cache_sample_->hits + cache_sample_->misses);
-    cache["hit_rate"] =
-        Json(total > 0.0 ? static_cast<double>(cache_sample_->hits) / total
-                         : 0.0);
-    host["verify_cache"] = std::move(cache);
-  }
   if (msp_sample_ && (msp_sample_->hits + msp_sample_->misses +
                       msp_sample_->evictions) > 0) {
     Json cache = Json::MakeObject();

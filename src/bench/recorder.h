@@ -37,14 +37,13 @@ MeanStddev Summarize(const std::vector<double>& xs);
 /// Peak resident set size of this process in kilobytes (ru_maxrss).
 std::uint64_t PeakRssKb();
 
-/// Host-side signature-verification cache counters for the result file
-/// (see crypto::VerifyCache; copied here so the JSON layer does not depend
+/// MSP identity-cache counters for the result file (see
+/// crypto::MspIdentityCache; copied here so the JSON layer does not depend
 /// on the crypto headers).
-struct VerifyCacheSample {
+struct MspCacheSample {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t entries = 0;
 };
 
 /// Thread-safe: every mutating entry point locks, so misuse from sweep
@@ -58,8 +57,7 @@ class Recorder {
   /// `jobs` is the resolved sweep parallelism — recorded under "host"
   /// (informational), NOT under "config", so baselines recorded at one
   /// parallelism compare cleanly against runs at another.
-  Recorder(std::string bench_name, std::string mode, bool crypto_cache,
-           int reps, int jobs = 1);
+  Recorder(std::string bench_name, std::string mode, int reps, int jobs = 1);
 
   /// Records one measurement point. `label` identifies the point within the
   /// bench (config encoded, e.g. "Solo/AND5@250") and must be unique.
@@ -96,19 +94,11 @@ class Recorder {
     return points_.size();
   }
 
-  /// Snapshot of the verification-cache counters, emitted under
-  /// "host.verify_cache" (host-varying: the hit/miss split depends on
-  /// worker interleaving under parallel sweeps).
-  void SetVerifyCacheSample(const VerifyCacheSample& sample) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_sample_ = sample;
-  }
-
   /// Snapshot of the MSP identity-cache aggregates (crypto::
-  /// MspIdentityCache globals), emitted under "host.msp_cache" beside the
-  /// verify-cache block — but only when any counter is nonzero, so benches
-  /// that never arm --opt-msp-cache keep their existing document shape.
-  void SetMspCacheSample(const VerifyCacheSample& sample) {
+  /// MspIdentityCache globals), emitted under "host.msp_cache" — but only
+  /// when any counter is nonzero, so benches that never arm --opt-msp-cache
+  /// keep their existing document shape.
+  void SetMspCacheSample(const MspCacheSample& sample) {
     std::lock_guard<std::mutex> lock(mu_);
     msp_sample_ = sample;
   }
@@ -125,14 +115,12 @@ class Recorder {
   mutable std::mutex mu_;
   std::string bench_name_;
   std::string mode_;
-  bool crypto_cache_;
   int reps_;
   int jobs_;
   bool deterministic_ = true;
   double total_wall_s_ = 0.0;
   std::uint64_t total_events_ = 0;
-  std::optional<VerifyCacheSample> cache_sample_;
-  std::optional<VerifyCacheSample> msp_sample_;
+  std::optional<MspCacheSample> msp_sample_;
   bool emit_tracker_stats_ = false;
   Json::Array points_;
 };

@@ -1,7 +1,5 @@
 #include "crypto/msp_cache.h"
 
-#include "crypto/verify_cache.h"
-
 namespace fabricsim::crypto {
 
 std::atomic<std::uint64_t> MspIdentityCache::global_hits_{0};
@@ -9,13 +7,6 @@ std::atomic<std::uint64_t> MspIdentityCache::global_misses_{0};
 std::atomic<std::uint64_t> MspIdentityCache::global_evictions_{0};
 
 MspIdentityCache::Result MspIdentityCache::Lookup(proto::BytesView cert_bytes) {
-  if (!VerifyCache::Instance().Enabled()) {
-    // Escape hatch: verify in full, store nothing, report a miss. The
-    // registry's own memo still answers, so the *verdict* is identical —
-    // only the simulated cached-cost discount is forfeited.
-    return Result{msps_.CachedCertificate(cert_bytes), false};
-  }
-
   std::string key = proto::ToString(cert_bytes);
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++hits_;

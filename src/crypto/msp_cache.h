@@ -5,11 +5,10 @@
 // deserialize the creator/endorser certificate, walk its chain to the org's
 // root CA, check the CA signature. Thakkar et al. cache the verified
 // identity so later transactions pay only the ECDSA signature check. This
-// class models that cache *per committer*: unlike the process-global verify
-// cache (verify_cache.h), a hit here changes the committer's SIMULATED cost
-// (Calibration::vscc_cached_*), so the cache content must be deterministic —
-// it is, because lookups happen only on the single-threaded DES path, in
-// block/tx order.
+// class models that cache *per committer*: a hit here changes the
+// committer's SIMULATED cost (Calibration::vscc_cached_*), so the cache
+// content must be deterministic — it is, because lookups happen only on the
+// single-threaded DES path, in block/tx order.
 //
 // Poisoning discipline (PR 8): the key is the FULL serialized certificate —
 // no digest truncation — so a forged certificate can never alias onto an
@@ -18,9 +17,8 @@
 // ValidateCertificate: msp-id → root-of-trust → CA signature over the cert
 // body, i.e. the cached verdict binds identity + cert chain.
 //
-// The --no-crypto-cache escape hatch (VerifyCache::SetEnabled(false))
-// disables this cache too: one switch turns off every crypto cache, and a
-// disabled MSP cache means every lookup verifies in full and reports a miss.
+// The committer creates one only under --opt-msp-cache; without the knob
+// there is no cache and every VSCC job pays the uncached cost.
 #pragma once
 
 #include <atomic>
@@ -62,8 +60,8 @@ class MspIdentityCache {
   [[nodiscard]] std::size_t Size() const { return entries_.size(); }
 
   // Process-wide aggregates across every committer's cache, for the bench
-  // JSON host subtree (mirrors VerifyCache's counters; under parallel
-  // sweeps the totals include every concurrently running experiment).
+  // JSON host subtree (under parallel sweeps the totals include every
+  // concurrently running experiment).
   [[nodiscard]] static std::uint64_t GlobalHits() {
     return global_hits_.load(std::memory_order_relaxed);
   }

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/verify_cache.h"
-
 namespace fabricsim::crypto {
 namespace {
 
@@ -29,8 +27,8 @@ Signature Compose(const Digest& binder, const Digest& msg_digest) {
   return sig;
 }
 
-}  // namespace
-
+// The keystream binder bound to a public key: the per-key component of
+// signing and verification.
 Digest DeriveBinder(const Digest& public_key) {
   Sha256 h;
   h.Update(proto::BytesView(
@@ -38,6 +36,8 @@ Digest DeriveBinder(const Digest& public_key) {
   h.Update(proto::BytesView(public_key.data(), public_key.size()));
   return h.Finalize();
 }
+
+}  // namespace
 
 Signature Signature::FromBytes(proto::BytesView b) {
   Signature s;
@@ -72,16 +72,7 @@ bool Verify(const Digest& public_key, proto::BytesView msg,
 
 bool VerifyDigest(const Digest& public_key, const Digest& msg_digest,
                   const Signature& sig) {
-  VerifyCache& cache = VerifyCache::Instance();
-  if (!cache.Enabled()) {
-    return Compose(DeriveBinder(public_key), msg_digest) == sig;
-  }
-  if (const auto cached = cache.Lookup(public_key, msg_digest, sig)) {
-    return *cached;
-  }
-  const bool ok = Compose(cache.BinderFor(public_key), msg_digest) == sig;
-  cache.Insert(public_key, msg_digest, sig, ok);
-  return ok;
+  return Compose(DeriveBinder(public_key), msg_digest) == sig;
 }
 
 sim::SimDuration SignCost() { return sim::FromMicros(480); }

@@ -60,15 +60,11 @@ bool Verify(const Digest& public_key, proto::BytesView msg,
             const Signature& sig);
 
 /// Digest-level verification; callers that verify the same bytes many times
-/// (every peer re-validates every envelope) memoize the digest. Consults
-/// the process-wide crypto::VerifyCache (see verify_cache.h) unless it is
-/// disabled; the verdict is identical either way.
+/// (every peer re-validates every envelope) memoize the digest. A pure
+/// function: every call recomputes the signature, and no state is shared
+/// between callers or threads.
 bool VerifyDigest(const Digest& public_key, const Digest& msg_digest,
                   const Signature& sig);
-
-/// Derives the keystream binder bound to a public key (the per-key
-/// component of signing and verification). Exposed for the verify cache.
-Digest DeriveBinder(const Digest& public_key);
 
 /// Nominal CPU costs on the baseline machine (i7-2600), calibrated to
 /// OpenSSL ECDSA-P256 figures of that era plus Fabric's Go-runtime and

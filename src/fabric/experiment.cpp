@@ -3,7 +3,6 @@
 #include <string_view>
 
 #include "crypto/sha256.h"
-#include "crypto/verify_cache.h"
 #include "metrics/registry.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -38,8 +37,8 @@ std::vector<obs::ResourceUsage> CollectUsage(FabricNetwork& net,
 }
 
 /// Wires the standard instrument set into `reg`: queue depths and
-/// high-watermarks, cumulative sheds, scheduler backlog, verify-cache
-/// traffic, and tracker occupancy. All closures point into `net`, so the
+/// high-watermarks, cumulative sheds, scheduler backlog, and tracker
+/// occupancy. All closures point into `net`, so the
 /// caller must DropInstruments() before the network dies.
 void WireRegistry(metrics::Registry& reg, FabricNetwork& net) {
   sim::Scheduler* sched = &net.Env().Sched();
@@ -100,14 +99,6 @@ void WireRegistry(metrics::Registry& reg, FabricNetwork& net) {
   });
   reg.AddGauge("tracker.retired_records", [tracker] {
     return static_cast<double>(tracker->RetiredCount());
-  });
-  // Host-side (thread-interleaving-dependent under parallel sweeps), but the
-  // timeline is exposition-only — never compared by the regression gate.
-  reg.AddGauge("verify_cache.hits", [] {
-    return static_cast<double>(crypto::VerifyCache::Instance().Hits());
-  });
-  reg.AddGauge("verify_cache.misses", [] {
-    return static_cast<double>(crypto::VerifyCache::Instance().Misses());
   });
 }
 

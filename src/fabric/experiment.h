@@ -59,8 +59,8 @@ struct ExperimentConfig {
   /// tx after its commit retired the record).
   bool streaming_stats = false;
   /// Optional metrics registry: the runner wires standard gauges (queue
-  /// depths and high-watermarks, sheds, scheduler backlog, verify cache,
-  /// tracker occupancy) and samples them every `metrics_period` of simulated
+  /// depths and high-watermarks, sheds, scheduler backlog, tracker
+  /// occupancy) and samples them every `metrics_period` of simulated
   /// time on observer events — attaching it changes no simulated result.
   /// Reset + rewired each run; not owned. The caller exports the timeline
   /// with Registry::WriteJson/WritePrometheus afterwards.

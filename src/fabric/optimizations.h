@@ -9,9 +9,9 @@
 // committer (the determinism suite and the committed BENCH_*.json baselines
 // enforce this).
 //
-// Unlike the host-side verify cache (crypto/verify_cache.h), these knobs
-// deliberately CHANGE simulated service times — that is the point: they
-// model the optimized peer, not a faster way to simulate the baseline one.
+// These knobs deliberately CHANGE simulated service times — that is the
+// point: they model the optimized peer, not a faster way to simulate the
+// baseline one.
 #pragma once
 
 namespace fabricsim::fabric {
@@ -20,7 +20,7 @@ struct OptimizationOptions {
   /// MSP identity-verification cache at the committer: the first VSCC
   /// touching an identity pays the full certificate deserialize + chain
   /// walk; later VSCCs pay only the ECDSA verify (Calibration::
-  /// vscc_cached_* constants). Honors the --no-crypto-cache escape hatch.
+  /// vscc_cached_* constants).
   bool msp_cache = false;
   /// Dedicated VSCC validation workers: > 0 gives the committer its own
   /// N-core modeled worker pool for per-tx validation instead of sharing

@@ -10,9 +10,8 @@
 // a serial run; only host wall-clock differs.
 //
 // Shared host state the points touch concurrently (and which is therefore
-// thread-safe): the striped crypto::VerifyCache, the SHA-256 dispatch
-// once-flag, and the immutable default calibration table. Anything else a
-// point needs it owns.
+// thread-safe): the SHA-256 dispatch once-flag and the immutable default
+// calibration table. Anything else a point needs it owns.
 #pragma once
 
 #include <string>

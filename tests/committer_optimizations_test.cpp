@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/verify_cache.h"
 #include "fabric/channel.h"
 #include "fabric/optimizations.h"
 #include "policy/parser.h"
@@ -149,12 +148,7 @@ std::pair<CodeSeq, CodeSeq> RunBoth(const fabric::OptimizationOptions& opt) {
   return {base_codes, opt_codes};
 }
 
-class CommitterVsccWorkersTest : public ::testing::Test {
- protected:
-  void TearDown() override { crypto::VerifyCache::Instance().SetEnabled(true); }
-};
-
-TEST_F(CommitterVsccWorkersTest, VerdictsMatchSerialValidation) {
+TEST(CommitterVsccWorkersTest, VerdictsMatchSerialValidation) {
   fabric::OptimizationOptions opt;
   opt.vscc_workers = 4;
   const auto [base, with] = RunBoth(opt);
@@ -165,7 +159,7 @@ TEST_F(CommitterVsccWorkersTest, VerdictsMatchSerialValidation) {
   EXPECT_EQ(with[1][3], proto::ValidationCode::kDuplicateTxId);
 }
 
-TEST_F(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
+TEST(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
   // Parallel VSCC must not reorder commits: blocks delivered out of order
   // still commit 0, 1, 2.
   Fixture f;
@@ -188,7 +182,7 @@ TEST_F(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
   EXPECT_TRUE(f.committer->Chain().Audit().ok);
 }
 
-TEST_F(CommitterVsccWorkersTest, WideBlockExercisesThePrecomputePool) {
+TEST(CommitterVsccWorkersTest, WideBlockExercisesThePrecomputePool) {
   // 32 transactions in one block drive the host-side signer precompute
   // across the pool threads (the TSan target: concurrent VerifiedSigners
   // against the shared, mutexed MspRegistry).
@@ -249,6 +243,40 @@ TEST(CommitterOptimizations, MspCacheChangesNoVerdictsAndCountsHits) {
   // endorser), so the cache must have hit.
   EXPECT_GT(f.committer->MspCache()->Hits(), 0u);
   EXPECT_GT(f.committer->MspCache()->Misses(), 0u);
+}
+
+TEST(CommitterOptimizations, OptMspCacheAloneDecidesTheMspCache) {
+  // Three transactions from one client, four endorsements by two peers:
+  // identities repeat, so a cache would hit from the second lookup on.
+  auto block = [](Fixture& f) {
+    return f.MakeBlock({f.MakeTx("a", {f.peer1.get()}, {"k1"}),
+                        f.MakeTx("b", {f.peer1.get()}, {"k2"}),
+                        f.MakeTx("c", {f.peer2.get(), f.peer1.get()}, {"k3"})});
+  };
+  const fabric::Calibration& cal = fabric::DefaultCalibration();
+
+  // Knob off: no cache, and every VSCC job is charged the uncached cost.
+  // VSCC is the only work on the peer CPU, so its busy time is their sum.
+  Fixture off;
+  off.Commit(block(off));
+  EXPECT_EQ(off.committer->MspCache(), nullptr);
+  const sim::Cpu& off_cpu = off.machine->GetCpu();
+  sim::SimDuration uncached = 0;
+  for (const int endorsements : {1, 1, 2}) {
+    uncached += off_cpu.ScaledCost(cal.vscc_base_cpu +
+                                   endorsements * cal.vscc_per_endorsement_cpu);
+  }
+  EXPECT_EQ(off_cpu.BusyTime(), uncached);
+
+  // Knob on: the cache records hits, and its hits make VSCC cheaper.
+  Fixture on;
+  fabric::OptimizationOptions opt;
+  opt.msp_cache = true;
+  on.committer->SetOptimizations(opt);
+  on.Commit(block(on));
+  ASSERT_NE(on.committer->MspCache(), nullptr);
+  EXPECT_GT(on.committer->MspCache()->Hits(), 0u);
+  EXPECT_LT(on.machine->GetCpu().BusyTime(), uncached);
 }
 
 TEST(CommitterOptimizations, AllKnobsTogetherMatchBaselineVerdicts) {

@@ -1,9 +1,8 @@
 // The determinism contract behind the bench regression gate: the same
 // configuration (which fixes the RNG seed) must produce bit-identical
 // simulated results — the same chain tip hash, counts, and latencies — on
-// every run, for every consenter type, and regardless of host-side
-// accelerations (the signature-verification cache memoizes *host* work
-// only; simulated CPU costs are charged at every verification site).
+// every run, for every consenter type, and regardless of host-side choices
+// such as the tracker's accounting mode or ledger retention.
 //
 // bench_diff compares the "simulated" subtree of the bench JSON exactly, so
 // any failure here would surface as a phantom regression in CI.
@@ -11,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "crypto/verify_cache.h"
 #include "fabric/experiment.h"
 
 namespace fabricsim::fabric {
@@ -50,38 +48,13 @@ Fingerprint RunOnce(const ExperimentConfig& config) {
                      r.report.end_to_end.p99_latency_s};
 }
 
-class DeterminismTest : public ::testing::TestWithParam<OrderingType> {
- protected:
-  void TearDown() override {
-    crypto::VerifyCache::Instance().SetEnabled(true);
-  }
-};
+class DeterminismTest : public ::testing::TestWithParam<OrderingType> {};
 
 TEST_P(DeterminismTest, RepeatRunsAreBitIdentical) {
   const ExperimentConfig config = ShortConfig(GetParam());
   const Fingerprint first = RunOnce(config);
   const Fingerprint second = RunOnce(config);
   EXPECT_EQ(first, second);
-}
-
-TEST_P(DeterminismTest, VerifyCacheDoesNotChangeSimulatedResults) {
-  const ExperimentConfig config = ShortConfig(GetParam());
-
-  auto& cache = crypto::VerifyCache::Instance();
-  cache.SetEnabled(true);
-  cache.Clear();
-  cache.ResetStats();
-  const Fingerprint cached = RunOnce(config);
-  // The run must actually have exercised the cache, or this test proves
-  // nothing about it.
-  EXPECT_GT(cache.Hits(), 0u);
-
-  cache.SetEnabled(false);
-  cache.ResetStats();
-  const Fingerprint uncached = RunOnce(config);
-  EXPECT_EQ(cache.Hits() + cache.Misses(), 0u);  // fully bypassed
-
-  EXPECT_EQ(cached, uncached);
 }
 
 ExperimentConfig AllKnobsConfig(OrderingType ordering) {
@@ -114,19 +87,6 @@ TEST_P(DeterminismTest, StreamingTrackerMatchesFullWithAllKnobs) {
   config.streaming_stats = true;
   const Fingerprint streaming = RunOnce(config);
   EXPECT_EQ(full, streaming);
-}
-
-TEST_P(DeterminismTest, EscapeHatchRunsAreDeterministicWithAllKnobs) {
-  // --no-crypto-cache disables the MSP identity cache too, which CHANGES
-  // the simulated costs (every lookup pays the uncached price) — that is
-  // the knob contract, not a bug. What must still hold: the escape-hatch
-  // runs are bit-identical to each other.
-  const ExperimentConfig config = AllKnobsConfig(GetParam());
-  auto& cache = crypto::VerifyCache::Instance();
-  cache.SetEnabled(false);
-  const Fingerprint first = RunOnce(config);
-  const Fingerprint second = RunOnce(config);
-  EXPECT_EQ(first, second);
 }
 
 TEST_P(DeterminismTest, BoundedRetentionMatchesUnbounded) {

@@ -1,14 +1,12 @@
 // Cache-poisoning negative tests for the MSP identity-verification cache —
-// the --opt-msp-cache knob's security discipline, mirroring the verify-cache
-// suite (crypto_verify_cache_test.cpp).
+// the --opt-msp-cache knob's security discipline.
 //
 // The cache memoizes full serialized certificate bytes -> verified identity.
 // The security property under test: a forged certificate can never produce —
 // or hit — a cached valid identity, because the key is the untruncated
 // serialization and the cached verdict binds identity + cert chain
-// (MspRegistry::ValidateCertificate). Unlike the verify cache, a hit here
-// changes the committer's SIMULATED cost, so the escape hatch
-// (--no-crypto-cache) and the stats the bench JSON exports are also pinned.
+// (MspRegistry::ValidateCertificate). A hit here changes the committer's
+// SIMULATED cost, so the stats the bench JSON exports are also pinned.
 #include "crypto/msp_cache.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +15,6 @@
 
 #include "crypto/ca.h"
 #include "crypto/identity.h"
-#include "crypto/verify_cache.h"
 #include "proto/bytes.h"
 
 namespace fabricsim::crypto {
@@ -26,13 +23,10 @@ namespace {
 class MspCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    VerifyCache::Instance().SetEnabled(true);
-    VerifyCache::Instance().Clear();
     MspIdentityCache::ResetGlobalStats();
     org_ = &msps_.AddOrganization("Org1MSP");
     honest_ = org_->Enroll("peer0", Role::kPeer).Cert();
   }
-  void TearDown() override { VerifyCache::Instance().SetEnabled(true); }
 
   MspRegistry msps_;
   const CertificateAuthority* org_ = nullptr;
@@ -92,30 +86,6 @@ TEST_F(MspCacheTest, UnknownMspCachedInvalid) {
   const auto again = cache.Lookup(foreign.Serialize());
   EXPECT_EQ(again.cert, nullptr);
   EXPECT_TRUE(again.hit);
-}
-
-TEST_F(MspCacheTest, EscapeHatchDisablesCachingEntirely) {
-  // --no-crypto-cache (VerifyCache::SetEnabled(false)) is the single escape
-  // hatch for every crypto cache: lookups verify in full, report a miss,
-  // and store nothing — so the caller always charges the uncached cost.
-  VerifyCache::Instance().SetEnabled(false);
-  MspIdentityCache cache(msps_);
-  const proto::Bytes bytes = honest_.Serialize();
-  for (int i = 0; i < 3; ++i) {
-    const auto r = cache.Lookup(bytes);
-    EXPECT_NE(r.cert, nullptr);
-    EXPECT_FALSE(r.hit);
-  }
-  EXPECT_EQ(cache.Size(), 0u);
-  EXPECT_EQ(cache.Hits(), 0u);
-  EXPECT_EQ(cache.Misses(), 0u);
-  EXPECT_EQ(MspIdentityCache::GlobalHits() + MspIdentityCache::GlobalMisses(),
-            0u);
-
-  // Re-enabling resumes normal memoization.
-  VerifyCache::Instance().SetEnabled(true);
-  EXPECT_FALSE(cache.Lookup(bytes).hit);
-  EXPECT_TRUE(cache.Lookup(bytes).hit);
 }
 
 TEST_F(MspCacheTest, WholesaleClearRecomputesHonestly) {

@@ -55,7 +55,7 @@ std::vector<PointOutcome> RunWithJobs(int jobs) {
 // deterministic ("points" + "config") portion of the document. Host wall
 // times are excluded (zeroed) — they are the only thing allowed to differ.
 std::string RecorderFingerprint(const std::vector<PointOutcome>& outcomes) {
-  bench::Recorder recorder("runner_sweep_test", "test", true, 1, 1);
+  bench::Recorder recorder("runner_sweep_test", "test", 1, 1);
   for (const PointOutcome& outcome : outcomes) {
     bench::HostSample host;  // wall_s deliberately empty
     host.sched_events = outcome.result.sched_events;
