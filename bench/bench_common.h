@@ -1,7 +1,8 @@
 // Shared helpers for the paper-reproduction bench binaries.
 //
-// Each binary regenerates one table or figure of the paper. Binaries accept
-// optional flags:
+// Each binary runs one measurement grid once and prints every table drawn
+// from it (paper_sweep: the paper's Figs. 2-7; endorser_scaling: its Tables
+// II-III). Binaries accept optional flags:
 //   --quick            smaller sweeps / shorter windows (CI-friendly)
 //   --smoke            smallest tier: the regression-gate sweep (subset of
 //                      points, short windows); implies --quick durations
@@ -290,14 +291,6 @@ inline void PrintTable(const fabricsim::metrics::Table& table,
   } else {
     table.Print(std::cout);
   }
-}
-
-/// The arrival-rate sweep used by Figs. 2-7 (the paper sweeps to ~450 tps).
-/// Smoke keeps one pre-knee and one at-knee point.
-inline std::vector<double> RateSweep(const Args& args) {
-  if (args.smoke) return {150, 250};
-  if (args.quick) return {50, 150, 250, 350};
-  return {25, 50, 100, 150, 200, 250, 300, 350, 400, 450};
 }
 
 /// Applies the default measurement durations (shorter with --quick/--smoke).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 
 namespace fabricsim::bench {
 
@@ -37,6 +38,20 @@ std::string Brief(const Json& v) {
       return "<array>";
   }
   return "<?>";
+}
+
+// Points join on their label, so a label must name one point per document:
+// with a duplicate, all but one of its points would go uncompared.
+void CheckUniqueLabels(const Json& points, const char* which,
+                       DiffReport* report) {
+  std::set<std::string> seen;
+  for (const Json& p : points.AsArray()) {
+    const Json* label = p.Find("label");
+    if (label != nullptr && label->IsString() &&
+        !seen.insert(label->AsString()).second) {
+      Fail(report, which, "duplicate point label " + Brief(*label));
+    }
+  }
 }
 
 /// Recursive exact comparison (used for the whole "simulated" subtree).
@@ -175,6 +190,10 @@ DiffReport CompareBenchJson(const Json& baseline, const Json& current,
       !cpoints->IsArray()) {
     return report;
   }
+
+  CheckUniqueLabels(*bpoints, "baseline", &report);
+  CheckUniqueLabels(*cpoints, "current", &report);
+  if (!report.Ok()) return report;
 
   std::map<std::string, const Json*> current_by_label;
   for (const Json& p : cpoints->AsArray()) {

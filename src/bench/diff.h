@@ -30,8 +30,8 @@ struct DiffReport {
 };
 
 /// Compares `current` against `baseline`. Structural problems (missing
-/// points, config mismatch) are failures too — the gate must never pass
-/// because the comparison silently skipped something.
+/// points, duplicate point labels, config mismatch) are failures too — the
+/// gate must never pass because the comparison silently skipped something.
 DiffReport CompareBenchJson(const Json& baseline, const Json& current,
                             const DiffOptions& options);
 

@@ -94,7 +94,7 @@ Json Doc() {
 
   Json doc = Json::MakeObject();
   doc["schema_version"] = 1;
-  doc["bench"] = "fig2_overall_throughput";
+  doc["bench"] = "paper_sweep";
   Json config = Json::MakeObject();
   config["mode"] = "smoke";
   config["reps"] = 3;
@@ -209,6 +209,27 @@ TEST(BenchDiff, MissingPointFailsBothDirections) {
   EXPECT_FALSE(CompareBenchJson(base, dropped, DiffOptions{}).Ok());
   // Extra current points mean the baseline is stale: also a failure.
   EXPECT_FALSE(CompareBenchJson(dropped, base, DiffOptions{}).Ok());
+}
+
+TEST(BenchDiff, DuplicateLabelFails) {
+  // Points join on their label: a repeated label would leave one of its
+  // points uncompared, so it is a structural failure in either document.
+  const Json base = Doc();
+  Json dup = Doc();
+  dup["points"].AsArray()[1]["label"] = "Solo/OR@150";
+  Json dup_extra = Doc();
+  const Json first = Point(dup_extra, 0);
+  dup_extra["points"].AsArray().push_back(first);
+  for (const Json* cur : {&dup, &dup_extra}) {
+    const auto report = CompareBenchJson(base, *cur, DiffOptions{});
+    ASSERT_FALSE(report.Ok());
+    EXPECT_NE(report.failures[0].find("current: duplicate point label"),
+              std::string::npos)
+        << report.failures[0];
+    EXPECT_FALSE(CompareBenchJson(*cur, base, DiffOptions{}).Ok());
+  }
+  // Both documents carrying the same duplicate still fails.
+  EXPECT_FALSE(CompareBenchJson(dup_extra, dup_extra, DiffOptions{}).Ok());
 }
 
 TEST(BenchDiff, ConfigMismatchFailsBeforeMetricComparison) {
