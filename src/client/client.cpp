@@ -117,7 +117,7 @@ void Client::Submit(proto::ChaincodeInvocation inv,
   nonce.U64(nonce_counter_++);
   nonce.U64(rng_.Next());
   p.nonce = nonce.Take();
-  p.creator_cert = identity_.Cert().Serialize();
+  p.creator_cert = identity_.SerializedCert();
   p.invocation = std::move(inv);
   p.client_timestamp = env_.Now();
   p.tx_id = proto::Proposal::ComputeTxId(p.nonce, p.creator_cert);
@@ -492,7 +492,7 @@ void Client::BroadcastEnvelope(const std::string& tx_id) {
       env->endorsements.push_back(r.endorsement);
     }
     env->client_timestamp = env_.Now();
-    env->client_signature = identity_.Sign(env->SignedBody());
+    env->Sign(identity_);
     tx.envelope = env;
     tx.envelope_bytes = env->WireSize();
     if (tracker_ != nullptr) tracker_->MarkEndorsed(tx_id, env_.Now());

@@ -49,7 +49,7 @@ bool MspRegistry::ValidateCertificate(const Certificate& cert) const {
 
 const Certificate* MspRegistry::CachedCertificate(
     proto::BytesView cert_bytes) const {
-  std::string key = proto::ToString(cert_bytes);
+  const std::string_view key = proto::AsStringView(cert_bytes);
   {
     std::lock_guard<std::mutex> lock(cert_cache_mu_);
     auto it = cert_cache_.find(key);
@@ -61,7 +61,7 @@ const Certificate* MspRegistry::CachedCertificate(
   std::optional<Certificate> parsed = Certificate::Deserialize(cert_bytes);
   if (parsed && !ValidateCertificate(*parsed)) parsed.reset();
   std::lock_guard<std::mutex> lock(cert_cache_mu_);
-  auto it = cert_cache_.emplace(std::move(key), std::move(parsed)).first;
+  auto it = cert_cache_.try_emplace(std::string(key), std::move(parsed)).first;
   return it->second ? &*it->second : nullptr;
 }
 

@@ -75,9 +75,9 @@ class MspRegistry {
  private:
   std::unordered_map<std::string, std::unique_ptr<CertificateAuthority>> cas_;
   // Identity cache: serialized cert bytes -> validated cert (or nullopt).
+  // Probed by string_view, so a hit allocates nothing.
   mutable std::mutex cert_cache_mu_;
-  mutable std::unordered_map<std::string, std::optional<Certificate>>
-      cert_cache_;
+  mutable proto::StringMap<std::optional<Certificate>> cert_cache_;
 };
 
 }  // namespace fabricsim::crypto

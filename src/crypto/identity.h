@@ -53,9 +53,16 @@ struct Principal {
 class Identity {
  public:
   Identity(Certificate cert, KeyPair keys)
-      : cert_(std::move(cert)), keys_(std::move(keys)) {}
+      : cert_(std::move(cert)),
+        keys_(std::move(keys)),
+        serialized_cert_(cert_.Serialize()) {}
 
   [[nodiscard]] const Certificate& Cert() const { return cert_; }
+  /// Cert().Serialize(), built once: every proposal, endorsement, envelope
+  /// and block this identity signs shares the one buffer.
+  [[nodiscard]] const proto::SharedBytes& SerializedCert() const {
+    return serialized_cert_;
+  }
   [[nodiscard]] const std::string& MspId() const { return cert_.msp_id; }
   [[nodiscard]] const std::string& Subject() const { return cert_.subject; }
   [[nodiscard]] Role GetRole() const { return cert_.role; }
@@ -74,6 +81,7 @@ class Identity {
  private:
   Certificate cert_;
   KeyPair keys_;
+  proto::SharedBytes serialized_cert_;
 };
 
 }  // namespace fabricsim::crypto

@@ -7,7 +7,7 @@ std::atomic<std::uint64_t> MspIdentityCache::global_misses_{0};
 std::atomic<std::uint64_t> MspIdentityCache::global_evictions_{0};
 
 MspIdentityCache::Result MspIdentityCache::Lookup(proto::BytesView cert_bytes) {
-  std::string key = proto::ToString(cert_bytes);
+  const std::string_view key = proto::AsStringView(cert_bytes);
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++hits_;
     global_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -28,7 +28,7 @@ MspIdentityCache::Result MspIdentityCache::Lookup(proto::BytesView cert_bytes) {
   // or hit a negative entry under its own full-bytes key.
   std::optional<Certificate> parsed = Certificate::Deserialize(cert_bytes);
   if (parsed && !msps_.ValidateCertificate(*parsed)) parsed.reset();
-  auto [it, inserted] = entries_.emplace(std::move(key), std::move(parsed));
+  auto it = entries_.try_emplace(std::string(key), std::move(parsed)).first;
   return Result{it->second ? &*it->second : nullptr, false};
 }
 

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "crypto/ca.h"
 #include "proto/bytes.h"
@@ -81,7 +80,8 @@ class MspIdentityCache {
   const MspRegistry& msps_;
   // Full cert bytes -> verified cert (nullopt = verified invalid). The full
   // key means a hash collision can only slow a lookup, never flip it.
-  std::unordered_map<std::string, std::optional<Certificate>> entries_;
+  // Probed by string_view: only a miss builds the key.
+  proto::StringMap<std::optional<Certificate>> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

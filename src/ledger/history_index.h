@@ -56,7 +56,8 @@ class HistoryIndex {
   [[nodiscard]] std::size_t TrackedKeys() const;
 
  private:
-  StringMap<StringMap<std::vector<KeyModification>>> index_;  // ns -> key
+  // ns -> key -> modifications
+  proto::StringMap<proto::StringMap<std::vector<KeyModification>>> index_;
   std::size_t per_key_cap_ = 0;
   static const std::vector<KeyModification> kEmpty;
 };

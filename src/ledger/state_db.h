@@ -15,11 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,19 +25,6 @@
 #include "proto/rwset.h"
 
 namespace fabricsim::ledger {
-
-/// Hash for string-keyed maps that also accepts std::string_view probes
-/// (heterogeneous lookup: find() without allocating a key).
-struct StringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
-/// An unordered_map keyed by std::string that looks up by string_view.
-template <typename V>
-using StringMap = std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// A value with its version, as stored.
 struct VersionedValue {
@@ -109,7 +94,7 @@ class StateDb {
       return *this;
     }
 
-    StringMap<VersionedValue> keys;
+    proto::StringMap<VersionedValue> keys;
     mutable std::vector<const Entry*> sorted;  // by key, when sorted_valid
     mutable bool sorted_valid = false;
   };
@@ -123,7 +108,7 @@ class StateDb {
   static const std::vector<const Namespace::Entry*>& Sorted(
       const Namespace& space);
 
-  StringMap<Namespace> namespaces_;
+  proto::StringMap<Namespace> namespaces_;
   std::uint64_t height_ = 0;
 };
 

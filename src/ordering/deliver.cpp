@@ -16,7 +16,7 @@ AssembledBlock BlockAssembler::Assemble(const Batch& batch) {
       next_number_, next_number_ == 0 ? nullptr : &prev_hash_, batch));
 
   // Orderer signs the header; validation codes are filled by committers.
-  block->metadata.orderer_cert = signer_.Cert().Serialize();
+  block->metadata.orderer_cert = signer_.SerializedCert();
   block->metadata.orderer_signature = signer_.Sign(block->header.Serialize());
 
   AssembledBlock out;

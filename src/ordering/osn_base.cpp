@@ -329,7 +329,7 @@ AssembledBlock OsnBase::ForgedVariant(const AssembledBlock& b) const {
   auto forged = std::make_shared<proto::Block>(
       proto::Block::Make(b.block->header.number,
                          &b.block->header.previous_hash, std::move(txs)));
-  forged->metadata.orderer_cert = identity_.Cert().Serialize();
+  forged->metadata.orderer_cert = identity_.SerializedCert();
   forged->metadata.orderer_signature =
       identity_.Sign(forged->header.Serialize());
   AssembledBlock out = b;

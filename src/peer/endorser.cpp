@@ -77,7 +77,7 @@ proto::ProposalResponse Endorser::Process(
   out.payload.rwset = std::move(stub).TakeRwSet();
   out.payload.chaincode_result = std::move(result.payload);
   out.payload.status = proto::EndorseStatus::kSuccess;
-  out.endorsement.endorser_cert = identity_.Cert().Serialize();
+  out.endorsement.endorser_cert = identity_.SerializedCert();
   out.endorsement.signature = identity_.Sign(out.payload.Serialize());
   if (forge_signatures_) {
     // Forge-endorsement attack: flip a byte so the signature no longer

@@ -38,7 +38,7 @@ struct BlockHeader {
 /// orderer's signature over the header.
 struct BlockMetadata {
   std::vector<ValidationCode> validation_codes;
-  Bytes orderer_cert;
+  SharedBytes orderer_cert;  // serialized crypto::Certificate
   crypto::Signature orderer_signature{};
 
   [[nodiscard]] Bytes Serialize() const;

@@ -6,14 +6,18 @@
 // and (2) stable byte strings for hashing and signing.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace fabricsim::proto {
@@ -26,6 +30,53 @@ Bytes ToBytes(std::string_view s);
 
 /// Converts bytes to a std::string (may contain NULs).
 std::string ToString(BytesView b);
+
+/// The same bytes viewed as characters, for string-keyed lookups.
+inline std::string_view AsStringView(BytesView b) {
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
+/// Hash for string-keyed maps that also accepts std::string_view probes
+/// (heterogeneous lookup: find() without allocating a key).
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// An unordered_map keyed by std::string that looks up by string_view.
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+
+/// An immutable byte buffer shared by handle: copies point at one
+/// allocation, so a serialized certificate is stored once per identity
+/// however many proposals, endorsements, envelopes and blocks carry it.
+/// Reads go through BytesView; equality compares content.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  SharedBytes(Bytes bytes)  // NOLINT(google-explicit-constructor)
+      : bytes_(std::make_shared<const Bytes>(std::move(bytes))) {}
+
+  operator BytesView() const {  // NOLINT(google-explicit-constructor)
+    return bytes_ ? BytesView(*bytes_) : BytesView();
+  }
+  [[nodiscard]] const std::uint8_t* data() const {
+    return bytes_ ? bytes_->data() : nullptr;
+  }
+  [[nodiscard]] std::size_t size() const { return bytes_ ? bytes_->size() : 0; }
+
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    const BytesView x = a;
+    const BytesView y = b;
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  }
+
+ private:
+  std::shared_ptr<const Bytes> bytes_;
+};
 
 /// Lowercase hex encoding.
 std::string ToHex(BytesView b);
@@ -136,8 +187,6 @@ class CachedValue {
   mutable std::optional<T> cached_;
   mutable std::atomic<bool> ready_{false};
 };
-
-using CachedBytes = CachedValue<Bytes>;
 
 /// Matching decoder. Throws std::out_of_range on truncated input.
 class Reader {

@@ -33,7 +33,7 @@ struct Proposal {
   std::string channel_id;
   std::string tx_id;
   Bytes nonce;
-  Bytes creator_cert;  // serialized crypto::Certificate
+  SharedBytes creator_cert;  // serialized crypto::Certificate
   ChaincodeInvocation invocation;
   sim::SimTime client_timestamp = 0;
 
@@ -86,7 +86,7 @@ struct ProposalResponsePayload {
 
 /// One endorsement: who signed and their signature over the payload bytes.
 struct Endorsement {
-  Bytes endorser_cert;  // serialized crypto::Certificate
+  SharedBytes endorser_cert;  // serialized crypto::Certificate
   crypto::Signature signature{};
 
   bool operator==(const Endorsement&) const = default;

@@ -26,20 +26,18 @@ std::string ValidationCodeName(ValidationCode c) {
   return "UNKNOWN";
 }
 
-const Bytes& TransactionEnvelope::SignedBody() const {
-  return signed_body_cache_.Get([this] {
-    Writer w;
-    w.Str(channel_id);
-    w.Str(tx_id);
-    w.Blob(creator_cert);
-    w.Blob(rwset.Serialize());
-    w.Blob(chaincode_result);
-    w.Str(chaincode_id);
-    w.U32(static_cast<std::uint32_t>(endorsements.size()));
-    for (const auto& e : endorsements) w.Blob(e.Serialize());
-    w.I64(client_timestamp);
-    return w.Take();
-  });
+Bytes TransactionEnvelope::SignedBody() const {
+  Writer w;
+  w.Str(channel_id);
+  w.Str(tx_id);
+  w.Blob(creator_cert);
+  w.Blob(rwset.Serialize());
+  w.Blob(chaincode_result);
+  w.Str(chaincode_id);
+  w.U32(static_cast<std::uint32_t>(endorsements.size()));
+  for (const auto& e : endorsements) w.Blob(e.Serialize());
+  w.I64(client_timestamp);
+  return w.Take();
 }
 
 Bytes TransactionEnvelope::Serialize() const {
@@ -49,27 +47,43 @@ Bytes TransactionEnvelope::Serialize() const {
   return w.Take();
 }
 
-std::size_t TransactionEnvelope::WireSize() const {
-  return kBlobPrefixBytes + SignedBody().size() + kBlobPrefixBytes +
-         client_signature.bytes.size();
-}
-
-crypto::Digest TransactionEnvelope::LeafHash() const {
-  const Bytes& body = SignedBody();
+TransactionEnvelope::BodyMemo TransactionEnvelope::MemoOf(
+    const Bytes& body) const {
   const auto body_prefix = BlobPrefix(body.size());
   const auto sig_prefix = BlobPrefix(client_signature.bytes.size());
   const BytesView parts[] = {body_prefix, body, sig_prefix,
                              client_signature.bytes};
-  return crypto::MerkleTree::HashLeafParts(parts);
+  return BodyMemo{body.size(), crypto::Hash(body),
+                  crypto::MerkleTree::HashLeafParts(parts)};
+}
+
+const TransactionEnvelope::BodyMemo& TransactionEnvelope::Body() const {
+  return body_.Get([this] { return MemoOf(SignedBody()); });
+}
+
+void TransactionEnvelope::Sign(const crypto::Identity& client) {
+  const Bytes body = SignedBody();
+  client_signature = client.Sign(body);
+  InvalidateCaches();
+  body_.Get([&] { return MemoOf(body); });
+}
+
+std::size_t TransactionEnvelope::WireSize() const {
+  return kBlobPrefixBytes + Body().body_size + kBlobPrefixBytes +
+         client_signature.bytes.size();
+}
+
+crypto::Digest TransactionEnvelope::LeafHash() const {
+  return Body().leaf_hash;
 }
 
 const crypto::Digest& TransactionEnvelope::SignedBodyDigest() const {
-  return signed_body_digest_.Get([this] { return crypto::Hash(SignedBody()); });
+  return Body().body_digest;
 }
 
 const crypto::Digest& TransactionEnvelope::EndorsedPayloadDigest() const {
   return endorsed_payload_digest_.Get(
-      [this] { return crypto::Hash(EndorsedPayloadBytes()); });
+      [this] { return crypto::Hash(EndorsedPayload()); });
 }
 
 const std::optional<std::vector<crypto::Principal>>&
@@ -113,10 +127,9 @@ TransactionEnvelope::VerifiedSigners(const crypto::MspRegistry& msps) const {
 }
 
 void TransactionEnvelope::InvalidateCaches() const {
-  signed_body_cache_.Invalidate();
-  endorsed_payload_cache_.Invalidate();
-  signed_body_digest_.Invalidate();
+  body_.Invalidate();
   endorsed_payload_digest_.Invalidate();
+  endorsed_payload_cache_.Invalidate();
   signers_.Reset();
 }
 
@@ -152,18 +165,20 @@ std::optional<TransactionEnvelope> TransactionEnvelope::Deserialize(
   }
 }
 
-const Bytes& TransactionEnvelope::EndorsedPayloadBytes() const {
+Bytes TransactionEnvelope::EndorsedPayload() const {
   // Must match what the endorser signed: the ProposalResponsePayload bytes.
   // The envelope carries the rwset and result; the proposal hash is bound
   // via the tx id (both derive from the same proposal).
-  return endorsed_payload_cache_.Get([this] {
-    ProposalResponsePayload payload;
-    payload.proposal_hash = crypto::HashStr(tx_id);
-    payload.rwset = rwset;
-    payload.chaincode_result = chaincode_result;
-    payload.status = EndorseStatus::kSuccess;
-    return payload.Serialize();
-  });
+  ProposalResponsePayload payload;
+  payload.proposal_hash = crypto::HashStr(tx_id);
+  payload.rwset = rwset;
+  payload.chaincode_result = chaincode_result;
+  payload.status = EndorseStatus::kSuccess;
+  return payload.Serialize();
+}
+
+const Bytes& TransactionEnvelope::EndorsedPayloadBytes() const {
+  return endorsed_payload_cache_.Get([this] { return EndorsedPayload(); });
 }
 
 }  // namespace fabricsim::proto

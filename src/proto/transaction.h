@@ -43,7 +43,7 @@ std::string ValidationCodeName(ValidationCode c);
 struct TransactionEnvelope {
   std::string channel_id;
   std::string tx_id;
-  Bytes creator_cert;  // client certificate
+  SharedBytes creator_cert;  // serialized client crypto::Certificate
   TxReadWriteSet rwset;
   Bytes chaincode_result;
   std::string chaincode_id;
@@ -51,32 +51,38 @@ struct TransactionEnvelope {
   crypto::Signature client_signature{};
   sim::SimTime client_timestamp = 0;
 
-  /// Canonical bytes the client signs (everything but the signature).
-  /// Cached after first use; mutating a *copy* re-serializes (see
-  /// proto::CachedBytes).
-  [[nodiscard]] const Bytes& SignedBody() const;
+  /// Fresh canonical bytes the client signs (everything but the signature).
+  /// Built on every call; the envelope keeps only the size and digests
+  /// derived from them.
+  [[nodiscard]] Bytes SignedBody() const;
+
+  /// Sets client_signature to client.Sign(SignedBody()) and fills the size
+  /// and hash memo from the same build of the body.
+  void Sign(const crypto::Identity& client);
 
   /// Fresh canonical bytes: blob(SignedBody()) || blob(signature). The
-  /// simulation never builds them; sizes and hashes come from the parts
+  /// simulation never builds them; sizes and hashes come from the memo
   /// (WireSize, LeafHash).
   [[nodiscard]] Bytes Serialize() const;
   static std::optional<TransactionEnvelope> Deserialize(BytesView data);
 
-  /// Serialize().size(), from the part sizes.
+  /// Serialize().size(), from the memoized body size.
   [[nodiscard]] std::size_t WireSize() const;
 
-  /// crypto::MerkleTree::HashLeaf(Serialize()), streamed from the parts.
+  /// crypto::MerkleTree::HashLeaf(Serialize()), memoized.
   [[nodiscard]] crypto::Digest LeafHash() const;
 
-  /// Bytes each endorser signed for this envelope's rwset/result; used by
-  /// VSCC to re-verify endorsement signatures. Cached like SignedBody.
+  /// Bytes each endorser signed for this envelope's rwset/result, memoized
+  /// on first call for the envelope's lifetime. The simulation never calls
+  /// it (VSCC uses EndorsedPayloadDigest); tests and tools do.
   [[nodiscard]] const Bytes& EndorsedPayloadBytes() const;
 
   /// SHA-256 of SignedBody(), memoized — every peer re-verifies the client
   /// signature, and signatures are digest-based (as in ECDSA).
   [[nodiscard]] const crypto::Digest& SignedBodyDigest() const;
 
-  /// SHA-256 of EndorsedPayloadBytes(), memoized for VSCC.
+  /// SHA-256 of the endorsed payload, memoized for VSCC from a temporary
+  /// build (it does not fill EndorsedPayloadBytes).
   [[nodiscard]] const crypto::Digest& EndorsedPayloadDigest() const;
 
   /// Policy-independent half of VSCC, memoized on the shared envelope:
@@ -90,14 +96,25 @@ struct TransactionEnvelope {
   [[nodiscard]] const std::optional<std::vector<crypto::Principal>>&
   VerifiedSigners(const crypto::MspRegistry& msps) const;
 
-  /// Drops memoized serializations after an in-place mutation (tests).
+  /// Drops the memos after an in-place mutation (tests).
   void InvalidateCaches() const;
 
  private:
-  CachedBytes signed_body_cache_;
-  CachedBytes endorsed_payload_cache_;
-  CachedValue<crypto::Digest> signed_body_digest_;
+  // What one build of the signed body yields; the body itself is freed.
+  // The leaf hash covers the client signature: sign through Sign(), or call
+  // InvalidateCaches() after assigning client_signature.
+  struct BodyMemo {
+    std::size_t body_size = 0;
+    crypto::Digest body_digest{};
+    crypto::Digest leaf_hash{};
+  };
+  BodyMemo MemoOf(const Bytes& body) const;
+  const BodyMemo& Body() const;
+  Bytes EndorsedPayload() const;
+
+  CachedValue<BodyMemo> body_;
   CachedValue<crypto::Digest> endorsed_payload_digest_;
+  CachedValue<Bytes> endorsed_payload_cache_;  // EndorsedPayloadBytes() only
 
   // Signer-verification memo with the same copy-resets semantics as
   // CachedValue (a mutated copy must re-verify honestly). The registry

@@ -25,6 +25,7 @@ class FakeEndorser {
               msg);
           if (!req) return;
           ++requests_;
+          creator_certs_.push_back(req->Proposal().proposal.creator_cert);
           if (mode_ == Mode::kSilent) return;
           auto resp = std::make_shared<proto::ProposalResponse>();
           resp->tx_id = req->Proposal().proposal.tx_id;
@@ -52,6 +53,10 @@ class FakeEndorser {
 
   [[nodiscard]] sim::NodeId Id() const { return id_; }
   [[nodiscard]] int Requests() const { return requests_; }
+  /// Each request's proposal creator certificate, in arrival order.
+  [[nodiscard]] const std::vector<proto::SharedBytes>& CreatorCerts() const {
+    return creator_certs_;
+  }
   void SetMode(Mode m) { mode_ = m; }
 
  private:
@@ -60,6 +65,7 @@ class FakeEndorser {
   Mode mode_;
   sim::NodeId id_ = sim::kInvalidNode;
   int requests_ = 0;
+  std::vector<proto::SharedBytes> creator_certs_;
 };
 
 /// A scripted orderer: acks (true/false) or stays silent.
@@ -158,6 +164,27 @@ TEST(Client, HappyPathBroadcastsSignedEnvelope) {
   EXPECT_TRUE(crypto::Verify(cert->subject_public_key, env_msg.SignedBody(),
                              env_msg.client_signature));
   EXPECT_EQ(f.client->Rejected(), 0u);
+}
+
+TEST(Client, ProposalsAndEnvelopesShareTheClientCertificate) {
+  ClientFixture f;
+  f.SubmitOne();
+  f.env.Sched().RunUntil(sim::FromSeconds(2));
+  const ordering::EnvelopePtr first = f.orderer->LastEnvelope();
+  f.SubmitOne();
+  f.env.Sched().RunUntil(sim::FromSeconds(4));
+  const ordering::EnvelopePtr second = f.orderer->LastEnvelope();
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  ASSERT_NE(first, second);
+  ASSERT_EQ(f.endorser->CreatorCerts().size(), 2u);
+
+  // One buffer for every proposal and envelope the client signs.
+  const std::uint8_t* cert = f.endorser->CreatorCerts()[0].data();
+  ASSERT_NE(cert, nullptr);
+  EXPECT_EQ(f.endorser->CreatorCerts()[1].data(), cert);
+  EXPECT_EQ(first->creator_cert.data(), cert);
+  EXPECT_EQ(second->creator_cert.data(), cert);
 }
 
 TEST(Client, EndorsementRefusalRejectsTransaction) {

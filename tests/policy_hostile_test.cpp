@@ -179,5 +179,44 @@ TEST(PolicyHostileIdentity, EndorsementSetNeedingForgedIdentityFailsVscc) {
   EXPECT_FALSE(Satisfied(policy, *signers));
 }
 
+TEST(PolicyHostileIdentity, FlippedCertificateByteFailsVscc) {
+  // The endorser's shared certificate buffer is never written through: a
+  // tampered certificate is a new handle over its own bytes, and VSCC
+  // rejects it while the honest handle still verifies.
+  crypto::MspRegistry msps;
+  msps.AddOrganization("Org1MSP");
+  msps.AddOrganization("ClientOrgMSP");
+  const crypto::Identity client =
+      msps.Find("ClientOrgMSP")->Enroll("app0", Role::kClient);
+  const crypto::Identity peer =
+      msps.Find("Org1MSP")->Enroll("peer0", Role::kPeer);
+
+  proto::TransactionEnvelope tx;
+  tx.channel_id = "ch";
+  tx.tx_id = "tx0";
+  tx.creator_cert = client.SerializedCert();
+  tx.chaincode_id = "cc";
+  proto::Endorsement honest;
+  honest.endorser_cert = peer.SerializedCert();
+  honest.signature = peer.Sign(tx.EndorsedPayloadBytes());
+  tx.endorsements.push_back(honest);
+  tx.Sign(client);
+  ASSERT_TRUE(tx.VerifiedSigners(msps).has_value());
+
+  const proto::BytesView original = peer.SerializedCert();
+  proto::Bytes flipped(original.begin(), original.end());
+  flipped.back() ^= 0x01;  // the CA signature's last byte
+  ASSERT_TRUE(crypto::Certificate::Deserialize(flipped).has_value());
+
+  proto::TransactionEnvelope tampered = tx;
+  tampered.endorsements[0].endorser_cert = proto::SharedBytes(flipped);
+  tampered.Sign(client);
+  EXPECT_FALSE(tampered.VerifiedSigners(msps).has_value());
+
+  EXPECT_NE(peer.SerializedCert(), tampered.endorsements[0].endorser_cert);
+  EXPECT_NE(msps.CachedCertificate(peer.SerializedCert()), nullptr);
+  EXPECT_TRUE(tx.VerifiedSigners(msps).has_value());
+}
+
 }  // namespace
 }  // namespace fabricsim::policy

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+
 #include "crypto/ca.h"
 #include "crypto/merkle.h"
 #include "proto/block.h"
@@ -211,6 +214,147 @@ TEST(Envelope, SignedBodyExcludesSignature) {
   env.InvalidateCaches();
   EXPECT_EQ(env.SignedBody(), body);       // body unaffected by signature
   EXPECT_NE(env.Serialize().size(), 0u);
+}
+
+TEST(SharedBytes, CopiesShareOneBufferAndCompareByContent) {
+  const SharedBytes a = ToBytes("certificate");
+  const SharedBytes b = a;
+  EXPECT_EQ(a.data(), b.data());
+  const SharedBytes c = ToBytes("certificate");  // same bytes, own buffer
+  EXPECT_NE(a.data(), c.data());
+  EXPECT_EQ(a, c);
+  EXPECT_FALSE(a == SharedBytes(ToBytes("certificatE")));
+  EXPECT_EQ(ToString(BytesView(a)), "certificate");
+  EXPECT_EQ(SharedBytes().size(), 0u);
+  EXPECT_EQ(SharedBytes(), SharedBytes(Bytes{}));
+}
+
+TEST(SharedBytes, DeserializedCertificatesEqualTheOriginals) {
+  const TransactionEnvelope env = SampleEnvelope();
+  const Endorsement& e = env.endorsements.front();
+  const auto parsed_e = Endorsement::Deserialize(e.Serialize());
+  ASSERT_TRUE(parsed_e.has_value());
+  EXPECT_NE(parsed_e->endorser_cert.data(), e.endorser_cert.data());
+  EXPECT_EQ(*parsed_e, e);
+
+  const auto parsed = TransactionEnvelope::Deserialize(env.Serialize());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_NE(parsed->creator_cert.data(), env.creator_cert.data());
+  EXPECT_EQ(parsed->creator_cert, env.creator_cert);
+  EXPECT_EQ(parsed->endorsements, env.endorsements);
+  EXPECT_EQ(parsed->Serialize(), env.Serialize());
+}
+
+TEST(SharedBytes, IdentitySerializesItsCertificateOnce) {
+  const crypto::Identity id = TestClient();
+  EXPECT_EQ(id.SerializedCert().data(), id.SerializedCert().data());
+  EXPECT_EQ(id.SerializedCert(), SharedBytes(id.Cert().Serialize()));
+  const crypto::Identity copy = id;
+  EXPECT_EQ(copy.SerializedCert().data(), id.SerializedCert().data());
+}
+
+/// The memoized size and digests equal what fresh bytes give.
+void ExpectMemosMatchFreshBytes(const TransactionEnvelope& env) {
+  const Bytes wire = env.Serialize();
+  EXPECT_EQ(env.WireSize(), wire.size());
+  EXPECT_EQ(env.LeafHash(), crypto::MerkleTree::HashLeaf(wire));
+  EXPECT_EQ(env.SignedBodyDigest(), crypto::Hash(env.SignedBody()));
+  EXPECT_EQ(env.EndorsedPayloadDigest(),
+            crypto::Hash(env.EndorsedPayloadBytes()));
+}
+
+TEST(EnvelopeMemo, MatchesFreshAndRoundTrippedBytes) {
+  const TransactionEnvelope env = SampleEnvelope();
+  ExpectMemosMatchFreshBytes(env);
+  const auto parsed = TransactionEnvelope::Deserialize(env.Serialize());
+  ASSERT_TRUE(parsed.has_value());
+  ExpectMemosMatchFreshBytes(*parsed);
+  EXPECT_EQ(parsed->WireSize(), env.WireSize());
+  EXPECT_EQ(parsed->LeafHash(), env.LeafHash());
+  EXPECT_EQ(parsed->SignedBodyDigest(), env.SignedBodyDigest());
+  EXPECT_EQ(parsed->EndorsedPayloadDigest(), env.EndorsedPayloadDigest());
+}
+
+TEST(EnvelopeMemo, SignRefillsTheMemoFromItsOwnBuild) {
+  const TransactionEnvelope manual = SampleEnvelope();
+  TransactionEnvelope env = manual;
+  env.client_signature = crypto::Signature{};
+  const crypto::Digest unsigned_leaf = env.LeafHash();  // warm, then sign
+  env.Sign(TestClient());
+  EXPECT_EQ(env.client_signature, manual.client_signature);
+  EXPECT_NE(env.LeafHash(), unsigned_leaf);
+  EXPECT_EQ(env.LeafHash(), manual.LeafHash());
+  ExpectMemosMatchFreshBytes(env);
+}
+
+TEST(EnvelopeMemo, TamperedCopyRecomputesWhileSourceKeepsItsMemos) {
+  EnvelopeList list{SampleEnvelope()};
+  const EnvelopePtr source = list.Ptr(0);
+  const std::size_t size = source->WireSize();
+  const crypto::Digest leaf = source->LeafHash();
+  const crypto::Digest body = source->SignedBodyDigest();
+  const crypto::Digest endorsed = source->EndorsedPayloadDigest();
+
+  TransactionEnvelope& tampered = list.Mutable(0);
+  tampered.chaincode_result.push_back(0x5A);
+  ExpectMemosMatchFreshBytes(tampered);
+  EXPECT_NE(tampered.WireSize(), size);
+  EXPECT_NE(tampered.LeafHash(), leaf);
+  EXPECT_NE(tampered.SignedBodyDigest(), body);
+  EXPECT_NE(tampered.EndorsedPayloadDigest(), endorsed);
+
+  EXPECT_EQ(source->WireSize(), size);
+  EXPECT_EQ(source->LeafHash(), leaf);
+  EXPECT_EQ(source->SignedBodyDigest(), body);
+  EXPECT_EQ(source->EndorsedPayloadDigest(), endorsed);
+  ExpectMemosMatchFreshBytes(*source);
+}
+
+TEST(EnvelopeMemo, ConcurrentWarm) {
+  crypto::MspRegistry msps;
+  msps.AddOrganization("ClientOrgMSP");
+  const TransactionEnvelope cold = SampleEnvelope();
+  const auto shared = std::make_shared<const TransactionEnvelope>(cold);
+
+  struct Seen {
+    std::size_t size = 0;
+    crypto::Digest leaf{};
+    crypto::Digest body{};
+    const std::optional<std::vector<crypto::Principal>>* signers = nullptr;
+  };
+  constexpr int kThreads = 8;
+  std::vector<Seen> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Alternate the order so every memo has racing first readers.
+      if (t % 2 == 0) {
+        seen[t].signers = &shared->VerifiedSigners(msps);
+        seen[t].leaf = shared->LeafHash();
+        seen[t].size = shared->WireSize();
+        seen[t].body = shared->SignedBodyDigest();
+      } else {
+        seen[t].size = shared->WireSize();
+        seen[t].body = shared->SignedBodyDigest();
+        seen[t].leaf = shared->LeafHash();
+        seen[t].signers = &shared->VerifiedSigners(msps);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const auto& expected = cold.VerifiedSigners(msps);
+  ASSERT_TRUE(expected.has_value());
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.size, cold.WireSize());
+    EXPECT_EQ(s.leaf, cold.LeafHash());
+    EXPECT_EQ(s.body, cold.SignedBodyDigest());
+    EXPECT_EQ(s.signers, seen.front().signers);
+    ASSERT_TRUE(s.signers->has_value());
+    EXPECT_EQ(**s.signers, *expected);
+  }
 }
 
 TEST(Block, MakeComputesDataHashAndChainsPrev) {
