@@ -6,6 +6,7 @@
 #include "crypto/ca.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
+#include "ledger/block_store.h"
 #include "ledger/mvcc.h"
 #include "ledger/state_db.h"
 #include "ordering/block_cutter.h"
@@ -81,6 +82,57 @@ void BM_StateDbPutGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StateDbPutGet);
+
+// The kvwrite pattern: every transaction inserts a short fresh key, so the
+// namespace only grows. Each iteration builds and tears down one namespace
+// of range(0) keys.
+void BM_StateDbFreshInsert(benchmark::State& state) {
+  std::vector<std::string> keys;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    keys.push_back("c0k" + std::to_string(i));
+  }
+  const proto::Bytes value = proto::ToBytes("x");
+  for (auto _ : state) {
+    ledger::StateDb db;
+    std::uint64_t block = 0;
+    for (const std::string& key : keys) {
+      db.Put("kvwrite", key, value, proto::KeyVersion{block++, 0});
+    }
+    benchmark::DoNotOptimize(db.KeyCount());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_StateDbFreshInsert)->Arg(1000)->Arg(30000);
+
+// The committer's duplicate screen and append: for each block of 100
+// fresh 64-hex-character ids, one HasTransaction miss per id, then Append,
+// keeping the newest 64 blocks. A ring of 256 blocks keeps every id fresh.
+void BM_BlockStoreAppendLookup(benchmark::State& state) {
+  std::vector<proto::BlockPtr> ring;
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    std::vector<proto::TransactionEnvelope> txs(100);
+    for (std::size_t i = 0; i < txs.size(); ++i) {
+      txs[i].tx_id = crypto::DigestHex(
+          crypto::HashStr(std::to_string(b) + "/" + std::to_string(i)));
+    }
+    ring.push_back(std::make_shared<proto::Block>(
+        proto::Block::Make(b, nullptr, std::move(txs))));
+  }
+  ledger::BlockStore store;
+  store.SetRetention(64);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const proto::BlockPtr& block = ring[next++ % ring.size()];
+    for (const auto& tx : block->transactions) {
+      benchmark::DoNotOptimize(store.HasTransaction(tx.tx_id));
+    }
+    store.Append(block);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          100);
+}
+BENCHMARK(BM_BlockStoreAppendLookup);
 
 proto::TransactionEnvelope BenchTx(int i) {
   proto::TransactionEnvelope tx;

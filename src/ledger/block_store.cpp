@@ -4,38 +4,41 @@ namespace fabricsim::ledger {
 
 void BlockStore::Append(proto::BlockPtr block,
                         std::vector<proto::ValidationCode> codes) {
-  const std::uint64_t num = Height();
-  for (std::size_t i = 0; i < block->transactions.size(); ++i) {
-    const std::string_view id = block->transactions[i].tx_id;
-    const TxLocation loc{num, static_cast<std::uint32_t>(i)};
-    auto [it, inserted] = tx_index_.try_emplace(id, loc);
-    if (inserted) continue;
-    // A resubmitted id: re-point the entry, key view included, at this
-    // newest occurrence. It is pruned last, so the id stays visible while
-    // any occurrence is resident.
-    auto node = tx_index_.extract(it);
-    node.key() = id;
-    node.mapped() = loc;
-    tx_index_.insert(std::move(node));
-  }
+  const auto num_lo = static_cast<std::uint32_t>(Height());
   total_txs_ += block->transactions.size();
   stored_bytes_ += block->WireSize();
   blocks_.push_back(std::move(block));
   codes_.push_back(std::move(codes));
+  // Indexed once resident, so an id repeated inside this block confirms
+  // against its earlier occurrence.
+  const proto::EnvelopeList& txs = blocks_.back()->transactions;
+  for (std::uint32_t i = 0; i < txs.size(); ++i) {
+    const std::string_view id = txs[i].tx_id;
+    const std::uint64_t hash = HashKey(id);
+    const TxSlot slot{num_lo, i};
+    if (TxSlot* newest = tx_index_.Find(hash, IdIs(id))) {
+      // A resubmitted id: re-point the entry at this newest occurrence. It
+      // is pruned last, so the id stays visible while any occurrence is
+      // resident.
+      *newest = slot;
+    } else {
+      tx_index_.Insert(hash, slot);
+    }
+  }
   PruneFront();
 }
 
 void BlockStore::PruneFront() {
   if (keep_blocks_ == 0) return;
   while (blocks_.size() > keep_blocks_) {
-    const proto::BlockPtr& oldest = blocks_.front();
-    for (const auto& tx : oldest->transactions) {
-      auto it = tx_index_.find(tx.tx_id);
-      // Guard the block number: a resubmitted tx id may have landed again in
-      // a newer (retained) block, whose index entry must survive.
-      if (it != tx_index_.end() && it->second.block_num == first_block_num_) {
-        tx_index_.erase(it);
-      }
+    const auto first_lo = static_cast<std::uint32_t>(first_block_num_);
+    const proto::EnvelopeList& txs = blocks_.front()->transactions;
+    for (std::uint32_t i = 0; i < txs.size(); ++i) {
+      // Only an entry that points here goes: a resubmitted tx id may have
+      // landed again in a newer (retained) block, whose entry must survive.
+      tx_index_.Erase(HashKey(txs[i].tx_id), [first_lo, i](TxSlot slot) {
+        return slot.block_lo == first_lo && slot.tx_index == i;
+      });
     }
     blocks_.pop_front();
     codes_.pop_front();
@@ -60,14 +63,14 @@ proto::BlockPtr BlockStore::LastBlock() const {
 }
 
 bool BlockStore::HasTransaction(std::string_view tx_id) const {
-  return tx_index_.count(tx_id) != 0;
+  return tx_index_.Find(HashKey(tx_id), IdIs(tx_id)) != nullptr;
 }
 
 std::optional<TxLocation> BlockStore::FindTransaction(
     std::string_view tx_id) const {
-  auto it = tx_index_.find(tx_id);
-  if (it == tx_index_.end()) return std::nullopt;
-  return it->second;
+  const TxSlot* slot = tx_index_.Find(HashKey(tx_id), IdIs(tx_id));
+  if (slot == nullptr) return std::nullopt;
+  return TxLocation{first_block_num_ + OffsetOf(*slot), slot->tx_index};
 }
 
 }  // namespace fabricsim::ledger

@@ -17,17 +17,19 @@
 //
 // Stored blocks are immutable: BlockPtr is shared_ptr<const Block>, and no
 // holder may edit a block (or swap its envelopes) after Append. The tx-id
-// index relies on it — its keys view the tx ids inside the resident blocks'
-// envelopes rather than copying them.
+// index relies on it: a flat open-addressing index (ledger/flat_index.h)
+// whose slots hold each id's hash and (block, position), confirmed against
+// the tx id inside the resident block. A miss — what HasTransaction returns
+// for almost every fresh id — touches the slot array and no envelope.
 #pragma once
 
 #include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "ledger/flat_index.h"
 #include "proto/block.h"
 
 namespace fabricsim::ledger {
@@ -93,11 +95,31 @@ class BlockStore {
   [[nodiscard]] std::uint64_t StoredBytes() const { return stored_bytes_; }
 
  private:
+  // An index slot's payload: the low 32 bits of the block number (resident
+  // blocks span far fewer than 2^32 numbers, so they identify the block)
+  // and the position inside it.
+  struct TxSlot {
+    std::uint32_t block_lo;
+    std::uint32_t tx_index;
+  };
+
+  /// Position in blocks_ of the slot's block.
+  [[nodiscard]] std::size_t OffsetOf(TxSlot slot) const {
+    return static_cast<std::uint32_t>(
+        slot.block_lo - static_cast<std::uint32_t>(first_block_num_));
+  }
+  /// Confirms an index hit: is the transaction at a slot's location this id?
+  [[nodiscard]] auto IdIs(std::string_view tx_id) const {
+    return [this, tx_id](TxSlot slot) {
+      return blocks_[OffsetOf(slot)]->transactions[slot.tx_index].tx_id ==
+             tx_id;
+    };
+  }
   void PruneFront();
 
   std::deque<proto::BlockPtr> blocks_;
   std::deque<std::vector<proto::ValidationCode>> codes_;
-  std::unordered_map<std::string_view, TxLocation> tx_index_;
+  FlatIndex<TxSlot> tx_index_;
   std::uint64_t first_block_num_ = 0;
   std::uint64_t keep_blocks_ = 0;  // 0 = unbounded
   std::uint64_t total_txs_ = 0;

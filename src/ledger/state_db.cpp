@@ -1,8 +1,14 @@
 #include "ledger/state_db.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace fabricsim::ledger {
+
+const VersionedValue* StateDb::Namespace::Find(std::string_view key) const {
+  const std::uint32_t* pos = index.Find(HashKey(key), KeyIs(key));
+  return pos == nullptr ? nullptr : &(*entries)[*pos].second;
+}
 
 const StateDb::Namespace* StateDb::Find(std::string_view ns) const {
   auto it = namespaces_.find(ns);
@@ -12,9 +18,7 @@ const StateDb::Namespace* StateDb::Find(std::string_view ns) const {
 const VersionedValue* StateDb::Lookup(std::string_view ns,
                                       std::string_view key) const {
   const Namespace* space = Find(ns);
-  if (space == nullptr) return nullptr;
-  auto it = space->keys.find(key);
-  return it == space->keys.end() ? nullptr : &it->second;
+  return space == nullptr ? nullptr : space->Find(key);
 }
 
 std::optional<VersionedValue> StateDb::Get(std::string_view ns,
@@ -33,27 +37,43 @@ std::optional<proto::KeyVersion> StateDb::GetVersion(
 
 void StateDb::PutIn(Namespace& space, const std::string& key,
                     proto::Bytes value, proto::KeyVersion version) {
-  auto [it, inserted] = space.keys.try_emplace(key, std::move(value), version);
-  if (inserted) {
-    space.sorted_valid = false;
-  } else {
+  const std::uint64_t hash = HashKey(key);
+  if (const std::uint32_t* pos = space.index.Find(hash, space.KeyIs(key))) {
     // Overwrite: the key set is unchanged, the range index stays warm (it
-    // points at this node).
-    it->second.value = std::move(value);
-    it->second.version = version;
+    // holds this entry's position).
+    VersionedValue& vv = (*space.entries)[*pos].second;
+    vv.value = std::move(value);
+    vv.version = version;
+    return;
   }
+  if (!space.entries) space.entries.emplace();
+  space.index.Insert(hash, static_cast<std::uint32_t>(space.entries->size()));
+  space.entries->emplace_back(key, VersionedValue{std::move(value), version});
+  space.sorted_valid = false;
 }
 
 void StateDb::EraseFrom(Namespace& space, std::string_view key) {
-  auto it = space.keys.find(key);
-  if (it == space.keys.end()) return;
-  space.keys.erase(it);
+  const std::uint64_t hash = HashKey(key);
+  const std::uint32_t* pos = space.index.Find(hash, space.KeyIs(key));
+  if (pos == nullptr) return;
+  const std::uint32_t hole = *pos;
+  space.index.Erase(hash, [hole](std::uint32_t i) { return i == hole; });
+  // Keep positions dense: the last entry moves into the hole and its index
+  // slot is re-pointed.
+  auto& entries = *space.entries;
+  const auto last = static_cast<std::uint32_t>(entries.size() - 1);
+  if (hole != last) {
+    entries[hole] = std::move(entries[last]);
+    *space.index.Find(HashKey(entries[hole].first),
+                      [last](std::uint32_t i) { return i == last; }) = hole;
+  }
+  entries.pop_back();
   space.sorted_valid = false;
 }
 
 std::size_t StateDb::KeyCount() const {
   std::size_t count = 0;
-  for (const auto& [ns, space] : namespaces_) count += space.keys.size();
+  for (const auto& [ns, space] : namespaces_) count += space.index.Size();
   return count;
 }
 
@@ -68,14 +88,15 @@ void StateDb::Delete(std::string_view ns, std::string_view key) {
   if (it != namespaces_.end()) EraseFrom(it->second, key);
 }
 
-const std::vector<const StateDb::Namespace::Entry*>& StateDb::Sorted(
-    const Namespace& space) {
+const std::vector<std::uint32_t>& StateDb::Sorted(const Namespace& space) {
   if (space.sorted_valid) return space.sorted;
-  space.sorted.clear();
-  space.sorted.reserve(space.keys.size());
-  for (const auto& entry : space.keys) space.sorted.push_back(&entry);
+  const auto& entries = *space.entries;
+  space.sorted.resize(space.index.Size());
+  std::iota(space.sorted.begin(), space.sorted.end(), std::uint32_t{0});
   std::sort(space.sorted.begin(), space.sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+            [&](std::uint32_t a, std::uint32_t b) {
+              return entries[a].first < entries[b].first;
+            });
   space.sorted_valid = true;
   return space.sorted;
 }
@@ -85,14 +106,17 @@ std::vector<std::pair<std::string, VersionedValue>> StateDb::GetRange(
     std::string_view end_key) const {
   std::vector<std::pair<std::string, VersionedValue>> out;
   const Namespace* space = Find(ns);
-  if (space == nullptr) return out;
+  if (space == nullptr || space->index.Size() == 0) return out;
+  const auto& entries = *space->entries;
   const auto& sorted = Sorted(*space);
-  auto it = std::lower_bound(
-      sorted.begin(), sorted.end(), start_key,
-      [](const auto* entry, std::string_view k) { return entry->first < k; });
+  auto it = std::lower_bound(sorted.begin(), sorted.end(), start_key,
+                             [&](std::uint32_t i, std::string_view k) {
+                               return entries[i].first < k;
+                             });
   for (; it != sorted.end(); ++it) {
-    if (!end_key.empty() && (*it)->first >= end_key) break;
-    out.emplace_back((*it)->first, (*it)->second);
+    const auto& [key, vv] = entries[*it];
+    if (!end_key.empty() && key >= end_key) break;
+    out.emplace_back(key, vv);
   }
   return out;
 }

@@ -5,22 +5,26 @@
 // versions during simulation; the committer compares them during MVCC
 // validation and bumps them at commit.
 //
-// Storage is one hash map per namespace, keyed by the bare key: the hot
-// path — point reads in endorsement and MVCC, writes at commit — is O(1)
-// and, through the transparent hash, probes without building a string.
-// Ordered range scans (GetStateByRange) are served by the namespace's own
-// sorted key index, built lazily on first scan and invalidated only when
-// that namespace's key *set* changes (new key, delete); overwrites keep it
-// warm.
+// Each namespace stores its entries (key, versioned value) in a deque and
+// finds them through a flat open-addressing index (ledger/flat_index.h)
+// whose slots hold the key's hash and the entry's position: the hot path —
+// point reads in endorsement and MVCC, writes at commit — is O(1), probes
+// without building a string, and allocates per chunk of entries rather
+// than per key. Ordered range scans (GetStateByRange) are served by the
+// namespace's own sorted position index, built lazily on first scan and
+// invalidated only when that namespace's key *set* changes (new key,
+// delete); overwrites keep it warm.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "ledger/flat_index.h"
 #include "proto/bytes.h"
 #include "proto/rwset.h"
 
@@ -79,23 +83,24 @@ class StateDb {
   void SetHeight(std::uint64_t h) { height_ = h; }
 
  private:
-  // One chaincode's keys plus its sorted range index. The index views the
-  // map's nodes (stable across rehashes and overwrites), so a copy starts
-  // with a cold index rather than views into the source's nodes.
+  // One chaincode's keys. Erase moves the last entry into the hole, so
+  // positions stay dense; the range index holds positions, which overwrites
+  // keep valid. The deque is created on the first insert, so an empty
+  // namespace allocates nothing.
   struct Namespace {
-    using Entry = std::pair<const std::string, VersionedValue>;
+    using Entry = std::pair<std::string, VersionedValue>;
 
-    Namespace() = default;
-    Namespace(const Namespace& other) : keys(other.keys) {}
-    Namespace& operator=(const Namespace& other) {
-      keys = other.keys;
-      sorted.clear();
-      sorted_valid = false;
-      return *this;
+    /// Confirms an index hit: is the entry at a position this key's?
+    [[nodiscard]] auto KeyIs(std::string_view key) const {
+      return [this, key](std::uint32_t i) {
+        return (*entries)[i].first == key;
+      };
     }
+    [[nodiscard]] const VersionedValue* Find(std::string_view key) const;
 
-    proto::StringMap<VersionedValue> keys;
-    mutable std::vector<const Entry*> sorted;  // by key, when sorted_valid
+    std::optional<std::deque<Entry>> entries;
+    FlatIndex<std::uint32_t> index;  // key hash -> entry position
+    mutable std::vector<std::uint32_t> sorted;  // by key, when sorted_valid
     mutable bool sorted_valid = false;
   };
 
@@ -105,8 +110,7 @@ class StateDb {
   static void EraseFrom(Namespace& space, std::string_view key);
   [[nodiscard]] const VersionedValue* Lookup(std::string_view ns,
                                              std::string_view key) const;
-  static const std::vector<const Namespace::Entry*>& Sorted(
-      const Namespace& space);
+  static const std::vector<std::uint32_t>& Sorted(const Namespace& space);
 
   proto::StringMap<Namespace> namespaces_;
   std::uint64_t height_ = 0;

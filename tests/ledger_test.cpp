@@ -5,6 +5,7 @@
 #include "crypto/ca.h"
 #include "ledger/block_store.h"
 #include "ledger/blockchain.h"
+#include "ledger/flat_index.h"
 #include "ledger/history_index.h"
 #include "ledger/mvcc.h"
 #include "ledger/state_db.h"
@@ -84,6 +85,138 @@ TEST(StateDb, DeleteInUnknownNamespaceIsNoOpAndKeyCountStaysExact) {
   EXPECT_EQ(db.KeyCount(), 2u);
   EXPECT_FALSE(db.Get("cc1", "a").has_value());
   EXPECT_EQ(proto::ToString(db.Get("cc2", "a")->value), "3");
+}
+
+// -------------------------------------------------------------- FlatIndex
+//
+// The payload is a key id and the confirm predicate compares ids, so each
+// test picks the hashes and can force collisions. An index that has seen an
+// insert has 8 slots until its seventh entry doubles it; the home slot is
+// the hash modulo the slot count.
+
+using Index = FlatIndex<std::uint32_t>;
+
+auto Is(std::uint32_t id) {
+  return [id](std::uint32_t payload) { return payload == id; };
+}
+
+/// Expects exactly `present` (hash, id) to be found, and `absent` not.
+void ExpectContents(const Index& index,
+                    const std::vector<std::pair<std::uint64_t, std::uint32_t>>&
+                        present,
+                    const std::vector<std::pair<std::uint64_t, std::uint32_t>>&
+                        absent = {}) {
+  EXPECT_EQ(index.Size(), present.size());
+  for (const auto& [hash, id] : present) {
+    const std::uint32_t* found = index.Find(hash, Is(id));
+    ASSERT_NE(found, nullptr) << "id " << id << " hash " << hash;
+    EXPECT_EQ(*found, id);
+  }
+  for (const auto& [hash, id] : absent) {
+    EXPECT_EQ(index.Find(hash, Is(id)), nullptr) << "id " << id;
+  }
+}
+
+TEST(FlatIndex, EmptyIndexFindsAndErasesNothing) {
+  Index index;
+  EXPECT_EQ(index.Size(), 0u);
+  EXPECT_EQ(index.Find(5, Is(1)), nullptr);
+  EXPECT_FALSE(index.Erase(5, Is(1)));
+}
+
+TEST(FlatIndex, EveryKeyInOneCluster) {
+  // Six ids, one hash: the predicate alone tells them apart. Hash 0 is
+  // legal too.
+  for (const std::uint64_t hash : {std::uint64_t{3}, std::uint64_t{0}}) {
+    Index index;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> all;
+    for (std::uint32_t id = 0; id < 6; ++id) {
+      index.Insert(hash, id);
+      all.emplace_back(hash, id);
+    }
+    ExpectContents(index, all, {{hash, 6}, {hash + 8, 0}, {hash + 2, 0}});
+  }
+}
+
+TEST(FlatIndex, ClusterWrapsPastTheEnd) {
+  // Homes 6 and 7 of 8 slots: the cluster runs 6, 7, 0, 1, 2, 3.
+  Index index;
+  const std::vector<std::pair<std::uint64_t, std::uint32_t>> all = {
+      {6, 0}, {7, 1}, {14, 2}, {6, 3}, {15, 4}, {7, 5}};
+  for (const auto& [hash, id] : all) index.Insert(hash, id);
+  ExpectContents(index, all, {{7, 9}, {0, 0}, {22, 9}});
+  // Erase at the start of the cluster: the wrapped members shift back
+  // across the end of the table.
+  ASSERT_TRUE(index.Erase(6, Is(0)));
+  ExpectContents(index, {{7, 1}, {14, 2}, {6, 3}, {15, 4}, {7, 5}}, {{6, 0}});
+  ASSERT_TRUE(index.Erase(7, Is(1)));
+  ExpectContents(index, {{14, 2}, {6, 3}, {15, 4}, {7, 5}}, {{7, 1}});
+}
+
+TEST(FlatIndex, EraseFromTheMiddleOfAClusterKeepsTheRestReachable) {
+  // A cluster of mixed homes (slots 2..7): erasing any one member must
+  // leave every other reachable, whichever shifts back and whichever must
+  // stay (a member already at its home, or whose home follows the hole).
+  const std::vector<std::pair<std::uint64_t, std::uint32_t>> all = {
+      {2, 0}, {3, 1}, {2, 2}, {3, 3}, {5, 4}, {2, 5}};
+  for (std::size_t victim = 0; victim < all.size(); ++victim) {
+    Index index;
+    for (const auto& [hash, id] : all) index.Insert(hash, id);
+    ASSERT_TRUE(index.Erase(all[victim].first, Is(all[victim].second)));
+    EXPECT_FALSE(index.Erase(all[victim].first, Is(all[victim].second)));
+    auto rest = all;
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(victim));
+    ExpectContents(index, rest, {all[victim]});
+    // Emptying the table one by one keeps every survivor reachable too.
+    while (!rest.empty()) {
+      ASSERT_TRUE(index.Erase(rest.front().first, Is(rest.front().second)));
+      rest.erase(rest.begin());
+      ExpectContents(index, rest);
+    }
+  }
+}
+
+TEST(FlatIndex, GrowsWhileAClusterIsInPlace) {
+  // Seven hashes that all home at slot 5 of 8; after the table doubles
+  // they home at 5 and 13, and the ids beyond the seventh repeat them.
+  const auto hash_of = [](std::uint32_t id) -> std::uint64_t {
+    return 5 + 8 * (id % 7);
+  };
+  Index index;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> all;
+  for (std::uint32_t id = 0; id < 40; ++id) {
+    index.Insert(hash_of(id), id);
+    all.emplace_back(hash_of(id), id);
+    ExpectContents(index, all);
+  }
+  for (std::uint32_t id = 0; id < 40; id += 3) {
+    ASSERT_TRUE(index.Erase(hash_of(id), Is(id)));
+  }
+  std::erase_if(all, [](const auto& e) { return e.second % 3 == 0; });
+  ExpectContents(index, all, {{hash_of(0), 0}, {hash_of(39), 39}});
+}
+
+TEST(FlatIndex, RePointingAnExistingKey) {
+  Index index;
+  index.Insert(4, 1);
+  index.Insert(4, 2);
+  std::uint32_t* slot = index.Find(4, Is(1));
+  ASSERT_NE(slot, nullptr);
+  *slot = 7;
+  EXPECT_EQ(index.Size(), 2u);
+  ExpectContents(index, {{4, 7}, {4, 2}}, {{4, 1}});
+  ASSERT_TRUE(index.Erase(4, Is(7)));
+  ExpectContents(index, {{4, 2}}, {{4, 7}});
+}
+
+TEST(FlatIndex, CopiesAreDeep) {
+  Index index;
+  index.Insert(1, 1);
+  Index copy = index;
+  index.Insert(1, 2);
+  ASSERT_TRUE(index.Erase(1, Is(1)));
+  ExpectContents(copy, {{1, 1}}, {{1, 2}});
+  ExpectContents(index, {{1, 2}}, {{1, 1}});
 }
 
 // ---------------------------------------------------------------- helpers
@@ -291,6 +424,22 @@ TEST(BlockStore, RepeatedTxIdPointsAtItsNewestResidentOccurrence) {
   EXPECT_EQ(loc->tx_index, 1u);
   store.Append(MakeBlock(2, nullptr, {}));
   EXPECT_FALSE(store.HasTransaction("x"));
+  EXPECT_FALSE(store.HasTransaction("y"));
+}
+
+TEST(BlockStore, IdRepeatedInsideOneBlockFindsItsNewestPosition) {
+  BlockStore store;
+  store.Append(MakeBlock(0, nullptr, {TxRW("a", {}, {"k"}),
+                                      TxRW("x", {}, {"k"}),
+                                      TxRW("b", {}, {"k"}),
+                                      TxRW("x", {}, {"k"}),
+                                      TxRW("x", {}, {"k"})}));
+  EXPECT_TRUE(store.HasTransaction("x"));
+  const auto loc = store.FindTransaction("x");
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->block_num, 0u);
+  EXPECT_EQ(loc->tx_index, 4u);
+  EXPECT_EQ(store.FindTransaction("b")->tx_index, 2u);
   EXPECT_FALSE(store.HasTransaction("y"));
 }
 

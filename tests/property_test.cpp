@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <optional>
+#include <string>
 
+#include "ledger/block_store.h"
+#include "ledger/state_db.h"
 #include "metrics/histogram.h"
 #include "policy/evaluator.h"
 #include "policy/parser.h"
@@ -274,6 +279,155 @@ TEST(SchedulerProperty, InterleavedRunUntilNeverGoesBackwards) {
   for (sim::SimTime t = 0; t <= 6000; t += 500) sched.RunUntil(t);
   sched.Run();
   EXPECT_TRUE(monotonic);
+}
+
+// ---------------------------------------------------------------- ledger
+
+using StateRef = std::map<std::pair<std::string, std::string>,
+                          ledger::VersionedValue>;
+
+/// Expects `db` to hold exactly `ref`: every key of both namespaces
+/// (present or not), full ordered scans and the key count.
+void ExpectStateMatches(const ledger::StateDb& db, const StateRef& ref,
+                        const std::vector<std::string>& spaces,
+                        std::size_t keys_per_space) {
+  ASSERT_EQ(db.KeyCount(), ref.size());
+  for (const std::string& ns : spaces) {
+    std::vector<std::pair<std::string, ledger::VersionedValue>> expect;
+    for (const auto& [k, vv] : ref) {
+      if (k.first == ns) expect.emplace_back(k.second, vv);
+    }
+    const auto scan = db.GetRange(ns, "", "");
+    ASSERT_EQ(scan.size(), expect.size()) << ns;
+    for (std::size_t i = 0; i < scan.size(); ++i) {
+      EXPECT_EQ(scan[i].first, expect[i].first);
+      EXPECT_EQ(scan[i].second.value, expect[i].second.value);
+      EXPECT_EQ(scan[i].second.version, expect[i].second.version);
+    }
+    for (std::size_t k = 0; k < keys_per_space; ++k) {
+      const std::string key = "k" + std::to_string(k);
+      const auto it = ref.find({ns, key});
+      const auto got = db.GetVersion(ns, key);
+      ASSERT_EQ(got.has_value(), it != ref.end()) << ns << "/" << key;
+      if (got) {
+        EXPECT_EQ(*got, it->second.version);
+      }
+    }
+  }
+}
+
+TEST(LedgerProperty, StateDbMatchesAnOrderedMapReference) {
+  // A small key space, so deletes and re-inserts keep landing on entries
+  // that an earlier delete moved; a copy taken midway must not see later
+  // writes to the original.
+  const std::vector<std::string> spaces = {"cc", "other"};
+  constexpr std::size_t kKeys = 48;
+  sim::Rng rng(20260);
+  ledger::StateDb db;
+  StateRef ref;
+  std::optional<ledger::StateDb> copy;
+  StateRef copy_ref;
+  auto key = [&] { return "k" + std::to_string(rng.NextBelow(kKeys)); };
+  for (std::uint64_t op = 0; op < 50000; ++op) {
+    const std::string& ns = spaces[rng.NextBelow(spaces.size())];
+    const std::uint64_t kind = rng.NextBelow(10);
+    if (kind < 4) {  // put: a fresh key or an overwrite
+      const std::string k = key();
+      const proto::Bytes value = proto::ToBytes(std::to_string(op));
+      const proto::KeyVersion version{op, static_cast<std::uint32_t>(kind)};
+      db.Put(ns, k, value, version);
+      ref[{ns, k}] = ledger::VersionedValue{value, version};
+    } else if (kind < 7) {
+      const std::string k = key();
+      db.Delete(ns, k);
+      ref.erase({ns, k});
+    } else if (kind < 9) {
+      const std::string k = key();
+      const auto got = db.Get(ns, k);
+      const auto it = ref.find({ns, k});
+      ASSERT_EQ(got.has_value(), it != ref.end()) << "op " << op;
+      if (got) {
+        EXPECT_EQ(got->value, it->second.value);
+        EXPECT_EQ(got->version, it->second.version);
+      }
+    } else {  // range [a, b), b possibly open
+      std::string lo = key(), hi = rng.NextBool(0.2) ? "" : key();
+      const auto got = db.GetRange(ns, lo, hi);
+      std::vector<std::string> expect;
+      for (auto it = ref.lower_bound({ns, lo});
+           it != ref.end() && it->first.first == ns &&
+           (hi.empty() || it->first.second < hi);
+           ++it) {
+        expect.push_back(it->first.second);
+      }
+      ASSERT_EQ(got.size(), expect.size()) << "op " << op;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, expect[i]);
+        EXPECT_EQ(got[i].second.version, ref.at({ns, expect[i]}).version);
+      }
+      ASSERT_EQ(db.KeyCount(), ref.size()) << "op " << op;
+    }
+    if (op == 25000) {
+      copy = db;
+      copy_ref = ref;
+    }
+  }
+  ExpectStateMatches(db, ref, spaces, kKeys);
+  ASSERT_TRUE(copy.has_value());
+  ExpectStateMatches(*copy, copy_ref, spaces, kKeys);
+}
+
+proto::BlockPtr BlockOfIds(std::uint64_t number,
+                           const std::vector<std::string>& ids) {
+  std::vector<proto::TransactionEnvelope> txs(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) txs[i].tx_id = ids[i];
+  return std::make_shared<proto::Block>(
+      proto::Block::Make(number, nullptr, std::move(txs)));
+}
+
+TEST(LedgerProperty, BlockStoreFindsTheNewestResidentOccurrence) {
+  // Ids drawn from a small pool repeat inside blocks and across them; the
+  // reference scans the resident blocks newest first.
+  constexpr std::uint64_t kPool = 24;
+  sim::Rng rng(77);
+  for (const std::uint64_t keep : {0, 1, 2, 3, 7}) {
+    ledger::BlockStore store;
+    store.SetRetention(keep);
+    std::deque<std::vector<std::string>> resident;  // oldest first
+    std::uint64_t first = 0;
+    for (std::uint64_t number = 0; number < 300; ++number) {
+      std::vector<std::string> ids(rng.NextBelow(7));
+      for (auto& id : ids) id = "tx-" + std::to_string(rng.NextBelow(kPool));
+      store.Append(BlockOfIds(number, ids));
+      resident.push_back(ids);
+      if (keep != 0 && resident.size() > keep) {
+        resident.pop_front();
+        ++first;
+      }
+      ASSERT_EQ(store.FirstBlockNumber(), first);
+      for (std::uint64_t p = 0; p < kPool; ++p) {
+        const std::string id = "tx-" + std::to_string(p);
+        std::optional<ledger::TxLocation> expect;
+        for (std::size_t b = resident.size(); b-- > 0 && !expect;) {
+          for (std::size_t i = resident[b].size(); i-- > 0;) {
+            if (resident[b][i] == id) {
+              expect = ledger::TxLocation{first + b,
+                                          static_cast<std::uint32_t>(i)};
+              break;
+            }
+          }
+        }
+        const auto got = store.FindTransaction(id);
+        ASSERT_EQ(store.HasTransaction(id), expect.has_value())
+            << "keep " << keep << " block " << number << " " << id;
+        ASSERT_EQ(got.has_value(), expect.has_value());
+        if (got) {
+          EXPECT_EQ(got->block_num, expect->block_num);
+          EXPECT_EQ(got->tx_index, expect->tx_index);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
