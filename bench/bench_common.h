@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "bench/recorder.h"
-#include "crypto/msp_cache.h"
 #include "fabric/experiment.h"
 #include "metrics/registry.h"
 #include "metrics/reporter.h"
@@ -244,12 +243,6 @@ inline fabricsim::fabric::ExperimentResult RunPoint(
 /// exit code: nonzero when the bench failed, the write failed, or any
 /// measurement point was nondeterministic.
 inline int Finish(const Args& args, bool ok = true) {
-  // MSP identity-cache aggregates (nonzero only when a point armed
-  // --opt-msp-cache; the recorder omits the block otherwise).
-  RecorderSlot()->SetMspCacheSample(
-      {fabricsim::crypto::MspIdentityCache::GlobalHits(),
-       fabricsim::crypto::MspIdentityCache::GlobalMisses(),
-       fabricsim::crypto::MspIdentityCache::GlobalEvictions()});
   if (!RecorderSlot()->Deterministic()) {
     std::cerr << "bench: determinism violation across repetitions\n";
     ok = false;

@@ -32,31 +32,37 @@ int main(int argc, char** argv) {
   const std::vector<int> osn_counts =
       args.quick ? std::vector<int>{4, 12} : std::vector<int>{4, 6, 8, 10, 12};
 
+  // Raft ignores the broker/ZooKeeper axis, so each Raft point runs once,
+  // at the first cluster size, and is printed in both panels.
+  const std::vector<int> clusters = {3, 7};
   benchutil::Sweep sweep(args);
-  for (int cluster : {3, 7}) {
+  for (int cluster : clusters) {
     for (int osns : osn_counts) {
-      const std::string suffix = "zk" + std::to_string(cluster) + "/osn" +
-                                 std::to_string(osns);
       sweep.Add(MakeConfig(fabric::OrderingType::kKafka, osns, cluster, args),
-                "Kafka/" + suffix);
-      sweep.Add(MakeConfig(fabric::OrderingType::kRaft, osns, cluster, args),
-                "Raft/" + suffix);
+                "Kafka/zk" + std::to_string(cluster) + "/osn" +
+                    std::to_string(osns));
     }
+  }
+  for (int osns : osn_counts) {
+    sweep.Add(
+        MakeConfig(fabric::OrderingType::kRaft, osns, clusters.front(), args),
+        "Raft/osn" + std::to_string(osns));
   }
   const auto results = sweep.Run();
 
-  std::size_t next = 0;
-  for (int cluster : {3, 7}) {
+  const std::size_t first_raft = clusters.size() * osn_counts.size();
+  std::size_t next_kafka = 0;
+  for (int cluster : clusters) {
     std::cout << "=== Fig. 8 (" << (cluster == 3 ? "a,b" : "c,d")
               << "): #ZooKeeper = #Broker = " << cluster
               << ", arrival rate 250 tps ===\n";
     metrics::Table table({"#OSNs", "Kafka_tps", "Kafka_lat_s", "Raft_tps",
                           "Raft_lat_s"});
-    for (int osns : osn_counts) {
-      const auto& kafka = results[next++];
-      const auto& raft = results[next++];
+    for (std::size_t i = 0; i < osn_counts.size(); ++i) {
+      const auto& kafka = results[next_kafka++];
+      const auto& raft = results[first_raft + i];
       table.AddRow(
-          {std::to_string(osns),
+          {std::to_string(osn_counts[i]),
            metrics::Fmt(kafka.report.end_to_end.throughput_tps, 1),
            metrics::Fmt(kafka.report.end_to_end.mean_latency_s, 2),
            metrics::Fmt(raft.report.end_to_end.throughput_tps, 1),

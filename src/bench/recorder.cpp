@@ -126,6 +126,10 @@ void Recorder::AddPoint(const std::string& label,
 
   for (const double w : host.wall_s) total_wall_s_ += w;
   total_events_ += host.sched_events * host.wall_s.size();
+  // Every kept repetition makes the same lookups, like sched_events.
+  msp_cache_.hits += result.msp_cache_hits * host.wall_s.size();
+  msp_cache_.misses += result.msp_cache_misses * host.wall_s.size();
+  msp_cache_.evictions += result.msp_cache_evictions * host.wall_s.size();
 }
 
 Json Recorder::ToJson() const {
@@ -147,16 +151,15 @@ Json Recorder::ToJson() const {
                : 0.0);
   host["peak_rss_kb"] = Json(PeakRssKb());
   host["jobs"] = Json(jobs_);
-  if (msp_sample_ && (msp_sample_->hits + msp_sample_->misses +
-                      msp_sample_->evictions) > 0) {
+  if (msp_cache_.hits + msp_cache_.misses + msp_cache_.evictions > 0) {
     Json cache = Json::MakeObject();
-    cache["hits"] = Json(msp_sample_->hits);
-    cache["misses"] = Json(msp_sample_->misses);
-    cache["evictions"] = Json(msp_sample_->evictions);
+    cache["hits"] = Json(msp_cache_.hits);
+    cache["misses"] = Json(msp_cache_.misses);
+    cache["evictions"] = Json(msp_cache_.evictions);
     const double total =
-        static_cast<double>(msp_sample_->hits + msp_sample_->misses);
+        static_cast<double>(msp_cache_.hits + msp_cache_.misses);
     cache["hit_rate"] =
-        Json(total > 0.0 ? static_cast<double>(msp_sample_->hits) / total
+        Json(total > 0.0 ? static_cast<double>(msp_cache_.hits) / total
                          : 0.0);
     host["msp_cache"] = std::move(cache);
   }

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,9 +36,8 @@ MeanStddev Summarize(const std::vector<double>& xs);
 /// Peak resident set size of this process in kilobytes (ru_maxrss).
 std::uint64_t PeakRssKb();
 
-/// MSP identity-cache counters for the result file (see
-/// crypto::MspIdentityCache; copied here so the JSON layer does not depend
-/// on the crypto headers).
+/// MSP identity-cache counters summed over the recorded points' kept
+/// repetitions (see ExperimentResult::msp_cache_hits).
 struct MspCacheSample {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -94,15 +92,6 @@ class Recorder {
     return points_.size();
   }
 
-  /// Snapshot of the MSP identity-cache aggregates (crypto::
-  /// MspIdentityCache globals), emitted under "host.msp_cache" — but only
-  /// when any counter is nonzero, so benches that never arm --opt-msp-cache
-  /// keep their existing document shape.
-  void SetMspCacheSample(const MspCacheSample& sample) {
-    std::lock_guard<std::mutex> lock(mu_);
-    msp_sample_ = sample;
-  }
-
   /// Full document, including the whole-process host summary (total wall
   /// clock, peak RSS, aggregate events/sec).
   [[nodiscard]] Json ToJson() const;
@@ -120,7 +109,9 @@ class Recorder {
   bool deterministic_ = true;
   double total_wall_s_ = 0.0;
   std::uint64_t total_events_ = 0;
-  std::optional<MspCacheSample> msp_sample_;
+  // Emitted under "host.msp_cache" only when any counter is nonzero, so
+  // benches that never arm --opt-msp-cache keep their document shape.
+  MspCacheSample msp_cache_;
   bool emit_tracker_stats_ = false;
   Json::Array points_;
 };

@@ -50,17 +50,13 @@ bool MspRegistry::ValidateCertificate(const Certificate& cert) const {
 const Certificate* MspRegistry::CachedCertificate(
     proto::BytesView cert_bytes) const {
   const std::string_view key = proto::AsStringView(cert_bytes);
-  {
-    std::lock_guard<std::mutex> lock(cert_cache_mu_);
-    auto it = cert_cache_.find(key);
-    if (it != cert_cache_.end()) return it->second ? &*it->second : nullptr;
+  if (auto it = cert_cache_.find(key); it != cert_cache_.end()) {
+    return it->second ? &*it->second : nullptr;
   }
-  // Verify outside the lock (pool threads may race to the same identity;
-  // the verdict is pure, and emplace keeps whichever lands first). Map
-  // nodes are stable and never erased, so the returned pointer stays valid.
+  // Map nodes are stable and never erased, so the returned pointer stays
+  // valid.
   std::optional<Certificate> parsed = Certificate::Deserialize(cert_bytes);
   if (parsed && !ValidateCertificate(*parsed)) parsed.reset();
-  std::lock_guard<std::mutex> lock(cert_cache_mu_);
   auto it = cert_cache_.try_emplace(std::string(key), std::move(parsed)).first;
   return it->second ? &*it->second : nullptr;
 }

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -60,15 +59,14 @@ class MspRegistry {
   /// Deserializes and fully validates a serialized certificate, memoizing
   /// the result by its bytes — Fabric's MSP deserialized-identity cache.
   /// Returns nullptr for unknown/invalid certificates (also memoized).
-  /// Thread-safe: the committer's host-side VSCC precompute verifies a
-  /// block's envelopes on pool threads against this shared registry
-  /// (entries are node-stable, so returned pointers survive later inserts).
+  /// Entries are node-stable, so returned pointers survive later inserts.
+  /// Not thread-safe: a registry belongs to the one host thread that runs
+  /// its experiment.
   [[nodiscard]] const Certificate* CachedCertificate(
       proto::BytesView cert_bytes) const;
 
   [[nodiscard]] std::size_t OrganizationCount() const { return cas_.size(); }
   [[nodiscard]] std::size_t IdentityCacheSize() const {
-    std::lock_guard<std::mutex> lock(cert_cache_mu_);
     return cert_cache_.size();
   }
 
@@ -76,7 +74,6 @@ class MspRegistry {
   std::unordered_map<std::string, std::unique_ptr<CertificateAuthority>> cas_;
   // Identity cache: serialized cert bytes -> validated cert (or nullopt).
   // Probed by string_view, so a hit allocates nothing.
-  mutable std::mutex cert_cache_mu_;
   mutable proto::StringMap<std::optional<Certificate>> cert_cache_;
 };
 

@@ -2,23 +2,16 @@
 
 namespace fabricsim::crypto {
 
-std::atomic<std::uint64_t> MspIdentityCache::global_hits_{0};
-std::atomic<std::uint64_t> MspIdentityCache::global_misses_{0};
-std::atomic<std::uint64_t> MspIdentityCache::global_evictions_{0};
-
 MspIdentityCache::Result MspIdentityCache::Lookup(proto::BytesView cert_bytes) {
   const std::string_view key = proto::AsStringView(cert_bytes);
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++hits_;
-    global_hits_.fetch_add(1, std::memory_order_relaxed);
     return Result{it->second ? &*it->second : nullptr, true};
   }
 
   ++misses_;
-  global_misses_.fetch_add(1, std::memory_order_relaxed);
   if (entries_.size() >= kMaxEntries) {
     evictions_ += entries_.size();
-    global_evictions_.fetch_add(entries_.size(), std::memory_order_relaxed);
     entries_.clear();
   }
 

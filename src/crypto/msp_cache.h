@@ -21,7 +21,6 @@
 // there is no cache and every VSCC job pays the uncached cost.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -58,24 +57,6 @@ class MspIdentityCache {
   [[nodiscard]] std::uint64_t Evictions() const { return evictions_; }
   [[nodiscard]] std::size_t Size() const { return entries_.size(); }
 
-  // Process-wide aggregates across every committer's cache, for the bench
-  // JSON host subtree (under parallel sweeps the totals include every
-  // concurrently running experiment).
-  [[nodiscard]] static std::uint64_t GlobalHits() {
-    return global_hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] static std::uint64_t GlobalMisses() {
-    return global_misses_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] static std::uint64_t GlobalEvictions() {
-    return global_evictions_.load(std::memory_order_relaxed);
-  }
-  static void ResetGlobalStats() {
-    global_hits_.store(0, std::memory_order_relaxed);
-    global_misses_.store(0, std::memory_order_relaxed);
-    global_evictions_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   const MspRegistry& msps_;
   // Full cert bytes -> verified cert (nullopt = verified invalid). The full
@@ -85,10 +66,6 @@ class MspIdentityCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
-
-  static std::atomic<std::uint64_t> global_hits_;
-  static std::atomic<std::uint64_t> global_misses_;
-  static std::atomic<std::uint64_t> global_evictions_;
 };
 
 }  // namespace fabricsim::crypto

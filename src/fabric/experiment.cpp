@@ -254,6 +254,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       const peer::Committer& committer = p.GetCommitter(channel);
       out.rejected_blocks += committer.RejectedBlocks();
       out.duplicate_tx_rejects += committer.DuplicateTxRejects();
+      if (const crypto::MspIdentityCache* cache = committer.MspCache()) {
+        out.msp_cache_hits += cache->Hits();
+        out.msp_cache_misses += cache->Misses();
+        out.msp_cache_evictions += cache->Evictions();
+      }
     }
   }
   out.committer_deferred = net.ValidatorPeer().GetCommitter().DeferredTotal();

@@ -101,6 +101,11 @@ struct ExperimentResult {
   std::uint64_t duplicate_tx_rejects = 0; // replays flagged kDuplicateTxId
   std::uint64_t byz_quarantines = 0;      // deliverers dropped on mismatch
   std::uint64_t bad_endorsements = 0;     // client-side forged-sig rejects
+  /// MSP identity-cache counters summed over every committer's cache (all
+  /// zero unless --opt-msp-cache is on).
+  std::uint64_t msp_cache_hits = 0;
+  std::uint64_t msp_cache_misses = 0;
+  std::uint64_t msp_cache_evictions = 0;
   std::uint64_t chain_height = 0;
   /// Hex hash of the validator chain's tip block header: the determinism
   /// fingerprint (same seed + config ⇒ same hash, with or without host-side

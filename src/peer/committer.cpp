@@ -1,29 +1,13 @@
 #include "peer/committer.h"
 
-#include <algorithm>
-#include <future>
 #include <string_view>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "crypto/signature.h"
 #include "obs/trace.h"
-#include "runner/thread_pool.h"
 
 namespace fabricsim::peer {
-namespace {
-
-// Shared host-side pool for the --opt-vscc-workers signer precompute. One
-// process-wide pool (not per committer): sweeps build many networks, and a
-// handful of shared threads is plenty for a pure memo-warming workload.
-runner::ThreadPool& PrecomputePool() {
-  static runner::ThreadPool pool(
-      std::min(4u, std::max(1u, std::thread::hardware_concurrency())));
-  return pool;
-}
-
-}  // namespace
 
 Committer::Committer(sim::Environment& env, sim::Machine& machine,
                      sim::Cpu& ledger_disk, const crypto::MspRegistry& msps,
@@ -55,22 +39,6 @@ void Committer::SetOptimizations(const fabric::OptimizationOptions& opts) {
   } else {
     vscc_cpu_.reset();
   }
-}
-
-void Committer::PrecomputeSigners(const proto::Block& block) {
-  // Warm each envelope's signer memo in parallel. Join before returning:
-  // the DES thread owns everything again afterwards, so the simulated
-  // timeline is independent of host scheduling. Skipped in short-circuit
-  // mode, where VSCC deliberately avoids the all-or-nothing memo.
-  if (block.transactions.size() < 2) return;
-  std::vector<std::future<void>> done;
-  done.reserve(block.transactions.size());
-  for (const auto& tx : block.transactions) {
-    done.push_back(PrecomputePool().Submit([this, &tx] {
-      (void)tx.VerifiedSigners(msps_);
-    }));
-  }
-  for (auto& f : done) f.get();
 }
 
 Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
@@ -274,12 +242,6 @@ void Committer::StartVscc(std::uint64_t number) {
 
   const bool tracing = env_.Trace() != nullptr && tracker_ != nullptr;
   if (tracing) pb.vscc_done_at.assign(pb.block->transactions.size(), 0);
-
-  // Host-side half of --opt-vscc-workers: warm the signer memos in
-  // parallel before any simulated job is planned or submitted.
-  if (vscc_cpu_ != nullptr && !opts_.policy_shortcircuit) {
-    PrecomputeSigners(*pb.block);
-  }
 
   // Fan one VSCC job per transaction onto the validation station — the
   // peer CPU, or the dedicated worker pool under --opt-vscc-workers. When

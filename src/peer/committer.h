@@ -219,12 +219,6 @@ class Committer {
   [[nodiscard]] sim::Cpu& VsccCpuRef() {
     return vscc_cpu_ ? *vscc_cpu_ : machine_.GetCpu();
   }
-  /// Host-side half of --opt-vscc-workers: warms each envelope's signer
-  /// memo in parallel on the shared precompute pool, joined before any
-  /// simulated job is submitted (pure memo fill; simulated results are
-  /// unchanged by construction).
-  void PrecomputeSigners(const proto::Block& block);
-
   void Admit(std::uint64_t number, proto::BlockPtr block, OnCommit on_commit);
   void PromoteDeferred();
   void StartVscc(std::uint64_t number);

@@ -8,11 +8,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -111,18 +109,6 @@ class Writer {
   Bytes buf_;
 };
 
-namespace detail {
-
-/// Global striped locks for CachedValue installs. Stripe by object address:
-/// embedding a mutex per cache slot would bloat every wire struct, and
-/// installs are rare (once per cached value), so contention is negligible.
-inline std::mutex& CacheStripe(const void* p) {
-  static std::mutex stripes[64];
-  return stripes[(reinterpret_cast<std::uintptr_t>(p) >> 6) & 63];
-}
-
-}  // namespace detail
-
 /// Lazy memoization slot for logically-immutable wire structures.
 ///
 /// Wire structs are built once and then shared read-only (blocks and
@@ -133,16 +119,10 @@ inline std::mutex& CacheStripe(const void* p) {
 /// was derived from (every member moves together) and leaves the source
 /// cold.
 ///
-/// Thread-safe for concurrent Get: the committer's --opt-vscc-workers host
-/// pool warms envelope memos on pool threads. The fast path is one acquire
-/// load; on a miss the value is computed OUTSIDE the lock (build chains
-/// may nest — signers over digest over serialized bytes — so holding a
-/// stripe while computing could deadlock on stripe ordering) and installed
-/// first-writer-wins, which is sound because builds are deterministic
-/// functions of the immutable struct, so racing computes produce identical
-/// values.
-/// Invalidate/copy/move/assign are NOT concurrency-safe — they belong to
-/// single-threaded construction and test phases, per the contract above.
+/// Not thread-safe: an experiment, and every wire structure it builds, is
+/// owned by one host thread. Host parallelism runs whole experiments side by
+/// side (src/runner/), and no envelope, block or identity crosses from one
+/// to another.
 template <typename T>
 class CachedValue {
  public:
@@ -161,31 +141,19 @@ class CachedValue {
   /// Returns the cached value, computing it via `build` on first use.
   template <typename F>
   const T& Get(F&& build) const {
-    if (ready_.load(std::memory_order_acquire)) return *cached_;
-    T fresh = build();
-    std::lock_guard<std::mutex> lock(detail::CacheStripe(this));
-    if (!ready_.load(std::memory_order_relaxed)) {
-      cached_ = std::move(fresh);
-      ready_.store(true, std::memory_order_release);
-    }
+    if (!cached_) cached_ = build();
     return *cached_;
   }
 
-  void Invalidate() const {
-    ready_.store(false, std::memory_order_relaxed);
-    cached_.reset();
-  }
+  void Invalidate() const { cached_.reset(); }
 
  private:
   void Take(CachedValue& other) noexcept {
     cached_ = std::move(other.cached_);
-    ready_.store(other.ready_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
     other.Invalidate();
   }
 
   mutable std::optional<T> cached_;
-  mutable std::atomic<bool> ready_{false};
 };
 
 /// Matching decoder. Throws std::out_of_range on truncated input.

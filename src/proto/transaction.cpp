@@ -88,14 +88,8 @@ const crypto::Digest& TransactionEnvelope::EndorsedPayloadDigest() const {
 
 const std::optional<std::vector<crypto::Principal>>&
 TransactionEnvelope::VerifiedSigners(const crypto::MspRegistry& msps) const {
-  if (signers_.registry.load(std::memory_order_acquire) == &msps) {
-    return signers_.value;
-  }
+  if (signers_.registry == &msps) return signers_.value;
 
-  // Verify OUTSIDE any lock: the digest getters take CachedValue stripes of
-  // their own, and racing verifications of the same immutable envelope
-  // against the same registry reach the same verdict, so first-writer-wins
-  // below is sound.
   std::optional<std::vector<crypto::Principal>> fresh;  // nullopt: bad sig
   const crypto::Certificate* client_cert = msps.CachedCertificate(creator_cert);
   if (client_cert != nullptr &&
@@ -118,11 +112,8 @@ TransactionEnvelope::VerifiedSigners(const crypto::MspRegistry& msps) const {
     if (all_ok) fresh = std::move(signers);
   }
 
-  std::lock_guard<std::mutex> lock(detail::CacheStripe(&signers_));
-  if (signers_.registry.load(std::memory_order_relaxed) != &msps) {
-    signers_.value = std::move(fresh);
-    signers_.registry.store(&msps, std::memory_order_release);
-  }
+  signers_.value = std::move(fresh);
+  signers_.registry = &msps;
   return signers_.value;
 }
 

@@ -7,7 +7,6 @@
 // and what committing peers validate.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -117,12 +116,11 @@ struct TransactionEnvelope {
   CachedValue<Bytes> endorsed_payload_cache_;  // EndorsedPayloadBytes() only
 
   // Signer-verification memo with the same copy-resets semantics as
-  // CachedValue (a mutated copy must re-verify honestly). The registry
-  // pointer doubles as the atomic ready flag — it is set (release) only
-  // after `value` is installed, so host threads warming the same shared
-  // envelope (the --opt-vscc-workers precompute) are safe; negative results
-  // (nullopt value with the registry set) stay cached. Like CachedValue, resets are reserved for
-  // single-threaded phases.
+  // CachedValue (a mutated copy must re-verify honestly). `registry` is the
+  // trust registry `value` was computed against, or null while cold, so
+  // negative results (nullopt value with the registry set) stay cached.
+  // Like CachedValue it is not thread-safe: the envelope belongs to the one
+  // host thread that runs its experiment.
   struct SignerCache {
     SignerCache() = default;
     SignerCache(const SignerCache&) noexcept {}
@@ -136,10 +134,10 @@ struct TransactionEnvelope {
       return *this;
     }
     void Reset() const {
-      registry.store(nullptr, std::memory_order_relaxed);
+      registry = nullptr;
       value.reset();
     }
-    mutable std::atomic<const void*> registry{nullptr};
+    mutable const void* registry = nullptr;
     mutable std::optional<std::vector<crypto::Principal>> value;
   };
   SignerCache signers_;

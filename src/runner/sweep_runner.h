@@ -9,9 +9,11 @@
 // JSON output, stdout tables, and chain-head fingerprints byte-identical to
 // a serial run; only host wall-clock differs.
 //
-// Shared host state the points touch concurrently (and which is therefore
-// thread-safe): the SHA-256 dispatch once-flag and the immutable default
-// calibration table. Anything else a point needs it owns.
+// Each experiment runs on exactly one host thread, and nothing below
+// src/runner/ starts threads or locks. Points share only host state that is
+// read-only after first use: the SHA-256 dispatch once-flag and the
+// immutable default calibration table. Everything else a point touches
+// (envelopes, blocks, identity registries, caches, counters) it owns.
 #pragma once
 
 #include <string>

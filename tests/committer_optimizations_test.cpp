@@ -4,10 +4,9 @@
 // the unoptimized committer (except the one documented shortcircuit
 // divergence pinned below).
 //
-// The CommitterVsccWorkers suites run under TSan in CI (ctest -R matches
-// "VsccWorkers"): the parallel-VSCC knob is the one committer path that
-// fans host work across threads (the signer precompute pool against the
-// shared MspRegistry).
+// The CommitterVsccWorkers suites check the simulated parallel-VSCC worker
+// station: --opt-vscc-workers adds simulated cores, never host threads, so
+// the committer runs on the one host thread that owns its experiment.
 #include "peer/committer.h"
 
 #include <gtest/gtest.h>
@@ -180,25 +179,6 @@ TEST(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
   f.env.Sched().RunUntil(sim::FromSeconds(30));
   EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2}));
   EXPECT_TRUE(f.committer->Chain().Audit().ok);
-}
-
-TEST(CommitterVsccWorkersTest, WideBlockExercisesThePrecomputePool) {
-  // 32 transactions in one block drive the host-side signer precompute
-  // across the pool threads (the TSan target: concurrent VerifiedSigners
-  // against the shared, mutexed MspRegistry).
-  Fixture f;
-  fabric::OptimizationOptions opt;
-  opt.vscc_workers = 4;
-  f.committer->SetOptimizations(opt);
-  std::vector<proto::TransactionEnvelope> txs;
-  for (int i = 0; i < 32; ++i) {
-    txs.push_back(f.MakeTx("t" + std::to_string(i),
-                           {i % 2 == 0 ? f.peer1.get() : f.peer2.get()},
-                           {"k" + std::to_string(i)}));
-  }
-  const auto codes = f.Commit(f.MakeBlock(std::move(txs)));
-  ASSERT_EQ(codes.size(), 32u);
-  for (const auto c : codes) EXPECT_EQ(c, proto::ValidationCode::kValid);
 }
 
 TEST(CommitterOptimizations, BulkCommitEndStateIdentical) {

@@ -12,10 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "bench/recorder.h"
 #include "crypto/ca.h"
 #include "crypto/identity.h"
+#include "fabric/experiment.h"
 #include "proto/bytes.h"
+#include "runner/sweep_runner.h"
 
 namespace fabricsim::crypto {
 namespace {
@@ -23,7 +27,6 @@ namespace {
 class MspCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    MspIdentityCache::ResetGlobalStats();
     org_ = &msps_.AddOrganization("Org1MSP");
     honest_ = org_->Enroll("peer0", Role::kPeer).Cert();
   }
@@ -111,9 +114,11 @@ TEST_F(MspCacheTest, WholesaleClearRecomputesHonestly) {
   EXPECT_FALSE(after.hit);  // the clear dropped it; recomputed honestly
 }
 
-TEST_F(MspCacheTest, StatsFeedTheGlobalAggregates) {
-  // Per-committer counters roll up into the process-wide aggregates the
-  // bench JSON exports under host.msp_cache.
+TEST_F(MspCacheTest, StatsSumIntoEachExperimentResult) {
+  // RunExperiment sums every committer's counters into its own result, and
+  // the recorder adds them up over each point's kept repetitions for the
+  // bench JSON's host.msp_cache block. Run side by side on a parallel sweep,
+  // an experiment still reports exactly its own lookups.
   MspIdentityCache a(msps_);
   MspIdentityCache b(msps_);
   const proto::Bytes bytes = honest_.Serialize();
@@ -124,8 +129,49 @@ TEST_F(MspCacheTest, StatsFeedTheGlobalAggregates) {
   EXPECT_EQ(a.Misses(), 1u);
   EXPECT_EQ(b.Hits(), 0u);
   EXPECT_EQ(b.Misses(), 1u);
-  EXPECT_EQ(MspIdentityCache::GlobalHits(), 1u);
-  EXPECT_EQ(MspIdentityCache::GlobalMisses(), 2u);
+
+  fabric::ExperimentConfig on =
+      fabric::StandardConfig(fabric::OrderingType::kSolo, 0, 100);
+  on.warmup = sim::FromSeconds(3);
+  on.workload.duration = sim::FromSeconds(6);
+  on.drain = sim::FromSeconds(6);
+  on.network.optimizations.msp_cache = true;
+  fabric::ExperimentConfig off = on;
+  off.network.optimizations.msp_cache = false;
+
+  const fabric::ExperimentResult alone = fabric::RunExperiment(on);
+  EXPECT_GT(alone.msp_cache_misses, 0u);
+  EXPECT_GT(alone.msp_cache_hits, alone.msp_cache_misses);
+  EXPECT_EQ(alone.msp_cache_evictions, 0u);
+
+  runner::SweepOptions options;
+  options.jobs = 2;
+  const std::vector<runner::PointOutcome> outcomes =
+      runner::RunSweep({{on, "on"}, {off, "off"}}, options);
+  ASSERT_EQ(outcomes.size(), 2u);
+  const fabric::ExperimentResult& swept = outcomes[0].result;
+  const fabric::ExperimentResult& none = outcomes[1].result;
+  EXPECT_EQ(swept.msp_cache_hits, alone.msp_cache_hits);
+  EXPECT_EQ(swept.msp_cache_misses, alone.msp_cache_misses);
+  EXPECT_EQ(none.msp_cache_hits + none.msp_cache_misses +
+                none.msp_cache_evictions,
+            0u);
+
+  bench::HostSample two_reps;
+  two_reps.wall_s = {1.0, 1.0};
+  bench::Recorder without("msp_cache_test", "test", 2);
+  without.AddPoint("off", none, two_reps);
+  EXPECT_EQ(without.ToJson().Find("host")->Find("msp_cache"), nullptr);
+
+  bench::Recorder with("msp_cache_test", "test", 2);
+  with.AddPoint("on", swept, two_reps);
+  with.AddPoint("off", none, two_reps);
+  const bench::Json doc = with.ToJson();
+  const bench::Json* cache = doc.Find("host")->Find("msp_cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->Find("hits")->AsNumber(), 2.0 * alone.msp_cache_hits);
+  EXPECT_EQ(cache->Find("misses")->AsNumber(), 2.0 * alone.msp_cache_misses);
+  EXPECT_EQ(cache->Find("evictions")->AsNumber(), 0.0);
 }
 
 }  // namespace

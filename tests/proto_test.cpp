@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <latch>
-#include <thread>
-
 #include "crypto/ca.h"
 #include "crypto/merkle.h"
 #include "proto/block.h"
@@ -308,53 +305,6 @@ TEST(EnvelopeMemo, TamperedCopyRecomputesWhileSourceKeepsItsMemos) {
   EXPECT_EQ(source->SignedBodyDigest(), body);
   EXPECT_EQ(source->EndorsedPayloadDigest(), endorsed);
   ExpectMemosMatchFreshBytes(*source);
-}
-
-TEST(EnvelopeMemo, ConcurrentWarm) {
-  crypto::MspRegistry msps;
-  msps.AddOrganization("ClientOrgMSP");
-  const TransactionEnvelope cold = SampleEnvelope();
-  const auto shared = std::make_shared<const TransactionEnvelope>(cold);
-
-  struct Seen {
-    std::size_t size = 0;
-    crypto::Digest leaf{};
-    crypto::Digest body{};
-    const std::optional<std::vector<crypto::Principal>>* signers = nullptr;
-  };
-  constexpr int kThreads = 8;
-  std::vector<Seen> seen(kThreads);
-  std::latch start(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      // Alternate the order so every memo has racing first readers.
-      if (t % 2 == 0) {
-        seen[t].signers = &shared->VerifiedSigners(msps);
-        seen[t].leaf = shared->LeafHash();
-        seen[t].size = shared->WireSize();
-        seen[t].body = shared->SignedBodyDigest();
-      } else {
-        seen[t].size = shared->WireSize();
-        seen[t].body = shared->SignedBodyDigest();
-        seen[t].leaf = shared->LeafHash();
-        seen[t].signers = &shared->VerifiedSigners(msps);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  const auto& expected = cold.VerifiedSigners(msps);
-  ASSERT_TRUE(expected.has_value());
-  for (const Seen& s : seen) {
-    EXPECT_EQ(s.size, cold.WireSize());
-    EXPECT_EQ(s.leaf, cold.LeafHash());
-    EXPECT_EQ(s.body, cold.SignedBodyDigest());
-    EXPECT_EQ(s.signers, seen.front().signers);
-    ASSERT_TRUE(s.signers->has_value());
-    EXPECT_EQ(**s.signers, *expected);
-  }
 }
 
 TEST(Block, MakeComputesDataHashAndChainsPrev) {

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/json.h"
@@ -352,12 +353,27 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
       }
       continue;
     }
+    // Matches `key`, then parses its value into `field`; a value that is
+    // not a number, or is negative for a count, sets `error`.
     auto number = [&](const char* key, auto& field) -> bool {
-      if (auto v = ArgValue(arg, key)) {
-        field = static_cast<std::decay_t<decltype(field)>>(std::stod(*v));
-        return true;
+      const auto v = ArgValue(arg, key);
+      if (!v) return false;
+      using T = std::decay_t<decltype(field)>;
+      double d = 0.0;
+      std::size_t used = 0;
+      try {
+        d = std::stod(*v, &used);
+      } catch (const std::exception&) {
+        used = 0;
       }
-      return false;
+      if (used == 0 || used != v->size()) {
+        error = std::string(key) + " needs a number, got " + *v;
+      } else if (std::is_unsigned_v<T> && d < 0) {
+        error = std::string(key) + " must not be negative";
+      } else {
+        field = static_cast<T>(d);
+      }
+      return true;
     };
     if (number("--rate", out.rate) || number("--duration", out.duration_s) ||
         number("--peers", out.peers) ||
@@ -379,12 +395,25 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
         number("--metrics-period-ms", out.metrics_period_ms) ||
         number("--retain-blocks", out.retain_blocks) ||
         number("--opt-vscc-workers", out.optimizations.vscc_workers)) {
+      if (!error.empty()) return false;
       continue;
     }
     error = "unknown argument: " + arg;
     return false;
   }
-  return true;
+  // Sizes the network cannot be built with, and a sampling period that
+  // would never advance: rejected here instead of crashing mid-run.
+  auto at_least = [&](const char* key, double value, double min) {
+    if (value >= min) return true;
+    error = std::string(key) + " must be at least " + metrics::Fmt(min, 0);
+    return false;
+  };
+  return at_least("--peers", out.peers, 1) &&
+         at_least("--committing-peers", out.committing_peers, 1) &&
+         at_least("--osns", out.osns, 1) &&
+         at_least("--brokers", out.brokers, 1) &&
+         at_least("--zookeepers", out.zookeepers, 1) &&
+         at_least("--metrics-period-ms", out.metrics_period_ms, 1);
 }
 
 }  // namespace
