@@ -4,7 +4,6 @@
 
 #include "crypto/sha256.h"
 #include "metrics/registry.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace fabricsim::fabric {
@@ -36,17 +35,38 @@ std::vector<obs::ResourceUsage> CollectUsage(FabricNetwork& net,
   return usage;
 }
 
-/// Wires the standard instrument set into `reg`: queue depths and
-/// high-watermarks, cumulative sheds, scheduler backlog, and tracker
-/// occupancy. All closures point into `net`, so the
-/// caller must DropInstruments() before the network dies.
+/// Registers `<resource>.busy_cores` and `<resource>.queue_len` for a CPU
+/// station.
+void AddCpuGauges(metrics::Registry& reg, const std::string& resource,
+                  const sim::Cpu* cpu) {
+  reg.AddGauge(resource + ".busy_cores",
+               [cpu] { return static_cast<double>(cpu->BusyCores()); });
+  reg.AddGauge(resource + ".queue_len",
+               [cpu] { return static_cast<double>(cpu->QueueLength()); });
+}
+
+/// Wires the standard instrument set into `reg`: scheduler backlog, every
+/// machine's CPU and the validator's disk station, network bytes in flight,
+/// queue depths and high-watermarks, cumulative sheds, and tracker
+/// occupancy. All closures point into `net`, so the caller must
+/// DropInstruments() before the network dies.
 void WireRegistry(metrics::Registry& reg, FabricNetwork& net) {
-  sim::Scheduler* sched = &net.Env().Sched();
+  sim::Environment& env = net.Env();
+  sim::Scheduler* sched = &env.Sched();
   reg.AddGauge("scheduler.pending_events", [sched] {
     return static_cast<double>(sched->PendingEvents());
   });
   reg.AddGauge("scheduler.executed_events", [sched] {
     return static_cast<double>(sched->ExecutedEvents());
+  });
+  for (std::size_t i = 0; i < env.MachineCount(); ++i) {
+    const sim::Machine& m = env.MachineAt(i);
+    AddCpuGauges(reg, m.Name(), &m.GetCpu());
+  }
+  AddCpuGauges(reg, "validator-disk", &net.ValidatorPeer().Disk());
+  const sim::Network* wire = &env.Net();
+  reg.AddGauge("network.bytes_in_flight", [wire] {
+    return static_cast<double>(wire->BytesInFlight());
   });
   for (int c = 0; c < net.ChannelCount(); ++c) {
     const auto osns = net.Osns(c);
@@ -57,6 +77,8 @@ void WireRegistry(metrics::Registry& reg, FabricNetwork& net) {
       reg.AddGauge(prefix + "ingress_depth", [osn] {
         return static_cast<double>(osn->IngressDepth());
       });
+      // High watermark alongside the instantaneous depth: the sampling
+      // cadence misses bursts; the watermark never does.
       reg.AddGauge(prefix + "ingress_depth_hwm", [osn] {
         return static_cast<double>(osn->IngressDepthHighWatermark());
       });
@@ -163,53 +185,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     config.registry->StartSampling(net.Env().Sched(), config.metrics_period);
   }
 
-  if (config.telemetry != nullptr) {
-    config.telemetry->Monitor(net.Env());
-    config.telemetry->AddCpu("validator disk", &net.ValidatorPeer().Disk());
-    if (net_options.overload.enabled) {
-      // Overload gauges: per-OSN ingress depth / cumulative sheds, the
-      // endorser ingress, and the validator's deferred-block backlog.
-      for (int c = 0; c < net.ChannelCount(); ++c) {
-        const auto osns = net.Osns(c);
-        for (std::size_t i = 0; i < osns.size(); ++i) {
-          const std::string name =
-              "osn" + std::to_string(i) + "/" + net.ChannelId(c);
-          ordering::OsnBase* osn = osns[i];
-          config.telemetry->AddGauge(name, "ingress_depth", [osn] {
-            return static_cast<double>(osn->IngressDepth());
-          });
-          // High watermark alongside the instantaneous depth: a 250 ms
-          // sampling cadence misses bursts; the watermark never does.
-          config.telemetry->AddGauge(name, "ingress_depth_hwm", [osn] {
-            return static_cast<double>(osn->IngressDepthHighWatermark());
-          });
-          config.telemetry->AddGauge(name, "ingress_shed", [osn] {
-            return static_cast<double>(osn->IngressShed());
-          });
-        }
-      }
-      for (std::size_t i = 0; i < net.PeerCount(); ++i) {
-        peer::PeerNode* p = &net.Peer(i);
-        if (!p->IsEndorsing()) continue;
-        const std::string name = "peer" + std::to_string(i);
-        config.telemetry->AddGauge(name, "endorse_depth", [p] {
-          return static_cast<double>(p->EndorseDepth());
-        });
-        config.telemetry->AddGauge(name, "endorse_depth_hwm", [p] {
-          return static_cast<double>(p->EndorseDepthHighWatermark());
-        });
-        config.telemetry->AddGauge(name, "endorse_shed", [p] {
-          return static_cast<double>(p->EndorseShed());
-        });
-      }
-      peer::PeerNode* validator = &net.ValidatorPeer();
-      config.telemetry->AddGauge("validator", "deferred_blocks", [validator] {
-        return static_cast<double>(validator->GetCommitter().DeferredBlocks());
-      });
-    }
-    config.telemetry->Start(net.Env().Sched());
-  }
-
   // The workload opens after the warm-up and runs through the window.
   client::WorkloadConfig wl = config.workload;
   wl.start = config.warmup;
@@ -217,7 +192,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   controller.Start();
 
   net.Env().Sched().RunUntil(window_end + config.drain);
-  if (config.telemetry != nullptr) config.telemetry->Stop();
   if (config.registry != nullptr) {
     config.registry->StopSampling();
     config.registry->SampleNow(net.Env().Sched().Now());

@@ -16,10 +16,6 @@
 #include "obs/attribution.h"
 #include "sim/profiler.h"
 
-namespace fabricsim::obs {
-class TelemetrySampler;
-}  // namespace fabricsim::obs
-
 namespace fabricsim::metrics {
 class Registry;
 }  // namespace fabricsim::metrics
@@ -33,9 +29,6 @@ struct ExperimentConfig {
   sim::SimDuration warmup = sim::FromSeconds(10);
   /// Time after the window closes, letting in-flight transactions commit.
   sim::SimDuration drain = sim::FromSeconds(15);
-  /// Optional resource-telemetry sampler: monitored over the whole run
-  /// (machine CPUs, validator disk, network bytes-in-flight). Not owned.
-  obs::TelemetrySampler* telemetry = nullptr;
   /// Declarative fault schedule (see faults/fault_schedule.h for the
   /// grammar). Non-empty implies `network.recovery.enabled`; after the run
   /// the ledger-consistency invariants are checked automatically and a
@@ -58,12 +51,13 @@ struct ExperimentConfig {
   /// recovery need post-hoc records (recovery's commit-timeout can reject a
   /// tx after its commit retired the record).
   bool streaming_stats = false;
-  /// Optional metrics registry: the runner wires standard gauges (queue
-  /// depths and high-watermarks, sheds, scheduler backlog, tracker
-  /// occupancy) and samples them every `metrics_period` of simulated
-  /// time on observer events — attaching it changes no simulated result.
-  /// Reset + rewired each run; not owned. The caller exports the timeline
-  /// with Registry::WriteJson/WritePrometheus afterwards.
+  /// Optional metrics registry: the runner wires standard gauges (every
+  /// machine's CPU busy cores and queue length, the validator disk, network
+  /// bytes in flight, queue depths and high-watermarks, sheds, scheduler
+  /// backlog, tracker occupancy) and samples them every `metrics_period` of
+  /// simulated time on observer events — attaching it changes no simulated
+  /// result. Reset + rewired each run; not owned. The caller exports the
+  /// timeline with Registry::WriteJson/WritePrometheus/WriteCsv afterwards.
   metrics::Registry* registry = nullptr;
   sim::SimDuration metrics_period = sim::FromMillis(250);
   /// Host-side DES profiler: per-handler dispatch counts and host-ns

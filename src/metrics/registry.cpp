@@ -1,9 +1,29 @@
 #include "metrics/registry.h"
 
+#include <charconv>
 #include <ostream>
+#include <string_view>
 #include <utility>
 
 namespace fabricsim::metrics {
+
+namespace {
+
+/// A number written as the shortest text that reads back as the same
+/// double. The stream default of 6 significant digits would print a counter
+/// past 10^6 (e.g. `scheduler.executed_events`) as `1.75074e+06` and let
+/// consecutive samples of a moving counter look equal.
+struct Exact {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& os, Exact n) {
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, n.v).ptr;
+  return os.write(buf, end - buf);
+}
+
+}  // namespace
 
 std::size_t Registry::AddSeries(const std::string& name, Series series) {
   auto it = index_.find(name);
@@ -110,15 +130,16 @@ void Registry::Reset() {
 }
 
 void Registry::WriteJson(std::ostream& os) const {
-  os << "{\"period_ms\":" << sim::ToSeconds(period_) * 1e3 << ",\"series\":[";
+  os << "{\"period_ms\":" << Exact{sim::ToSeconds(period_) * 1e3}
+     << ",\"series\":[";
   for (std::size_t i = 0; i < names_.size(); ++i) {
     os << (i == 0 ? "" : ",") << '"' << names_[i] << '"';
   }
   os << "],\"samples\":[";
   for (std::size_t i = 0; i < snapshots_.size(); ++i) {
     const MetricsSnapshot& s = snapshots_[i];
-    os << (i == 0 ? "" : ",") << "\n[" << sim::ToSeconds(s.t);
-    for (const double v : s.values) os << ',' << v;
+    os << (i == 0 ? "" : ",") << "\n[" << Exact{sim::ToSeconds(s.t)};
+    for (const double v : s.values) os << ',' << Exact{v};
     os << ']';
   }
   os << "\n]}\n";
@@ -132,8 +153,30 @@ void Registry::WritePrometheus(std::ostream& os) const {
     }
     os << "# TYPE " << name << " gauge\n";
     for (const MetricsSnapshot& s : snapshots_) {
-      os << name << ' ' << s.values[i] << ' '
+      os << name << ' ' << Exact{s.values[i]} << ' '
          << static_cast<long long>(sim::ToSeconds(s.t) * 1e3) << '\n';
+    }
+  }
+}
+
+void Registry::WriteCsv(std::ostream& os) const {
+  // (resource, metric) per series, split once rather than once per row.
+  std::vector<std::pair<std::string_view, std::string_view>> split;
+  split.reserve(names_.size());
+  for (const std::string_view name : names_) {
+    const std::size_t dot = name.rfind('.');
+    if (dot == std::string_view::npos) {
+      split.emplace_back(std::string_view(), name);
+    } else {
+      split.emplace_back(name.substr(0, dot), name.substr(dot + 1));
+    }
+  }
+  os << "time_s,resource,metric,value\n";
+  for (const MetricsSnapshot& s : snapshots_) {
+    const Exact t{sim::ToSeconds(s.t)};
+    for (std::size_t i = 0; i < split.size(); ++i) {
+      os << t << ',' << split[i].first << ',' << split[i].second << ','
+         << Exact{s.values[i]} << '\n';
     }
   }
 }

@@ -3,8 +3,13 @@
 //
 // Components register instruments once (O(1) per registration), the registry
 // samples every instrument on a fixed simulated cadence, and the resulting
-// time series exports as JSON or Prometheus text exposition. Sampling rides
-// the scheduler's *observer* events, so attaching a registry never changes
+// time series exports as JSON, Prometheus text exposition, or long-format CSV.
+// This is the run's one sampling pipeline: per-machine CPU busy cores and
+// queue depth, network bytes in flight, admission queues and tracker
+// occupancy all land in one timeline — the simulated analogue of running
+// `dstat`/`sar` on every testbed machine while the benchmark drives load,
+// which is how the paper located saturated resources. Sampling rides the
+// scheduler's *observer* events, so attaching a registry never changes
 // ExecutedEvents() or any simulated result — the bench regression gate stays
 // bit-exact with or without `--metrics-out`.
 //
@@ -100,6 +105,12 @@ class Registry {
   /// millisecond simulated timestamps. Dots in series names become
   /// underscores to satisfy the metric-name grammar.
   void WritePrometheus(std::ostream& os) const;
+
+  /// Long format for pandas/gnuplot: a `time_s,resource,metric,value` header,
+  /// then one row per (sample, series). Each series name splits at its last
+  /// '.' (`osn0.mychannel.ingress_depth` -> `osn0.mychannel`,
+  /// `ingress_depth`); a name without a dot has an empty resource.
+  void WriteCsv(std::ostream& os) const;
 
  private:
   // One sampled column; exactly one of counter/gauge is set.

@@ -1,5 +1,6 @@
 // The metrics registry: named instruments, observer-event sampling that
-// never disturbs simulated results, and the JSON / Prometheus expositions.
+// never disturbs simulated results, and the JSON / Prometheus / long-format
+// CSV expositions.
 #include <algorithm>
 #include <sstream>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "fabric/experiment.h"
 #include "metrics/registry.h"
+#include "sim/cpu.h"
 #include "sim/scheduler.h"
 
 namespace fabricsim::metrics {
@@ -100,6 +102,31 @@ TEST(Registry, PeriodicSamplingRidesObserverEventsOnly) {
   EXPECT_EQ(sched.PendingEvents(), 0u);
 }
 
+TEST(Registry, SamplesCpuGaugesOnTheTickAndStopsWhenAsked) {
+  sim::Scheduler sched;
+  sim::Cpu cpu(sched, 2);
+  Registry reg;
+  reg.AddGauge("station.busy_cores",
+               [&cpu] { return static_cast<double>(cpu.BusyCores()); });
+  reg.AddGauge("station.queue_len",
+               [&cpu] { return static_cast<double>(cpu.QueueLength()); });
+  reg.StartSampling(sched, sim::SimDuration{100});
+
+  for (int i = 0; i < 5; ++i) cpu.Submit(150, [] {});
+  sched.RunUntil(250);
+  reg.StopSampling();
+  sched.Run();
+
+  // Ticks at t=100 and t=200 only (stopped before 300). Both cores stay busy
+  // throughout; the queue drains from 3 to 1 when the first pair finishes
+  // at t=150.
+  ASSERT_EQ(reg.Snapshots().size(), 2u);
+  EXPECT_EQ(reg.Snapshots()[0].t, 100);
+  EXPECT_EQ(reg.Snapshots()[0].values, (std::vector<double>{2.0, 3.0}));
+  EXPECT_EQ(reg.Snapshots()[1].t, 200);
+  EXPECT_EQ(reg.Snapshots()[1].values, (std::vector<double>{2.0, 1.0}));
+}
+
 TEST(Registry, StartSamplingClearsThePreviousTimeline) {
   // Under --reps each repetition restarts sampling; the surviving timeline
   // must be the last repetition's, not a concatenation.
@@ -169,6 +196,48 @@ TEST(Registry, WritePrometheusSanitizesNamesAndStampsMillis) {
       << out;
 }
 
+TEST(Registry, WriteCsvIsLongFormat) {
+  Registry reg;
+  reg.AddGauge("peer-machine0.busy_cores", [] { return 0.0; });
+  reg.AddGauge("osn0.mychannel.ingress_depth", [] { return 3.0; });
+  reg.AddGauge("depth", [] { return 1.0; });
+  reg.SampleNow(sim::FromMillis(1500));
+
+  std::ostringstream os;
+  reg.WriteCsv(os);
+  // One row per (sample, series); each name splits at its last '.', and a
+  // name without one has an empty resource.
+  EXPECT_EQ(os.str(),
+            "time_s,resource,metric,value\n"
+            "1.5,peer-machine0,busy_cores,0\n"
+            "1.5,osn0.mychannel,ingress_depth,3\n"
+            "1.5,,depth,1\n");
+}
+
+TEST(Registry, ExportersKeepEveryDigit) {
+  // A counter past 10^6 and a timestamp three hours in: six significant
+  // digits would print `1.75074e+06` and `10800.2`.
+  Registry reg;
+  reg.AddGauge("scheduler.executed_events", [] { return 1750741.0; });
+  reg.SampleNow(sim::FromMillis(10800250));
+
+  std::ostringstream csv;
+  reg.WriteCsv(csv);
+  EXPECT_NE(csv.str().find("10800.25,scheduler,executed_events,1750741\n"),
+            std::string::npos)
+      << csv.str();
+  std::ostringstream json;
+  reg.WriteJson(json);
+  EXPECT_NE(json.str().find("[10800.25,1750741]"), std::string::npos)
+      << json.str();
+  std::ostringstream prom;
+  reg.WritePrometheus(prom);
+  EXPECT_NE(prom.str().find("fabricsim_scheduler_executed_events 1750741 "
+                            "10800250\n"),
+            std::string::npos)
+      << prom.str();
+}
+
 // ------------------------------------------------------ experiment level
 
 TEST(RegistryExperiment, AttachingARegistryChangesNoSimulatedResult) {
@@ -196,7 +265,9 @@ TEST(RegistryExperiment, AttachingARegistryChangesNoSimulatedResult) {
   const auto& names = reg.SeriesNames();
   for (const char* expected :
        {"scheduler.pending_events", "tracker.inflight_records",
-        "validator.deferred_blocks"}) {
+        "validator.deferred_blocks", "peer-machine0.busy_cores",
+        "peer-machine0.queue_len", "validator-disk.busy_cores",
+        "validator-disk.queue_len", "network.bytes_in_flight"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

@@ -1,13 +1,14 @@
 // Integration tests for the observability subsystem on a full experiment:
 // spans appear in all three phases, the attribution components cover the
-// measured phase latency, and attaching the tracer + telemetry sampler does
+// measured phase latency, and attaching the tracer + metrics registry does
 // not perturb the simulation.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "fabric/experiment.h"
-#include "obs/telemetry.h"
+#include "metrics/registry.h"
 #include "obs/trace.h"
 
 namespace fabricsim {
@@ -107,16 +108,16 @@ TEST(ObsIntegration, TracingAndTelemetryDoNotPerturbResults) {
   EXPECT_EQ(idle_tracer.EventCount(), 0u);
   EXPECT_FALSE(plain.attribution.has_value());
 
-  // Same seed with tracer + telemetry attached.
+  // Same seed with tracer + metrics registry attached.
   obs::Tracer tracer;
-  obs::TelemetrySampler sampler;
+  metrics::Registry registry;
   fabric::ExperimentConfig config = SmallExperiment();
   config.network.tracer = &tracer;
-  config.telemetry = &sampler;
+  config.registry = &registry;
   const auto traced = fabric::RunExperiment(config);
 
   EXPECT_GT(tracer.EventCount(), 0u);
-  EXPECT_GT(sampler.Samples().size(), 0u);
+  EXPECT_GT(registry.Snapshots().size(), 0u);
 
   // The simulation is deterministic and the observers are passive: every
   // reported number must be identical.
@@ -124,6 +125,8 @@ TEST(ObsIntegration, TracingAndTelemetryDoNotPerturbResults) {
   EXPECT_EQ(plain.chain_height, traced.chain_height);
   EXPECT_EQ(plain.messages_sent, traced.messages_sent);
   EXPECT_EQ(plain.bytes_sent, traced.bytes_sent);
+  EXPECT_EQ(plain.sched_events, traced.sched_events);
+  EXPECT_EQ(plain.chain_head_hex, traced.chain_head_hex);
   EXPECT_EQ(plain.client_committed_valid, traced.client_committed_valid);
   EXPECT_EQ(plain.report.end_to_end.completed,
             traced.report.end_to_end.completed);
@@ -138,23 +141,24 @@ TEST(ObsIntegration, TracingAndTelemetryDoNotPerturbResults) {
 }
 
 TEST(ObsIntegration, TelemetrySeesLoadOnPeerMachines) {
-  obs::TelemetrySampler sampler;
+  metrics::Registry registry;
   fabric::ExperimentConfig config = SmallExperiment();
-  config.telemetry = &sampler;
+  config.registry = &registry;
   fabric::RunExperiment(config);
 
   bool peer_busy_seen = false;
   bool network_seen = false;
   bool disk_seen = false;
-  for (const obs::TelemetrySample& s : sampler.Samples()) {
-    if (s.metric == "busy_cores" && s.value > 0 &&
-        s.resource.rfind("peer-machine", 0) == 0) {
-      peer_busy_seen = true;
+  const std::vector<std::string>& names = registry.SeriesNames();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string& name = names[i];
+    if (name.starts_with("peer-machine") && name.ends_with(".busy_cores")) {
+      for (const metrics::MetricsSnapshot& snap : registry.Snapshots()) {
+        if (snap.values[i] > 0) peer_busy_seen = true;
+      }
     }
-    if (s.resource == "network" && s.metric == "bytes_in_flight") {
-      network_seen = true;
-    }
-    if (s.resource == "validator disk") disk_seen = true;
+    if (name == "network.bytes_in_flight") network_seen = true;
+    if (name.starts_with("validator-disk.")) disk_seen = true;
   }
   EXPECT_TRUE(peer_busy_seen);
   EXPECT_TRUE(network_seen);

@@ -1,6 +1,6 @@
 // Unit tests for the observability subsystem: Tracer span recording and
-// Chrome trace-event export (validated with a real JSON parse), the
-// telemetry sampler, and the attribution sweep on hand-built spans.
+// Chrome trace-event export (validated with a real JSON parse), and the
+// attribution sweep on hand-built spans.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -12,10 +12,8 @@
 
 #include "metrics/phase_stats.h"
 #include "obs/attribution.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "sim/cpu.h"
-#include "sim/scheduler.h"
+#include "sim/time.h"
 
 namespace fabricsim::obs {
 namespace {
@@ -346,63 +344,6 @@ TEST(Tracer, EmptyTraceExportsValidEmptyishJson) {
   const Json root = parser.Parse();
   ASSERT_FALSE(parser.Failed());
   EXPECT_EQ(root.kind, Json::kArray);
-}
-
-// ---------------------------------------------------------------------------
-// TelemetrySampler
-
-TEST(Telemetry, SamplesCpuAndStopsWhenAsked) {
-  sim::Scheduler sched;
-  sim::Cpu cpu(sched, 2);
-  TelemetrySampler sampler(sim::SimDuration{100});
-  sampler.AddCpu("station", &cpu);
-  sampler.Start(sched);
-
-  for (int i = 0; i < 5; ++i) cpu.Submit(150, [] {});
-  sched.RunUntil(250);
-  sampler.Stop();
-  sched.Run();
-
-  // Ticks at t=100 and t=200 only (stopped before 300).
-  std::size_t busy_rows = 0, queue_rows = 0;
-  for (const TelemetrySample& s : sampler.Samples()) {
-    EXPECT_LE(s.t, 250);
-    if (s.metric == "busy_cores") {
-      ++busy_rows;
-      EXPECT_EQ(s.value, 2.0);  // both cores busy through t=200
-    }
-    if (s.metric == "queue_len") ++queue_rows;
-  }
-  EXPECT_EQ(busy_rows, 2u);
-  EXPECT_EQ(queue_rows, 2u);
-}
-
-TEST(Telemetry, WriteCsvIsLongFormat) {
-  sim::Scheduler sched;
-  sim::Cpu cpu(sched, 1);
-  TelemetrySampler sampler;
-  sampler.AddCpu("peer-machine0", &cpu);
-  sampler.SampleNow(sim::FromMillis(1500));
-
-  std::ostringstream os;
-  sampler.WriteCsv(os);
-  const std::string out = os.str();
-  EXPECT_EQ(out.rfind("time_s,resource,metric,value", 0), 0u);
-  EXPECT_NE(out.find("1.5,peer-machine0,busy_cores,0"), std::string::npos);
-  EXPECT_NE(out.find("1.5,peer-machine0,queue_len,0"), std::string::npos);
-}
-
-TEST(Telemetry, TracksBytesInFlight) {
-  TelemetrySampler sampler;
-  sampler.OnSend(0, 1, 500, 10);
-  sampler.OnSend(0, 2, 300, 10);
-  EXPECT_EQ(sampler.BytesInFlight(), 800u);
-  sampler.OnDeliver(0, 1, 500);
-  EXPECT_EQ(sampler.BytesInFlight(), 300u);
-  sampler.OnDrop(0, 2, 300);
-  EXPECT_EQ(sampler.BytesInFlight(), 0u);
-  sampler.OnDeliver(9, 9, 100);  // over-delivery clamps, never wraps
-  EXPECT_EQ(sampler.BytesInFlight(), 0u);
 }
 
 // ---------------------------------------------------------------------------

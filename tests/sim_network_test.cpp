@@ -190,6 +190,33 @@ TEST(Network, CountsBytes) {
             1000 + f.net.Config().per_message_overhead_bytes);
 }
 
+TEST(Network, TracksBytesInFlight) {
+  Fixture f;
+  const std::size_t overhead = f.net.Config().per_message_overhead_bytes;
+  NodeId a = f.net.Register("a", [](NodeId, MessagePtr) {});
+  NodeId b = f.net.Register("b", [](NodeId, MessagePtr) {});
+  NodeId c = f.net.Register("c", [](NodeId, MessagePtr) {});
+
+  // Send: both messages are on the wire until they land.
+  f.net.Send(a, b, std::make_shared<TestMsg>(500));
+  f.net.Send(a, c, std::make_shared<TestMsg>(300));
+  EXPECT_EQ(f.net.BytesInFlight(), 800 + 2 * overhead);
+
+  // A crash at delivery time drops c's message and releases its bytes, just
+  // as b's delivery releases its own.
+  f.net.Crash(c);
+  f.sched.Run();
+  EXPECT_EQ(f.net.MessagesDelivered(), 1u);
+  EXPECT_EQ(f.net.MessagesDropped(), 1u);
+  EXPECT_EQ(f.net.BytesInFlight(), 0u);
+
+  // A send-time drop never goes on the wire, so it is never counted.
+  f.net.Send(a, c, std::make_shared<TestMsg>(700));
+  EXPECT_EQ(f.net.MessagesDropped(), 2u);
+  EXPECT_EQ(f.net.BytesInFlight(), 0u);
+  EXPECT_EQ(f.net.BytesSent(), 1500 + 3 * overhead);
+}
+
 TEST(Network, ConnectionDeliveryIsFifo) {
   Fixture f;
   std::vector<int> tags;

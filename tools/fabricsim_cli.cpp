@@ -8,6 +8,7 @@
 //   fabricsim_cli --workload=smallbank --peers=6 --channels=2 --csv
 //   fabricsim_cli --ordering=raft --sweep=50,150,250,350 --jobs=4
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -25,7 +26,6 @@
 #include "faults/invariants.h"
 #include "metrics/registry.h"
 #include "metrics/reporter.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "runner/sweep_runner.h"
 
@@ -39,7 +39,7 @@ struct CliOptions {
   double duration_s = 30.0;
   int peers = 10;
   int committing_peers = 1;
-  int clients = -1;
+  std::optional<int> clients;  // unset = one per endorsing peer
   int osns = 3;
   int brokers = 3;
   int zookeepers = 3;
@@ -54,7 +54,6 @@ struct CliOptions {
   bool csv = false;
   bool help = false;
   std::string trace_out;      // Chrome trace-event JSON path ("" = off)
-  std::string telemetry_csv;  // resource time-series CSV path ("" = off)
   std::string faults;         // declarative fault schedule ("" = none)
   std::string overload;       // off|reject|drop-oldest|block ("" = off)
   std::size_t osn_queue = 512;       // OSN ingress max inflight
@@ -68,7 +67,7 @@ struct CliOptions {
   fabric::FailpointOptions failpoints;  // deliberate bugs for chaos demos
   bool streaming_stats = false;  // bounded-memory tracker accounting
   std::string metrics_out;       // metrics-timeline path ("" = off)
-  std::string metrics_format = "json";  // json|prom
+  std::string metrics_format = "json";  // json|prom|csv
   double metrics_period_ms = 250.0;
   bool profile = false;        // host-side DES profiler + top-N table
   std::string profile_trace;   // Chrome trace of sampled handler spans
@@ -105,8 +104,6 @@ void PrintHelp() {
       "                               run (open in chrome://tracing or\n"
       "                               https://ui.perfetto.dev); also prints\n"
       "                               the bottleneck-attribution table\n"
-      "  --telemetry-csv=<file>       write per-resource time series\n"
-      "                               (time_s,resource,metric,value)\n"
       "  --faults=<spec>              chaos schedule, e.g.\n"
       "                               \"crash:leader@15s,revive:leader@25s\"\n"
       "                               or \"tamper-block:osn0@20s-25s\"\n"
@@ -161,12 +158,17 @@ void PrintHelp() {
       "                               memory for long runs, shrinks the\n"
       "                               dedup horizon to the retained window\n"
       "  --metrics-out=<file>         write the metrics-registry timeline\n"
-      "                               (queue depths, sheds, scheduler\n"
-      "                               backlog, tracker occupancy) sampled\n"
-      "                               every --metrics-period-ms of simulated\n"
-      "                               time; simulated results are unchanged\n"
-      "  --metrics-format=json|prom   timeline format (default json;\n"
-      "                               prom = Prometheus text exposition)\n"
+      "                               (per-machine CPU busy cores and queue\n"
+      "                               length, validator disk, network bytes\n"
+      "                               in flight, queue depths, sheds,\n"
+      "                               scheduler backlog, tracker occupancy)\n"
+      "                               sampled every --metrics-period-ms of\n"
+      "                               simulated time; simulated results are\n"
+      "                               unchanged\n"
+      "  --metrics-format=json|prom|csv\n"
+      "                               timeline format (default json; prom =\n"
+      "                               Prometheus text exposition; csv = long\n"
+      "                               format time_s,resource,metric,value)\n"
       "  --metrics-period-ms=<ms>     sampling cadence (default 250)\n"
       "  --profile                    host-side DES profiler: prints the\n"
       "                               top-10 handler table (dispatch count,\n"
@@ -177,7 +179,8 @@ void PrintHelp() {
       "                               arrival rate and print one summary row\n"
       "                               per rate; non-zero exit if any run's\n"
       "                               chain audit fails (not combinable with\n"
-      "                               --trace-out/--telemetry-csv/--faults)\n"
+      "                               --trace-out/--faults/--metrics-out/\n"
+      "                               --profile-trace)\n"
       "  --jobs=<n>                   host worker threads for --sweep\n"
       "                               (default 1; 0 = hardware concurrency);\n"
       "                               results are identical at any setting\n"
@@ -202,6 +205,52 @@ std::optional<std::string> ArgValue(const std::string& arg,
   const std::string prefix = key + "=";
   if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
   return std::nullopt;
+}
+
+/// Parses a flag's value into `field` and returns the error text, empty on
+/// success. Integer fields go through std::from_chars in the field's own
+/// type, so a 64-bit seed keeps every bit and a fractional or out-of-range
+/// value is an error instead of being rounded or truncated; floating-point
+/// fields go through std::stod.
+template <typename T>
+std::string ParseNumber(const std::string& key, const std::string& text,
+                        T& field) {
+  if constexpr (std::is_integral_v<T>) {
+    if (std::is_unsigned_v<T> && text.starts_with('-')) {
+      return key + " must not be negative";
+    }
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+    if (ec == std::errc::result_out_of_range) {
+      return key + " is out of range: " + text;
+    }
+    if (ec != std::errc() || ptr != last) {
+      return key + " needs an integer, got " + text;
+    }
+    field = value;
+  } else {
+    std::size_t used = 0;
+    try {
+      field = std::stod(text, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used == 0 || used != text.size()) {
+      return key + " needs a number, got " + text;
+    }
+  }
+  return "";
+}
+
+/// An optional field is set only by a value that parses.
+template <typename T>
+std::string ParseNumber(const std::string& key, const std::string& text,
+                        std::optional<T>& field) {
+  T value{};
+  std::string error = ParseNumber(key, text, value);
+  if (error.empty()) field = value;
+  return error;
 }
 
 bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
@@ -249,10 +298,6 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
     }
     if (auto v = ArgValue(arg, "--trace-out")) {
       out.trace_out = *v;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--telemetry-csv")) {
-      out.telemetry_csv = *v;
       continue;
     }
     if (auto v = ArgValue(arg, "--faults")) {
@@ -329,7 +374,7 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
       continue;
     }
     if (auto v = ArgValue(arg, "--metrics-format")) {
-      if (*v != "json" && *v != "prom") {
+      if (*v != "json" && *v != "prom" && *v != "csv") {
         error = "unknown metrics format: " + *v;
         return false;
       }
@@ -353,26 +398,12 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
       }
       continue;
     }
-    // Matches `key`, then parses its value into `field`; a value that is
-    // not a number, or is negative for a count, sets `error`.
+    // Matches `key`, then parses its value into `field`; a bad value sets
+    // `error`.
     auto number = [&](const char* key, auto& field) -> bool {
       const auto v = ArgValue(arg, key);
       if (!v) return false;
-      using T = std::decay_t<decltype(field)>;
-      double d = 0.0;
-      std::size_t used = 0;
-      try {
-        d = std::stod(*v, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used == 0 || used != v->size()) {
-        error = std::string(key) + " needs a number, got " + *v;
-      } else if (std::is_unsigned_v<T> && d < 0) {
-        error = std::string(key) + " must not be negative";
-      } else {
-        field = static_cast<T>(d);
-      }
+      error = ParseNumber(key, *v, field);
       return true;
     };
     if (number("--rate", out.rate) || number("--duration", out.duration_s) ||
@@ -410,6 +441,8 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
   };
   return at_least("--peers", out.peers, 1) &&
          at_least("--committing-peers", out.committing_peers, 1) &&
+         (!out.clients || at_least("--clients", *out.clients, 1)) &&
+         at_least("--channels", out.channels, 1) &&
          at_least("--osns", out.osns, 1) &&
          at_least("--brokers", out.brokers, 1) &&
          at_least("--zookeepers", out.zookeepers, 1) &&
@@ -435,7 +468,7 @@ int main(int argc, char** argv) {
   config.network.topology.ordering = cli.ordering;
   config.network.topology.endorsing_peers = cli.peers;
   config.network.topology.committing_peers = cli.committing_peers;
-  config.network.topology.clients = cli.clients;
+  config.network.topology.clients = cli.clients.value_or(-1);
   config.network.topology.osns = cli.osns;
   config.network.topology.kafka_brokers = cli.brokers;
   config.network.topology.zookeepers = cli.zookeepers;
@@ -493,12 +526,10 @@ int main(int argc, char** argv) {
   // Sweep mode: the base configuration once per arrival rate, fanned out
   // over --jobs host threads, one summary row per rate.
   if (!cli.sweep.empty()) {
-    if (!cli.trace_out.empty() || !cli.telemetry_csv.empty() ||
-        !cli.faults.empty() || !cli.metrics_out.empty() ||
-        !cli.profile_trace.empty()) {
+    if (!cli.trace_out.empty() || !cli.faults.empty() ||
+        !cli.metrics_out.empty() || !cli.profile_trace.empty()) {
       std::cerr << "error: --sweep cannot be combined with --trace-out, "
-                   "--telemetry-csv, --faults, --metrics-out, or "
-                   "--profile-trace\n";
+                   "--faults, --metrics-out, or --profile-trace\n";
       return 2;
     }
     std::vector<runner::SweepPoint> points;
@@ -547,17 +578,6 @@ int main(int argc, char** argv) {
     tracer.emplace();
     config.network.tracer = &*tracer;
   }
-  std::optional<obs::TelemetrySampler> telemetry;
-  std::ofstream telemetry_os;
-  if (!cli.telemetry_csv.empty()) {
-    telemetry_os.open(cli.telemetry_csv);
-    if (!telemetry_os) {
-      std::cerr << "error: cannot write " << cli.telemetry_csv << "\n";
-      return 2;
-    }
-    telemetry.emplace();
-    config.telemetry = &*telemetry;
-  }
   metrics::Registry registry;
   std::ofstream metrics_os;
   if (!cli.metrics_out.empty()) {
@@ -592,10 +612,11 @@ int main(int argc, char** argv) {
   const auto& r = result.report;
 
   if (tracer) tracer->ExportChromeTrace(trace_os);
-  if (telemetry) telemetry->WriteCsv(telemetry_os);
   if (!cli.metrics_out.empty()) {
     if (cli.metrics_format == "prom") {
       registry.WritePrometheus(metrics_os);
+    } else if (cli.metrics_format == "csv") {
+      registry.WriteCsv(metrics_os);
     } else {
       registry.WriteJson(metrics_os);
     }
