@@ -2,7 +2,8 @@
 //
 // Each binary runs one measurement grid once and prints every table drawn
 // from it (paper_sweep: the paper's Figs. 2-7; endorser_scaling: its Tables
-// II-III). Binaries accept optional flags:
+// II-III; ablations: Fig. 8 and the block-cutter, validation, ordering,
+// channel, tx-size and gossip ablations). Binaries accept optional flags:
 //   --quick            smaller sweeps / shorter windows (CI-friendly)
 //   --smoke            smallest tier: the regression-gate sweep (subset of
 //                      points, short windows); implies --quick durations

@@ -193,8 +193,14 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   net.Env().Sched().RunUntil(window_end + config.drain);
   if (config.registry != nullptr) {
+    // The closing snapshot, unless the last tick already sampled this
+    // instant (whenever the run length is a multiple of the period).
     config.registry->StopSampling();
-    config.registry->SampleNow(net.Env().Sched().Now());
+    const sim::SimTime now = net.Env().Sched().Now();
+    const auto& snapshots = config.registry->Snapshots();
+    if (snapshots.empty() || snapshots.back().t != now) {
+      config.registry->SampleNow(now);
+    }
   }
 
   ExperimentResult out;

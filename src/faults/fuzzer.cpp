@@ -5,6 +5,7 @@
 #include <cmath>
 #include <future>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "faults/shrinker.h"
@@ -31,6 +32,18 @@ double ParseDouble(const std::string& s, const std::string& flag) {
     if (used != s.size()) throw std::invalid_argument("trailing characters");
     return v;
   } catch (const std::exception&) {
+    throw std::invalid_argument("bad value for " + flag + ": \"" + s + "\"");
+  }
+}
+
+/// Parses an integer field with std::from_chars in the field's own type, so
+/// a 64-bit seed keeps every bit and a fractional or out-of-range value is
+/// an error instead of being rounded or truncated.
+template <typename T>
+void ParseInt(const std::string& s, const std::string& flag, T& field) {
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, field);
+  if (ec != std::errc() || ptr != last) {
     throw std::invalid_argument("bad value for " + flag + ": \"" + s + "\"");
   }
 }
@@ -163,26 +176,25 @@ ChaosCase ChaosCase::FromArgs(const std::vector<std::string>& args) {
     } else if (auto v = value(arg, "--duration")) {
       c.duration_s = ParseDouble(*v, "--duration");
     } else if (auto v = value(arg, "--peers")) {
-      c.peers = static_cast<int>(ParseDouble(*v, "--peers"));
+      ParseInt(*v, "--peers", c.peers);
     } else if (auto v = value(arg, "--clients")) {
-      c.clients = static_cast<int>(ParseDouble(*v, "--clients"));
+      ParseInt(*v, "--clients", c.clients);
     } else if (auto v = value(arg, "--osns")) {
-      c.osns = static_cast<int>(ParseDouble(*v, "--osns"));
+      ParseInt(*v, "--osns", c.osns);
     } else if (auto v = value(arg, "--channels")) {
-      c.channels = static_cast<int>(ParseDouble(*v, "--channels"));
+      ParseInt(*v, "--channels", c.channels);
     } else if (auto v = value(arg, "--batch-size")) {
-      c.batch_size = static_cast<std::uint32_t>(ParseDouble(*v, "--batch-size"));
+      ParseInt(*v, "--batch-size", c.batch_size);
     } else if (auto v = value(arg, "--batch-timeout")) {
       c.batch_timeout_s = ParseDouble(*v, "--batch-timeout");
     } else if (auto v = value(arg, "--value-size")) {
-      c.value_size = static_cast<std::size_t>(ParseDouble(*v, "--value-size"));
+      ParseInt(*v, "--value-size", c.value_size);
     } else if (auto v = value(arg, "--seed")) {
-      c.seed = static_cast<std::uint64_t>(ParseDouble(*v, "--seed"));
+      ParseInt(*v, "--seed", c.seed);
     } else if (auto v = value(arg, "--overload")) {
       c.overload = *v;
     } else if (auto v = value(arg, "--retain-blocks")) {
-      c.retain_blocks =
-          static_cast<std::uint64_t>(ParseDouble(*v, "--retain-blocks"));
+      ParseInt(*v, "--retain-blocks", c.retain_blocks);
     } else if (auto v = value(arg, "--faults")) {
       c.faults = *v;
     } else {

@@ -179,6 +179,22 @@ TEST(ChaosCaseArgs, FromArgsRejectsUnknownFlag) {
                std::invalid_argument);
 }
 
+TEST(ChaosCaseArgs, FromArgsKeepsEveryBitOfA64BitSeed) {
+  // 2^53 + 1: the first integer a double cannot hold.
+  const ChaosCase c = ChaosCase::FromArgs({"--seed=9007199254740993"});
+  EXPECT_EQ(c.seed, 9007199254740993ULL);
+  EXPECT_EQ(ChaosCase::FromArgs(c.ToArgs()), c);
+}
+
+TEST(ChaosCaseArgs, FromArgsRejectsNonIntegerCounts) {
+  EXPECT_THROW((void)ChaosCase::FromArgs({"--peers=2.5"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)ChaosCase::FromArgs({"--osns=99999999999"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)ChaosCase::FromArgs({"--seed=-1"}),
+               std::invalid_argument);
+}
+
 TEST(ChaosCaseArgs, FromArgsRejectsBadSpec) {
   EXPECT_THROW((void)ChaosCase::FromArgs({"--faults=crash:@"}),
                std::invalid_argument);

@@ -277,5 +277,24 @@ TEST(RegistryExperiment, AttachingARegistryChangesNoSimulatedResult) {
   EXPECT_EQ(reg.Snapshots().back().values[0], 0.0);
 }
 
+TEST(RegistryExperiment, DefaultLengthRunEndsWithOneSnapshotPerInstant) {
+  // The CLI's default run length (10 s warm-up, 30 s window, 15 s drain) is
+  // a multiple of the default 250 ms period, so the last tick lands on the
+  // closing instant; the closing sample must not repeat it.
+  fabric::ExperimentConfig config =
+      fabric::StandardConfig(fabric::OrderingType::kSolo, 0, 50);
+  config.workload.duration = sim::FromSeconds(30);
+  Registry reg;
+  config.registry = &reg;
+  (void)fabric::RunExperiment(config);
+
+  const auto& snapshots = reg.Snapshots();
+  ASSERT_FALSE(snapshots.empty());
+  EXPECT_EQ(snapshots.back().t, sim::FromSeconds(55));
+  for (std::size_t i = 1; i < snapshots.size(); ++i) {
+    ASSERT_LT(snapshots[i - 1].t, snapshots[i].t) << "snapshot " << i;
+  }
+}
+
 }  // namespace
 }  // namespace fabricsim::metrics
