@@ -13,6 +13,7 @@
 #include "policy/evaluator.h"
 #include "policy/parser.h"
 #include "proto/transaction.h"
+#include "sim/scheduler.h"
 
 namespace {
 
@@ -58,18 +59,45 @@ void BM_PolicyParse(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyParse);
 
-void BM_PolicyEvaluate(benchmark::State& state) {
-  const auto p = policy::MustParsePolicy(
-      "OutOf(3,'A.peer','B.peer','C.peer','D.peer','E.peer')");
+// Satisfied over three policy shapes: OutOf(3 of 5), and the paper's two,
+// OR over 10 orgs with the one endorsement matching its last principal and
+// AND over 5 orgs with all five endorsements.
+void BM_PolicyEvaluate(benchmark::State& state, const char* text,
+                       std::vector<const char*> orgs) {
+  const auto p = policy::MustParsePolicy(text);
   std::vector<crypto::Principal> signers;
-  for (const char* org : {"B", "D", "E"}) {
-    signers.push_back({org, crypto::Role::kPeer});
-  }
+  for (const char* org : orgs) signers.push_back({org, crypto::Role::kPeer});
   for (auto _ : state) {
     benchmark::DoNotOptimize(policy::Satisfied(p, signers));
   }
 }
-BENCHMARK(BM_PolicyEvaluate);
+BENCHMARK_CAPTURE(BM_PolicyEvaluate, OutOf3of5,
+                  "OutOf(3,'A.peer','B.peer','C.peer','D.peer','E.peer')",
+                  {"B", "D", "E"});
+BENCHMARK_CAPTURE(BM_PolicyEvaluate, Or10MatchLast,
+                  "OR('Org1MSP.peer','Org2MSP.peer','Org3MSP.peer',"
+                  "'Org4MSP.peer','Org5MSP.peer','Org6MSP.peer',"
+                  "'Org7MSP.peer','Org8MSP.peer','Org9MSP.peer',"
+                  "'Org10MSP.peer')",
+                  {"Org10MSP"});
+BENCHMARK_CAPTURE(BM_PolicyEvaluate, And5,
+                  "AND('Org1MSP.peer','Org2MSP.peer','Org3MSP.peer',"
+                  "'Org4MSP.peer','Org5MSP.peer')",
+                  {"Org1MSP", "Org2MSP", "Org3MSP", "Org4MSP", "Org5MSP"});
+
+// One event through the scheduler: ScheduleAfter, then dispatch, of a
+// 40-byte capture (the size of a network delivery's).
+void BM_ScheduleDispatch(benchmark::State& state) {
+  sim::Scheduler sched;
+  std::uint64_t sink = 0;
+  std::uint64_t a = 1, b = 2, c = 3, d = 4;
+  for (auto _ : state) {
+    sched.ScheduleAfter(1, [&sink, a, b, c, d] { sink += a + b + c + d; });
+    sched.Run();
+  }
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_ScheduleDispatch);
 
 void BM_StateDbPutGet(benchmark::State& state) {
   ledger::StateDb db;

@@ -1,6 +1,7 @@
 #include "client/client.h"
 
 #include "obs/trace.h"
+#include "proto/encode.h"
 
 namespace fabricsim::client {
 
@@ -112,7 +113,7 @@ void Client::Submit(proto::ChaincodeInvocation inv,
   // CPU cost of building + signing is charged before anything hits the wire.
   proto::Proposal p;
   p.channel_id = config_.channel_id;
-  proto::Writer nonce;
+  proto::Writer nonce(3 * sizeof(std::uint64_t));
   nonce.U64(static_cast<std::uint64_t>(net_id_));
   nonce.U64(nonce_counter_++);
   nonce.U64(rng_.Next());
@@ -133,9 +134,13 @@ void Client::Submit(proto::ChaincodeInvocation inv,
     return;
   }
 
-  const std::string tx_id = p.tx_id;
+  std::string tx_id = p.tx_id;
+  auto signed_proposal = std::make_shared<proto::SignedProposal>();
+  signed_proposal->proposal = std::move(p);
+  signed_proposal->client_signature =
+      identity_.SignDigest(signed_proposal->proposal.SerializedDigest());
   PendingTx pending;
-  pending.proposal = std::move(p);
+  pending.proposal = std::move(signed_proposal);
   pending_.emplace(tx_id, std::move(pending));
 
   const sim::SimTime enqueued = env_.Now();
@@ -272,46 +277,47 @@ void Client::SendProposals(const std::string& tx_id) {
   // Candidate endorsers: on retry, prefer survivors — endorsers that
   // refused or stayed silent on a previous attempt are excluded — falling
   // back to the full set when the survivors can't satisfy the policy.
-  std::vector<sim::NodeId> cand_ids = endorser_ids_;
-  std::vector<crypto::Principal> cand_principals = endorser_principals_;
+  const std::vector<sim::NodeId>* cand_ids = &endorser_ids_;
+  const std::vector<crypto::Principal>* cand_principals = &endorser_principals_;
+  std::vector<sim::NodeId> survivor_ids;
+  std::vector<crypto::Principal> survivor_principals;
   if (!tx.failed_endorsers.empty()) {
-    cand_ids.clear();
-    cand_principals.clear();
     for (std::size_t i = 0; i < endorser_ids_.size(); ++i) {
       if (tx.failed_endorsers.count(endorser_ids_[i]) == 0) {
-        cand_ids.push_back(endorser_ids_[i]);
-        cand_principals.push_back(endorser_principals_[i]);
+        survivor_ids.push_back(endorser_ids_[i]);
+        survivor_principals.push_back(endorser_principals_[i]);
       }
     }
-    if (cand_ids.empty() ||
-        !policy::PlanEndorsers(policy_, cand_principals, 0)) {
-      cand_ids = endorser_ids_;
-      cand_principals = endorser_principals_;
+    if (!survivor_ids.empty() &&
+        policy::PlanEndorsers(policy_, survivor_principals, 0)) {
+      cand_ids = &survivor_ids;
+      cand_principals = &survivor_principals;
     }
   }
 
   auto plan =
-      policy::PlanEndorsers(policy_, cand_principals, next_rotation_++);
+      policy::PlanEndorsers(policy_, *cand_principals, next_rotation_++);
   if (!plan) {
     CountFailure(FailureReason::kPolicyUnsatisfiable);
     Reject(tx_id);
     return;
   }
-  for (std::size_t idx : *plan) tx.targets.push_back(cand_ids[idx]);
+  tx.targets.reserve(plan->size());
+  for (std::size_t idx : *plan) tx.targets.push_back((*cand_ids)[idx]);
+  tx.responses.reserve(tx.targets.size());
 
-  auto signed_proposal = std::make_shared<proto::SignedProposal>();
-  signed_proposal->proposal = tx.proposal;
-  signed_proposal->client_signature =
-      identity_.Sign(tx.proposal.Serialize());
-  const std::size_t wire = signed_proposal->WireSize();
-
+  // Every attempt sends the one signed proposal built at submission.
+  const std::size_t wire = tx.proposal->WireSize();
   for (sim::NodeId target : tx.targets) {
     env_.Net().Send(net_id_, target,
-                    std::make_shared<peer::EndorseRequestMsg>(signed_proposal,
-                                                              wire, env_.Now()));
+                    std::make_shared<peer::EndorseRequestMsg>(tx.proposal, wire,
+                                                              env_.Now()));
   }
-  tx.endorse_timer =
-      env_.Sched().ScheduleAfter(config_.endorse_timeout, [this, tx_id] {
+  // Timers and CPU jobs copy the id into a movable std::string (a capture
+  // of the const reference would be a const member), so the closure fits
+  // the scheduler's inline storage.
+  tx.endorse_timer = env_.Sched().ScheduleAfter(
+      config_.endorse_timeout, [this, tx_id = std::string(tx_id)] {
         auto pit = pending_.find(tx_id);
         if (pit == pending_.end() || pit->second.done) return;
         PendingTx& tx2 = pit->second;
@@ -360,15 +366,15 @@ void Client::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
     const sim::SimTime enqueued = env_.Now();
     machine_.GetCpu().Submit(
         cal_.client_per_response_cpu,
-        [this, from, enqueued, response = resp->Response(),
-         retry_after = resp->RetryAfter()] {
+        [this, from, enqueued, resp] {
+          const proto::ProposalResponse& response = resp->Response();
           if (auto* tr = env_.Trace()) {
             tr->RecordResourceSpan(
                 tr->PidFor(machine_.Name()), "client.response", response.tx_id,
                 enqueued, env_.Now(),
                 machine_.GetCpu().ScaledCost(cal_.client_per_response_cpu));
           }
-          OnEndorseResponse(from, response, retry_after);
+          OnEndorseResponse(from, resp->SharedResponse(), resp->RetryAfter());
         });
     return;
   }
@@ -383,9 +389,11 @@ void Client::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
   }
 }
 
-void Client::OnEndorseResponse(sim::NodeId from,
-                               const proto::ProposalResponse& resp,
-                               sim::SimDuration retry_after) {
+void Client::OnEndorseResponse(
+    sim::NodeId from,
+    const std::shared_ptr<const proto::ProposalResponse>& response,
+    sim::SimDuration retry_after) {
+  const proto::ProposalResponse& resp = *response;
   auto it = pending_.find(resp.tx_id);
   if (it == pending_.end() || it->second.done) return;
   PendingTx& tx = it->second;
@@ -414,7 +422,7 @@ void Client::OnEndorseResponse(sim::NodeId from,
     tx.failed_endorsers.insert(from);
     CountFailure(FailureReason::kBadEndorsement);
   } else {
-    tx.responses.push_back(resp);
+    tx.responses.push_back(response);
   }
 
   if (tx.responses.size() + tx.failures < tx.targets.size()) return;
@@ -434,8 +442,9 @@ bool Client::EndorsementVerifies(const proto::ProposalResponse& resp) {
   const auto cert =
       crypto::Certificate::Deserialize(resp.endorsement.endorser_cert);
   if (!cert) return false;
-  return crypto::Verify(cert->subject_public_key, resp.payload.Serialize(),
-                        resp.endorsement.signature);
+  return crypto::VerifyDigest(cert->subject_public_key,
+                              proto::EncodedDigest(resp.payload),
+                              resp.endorsement.signature);
 }
 
 void Client::FinishEndorsement(const std::string& tx_id) {
@@ -451,7 +460,7 @@ void Client::FinishEndorsement(const std::string& tx_id) {
   // All endorsers must have produced identical rwsets/results (the SDK
   // compares them; mismatches are non-deterministic chaincode).
   for (std::size_t i = 1; i < tx.responses.size(); ++i) {
-    if (!(tx.responses[i].payload.rwset == tx.responses[0].payload.rwset)) {
+    if (!(tx.responses[i]->payload.rwset == tx.responses[0]->payload.rwset)) {
       CountFailure(FailureReason::kRwsetMismatch);
       Reject(tx_id);
       return;
@@ -459,7 +468,9 @@ void Client::FinishEndorsement(const std::string& tx_id) {
   }
 
   const sim::SimTime enqueued = env_.Now();
-  machine_.GetCpu().Submit(cal_.client_envelope_cpu, [this, tx_id, enqueued] {
+  machine_.GetCpu().Submit(cal_.client_envelope_cpu, [this,
+                                                      tx_id = std::string(tx_id),
+                                                      enqueued] {
     if (auto* tr = env_.Trace()) {
       tr->RecordResourceSpan(
           tr->PidFor(machine_.Name()), "client.envelope", tx_id, enqueued,
@@ -482,14 +493,14 @@ void Client::BroadcastEnvelope(const std::string& tx_id) {
 
   if (tx.envelope == nullptr) {
     auto env = std::make_shared<proto::TransactionEnvelope>();
-    env->channel_id = tx.proposal.channel_id;
+    env->channel_id = tx.proposal->proposal.channel_id;
     env->tx_id = tx_id;
-    env->creator_cert = tx.proposal.creator_cert;
-    env->rwset = tx.responses.front().payload.rwset;
-    env->chaincode_result = tx.responses.front().payload.chaincode_result;
-    env->chaincode_id = tx.proposal.invocation.chaincode_id;
+    env->creator_cert = tx.proposal->proposal.creator_cert;
+    env->rwset = tx.responses.front()->payload.rwset;
+    env->chaincode_result = tx.responses.front()->payload.chaincode_result;
+    env->chaincode_id = tx.proposal->proposal.invocation.chaincode_id;
     for (const auto& r : tx.responses) {
-      env->endorsements.push_back(r.endorsement);
+      env->endorsements.push_back(r->endorsement);
     }
     env->client_timestamp = env_.Now();
     env->Sign(identity_);
@@ -502,8 +513,8 @@ void Client::BroadcastEnvelope(const std::string& tx_id) {
   env_.Net().Send(net_id_, CurrentOrderer(),
                   std::make_shared<ordering::BroadcastEnvelopeMsg>(
                       tx.envelope, tx.envelope_bytes, env_.Now()));
-  tx.broadcast_timer =
-      env_.Sched().ScheduleAfter(cal_.broadcast_timeout, [this, tx_id] {
+  tx.broadcast_timer = env_.Sched().ScheduleAfter(
+      cal_.broadcast_timeout, [this, tx_id = std::string(tx_id)] {
         auto pit = pending_.find(tx_id);
         if (pit == pending_.end() || pit->second.done) return;
         PendingTx& tx2 = pit->second;

@@ -207,9 +207,10 @@ class Client {
 
  private:
   struct PendingTx {
-    proto::Proposal proposal;
+    // Signed once at submission; every attempt's requests share it.
+    std::shared_ptr<const proto::SignedProposal> proposal;
     std::vector<sim::NodeId> targets;
-    std::vector<proto::ProposalResponse> responses;
+    std::vector<std::shared_ptr<const proto::ProposalResponse>> responses;
     std::size_t failures = 0;
     std::set<sim::NodeId> responded;         // this attempt
     std::set<sim::NodeId> failed_endorsers;  // across attempts
@@ -239,7 +240,9 @@ class Client {
   void OnAckSuccess();
   [[nodiscard]] std::size_t WindowLimit() const;
   void SendProposals(const std::string& tx_id);
-  void OnEndorseResponse(sim::NodeId from, const proto::ProposalResponse& resp,
+  void OnEndorseResponse(
+      sim::NodeId from,
+      const std::shared_ptr<const proto::ProposalResponse>& response,
                          sim::SimDuration retry_after);
   /// SDK-side endorsement check: the signature must verify over the payload
   /// under the public key of the certificate the response carries

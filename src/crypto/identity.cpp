@@ -49,16 +49,16 @@ proto::Bytes Certificate::Serialize() const {
 std::optional<Certificate> Certificate::Deserialize(proto::BytesView data) {
   try {
     proto::Reader outer(data);
-    const proto::Bytes body = outer.Blob();
-    const proto::Bytes sig = outer.Blob();
+    const proto::BytesView body = outer.BlobView();
+    const proto::BytesView sig = outer.BlobView();
 
     proto::Reader r(body);
     Certificate cert;
     cert.subject = r.Str();
     cert.msp_id = r.Str();
     cert.role = static_cast<Role>(r.U8());
-    const proto::Bytes subj_pk = r.Blob();
-    const proto::Bytes issuer_pk = r.Blob();
+    const proto::BytesView subj_pk = r.BlobView();
+    const proto::BytesView issuer_pk = r.BlobView();
     if (subj_pk.size() != cert.subject_public_key.size() ||
         issuer_pk.size() != cert.issuer_public_key.size()) {
       return std::nullopt;

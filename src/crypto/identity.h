@@ -73,6 +73,10 @@ class Identity {
   [[nodiscard]] Signature Sign(proto::BytesView msg) const {
     return keys_.Sign(msg);
   }
+  /// Signs a precomputed digest: SignDigest(Hash(m)) == Sign(m).
+  [[nodiscard]] Signature SignDigest(const Digest& msg_digest) const {
+    return keys_.SignDigest(msg_digest);
+  }
 
   /// True if this identity satisfies the principal (same MSP, same role;
   /// admins satisfy any role of their MSP).

@@ -14,14 +14,15 @@ std::vector<Digest> HashLeaves(const std::vector<proto::Bytes>& leaves) {
 }  // namespace
 
 Digest MerkleTree::HashLeaf(proto::BytesView payload) {
-  return HashLeafParts({&payload, 1});
+  Sha256 h = LeafHasher();
+  h.Update(payload);
+  return h.Finalize();
 }
 
-Digest MerkleTree::HashLeafParts(std::span<const proto::BytesView> parts) {
+Sha256 MerkleTree::LeafHasher() {
   Sha256 h;
   h.Update(proto::BytesView(&kLeafTag, 1));
-  for (proto::BytesView part : parts) h.Update(part);
-  return h.Finalize();
+  return h;
 }
 
 Digest MerkleTree::HashInterior(const Digest& left, const Digest& right) {

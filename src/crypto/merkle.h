@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -48,8 +47,9 @@ class MerkleTree {
   /// Hashes a leaf payload (domain-separated from interior nodes).
   static Digest HashLeaf(proto::BytesView payload);
 
-  /// HashLeaf of the concatenation of `parts`, without concatenating them.
-  static Digest HashLeafParts(std::span<const proto::BytesView> parts);
+  /// A hasher that has absorbed the leaf tag: feeding it a payload and
+  /// finalizing yields HashLeaf(payload), for payloads streamed in pieces.
+  static Sha256 LeafHasher();
 
   /// Hashes two child digests into a parent (domain-separated).
   static Digest HashInterior(const Digest& left, const Digest& right);

@@ -322,6 +322,7 @@ Sha256::Sha256() {
 
 void Sha256::Update(proto::BytesView data) {
   assert(!finalized_);
+  if (data.empty()) return;  // an empty view may be null: no memcpy from it
   const CompressFn compress = GetCompress();
   total_len_ += data.size();
   std::size_t offset = 0;

@@ -48,6 +48,15 @@ class FlatIndex {
     return i == kNone ? nullptr : &slots_[i].payload;
   }
 
+  /// Sizes an empty index for `n` entries, so inserting them allocates once.
+  void Reserve(std::size_t n) {
+    std::size_t capacity = 8;
+    while (n * 4 > capacity * 3) capacity *= 2;
+    if (size_ == 0 && capacity > slots_.size()) {
+      slots_.assign(capacity, Slot{kEmpty, Payload{}});
+    }
+  }
+
   /// Adds an entry. The caller has checked that no entry confirms a match.
   void Insert(std::uint64_t hash, Payload payload) {
     if ((size_ + 1) * 4 > slots_.size() * 3) Grow();

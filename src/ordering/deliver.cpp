@@ -17,7 +17,7 @@ AssembledBlock BlockAssembler::Assemble(const Batch& batch) {
 
   // Orderer signs the header; validation codes are filled by committers.
   block->metadata.orderer_cert = signer_.SerializedCert();
-  block->metadata.orderer_signature = signer_.Sign(block->header.Serialize());
+  block->metadata.orderer_signature = signer_.SignDigest(block->header.Hash());
 
   AssembledBlock out;
   out.wire_size = block->WireSize();

@@ -331,7 +331,7 @@ AssembledBlock OsnBase::ForgedVariant(const AssembledBlock& b) const {
                          &b.block->header.previous_hash, std::move(txs)));
   forged->metadata.orderer_cert = identity_.SerializedCert();
   forged->metadata.orderer_signature =
-      identity_.Sign(forged->header.Serialize());
+      identity_.SignDigest(forged->header.Hash());
   AssembledBlock out = b;
   out.block = std::move(forged);
   return out;

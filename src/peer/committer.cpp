@@ -1,10 +1,10 @@
 #include "peer/committer.h"
 
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "crypto/signature.h"
+#include "ledger/flat_index.h"
 #include "obs/trace.h"
 
 namespace fabricsim::peer {
@@ -178,9 +178,9 @@ void Committer::OnBlock(proto::BlockPtr block, OnCommit on_commit) {
   const crypto::Certificate* orderer_cert =
       msps_.CachedCertificate(block->metadata.orderer_cert);
   if (orderer_cert == nullptr ||
-      !crypto::Verify(orderer_cert->subject_public_key,
-                      block->header.Serialize(),
-                      block->metadata.orderer_signature)) {
+      !crypto::VerifyDigest(orderer_cert->subject_public_key,
+                            block->header.Hash(),
+                            block->metadata.orderer_signature)) {
     ++rejected_orderer_sig_;
     return;
   }
@@ -345,12 +345,19 @@ void Committer::SerialCommit(PendingBlock pb) {
   // The failpoint skips it so chaos tests can observe double commits.
   std::vector<proto::ValidationCode> codes = pb.vscc_codes;
   if (!dedup_disabled_) {
-    // Views of the block's own tx ids, alive for as long as pb.block.
-    std::unordered_set<std::string_view> seen;
-    seen.reserve(pb.block->transactions.size());
-    for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
-      const std::string_view id = pb.block->transactions[i].tx_id;
-      const bool repeated_in_block = !seen.insert(id).second;
+    // The block's earlier tx ids, by position in the block.
+    const proto::EnvelopeList& txs = pb.block->transactions;
+    ledger::FlatIndex<std::uint32_t> seen;
+    seen.Reserve(txs.size());
+    for (std::size_t i = 0; i < txs.size(); ++i) {
+      const std::string_view id = txs[i].tx_id;
+      const std::uint64_t hash = ledger::HashKey(id);
+      const bool repeated_in_block =
+          seen.Find(hash, [&](std::uint32_t j) { return txs[j].tx_id == id; }) !=
+          nullptr;
+      if (!repeated_in_block) {
+        seen.Insert(hash, static_cast<std::uint32_t>(i));
+      }
       if (repeated_in_block || chain_.Store().HasTransaction(id)) {
         if (codes[i] == proto::ValidationCode::kValid) {
           codes[i] = proto::ValidationCode::kDuplicateTxId;

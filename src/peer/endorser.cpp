@@ -1,5 +1,7 @@
 #include "peer/endorser.h"
 
+#include "proto/encode.h"
+
 namespace fabricsim::peer {
 
 Endorser::Endorser(const crypto::Identity& identity,
@@ -78,7 +80,7 @@ proto::ProposalResponse Endorser::Process(
   out.payload.chaincode_result = std::move(result.payload);
   out.payload.status = proto::EndorseStatus::kSuccess;
   out.endorsement.endorser_cert = identity_.SerializedCert();
-  out.endorsement.signature = identity_.Sign(out.payload.Serialize());
+  out.endorsement.signature = identity_.SignDigest(proto::EncodedDigest(out.payload));
   if (forge_signatures_) {
     // Forge-endorsement attack: flip a byte so the signature no longer
     // verifies over the payload it claims to endorse.

@@ -50,6 +50,11 @@ class EndorseResponseMsg final : public sim::Message {
   [[nodiscard]] const proto::ProposalResponse& Response() const {
     return *response_;
   }
+  /// The response itself, shared: the client keeps it without copying.
+  [[nodiscard]] const std::shared_ptr<const proto::ProposalResponse>&
+  SharedResponse() const {
+    return response_;
+  }
   [[nodiscard]] std::size_t WireSize() const override { return wire_size_; }
   [[nodiscard]] std::string TypeName() const override {
     return "EndorseResponse";

@@ -478,7 +478,7 @@ void PeerNode::HandleEndorseRequest(
     auto response = std::make_shared<proto::ProposalResponse>();
     response->tx_id = m->Proposal().proposal.tx_id;
     response->payload.status = proto::EndorseStatus::kBadProposal;
-    const std::size_t wire = response->Serialize().size();
+    const std::size_t wire = response->WireSize();
     env_.Net().Send(net_id_, from,
                     std::make_shared<EndorseResponseMsg>(std::move(response),
                                                          wire));
@@ -512,7 +512,7 @@ void PeerNode::RefuseOverloaded(const PendingEndorse& item) {
   auto response = std::make_shared<proto::ProposalResponse>();
   response->tx_id = tx_id;
   response->payload.status = proto::EndorseStatus::kServiceUnavailable;
-  const std::size_t wire = response->Serialize().size();
+  const std::size_t wire = response->WireSize();
   env_.Net().Send(net_id_, item.from,
                   std::make_shared<EndorseResponseMsg>(
                       std::move(response), wire, env_.Now(),
@@ -527,19 +527,22 @@ void PeerNode::StartEndorse(PendingEndorse item) {
   // Endorsement is the interactive RPC path: high priority on the CPU so
   // background VSCC work does not starve it (Go peers behave similarly —
   // proposal handling is latency-sensitive, validation is batched).
-  const sim::SimDuration cost = endorser->CostOf(item.msg->Proposal(), cal_);
-  auto proposal =
-      std::make_shared<proto::SignedProposal>(item.msg->Proposal());
+  // The request message is immutable and shared, so the job reads the
+  // proposal in place; the tracing branch recomputes the (pure) cost to keep
+  // the capture within the scheduler's inline storage.
   const sim::SimTime enqueued = env_.Now();
   machine_.GetCpu().Submit(
-      cost,
-      [this, from = item.from, proposal, endorser, cost, enqueued] {
-        if (auto* tr = env_.Trace()) RecordEndorseSpans(*tr, cost, enqueued,
-                                                        proposal->proposal.tx_id);
+      endorser->CostOf(item.msg->Proposal(), cal_),
+      [this, item, endorser, enqueued] {
+        const proto::SignedProposal& proposal = item.msg->Proposal();
+        if (auto* tr = env_.Trace()) {
+          RecordEndorseSpans(*tr, endorser->CostOf(proposal, cal_), enqueued,
+                             proposal.proposal.tx_id);
+        }
         auto response = std::make_shared<proto::ProposalResponse>(
-            endorser->Process(*proposal));
-        const std::size_t wire = response->Serialize().size();
-        env_.Net().Send(net_id_, from,
+            endorser->Process(proposal));
+        const std::size_t wire = response->WireSize();
+        env_.Net().Send(net_id_, item.from,
                         std::make_shared<EndorseResponseMsg>(
                             std::move(response), wire, env_.Now()));
         if (endorse_ingress_.Config().enabled) {

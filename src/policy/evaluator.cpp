@@ -1,6 +1,9 @@
 #include "policy/evaluator.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <memory>
 
 namespace fabricsim::policy {
 namespace {
@@ -11,80 +14,122 @@ bool IdentityMatches(const crypto::Principal& signer,
   return signer.role == wanted.role || signer.role == crypto::Role::kAdmin;
 }
 
-// Backtracking satisfaction over a sequence of goals. Each goal is a policy
-// node; OutOf goals expand into combinations of their children.
+// A zeroed array of a size fixed at construction: inline up to N elements,
+// one heap block beyond that (wider than any paper policy or signer set).
+template <typename T, std::size_t N>
+class SmallArray {
+ public:
+  explicit SmallArray(std::size_t n)
+      : data_(n <= N ? inline_.data()
+                     : (heap_ = std::make_unique<T[]>(n)).get()) {}
+  SmallArray(const SmallArray&) = delete;
+  SmallArray& operator=(const SmallArray&) = delete;
+
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+
+ private:
+  std::array<T, N> inline_{};
+  std::unique_ptr<T[]> heap_;
+  T* data_;
+};
+
+// Backtracking satisfaction over one stack of pending goals, searched in
+// place. Each goal is a policy node; the top one is taken first. A
+// principal goal claims an unused signer (a bit in `used_`); an OutOf goal
+// is replaced by each k-combination of its children in turn. A failed
+// branch restores the stack slots it overwrote, so nothing is copied.
 class Sat {
  public:
-  Sat(const std::vector<crypto::Principal>& signers, std::size_t rotation)
-      : signers_(signers), rotation_(rotation) {}
+  Sat(const EndorsementPolicy& policy, const crypto::Principal* signers,
+      std::size_t n, std::size_t rotation)
+      : signers_(signers),
+        n_(n),
+        rotation_(rotation),
+        goals_(policy.NodeCount()),
+        used_((n + 63) / 64) {
+    goals_[0] = &policy.Root();
+  }
 
-  bool Solve(std::vector<const Node*> goals, std::vector<bool>& used,
-             std::vector<std::size_t>* chosen) {
-    if (goals.empty()) return true;
-    const Node* goal = goals.back();
-    goals.pop_back();
+  bool Solve() { return Solve(1); }
 
-    if (goal->kind == NodeKind::kPrincipal) {
-      const std::size_t n = signers_.size();
-      for (std::size_t t = 0; t < n; ++t) {
-        const std::size_t i = (t + rotation_) % n;
-        if (used[i] || !IdentityMatches(signers_[i], goal->principal)) {
-          continue;
-        }
-        used[i] = true;
-        if (chosen) chosen->push_back(i);
-        if (Solve(goals, used, chosen)) return true;
-        if (chosen) chosen->pop_back();
-        used[i] = false;
-      }
-      return false;
+  [[nodiscard]] bool Used(std::size_t i) const {
+    return ((used_[i / 64] >> (i % 64)) & 1U) != 0;
+  }
+
+  [[nodiscard]] std::size_t UsedCount() const {
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < (n_ + 63) / 64; ++w) {
+      count += static_cast<std::size_t>(std::popcount(used_[w]));
     }
-
-    // OutOf node: try every k-combination of children, rotated so that
-    // equivalent plans spread load.
-    const auto total = static_cast<int>(goal->children.size());
-    const int k = goal->threshold;
-    std::vector<int> combo;
-    return TryCombos(*goal, 0, k, total, combo, goals, used, chosen);
+    return count;
   }
 
  private:
-  bool TryCombos(const Node& node, int start, int remaining, int total,
-                 std::vector<int>& combo, std::vector<const Node*>& goals,
-                 std::vector<bool>& used, std::vector<std::size_t>* chosen) {
-    if (remaining == 0) {
-      std::vector<const Node*> next = goals;
-      for (int idx : combo) {
-        const int rotated =
-            (idx + static_cast<int>(rotation_ % static_cast<std::size_t>(total))) %
-            total;
-        next.push_back(node.children[static_cast<std::size_t>(rotated)].get());
-      }
-      return Solve(std::move(next), used, chosen);
-    }
-    for (int i = start; i <= total - remaining; ++i) {
-      combo.push_back(i);
-      if (TryCombos(node, i + 1, remaining - 1, total, combo, goals, used,
-                    chosen)) {
-        return true;
-      }
-      combo.pop_back();
+  // Satisfies goals_[0, depth). On failure goals_[0, depth) is as it was.
+  bool Solve(std::size_t depth) {
+    if (depth == 0) return true;
+    const Node* goal = goals_[depth - 1];
+    const bool ok = goal->kind == NodeKind::kPrincipal
+                        ? Claim(*goal, depth - 1)
+                        : Combos(*goal, 0, goal->threshold, depth - 1);
+    if (!ok) goals_[depth - 1] = goal;  // the children overwrote its slot
+    return ok;
+  }
+
+  // Tries each unused matching signer, starting at the rotation, for the
+  // principal goal, then solves the `rest` goals below it.
+  bool Claim(const Node& goal, std::size_t rest) {
+    for (std::size_t t = 0; t < n_; ++t) {
+      const std::size_t i = (t + rotation_) % n_;
+      if (Used(i) || !IdentityMatches(signers_[i], goal.principal)) continue;
+      Flip(i);
+      if (Solve(rest)) return true;
+      Flip(i);
     }
     return false;
   }
 
-  const std::vector<crypto::Principal>& signers_;
+  // Writes each `remaining`-combination of node's children with indices >=
+  // `start` (lexicographic, rotated so equivalent plans spread load) to
+  // goals_[pos...], the first child lowest, and solves the stack.
+  bool Combos(const Node& node, int start, int remaining, std::size_t pos) {
+    if (remaining == 0) return Solve(pos);
+    const auto total = static_cast<int>(node.children.size());
+    if (total == 0 || remaining < 0) return false;
+    const int shift =
+        static_cast<int>(rotation_ % static_cast<std::size_t>(total));
+    for (int i = start; i <= total - remaining; ++i) {
+      goals_[pos] =
+          node.children[static_cast<std::size_t>((i + shift) % total)].get();
+      if (Combos(node, i + 1, remaining - 1, pos + 1)) return true;
+    }
+    return false;
+  }
+
+  void Flip(std::size_t i) { used_[i / 64] ^= std::uint64_t{1} << (i % 64); }
+
+  const crypto::Principal* signers_;
+  std::size_t n_;
   std::size_t rotation_;
+  // Every node is on the stack at most once along a search path, so the
+  // policy's node count bounds its depth.
+  SmallArray<const Node*, 32> goals_;
+  SmallArray<std::uint64_t, 4> used_;
 };
+
+// True if the first `n` of `signers` satisfy `policy`.
+bool SatisfiedBy(const EndorsementPolicy& policy,
+                 const crypto::Principal* signers, std::size_t n) {
+  if (n == 0) return false;
+  return Sat(policy, signers, n, 0).Solve();
+}
 
 }  // namespace
 
 bool Satisfied(const EndorsementPolicy& policy,
                const std::vector<crypto::Principal>& signers) {
-  if (signers.empty()) return false;
-  std::vector<bool> used(signers.size(), false);
-  Sat sat(signers, 0);
-  return sat.Solve({&policy.Root()}, used, nullptr);
+  return SatisfiedBy(policy, signers.data(), signers.size());
 }
 
 std::optional<std::size_t> SatisfiedPrefix(
@@ -92,15 +137,12 @@ std::optional<std::size_t> SatisfiedPrefix(
     const std::vector<crypto::Principal>& signers) {
   if (!Satisfied(policy, signers)) return std::nullopt;
   // Policies are small; grow the prefix from the cheapest possible
-  // satisfying size. Satisfied() is exact, so the first k that passes is
+  // satisfying size. Satisfaction is exact, so the first k that passes is
   // the minimal one.
   const auto min_k =
       static_cast<std::size_t>(std::max(policy.MinEndorsements(), 1));
   for (std::size_t k = min_k; k < signers.size(); ++k) {
-    const std::vector<crypto::Principal> prefix(signers.begin(),
-                                                signers.begin() +
-                                                    static_cast<std::ptrdiff_t>(k));
-    if (Satisfied(policy, prefix)) return k;
+    if (SatisfiedBy(policy, signers.data(), k)) return k;
   }
   return signers.size();
 }
@@ -109,12 +151,14 @@ std::optional<std::vector<std::size_t>> PlanEndorsers(
     const EndorsementPolicy& policy,
     const std::vector<crypto::Principal>& candidates, std::size_t rotation) {
   if (candidates.empty()) return std::nullopt;
-  std::vector<bool> used(candidates.size(), false);
+  Sat sat(policy, candidates.data(), candidates.size(), rotation);
+  if (!sat.Solve()) return std::nullopt;
+  // The plan is exactly the claimed signers, in index order.
   std::vector<std::size_t> chosen;
-  Sat sat(candidates, rotation);
-  if (!sat.Solve({&policy.Root()}, used, &chosen)) return std::nullopt;
-  std::sort(chosen.begin(), chosen.end());
-  chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
+  chosen.reserve(sat.UsedCount());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (sat.Used(i)) chosen.push_back(i);
+  }
   return chosen;
 }
 

@@ -4,6 +4,9 @@
 // signature-verified) endorser principals satisfy the policy? Each endorser
 // may be counted once, so AND('Org1MSP.peer','Org1MSP.peer') needs two
 // distinct Org1 endorsers. Exact backtracking is used; policies are small.
+// The search runs over one in-place goal stack and a signer bitmask, so
+// Satisfied and SatisfiedPrefix allocate nothing for policies of up to 32
+// nodes and up to 256 signers (and stay exact beyond).
 //
 // Planning answers the client SDK's question: which of the available
 // endorsing peers should receive this proposal so that, if all respond, the

@@ -17,17 +17,32 @@ std::unique_ptr<Node> Node::Clone() const {
   return out;
 }
 
+namespace {
+
+int MinEndorse(const Node& n);
+std::size_t CountNodes(const Node& n);
+
+}  // namespace
+
 EndorsementPolicy::EndorsementPolicy(std::unique_ptr<Node> root)
     : root_(std::move(root)) {
   if (!root_) throw std::invalid_argument("policy root must be non-null");
+  min_endorsements_ = MinEndorse(*root_);
+  node_count_ = CountNodes(*root_);
 }
 
 EndorsementPolicy::EndorsementPolicy(const EndorsementPolicy& other)
-    : root_(other.root_->Clone()) {}
+    : root_(other.root_->Clone()),
+      min_endorsements_(other.min_endorsements_),
+      node_count_(other.node_count_) {}
 
 EndorsementPolicy& EndorsementPolicy::operator=(
     const EndorsementPolicy& other) {
-  if (this != &other) root_ = other.root_->Clone();
+  if (this != &other) {
+    root_ = other.root_->Clone();
+    min_endorsements_ = other.min_endorsements_;
+    node_count_ = other.node_count_;
+  }
   return *this;
 }
 
@@ -65,6 +80,12 @@ int MinEndorse(const Node& n) {
   return sum;
 }
 
+std::size_t CountNodes(const Node& n) {
+  std::size_t count = 1;
+  for (const auto& c : n.children) count += CountNodes(*c);
+  return count;
+}
+
 void Collect(const Node& n, std::vector<crypto::Principal>& out) {
   if (n.kind == NodeKind::kPrincipal) {
     if (std::find(out.begin(), out.end(), n.principal) == out.end()) {
@@ -100,8 +121,6 @@ std::string EndorsementPolicy::ToString() const {
   Print(*root_, os);
   return os.str();
 }
-
-int EndorsementPolicy::MinEndorsements() const { return MinEndorse(*root_); }
 
 std::vector<crypto::Principal> EndorsementPolicy::Principals() const {
   std::vector<crypto::Principal> out;

@@ -44,7 +44,10 @@ class EndorsementPolicy {
   [[nodiscard]] std::string ToString() const;
 
   /// Minimum number of endorsements that can satisfy the policy.
-  [[nodiscard]] int MinEndorsements() const;
+  [[nodiscard]] int MinEndorsements() const { return min_endorsements_; }
+
+  /// Number of nodes in the expression tree (bounds the evaluator's stack).
+  [[nodiscard]] std::size_t NodeCount() const { return node_count_; }
 
   /// All principals mentioned (with duplicates removed, in first-seen order).
   [[nodiscard]] std::vector<crypto::Principal> Principals() const;
@@ -64,6 +67,8 @@ class EndorsementPolicy {
 
  private:
   std::unique_ptr<Node> root_;
+  int min_endorsements_ = 0;
+  std::size_t node_count_ = 0;
 };
 
 }  // namespace fabricsim::policy

@@ -2,15 +2,9 @@
 
 #include <stdexcept>
 
-namespace fabricsim::proto {
+#include "proto/encode.h"
 
-Bytes BlockHeader::Serialize() const {
-  Writer w;
-  w.U64(number);
-  w.Blob(BytesView(previous_hash.data(), previous_hash.size()));
-  w.Blob(BytesView(data_hash.data(), data_hash.size()));
-  return w.Take();
-}
+namespace fabricsim::proto {
 
 std::optional<BlockHeader> BlockHeader::Deserialize(BytesView data) {
   try {
@@ -31,18 +25,7 @@ std::optional<BlockHeader> BlockHeader::Deserialize(BytesView data) {
   }
 }
 
-crypto::Digest BlockHeader::Hash() const { return crypto::Hash(Serialize()); }
-
-Bytes BlockMetadata::Serialize() const {
-  Writer w;
-  w.U32(static_cast<std::uint32_t>(validation_codes.size()));
-  for (ValidationCode c : validation_codes) {
-    w.U8(static_cast<std::uint8_t>(c));
-  }
-  w.Blob(orderer_cert);
-  w.Blob(orderer_signature.ToBytes());
-  return w.Take();
-}
+crypto::Digest BlockHeader::Hash() const { return EncodedDigest(*this); }
 
 std::optional<BlockMetadata> BlockMetadata::Deserialize(BytesView data) {
   try {
@@ -59,12 +42,6 @@ std::optional<BlockMetadata> BlockMetadata::Deserialize(BytesView data) {
   } catch (const std::out_of_range&) {
     return std::nullopt;
   }
-}
-
-std::size_t BlockMetadata::WireSize() const {
-  return kBlobPrefixBytes + validation_codes.size() + kBlobPrefixBytes +
-         orderer_cert.size() + kBlobPrefixBytes +
-         orderer_signature.bytes.size();
 }
 
 EnvelopeList::EnvelopeList(std::vector<TransactionEnvelope> envelopes) {
@@ -103,15 +80,6 @@ Block Block::Make(std::uint64_t number, const crypto::Digest* prev_hash,
   b.transactions = std::move(txs);
   b.header.data_hash = b.DataHash();  // the memo moves with the block
   return b;
-}
-
-Bytes Block::Serialize() const {
-  Writer w;
-  w.Blob(header.Serialize());
-  w.U32(static_cast<std::uint32_t>(transactions.size()));
-  for (const auto& tx : transactions) w.Blob(tx.Serialize());
-  w.Blob(metadata.Serialize());
-  return w.Take();
 }
 
 std::optional<Block> Block::Deserialize(BytesView data) {

@@ -27,10 +27,17 @@ struct BlockHeader {
       sizeof(std::uint64_t) + 2 * (kBlobPrefixBytes + crypto::Digest{}.size());
 
   bool operator==(const BlockHeader&) const = default;
-  [[nodiscard]] Bytes Serialize() const;
+  template <typename Sink>
+  void Encode(Sink& out) const {
+    out.U64(number);
+    out.Blob(previous_hash);
+    out.Blob(data_hash);
+  }
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<BlockHeader> Deserialize(BytesView data);
 
-  /// The block hash = SHA-256 of the serialized header (Fabric semantics).
+  /// The block hash = SHA-256 of the serialized header (Fabric semantics);
+  /// also the digest the orderer signs.
   [[nodiscard]] crypto::Digest Hash() const;
 };
 
@@ -41,10 +48,18 @@ struct BlockMetadata {
   SharedBytes orderer_cert;  // serialized crypto::Certificate
   crypto::Signature orderer_signature{};
 
-  [[nodiscard]] Bytes Serialize() const;
+  template <typename Sink>
+  void Encode(Sink& out) const {
+    out.U32(static_cast<std::uint32_t>(validation_codes.size()));
+    for (ValidationCode c : validation_codes) {
+      out.U8(static_cast<std::uint8_t>(c));
+    }
+    out.Blob(orderer_cert);
+    out.Blob(orderer_signature.bytes);
+  }
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<BlockMetadata> Deserialize(BytesView data);
-  /// Serialize().size(), from the part sizes.
-  [[nodiscard]] std::size_t WireSize() const;
+  [[nodiscard]] std::size_t WireSize() const { return EncodedSize(*this); }
 };
 
 /// A block's transactions: the clients' signed envelopes, shared rather
@@ -152,9 +167,16 @@ struct Block {
   static Block Make(std::uint64_t number, const crypto::Digest* prev_hash,
                     EnvelopeList txs);
 
+  template <typename Sink>
+  void Encode(Sink& out) const {
+    out.Nested(header);
+    out.U32(static_cast<std::uint32_t>(transactions.size()));
+    for (const auto& tx : transactions) out.Nested(tx);
+    out.Nested(metadata);
+  }
   /// Fresh canonical bytes. The simulation never builds them; WireSize()
   /// gives their size from the parts.
-  [[nodiscard]] Bytes Serialize() const;
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<Block> Deserialize(BytesView data);
   /// Serialize().size(), from the part sizes.
   [[nodiscard]] std::size_t WireSize() const;

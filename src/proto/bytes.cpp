@@ -42,10 +42,6 @@ std::array<std::uint8_t, sizeof(T)> LittleEndian(T v) {
 
 }  // namespace
 
-std::array<std::uint8_t, kBlobPrefixBytes> BlobPrefix(std::size_t n) {
-  return LittleEndian(static_cast<std::uint32_t>(n));
-}
-
 void Writer::U32(std::uint32_t v) { Append(buf_, LittleEndian(v)); }
 
 void Writer::U64(std::uint64_t v) { Append(buf_, LittleEndian(v)); }
@@ -86,10 +82,14 @@ std::uint64_t Reader::U64() {
 }
 
 Bytes Reader::Blob() {
+  const BytesView blob = BlobView();
+  return Bytes(blob.begin(), blob.end());
+}
+
+BytesView Reader::BlobView() {
   const std::uint32_t n = U32();
   Need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

@@ -86,20 +86,62 @@ void Append(Bytes& dst, BytesView src);
 /// each payload.
 inline constexpr std::size_t kBlobPrefixBytes = 4;
 
-/// The prefix Writer::Blob writes before an `n`-byte payload, for sizing or
-/// hashing framed data without building it.
-std::array<std::uint8_t, kBlobPrefixBytes> BlobPrefix(std::size_t n);
+// Wire encoding. Each wire struct has one encoding routine,
+//   template <typename Sink> void Encode(Sink& out) const;
+// written against the sink interface below (U8, U32, U64, I64, Blob, Str,
+// Nested) and run against three sinks: Writer appends the bytes,
+// SizeCounter adds up their length, and proto::HashWriter (proto/encode.h)
+// streams them into SHA-256. Nested(msg) writes msg behind its u32 length
+// prefix, the bytes Blob(msg's bytes) would write, without building it.
+
+/// Adds up the length of what an encoder writes.
+class SizeCounter {
+ public:
+  void U8(std::uint8_t) { size_ += 1; }
+  void U32(std::uint32_t) { size_ += 4; }
+  void U64(std::uint64_t) { size_ += 8; }
+  void I64(std::int64_t) { size_ += 8; }
+  void Blob(BytesView b) { size_ += kBlobPrefixBytes + b.size(); }
+  void Str(std::string_view s) { size_ += kBlobPrefixBytes + s.size(); }
+  template <typename Msg>
+  void Nested(const Msg& msg) {
+    size_ += kBlobPrefixBytes;
+    msg.Encode(*this);
+  }
+
+  [[nodiscard]] std::size_t Size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// The length of `msg`'s encoding; allocates nothing.
+template <typename Msg>
+std::size_t EncodedSize(const Msg& msg) {
+  SizeCounter counter;
+  msg.Encode(counter);
+  return counter.Size();
+}
 
 /// Little-endian canonical encoder. All integers are fixed-width LE; byte
 /// strings and strings are length-prefixed with u32.
 class Writer {
  public:
+  Writer() = default;
+  /// Reserves `capacity` bytes up front.
+  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
+
   void U8(std::uint8_t v);
   void U32(std::uint32_t v);
   void U64(std::uint64_t v);
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
   void Blob(BytesView b);
   void Str(std::string_view s);
+  template <typename Msg>
+  void Nested(const Msg& msg) {
+    U32(static_cast<std::uint32_t>(EncodedSize(msg)));
+    msg.Encode(*this);
+  }
 
   [[nodiscard]] const Bytes& Data() const { return buf_; }
   Bytes Take() { return std::move(buf_); }
@@ -108,6 +150,14 @@ class Writer {
  private:
   Bytes buf_;
 };
+
+/// `msg`'s encoding, built in one allocation of the exact size.
+template <typename Msg>
+Bytes EncodedBytes(const Msg& msg) {
+  Writer out(EncodedSize(msg));
+  msg.Encode(out);
+  return out.Take();
+}
 
 /// Lazy memoization slot for logically-immutable wire structures.
 ///
@@ -166,6 +216,8 @@ class Reader {
   std::uint64_t U64();
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   Bytes Blob();
+  /// The next blob, viewed in place: valid as long as the input is.
+  BytesView BlobView();
   std::string Str();
 
   [[nodiscard]] bool AtEnd() const { return pos_ == data_.size(); }

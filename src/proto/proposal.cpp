@@ -2,16 +2,18 @@
 
 #include <stdexcept>
 
+#include "proto/encode.h"
+
 namespace fabricsim::proto {
 
-Bytes ChaincodeInvocation::Serialize() const {
-  Writer w;
+template <typename Sink>
+void ChaincodeInvocation::Encode(Sink& w) const {
   w.Str(chaincode_id);
   w.Str(function);
   w.U32(static_cast<std::uint32_t>(args.size()));
   for (const auto& a : args) w.Blob(a);
-  return w.Take();
 }
+FABRICSIM_INSTANTIATE_ENCODER(ChaincodeInvocation::Encode);
 
 std::optional<ChaincodeInvocation> ChaincodeInvocation::Deserialize(
     BytesView data) {
@@ -29,19 +31,19 @@ std::optional<ChaincodeInvocation> ChaincodeInvocation::Deserialize(
   }
 }
 
-Bytes Proposal::Serialize() const {
-  Writer w;
+template <typename Sink>
+void Proposal::Encode(Sink& w) const {
   w.Str(channel_id);
   w.Str(tx_id);
   w.Blob(nonce);
   w.Blob(creator_cert);
-  w.Blob(invocation.Serialize());
+  w.Nested(invocation);
   w.I64(client_timestamp);
-  return w.Take();
 }
+FABRICSIM_INSTANTIATE_ENCODER(Proposal::Encode);
 
 const crypto::Digest& Proposal::SerializedDigest() const {
-  return serialized_digest_.Get([this] { return crypto::Hash(Serialize()); });
+  return serialized_digest_.Get([this] { return EncodedDigest(*this); });
 }
 
 std::optional<Proposal> Proposal::Deserialize(BytesView data) {
@@ -69,12 +71,12 @@ std::string Proposal::ComputeTxId(BytesView nonce, BytesView creator_cert) {
   return crypto::DigestHex(h.Finalize());
 }
 
-Bytes SignedProposal::Serialize() const {
-  Writer w;
-  w.Blob(proposal.Serialize());
-  w.Blob(client_signature.ToBytes());
-  return w.Take();
+template <typename Sink>
+void SignedProposal::Encode(Sink& w) const {
+  w.Nested(proposal);
+  w.Blob(client_signature.bytes);
 }
+FABRICSIM_INSTANTIATE_ENCODER(SignedProposal::Encode);
 
 std::optional<SignedProposal> SignedProposal::Deserialize(BytesView data) {
   try {
@@ -110,15 +112,6 @@ std::string EndorseStatusName(EndorseStatus s) {
   return "UNKNOWN";
 }
 
-Bytes ProposalResponsePayload::Serialize() const {
-  Writer w;
-  w.Blob(BytesView(proposal_hash.data(), proposal_hash.size()));
-  w.Blob(rwset.Serialize());
-  w.Blob(chaincode_result);
-  w.U8(static_cast<std::uint8_t>(status));
-  return w.Take();
-}
-
 std::optional<ProposalResponsePayload> ProposalResponsePayload::Deserialize(
     BytesView data) {
   try {
@@ -138,13 +131,6 @@ std::optional<ProposalResponsePayload> ProposalResponsePayload::Deserialize(
   }
 }
 
-Bytes Endorsement::Serialize() const {
-  Writer w;
-  w.Blob(endorser_cert);
-  w.Blob(signature.ToBytes());
-  return w.Take();
-}
-
 std::optional<Endorsement> Endorsement::Deserialize(BytesView data) {
   try {
     Reader r(data);
@@ -155,14 +141,6 @@ std::optional<Endorsement> Endorsement::Deserialize(BytesView data) {
   } catch (const std::out_of_range&) {
     return std::nullopt;
   }
-}
-
-Bytes ProposalResponse::Serialize() const {
-  Writer w;
-  w.Str(tx_id);
-  w.Blob(payload.Serialize());
-  w.Blob(endorsement.Serialize());
-  return w.Take();
 }
 
 std::optional<ProposalResponse> ProposalResponse::Deserialize(BytesView data) {

@@ -23,7 +23,9 @@ struct ChaincodeInvocation {
   std::string function;
   std::vector<Bytes> args;
 
-  [[nodiscard]] Bytes Serialize() const;
+  template <typename Sink>
+  void Encode(Sink& out) const;
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<ChaincodeInvocation> Deserialize(BytesView data);
 };
 
@@ -37,8 +39,10 @@ struct Proposal {
   ChaincodeInvocation invocation;
   sim::SimTime client_timestamp = 0;
 
+  template <typename Sink>
+  void Encode(Sink& out) const;
   /// Fresh canonical bytes: what the client signs.
-  [[nodiscard]] Bytes Serialize() const;
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   /// SHA-256 of Serialize(), memoized (signatures are digest-based).
   [[nodiscard]] const crypto::Digest& SerializedDigest() const;
   static std::optional<Proposal> Deserialize(BytesView data);
@@ -55,9 +59,11 @@ struct SignedProposal {
   Proposal proposal;
   crypto::Signature client_signature{};
 
-  [[nodiscard]] Bytes Serialize() const;
+  template <typename Sink>
+  void Encode(Sink& out) const;
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<SignedProposal> Deserialize(BytesView data);
-  [[nodiscard]] std::size_t WireSize() const { return Serialize().size(); }
+  [[nodiscard]] std::size_t WireSize() const { return EncodedSize(*this); }
 };
 
 /// Endorser response status (mirrors Fabric's shim status codes).
@@ -80,8 +86,24 @@ struct ProposalResponsePayload {
   Bytes chaincode_result;
   EndorseStatus status = EndorseStatus::kSuccess;
 
-  [[nodiscard]] Bytes Serialize() const;
+  template <typename Sink>
+  void Encode(Sink& out) const {
+    EncodeFields(out, proposal_hash, rwset, chaincode_result, status);
+  }
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<ProposalResponsePayload> Deserialize(BytesView data);
+
+  /// The payload's encoding from its parts, for holders of the same fields
+  /// that re-derive what the endorser signed (TransactionEnvelope).
+  template <typename Sink>
+  static void EncodeFields(Sink& out, const crypto::Digest& proposal_hash,
+                           const TxReadWriteSet& rwset, BytesView result,
+                           EndorseStatus status) {
+    out.Blob(proposal_hash);
+    out.Nested(rwset);
+    out.Blob(result);
+    out.U8(static_cast<std::uint8_t>(status));
+  }
 };
 
 /// One endorsement: who signed and their signature over the payload bytes.
@@ -90,7 +112,12 @@ struct Endorsement {
   crypto::Signature signature{};
 
   bool operator==(const Endorsement&) const = default;
-  [[nodiscard]] Bytes Serialize() const;
+  template <typename Sink>
+  void Encode(Sink& out) const {
+    out.Blob(endorser_cert);
+    out.Blob(signature.bytes);
+  }
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<Endorsement> Deserialize(BytesView data);
 };
 
@@ -100,9 +127,15 @@ struct ProposalResponse {
   ProposalResponsePayload payload;
   Endorsement endorsement;
 
-  [[nodiscard]] Bytes Serialize() const;
+  template <typename Sink>
+  void Encode(Sink& out) const {
+    out.Str(tx_id);
+    out.Nested(payload);
+    out.Nested(endorsement);
+  }
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<ProposalResponse> Deserialize(BytesView data);
-  [[nodiscard]] std::size_t WireSize() const { return Serialize().size(); }
+  [[nodiscard]] std::size_t WireSize() const { return EncodedSize(*this); }
 };
 
 }  // namespace fabricsim::proto

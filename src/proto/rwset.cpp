@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "proto/encode.h"
+
 namespace fabricsim::proto {
 
-Bytes TxReadWriteSet::Serialize() const {
-  Writer w;
+template <typename Sink>
+void TxReadWriteSet::Encode(Sink& w) const {
   w.U32(static_cast<std::uint32_t>(ns_rwsets.size()));
   for (const auto& ns : ns_rwsets) {
     w.Str(ns.ns);
@@ -23,7 +25,7 @@ Bytes TxReadWriteSet::Serialize() const {
     for (const auto& rr : ns.range_reads) {
       w.Str(rr.start_key);
       w.Str(rr.end_key);
-      w.Blob(BytesView(rr.result_digest.data(), rr.result_digest.size()));
+      w.Blob(rr.result_digest);
     }
     w.U32(static_cast<std::uint32_t>(ns.writes.size()));
     for (const auto& wr : ns.writes) {
@@ -32,8 +34,8 @@ Bytes TxReadWriteSet::Serialize() const {
       w.Blob(wr.value);
     }
   }
-  return w.Take();
 }
+FABRICSIM_INSTANTIATE_ENCODER(TxReadWriteSet::Encode);
 
 std::optional<TxReadWriteSet> TxReadWriteSet::Deserialize(BytesView data) {
   try {
@@ -99,14 +101,14 @@ std::size_t TxReadWriteSet::WriteCount() const {
 
 crypto::Digest RangeRead::HashResults(
     const std::vector<std::pair<std::string, KeyVersion>>& results) {
-  Writer w;
+  HashWriter w;
   w.U32(static_cast<std::uint32_t>(results.size()));
   for (const auto& [key, version] : results) {
     w.Str(key);
     w.U64(version.block_num);
     w.U32(version.tx_num);
   }
-  return crypto::Hash(w.Data());
+  return w.Finalize();
 }
 
 RwSetBuilder::RwSetBuilder(std::string ns) { set_.ns = std::move(ns); }

@@ -73,7 +73,10 @@ struct TxReadWriteSet {
 
   bool operator==(const TxReadWriteSet&) const = default;
 
-  [[nodiscard]] Bytes Serialize() const;
+  /// Writes the canonical encoding to `out` (see proto/bytes.h).
+  template <typename Sink>
+  void Encode(Sink& out) const;
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<TxReadWriteSet> Deserialize(BytesView data);
 
   /// Total number of reads / writes across namespaces.

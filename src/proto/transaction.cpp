@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "crypto/merkle.h"
+#include "proto/encode.h"
 
 namespace fabricsim::proto {
 
@@ -26,46 +27,82 @@ std::string ValidationCodeName(ValidationCode c) {
   return "UNKNOWN";
 }
 
-Bytes TransactionEnvelope::SignedBody() const {
-  Writer w;
+namespace {
+
+// Adapters that give an envelope's signed body and endorsed payload the
+// Encode interface, so Nested and the helpers in proto/bytes.h take them.
+struct SignedBodyOf {
+  const TransactionEnvelope& env;
+  template <typename Sink>
+  void Encode(Sink& out) const {
+    env.EncodeBody(out);
+  }
+};
+
+// Must match what the endorser signed: the ProposalResponsePayload bytes.
+// The envelope carries the rwset and result; the proposal hash is bound via
+// the tx id (both derive from the same proposal).
+struct EndorsedPayloadOf {
+  const TransactionEnvelope& env;
+  template <typename Sink>
+  void Encode(Sink& out) const {
+    ProposalResponsePayload::EncodeFields(out, crypto::HashStr(env.tx_id),
+                                          env.rwset, env.chaincode_result,
+                                          EndorseStatus::kSuccess);
+  }
+};
+
+}  // namespace
+
+template <typename Sink>
+void TransactionEnvelope::EncodeBody(Sink& w) const {
   w.Str(channel_id);
   w.Str(tx_id);
   w.Blob(creator_cert);
-  w.Blob(rwset.Serialize());
+  w.Nested(rwset);
   w.Blob(chaincode_result);
   w.Str(chaincode_id);
   w.U32(static_cast<std::uint32_t>(endorsements.size()));
-  for (const auto& e : endorsements) w.Blob(e.Serialize());
+  for (const auto& e : endorsements) w.Nested(e);
   w.I64(client_timestamp);
-  return w.Take();
 }
 
-Bytes TransactionEnvelope::Serialize() const {
-  Writer w;
-  w.Blob(SignedBody());
+template <typename Sink>
+void TransactionEnvelope::Encode(Sink& w) const {
+  w.Nested(SignedBodyOf{*this});
   w.Blob(client_signature.bytes);
-  return w.Take();
+}
+FABRICSIM_INSTANTIATE_ENCODER(TransactionEnvelope::EncodeBody);
+FABRICSIM_INSTANTIATE_ENCODER(TransactionEnvelope::Encode);
+
+Bytes TransactionEnvelope::SignedBody() const {
+  return EncodedBytes(SignedBodyOf{*this});
 }
 
 TransactionEnvelope::BodyMemo TransactionEnvelope::MemoOf(
-    const Bytes& body) const {
-  const auto body_prefix = BlobPrefix(body.size());
-  const auto sig_prefix = BlobPrefix(client_signature.bytes.size());
-  const BytesView parts[] = {body_prefix, body, sig_prefix,
-                             client_signature.bytes};
-  return BodyMemo{body.size(), crypto::Hash(body),
-                  crypto::MerkleTree::HashLeafParts(parts)};
+    std::size_t body_size, const crypto::Digest& body_digest) const {
+  // The leaf hash covers Serialize(): the framed body, then the signature.
+  HashWriter leaf(crypto::MerkleTree::LeafHasher());
+  leaf.U32(static_cast<std::uint32_t>(body_size));
+  EncodeBody(leaf);
+  leaf.Blob(client_signature.bytes);
+  return BodyMemo{body_size, body_digest, leaf.Finalize()};
 }
 
 const TransactionEnvelope::BodyMemo& TransactionEnvelope::Body() const {
-  return body_.Get([this] { return MemoOf(SignedBody()); });
+  return body_.Get([this] {
+    const SignedBodyOf body{*this};
+    return MemoOf(EncodedSize(body), EncodedDigest(body));
+  });
 }
 
 void TransactionEnvelope::Sign(const crypto::Identity& client) {
-  const Bytes body = SignedBody();
-  client_signature = client.Sign(body);
+  const SignedBodyOf body{*this};
+  const std::size_t body_size = EncodedSize(body);
+  const crypto::Digest body_digest = EncodedDigest(body);
+  client_signature = client.SignDigest(body_digest);
   InvalidateCaches();
-  body_.Get([&] { return MemoOf(body); });
+  body_.Get([&] { return MemoOf(body_size, body_digest); });
 }
 
 std::size_t TransactionEnvelope::WireSize() const {
@@ -83,7 +120,7 @@ const crypto::Digest& TransactionEnvelope::SignedBodyDigest() const {
 
 const crypto::Digest& TransactionEnvelope::EndorsedPayloadDigest() const {
   return endorsed_payload_digest_.Get(
-      [this] { return crypto::Hash(EndorsedPayload()); });
+      [this] { return EncodedDigest(EndorsedPayloadOf{*this}); });
 }
 
 const std::optional<std::vector<crypto::Principal>>&
@@ -156,20 +193,9 @@ std::optional<TransactionEnvelope> TransactionEnvelope::Deserialize(
   }
 }
 
-Bytes TransactionEnvelope::EndorsedPayload() const {
-  // Must match what the endorser signed: the ProposalResponsePayload bytes.
-  // The envelope carries the rwset and result; the proposal hash is bound
-  // via the tx id (both derive from the same proposal).
-  ProposalResponsePayload payload;
-  payload.proposal_hash = crypto::HashStr(tx_id);
-  payload.rwset = rwset;
-  payload.chaincode_result = chaincode_result;
-  payload.status = EndorseStatus::kSuccess;
-  return payload.Serialize();
-}
-
 const Bytes& TransactionEnvelope::EndorsedPayloadBytes() const {
-  return endorsed_payload_cache_.Get([this] { return EndorsedPayload(); });
+  return endorsed_payload_cache_.Get(
+      [this] { return EncodedBytes(EndorsedPayloadOf{*this}); });
 }
 
 }  // namespace fabricsim::proto

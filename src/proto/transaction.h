@@ -50,19 +50,24 @@ struct TransactionEnvelope {
   crypto::Signature client_signature{};
   sim::SimTime client_timestamp = 0;
 
-  /// Fresh canonical bytes the client signs (everything but the signature).
-  /// Built on every call; the envelope keeps only the size and digests
-  /// derived from them.
+  /// Writes the canonical bytes the client signs (everything but the
+  /// signature) to `out`.
+  template <typename Sink>
+  void EncodeBody(Sink& out) const;
+  /// Fresh canonical bytes the client signs. The envelope keeps only the
+  /// size and digests of its body, streamed from EncodeBody.
   [[nodiscard]] Bytes SignedBody() const;
 
   /// Sets client_signature to client.Sign(SignedBody()) and fills the size
-  /// and hash memo from the same build of the body.
+  /// and hash memo, all without building the body.
   void Sign(const crypto::Identity& client);
 
-  /// Fresh canonical bytes: blob(SignedBody()) || blob(signature). The
-  /// simulation never builds them; sizes and hashes come from the memo
-  /// (WireSize, LeafHash).
-  [[nodiscard]] Bytes Serialize() const;
+  /// Writes blob(SignedBody()) || blob(signature) to `out`.
+  template <typename Sink>
+  void Encode(Sink& out) const;
+  /// Fresh canonical bytes. The simulation never builds them; sizes and
+  /// hashes come from the memo (WireSize, LeafHash).
+  [[nodiscard]] Bytes Serialize() const { return EncodedBytes(*this); }
   static std::optional<TransactionEnvelope> Deserialize(BytesView data);
 
   /// Serialize().size(), from the memoized body size.
@@ -107,9 +112,10 @@ struct TransactionEnvelope {
     crypto::Digest body_digest{};
     crypto::Digest leaf_hash{};
   };
-  BodyMemo MemoOf(const Bytes& body) const;
+  // Fills the memo from `body_size` and `body_digest` and the signature.
+  BodyMemo MemoOf(std::size_t body_size,
+                  const crypto::Digest& body_digest) const;
   const BodyMemo& Body() const;
-  Bytes EndorsedPayload() const;
 
   CachedValue<BodyMemo> body_;
   CachedValue<crypto::Digest> endorsed_payload_digest_;

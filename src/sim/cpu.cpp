@@ -9,7 +9,12 @@ namespace fabricsim::sim {
 Cpu::Cpu(Scheduler& sched, int cores, double speed_factor)
     : sched_(sched),
       cores_(cores < 1 ? 1 : cores),
-      inv_speed_(speed_factor > 0 ? 1.0 / speed_factor : 1.0) {}
+      inv_speed_(speed_factor > 0 ? 1.0 / speed_factor : 1.0),
+      running_(static_cast<std::size_t>(cores_)) {
+  for (int slot = cores_ - 1; slot >= 0; --slot) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slot));
+  }
+}
 
 void Cpu::SetSpeedFactor(double speed_factor) {
   inv_speed_ = speed_factor > 0 ? 1.0 / speed_factor : 1.0;
@@ -47,15 +52,17 @@ void Cpu::StartJob(Job job) {
   } else {
     marks_.back().busy = busy_cores_;
   }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  running_[slot] = std::move(job.done);
   sched_.ScheduleAfter(
-      ScaledCost(job.cost),
-      [this, done = std::move(job.done)]() mutable {
-        OnJobDone(std::move(done));
-      },
+      ScaledCost(job.cost), [this, slot] { OnJobDone(slot); },
       "cpu/job_done");
 }
 
-void Cpu::OnJobDone(Completion done) {
+void Cpu::OnJobDone(std::uint32_t slot) {
+  Completion done = std::move(running_[slot]);
+  free_slots_.push_back(slot);
   AccrueBusyTime();
   --busy_cores_;
   if (bounded_marks_) {

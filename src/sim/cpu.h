@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
 
@@ -21,7 +21,7 @@ namespace fabricsim::sim {
 /// A multi-core FIFO CPU station attached to a scheduler.
 class Cpu {
  public:
-  using Completion = std::function<void()>;
+  using Completion = InlineCallback;
 
   /// `cores` >= 1; `speed_factor` scales job durations (1.0 = nominal,
   /// 0.8 = runs at 80% speed, i.e. jobs take 1/0.8 of nominal time).
@@ -100,7 +100,7 @@ class Cpu {
   };
 
   void StartJob(Job job);
-  void OnJobDone(Completion done);
+  void OnJobDone(std::uint32_t slot);
   void AccrueBusyTime();
 
   Scheduler& sched_;
@@ -110,6 +110,10 @@ class Cpu {
   std::uint64_t completed_ = 0;
   std::deque<Job> queue_;
   std::deque<Job> high_queue_;
+  // Completions of the jobs on the cores, one slot per core; the scheduled
+  // job-done event names its slot, so it captures only (this, slot).
+  std::vector<Completion> running_;
+  std::vector<std::uint32_t> free_slots_;
 
   // Busy-time accrual: cum_busy_ is exact as of last_change_; between marks
   // the busy-core count is constant, so BusyTimeAt interpolates exactly.

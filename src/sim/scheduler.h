@@ -26,7 +26,9 @@
 // Events live in one slab with a free list: each schedule reuses a recycled
 // slot instead of heap-allocating per event, and the priority queue holds
 // small POD entries. Slot generations make cancelled or recycled slots
-// unambiguous.
+// unambiguous. Callbacks are InlineCallbacks, so a capture of up to
+// InlineCallback::kInlineBytes lives in the slot itself; only larger
+// captures allocate.
 //
 // Two orthogonal extensions serve observability without disturbing results:
 //
@@ -42,10 +44,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <queue>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/time.h"
 
 namespace fabricsim::sim {
@@ -62,7 +64,7 @@ using EventId = std::uint64_t;
 /// from the same lane).
 class Scheduler {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineCallback;
 
   /// The control lane: setup code, fault injection, and samplers run here.
   static constexpr int kGlobalLane = 0;

@@ -209,6 +209,23 @@ TEST(FlatIndex, RePointingAnExistingKey) {
   ExpectContents(index, {{4, 2}}, {{4, 7}});
 }
 
+TEST(FlatIndex, ReservedIndexHoldsItsEntriesWithoutGrowing) {
+  // Reserve(100) sizes the table for 100 entries at 3/4 load (256 slots),
+  // so hashes 0..99 each sit in their home slot and hash + 256 collides
+  // with them; a later Reserve on a filled index is a no-op.
+  Index index;
+  index.Reserve(100);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> all;
+  for (std::uint32_t id = 1; id <= 100; ++id) {
+    index.Insert(id, id);
+    all.emplace_back(id, id);
+  }
+  index.Reserve(1000);
+  index.Insert(1 + 256, 1000);
+  all.emplace_back(1 + 256, 1000);
+  ExpectContents(index, all, {{101, 101}, {1 + 512, 1}});
+}
+
 TEST(FlatIndex, CopiesAreDeep) {
   Index index;
   index.Insert(1, 1);

@@ -3,6 +3,7 @@
 #include "crypto/ca.h"
 #include "crypto/merkle.h"
 #include "proto/block.h"
+#include "proto/encode.h"
 #include "proto/proposal.h"
 #include "proto/rwset.h"
 #include "proto/transaction.h"
@@ -437,6 +438,105 @@ TEST(Block, HeaderHashSensitiveToEveryField) {
   BlockHeader h4 = h;
   h4.previous_hash[0] ^= 1;
   EXPECT_NE(h4.Hash(), base);
+}
+
+// --- encoders: every sink agrees with the built bytes -----------------------
+
+/// The streamed digest and the counted size equal those of Serialize().
+template <typename Msg>
+void ExpectEncodersAgree(const Msg& msg) {
+  const Bytes wire = msg.Serialize();
+  EXPECT_EQ(wire.size(), wire.capacity());  // built at its exact size
+  EXPECT_EQ(EncodedDigest(msg), crypto::Hash(wire));
+  EXPECT_EQ(EncodedSize(msg), wire.size());
+}
+
+ProposalResponse SampleResponse() {
+  ProposalResponse r;
+  r.tx_id = "txid-1";
+  r.payload.proposal_hash = crypto::HashStr(r.tx_id);
+  r.payload.rwset = SampleRwSet();
+  r.payload.chaincode_result = ToBytes("ok");
+  r.endorsement.endorser_cert = TestClient().Cert().Serialize();
+  r.endorsement.signature = TestClient().Sign(r.payload.Serialize());
+  return r;
+}
+
+TEST(Encoders, EveryWireStructStreamsItsSerializedBytes) {
+  TxReadWriteSet rwset = SampleRwSet();
+  rwset.ns_rwsets[0].range_reads.push_back(
+      RangeRead{"a", "z", RangeRead::HashResults({{"b", KeyVersion{1, 2}}})});
+  ExpectEncodersAgree(rwset);
+  ExpectEncodersAgree(TxReadWriteSet{});
+  const Proposal proposal = SampleProposal();
+  ExpectEncodersAgree(proposal.invocation);
+  ExpectEncodersAgree(proposal);
+  SignedProposal sp;
+  sp.proposal = proposal;
+  sp.client_signature = TestClient().Sign(proposal.Serialize());
+  ExpectEncodersAgree(sp);
+  EXPECT_EQ(sp.WireSize(), sp.Serialize().size());
+  const ProposalResponse response = SampleResponse();
+  ExpectEncodersAgree(response.payload);
+  ExpectEncodersAgree(response.endorsement);
+  ExpectEncodersAgree(response);
+  EXPECT_EQ(response.WireSize(), response.Serialize().size());
+  const TransactionEnvelope env = SampleEnvelope();
+  ExpectEncodersAgree(env);
+  ExpectMemosMatchFreshBytes(env);
+  Block block = Block::Make(3, nullptr, {SampleEnvelope(), SampleEnvelope()});
+  block.metadata.validation_codes = {ValidationCode::kValid,
+                                     ValidationCode::kBadSignature};
+  block.metadata.orderer_cert = TestClient().Cert().Serialize();
+  ExpectEncodersAgree(block.header);
+  EXPECT_EQ(block.header.Hash(), crypto::Hash(block.header.Serialize()));
+  EXPECT_EQ(block.header.Serialize().size(), BlockHeader::kWireSize);
+  ExpectEncodersAgree(block.metadata);
+  EXPECT_EQ(block.metadata.WireSize(), block.metadata.Serialize().size());
+  ExpectEncodersAgree(block);
+  EXPECT_EQ(block.WireSize(), block.Serialize().size());
+}
+
+TEST(Encoders, EndorsedPayloadIsTheEndorsersPayloadEncoding) {
+  const TransactionEnvelope env = SampleEnvelope();
+  ProposalResponsePayload payload;
+  payload.proposal_hash = crypto::HashStr(env.tx_id);
+  payload.rwset = env.rwset;
+  payload.chaincode_result = env.chaincode_result;
+  EXPECT_EQ(env.EndorsedPayloadBytes(), payload.Serialize());
+  EXPECT_EQ(env.EndorsedPayloadDigest(), EncodedDigest(payload));
+}
+
+TEST(Encoders, MutatedCopiesRecomputeFromTheirOwnBytes) {
+  // Fill every memo, copy, mutate the copy: its streamed values follow its
+  // own bytes while the source keeps its own.
+  const Proposal proposal = SampleProposal();
+  const crypto::Digest proposal_digest = proposal.SerializedDigest();
+  Proposal changed = proposal;
+  changed.invocation.args.push_back(ToBytes("extra"));
+  EXPECT_EQ(changed.SerializedDigest(), crypto::Hash(changed.Serialize()));
+  EXPECT_NE(changed.SerializedDigest(), proposal_digest);
+  EXPECT_EQ(proposal.SerializedDigest(), crypto::Hash(proposal.Serialize()));
+
+  const TransactionEnvelope env = SampleEnvelope();
+  ExpectMemosMatchFreshBytes(env);
+  TransactionEnvelope copy = env;
+  copy.rwset.ns_rwsets[0].writes.push_back(KVWrite{"k9", ToBytes("v9"), false});
+  copy.endorsements.push_back(copy.endorsements[0]);
+  copy.endorsements.back().signature.bytes[0] ^= 1;
+  ExpectEncodersAgree(copy);
+  ExpectMemosMatchFreshBytes(copy);
+  EXPECT_NE(copy.WireSize(), env.WireSize());
+  EXPECT_NE(copy.LeafHash(), env.LeafHash());
+  ExpectMemosMatchFreshBytes(env);
+
+  Block block = Block::Make(1, nullptr, {SampleEnvelope()});
+  const crypto::Digest data_hash = block.DataHash();
+  Block tampered = block;
+  tampered.transactions.Mutable(0).chaincode_result.push_back(0x5A);
+  ExpectEncodersAgree(tampered);
+  EXPECT_NE(tampered.DataHash(), data_hash);
+  EXPECT_EQ(tampered.WireSize(), tampered.Serialize().size());
 }
 
 TEST(ValidationCode, Names) {
