@@ -122,6 +122,8 @@ struct FailpointOptions {
   /// to fire.
   bool disable_byzantine_defense = false;
 
+  bool operator==(const FailpointOptions&) const = default;
+
   [[nodiscard]] bool Any() const {
     return disable_committer_dedup || client_silent_drop_every > 0 ||
            disable_byzantine_defense;

@@ -35,6 +35,8 @@ struct OptimizationOptions {
   /// endorsement set cannot satisfy it (policy::SatisfiedPrefix).
   bool policy_shortcircuit = false;
 
+  bool operator==(const OptimizationOptions&) const = default;
+
   [[nodiscard]] bool Any() const {
     return msp_cache || vscc_workers > 0 || bulk_commit || policy_shortcircuit;
   }

@@ -1,11 +1,9 @@
 #include "faults/fuzzer.h"
 
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
 #include "faults/shrinker.h"
@@ -13,42 +11,6 @@
 #include "sim/rng.h"
 
 namespace fabricsim::faults {
-
-namespace {
-
-constexpr double kWarmupSeconds = 10.0;  // ExperimentConfig default
-
-/// Shortest round-trip decimal (matches FaultSchedule's number rendering).
-std::string Num(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
-
-double ParseDouble(const std::string& s, const std::string& flag) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument("trailing characters");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad value for " + flag + ": \"" + s + "\"");
-  }
-}
-
-/// Parses an integer field with std::from_chars in the field's own type, so
-/// a 64-bit seed keeps every bit and a fractional or out-of-range value is
-/// an error instead of being rounded or truncated.
-template <typename T>
-void ParseInt(const std::string& s, const std::string& flag, T& field) {
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), last, field);
-  if (ec != std::errc() || ptr != last) {
-    throw std::invalid_argument("bad value for " + flag + ": \"" + s + "\"");
-  }
-}
-
-}  // namespace
 
 const char* FailureKindName(FailureKind kind) {
   switch (kind) {
@@ -67,78 +29,19 @@ const char* FailureKindName(FailureKind kind) {
 }
 
 fabric::ExperimentConfig ChaosCase::ToConfig() const {
-  fabric::ExperimentConfig config;
-  config.network.topology.ordering = ordering == "raft"    ? fabric::OrderingType::kRaft
-                                     : ordering == "kafka" ? fabric::OrderingType::kKafka
-                                                           : fabric::OrderingType::kSolo;
-  config.network.topology.endorsing_peers = peers;
-  config.network.topology.committing_peers = 1;
-  config.network.topology.clients = clients;
-  config.network.topology.osns = osns;
-  config.network.topology.kafka_brokers = 3;
-  config.network.topology.zookeepers = 3;
-  config.network.channels = channels;
-  config.network.channel.batch.max_message_count = batch_size;
-  config.network.channel.batch.batch_timeout =
-      sim::FromSeconds(batch_timeout_s);
-  config.network.seed = seed;
-  config.workload.kind = client::WorkloadKind::kKvWrite;
-  config.workload.rate_tps = rate;
-  config.workload.duration = sim::FromSeconds(duration_s);
-  config.workload.value_size = value_size;
-  config.workload.key_space = 1000;
-  config.network.retention.ledger_blocks = retain_blocks;
-  config.network.retention.osn_history_blocks =
-      static_cast<std::size_t>(retain_blocks);
-  config.faults = faults;
+  fabric::ExperimentConfig config = RunFlags::ToConfig();
   config.check_invariants = true;
   // Stalls are classified by the oracle against the recoverability audit
   // (FailureKind::kStall); acked-lost must not double-report them on wild
   // schedules where a stall is a legitimate outcome.
   config.stall_pending_is_lost = false;
-  if (!overload.empty()) {
-    fabric::OverloadOptions& ov = config.network.overload;
-    ov.enabled = true;
-    ov.policy = overload == "drop-oldest" ? sim::OverloadPolicy::kDropOldest
-                : overload == "block"     ? sim::OverloadPolicy::kBlock
-                                          : sim::OverloadPolicy::kReject;
-    ov.osn_max_inflight = 512;
-    ov.osn_max_waiting = 512;
-    ov.endorser_max_inflight = 32;
-    ov.endorser_max_waiting = 32 * 4;
-    ov.committer_max_blocks = 8;
-    ov.retry_after = sim::FromMillis(200.0);
-    ov.flow.enabled = true;
-    ov.flow.initial_window = 16.0;
-    ov.flow.pace_tps = 0.0;
-  }
   return config;
 }
 
-std::vector<std::string> ChaosCase::ToArgs() const {
-  std::vector<std::string> args;
-  args.push_back("--ordering=" + ordering);
-  args.push_back("--rate=" + Num(rate));
-  args.push_back("--duration=" + Num(duration_s));
-  args.push_back("--peers=" + std::to_string(peers));
-  if (clients >= 0) args.push_back("--clients=" + std::to_string(clients));
-  args.push_back("--osns=" + std::to_string(osns));
-  if (channels != 1) args.push_back("--channels=" + std::to_string(channels));
-  args.push_back("--batch-size=" + std::to_string(batch_size));
-  if (batch_timeout_s != 1.0) {
-    args.push_back("--batch-timeout=" + Num(batch_timeout_s));
-  }
-  if (value_size != 1) {
-    args.push_back("--value-size=" + std::to_string(value_size));
-  }
-  args.push_back("--seed=" + std::to_string(seed));
-  if (!overload.empty()) args.push_back("--overload=" + overload);
-  if (retain_blocks != 0) {
-    args.push_back("--retain-blocks=" + std::to_string(retain_blocks));
-  }
-  if (!faults.empty()) args.push_back("--faults=" + faults);
-  args.push_back("--check-invariants");
-  return args;
+std::vector<std::string> ChaosCase::CorpusArgs() const {
+  ChaosCase healthy = *this;
+  healthy.failpoints = {};
+  return healthy.ToArgs();
 }
 
 std::string ChaosCase::ReproLine() const {
@@ -147,7 +50,7 @@ std::string ChaosCase::ReproLine() const {
     line += " ";
     // Quote the fault spec for shell readability (it contains no spaces or
     // quotes, so plain double quotes are always safe).
-    if (arg.rfind("--faults=", 0) == 0) {
+    if (arg.starts_with("--faults=")) {
       line += "--faults=\"" + arg.substr(9) + "\"";
     } else {
       line += arg;
@@ -158,61 +61,16 @@ std::string ChaosCase::ReproLine() const {
 
 ChaosCase ChaosCase::FromArgs(const std::vector<std::string>& args) {
   ChaosCase c;
-  auto value = [](const std::string& arg,
-                  const char* key) -> std::optional<std::string> {
-    const std::string prefix = std::string(key) + "=";
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    return std::nullopt;
-  };
-  for (const std::string& arg : args) {
-    if (arg == "--check-invariants") continue;  // implied by the oracle
-    if (auto v = value(arg, "--ordering")) {
-      if (*v != "solo" && *v != "kafka" && *v != "raft") {
-        throw std::invalid_argument("unknown ordering: " + *v);
-      }
-      c.ordering = *v;
-    } else if (auto v = value(arg, "--rate")) {
-      c.rate = ParseDouble(*v, "--rate");
-    } else if (auto v = value(arg, "--duration")) {
-      c.duration_s = ParseDouble(*v, "--duration");
-    } else if (auto v = value(arg, "--peers")) {
-      ParseInt(*v, "--peers", c.peers);
-    } else if (auto v = value(arg, "--clients")) {
-      ParseInt(*v, "--clients", c.clients);
-    } else if (auto v = value(arg, "--osns")) {
-      ParseInt(*v, "--osns", c.osns);
-    } else if (auto v = value(arg, "--channels")) {
-      ParseInt(*v, "--channels", c.channels);
-    } else if (auto v = value(arg, "--batch-size")) {
-      ParseInt(*v, "--batch-size", c.batch_size);
-    } else if (auto v = value(arg, "--batch-timeout")) {
-      c.batch_timeout_s = ParseDouble(*v, "--batch-timeout");
-    } else if (auto v = value(arg, "--value-size")) {
-      ParseInt(*v, "--value-size", c.value_size);
-    } else if (auto v = value(arg, "--seed")) {
-      ParseInt(*v, "--seed", c.seed);
-    } else if (auto v = value(arg, "--overload")) {
-      c.overload = *v;
-    } else if (auto v = value(arg, "--retain-blocks")) {
-      ParseInt(*v, "--retain-blocks", c.retain_blocks);
-    } else if (auto v = value(arg, "--faults")) {
-      c.faults = *v;
-    } else {
-      throw std::invalid_argument("unknown chaos-case argument: " + arg);
-    }
-  }
-  // Validate the spec eagerly so corpus corruption fails loudly.
-  (void)FaultSchedule::Parse(c.faults);
+  const std::string error = fabric::ParseRunFlags(args, c);
+  if (!error.empty()) throw std::invalid_argument(error);
   return c;
 }
 
 CaseFailure RunCaseOracle(const ChaosCase& chaos_case,
-                          const fabric::FailpointOptions& failpoints,
                           bool verify_determinism) {
   CaseFailure failure;
   try {
-    fabric::ExperimentConfig config = chaos_case.ToConfig();
-    config.network.failpoints = failpoints;
+    const fabric::ExperimentConfig config = chaos_case.ToConfig();
     const fabric::ExperimentResult first = fabric::RunExperiment(config);
 
     if (first.invariants && !first.invariants->Ok()) {
@@ -261,9 +119,10 @@ CaseFailure RunCaseOracle(const ChaosCase& chaos_case,
 bool ScheduleLooksRecoverable(const ChaosCase& chaos_case,
                               const FaultSchedule& schedule) {
   if (schedule.events.empty()) return false;
-  const double window_end = kWarmupSeconds + chaos_case.duration_s;
-  const bool solo = chaos_case.ordering == "solo";
-  const bool kafka = chaos_case.ordering == "kafka";
+  const double warmup_s = sim::ToSeconds(chaos_case.ToConfig().warmup);
+  const double window_end = warmup_s + chaos_case.duration_s;
+  const bool solo = chaos_case.ordering == fabric::OrderingType::kSolo;
+  const bool kafka = chaos_case.ordering == fabric::OrderingType::kKafka;
   int crash_events = 0;
 
   auto is_endorser = [](const std::string& t) {
@@ -285,7 +144,7 @@ bool ScheduleLooksRecoverable(const ChaosCase& chaos_case,
     // The fault must start after the system is warm and end early enough
     // that recovery (Raft ~2 s re-election, commit-timeout resubmits up to
     // ~8 s) completes inside the measurement window.
-    if (sim::ToSeconds(ev.at) < kWarmupSeconds + 5.0) return false;
+    if (sim::ToSeconds(ev.at) < warmup_s + 5.0) return false;
     if (ev.until && sim::ToSeconds(*ev.until) > window_end - 10.0) {
       return false;
     }
@@ -365,20 +224,22 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
                (0x9E3779B97F4A7C15ULL *
                 (static_cast<std::uint64_t>(index) + 1)));
 
+  using fabric::OrderingType;
   ChaosCase c;
+  c.failpoints = options_.failpoints;
   const double pick = rng.NextDouble();
   // Byzantine cases never use Solo: the OSN-level attacks need a second OSN
   // for the attestation defense to cross-check against.
-  c.ordering = options_.byzantine ? (pick < 0.45 ? "kafka" : "raft")
-               : pick < 0.20      ? "solo"
-               : pick < 0.45      ? "kafka"
-                                  : "raft";
+  c.ordering = options_.byzantine
+                   ? (pick < 0.45 ? OrderingType::kKafka : OrderingType::kRaft)
+               : pick < 0.20 ? OrderingType::kSolo
+               : pick < 0.45 ? OrderingType::kKafka
+                             : OrderingType::kRaft;
   c.peers = static_cast<int>(rng.NextInRange(2, 5));
   if (rng.NextBool(0.25)) {
     c.clients = static_cast<int>(rng.NextInRange(1, c.peers));
   }
-  c.osns = 3;
-  if (c.ordering == "raft" && rng.NextBool(0.3)) c.osns = 5;
+  if (c.ordering == OrderingType::kRaft && rng.NextBool(0.3)) c.osns = 5;
   c.channels = rng.NextBool(0.15) ? 2 : 1;
   c.rate = static_cast<double>(rng.NextInRange(2, 9)) * 10.0;
   const std::uint32_t batch_sizes[] = {30, 50, 100, 200};
@@ -400,9 +261,10 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
   c.duration_s =
       static_cast<double>(rng.NextInRange(wild ? 28 : 40, wild ? 44 : 60)) *
       0.5;  // tame 20-30 s, wild 14-22 s
-  const double window_end = kWarmupSeconds + c.duration_s;
+  const double warmup_s = sim::ToSeconds(c.ToConfig().warmup);
+  const double window_end = warmup_s + c.duration_s;
 
-  const int client_count = c.clients < 0 ? c.peers : c.clients;
+  const int client_count = c.clients.value_or(c.peers);
   // The single committing peer registers after the endorsing ones, so its
   // endpoint name carries the next index.
   const std::string validator = "peer.commit" + std::to_string(c.peers);
@@ -415,7 +277,7 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
                           static_cast<std::uint64_t>(client_count)));
   };
   auto osn = [&] {
-    const int count = c.ordering == "solo" ? 1 : c.osns;
+    const int count = c.ordering == OrderingType::kSolo ? 1 : c.osns;
     return "osn" +
            std::to_string(rng.NextBelow(static_cast<std::uint64_t>(count)));
   };
@@ -429,7 +291,7 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
         case 2:
           return osn();
         case 3:
-          if (c.ordering == "kafka") {
+          if (c.ordering == OrderingType::kKafka) {
             return "broker" + std::to_string(rng.NextBelow(3));
           }
           return "leader";
@@ -439,10 +301,10 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
           return endorser();
       }
     }
-    if (c.ordering == "solo") return endorser();
+    if (c.ordering == OrderingType::kSolo) return endorser();
     switch (rng.NextBelow(3)) {
       case 0:
-        return c.ordering == "raft" ? "leader" : osn();
+        return c.ordering == OrderingType::kRaft ? "leader" : osn();
       case 1:
         return osn();
       default:
@@ -486,7 +348,7 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
     // Windows may overlap (no per-event spacing) — overlap is exactly the
     // regime hand-written schedules never covered.
     const double latest_start = wild ? window_end - 4.0 : window_end - 14.0;
-    const double start = grid_time(kWarmupSeconds + 5.0, latest_start);
+    const double start = grid_time(warmup_s + 5.0, latest_start);
     const double max_len =
         wild ? window_end - start : window_end - 10.0 - start;
     const double len = grid_time(1.0, std::max(1.0, std::min(8.0, max_len)));
@@ -514,7 +376,7 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
         if (wild && rng.NextBool(0.4)) {
           ev.groups.push_back({any_client()});
           ev.groups.push_back({validator});
-        } else if (c.ordering != "solo" && rng.NextBool(0.5)) {
+        } else if (c.ordering != OrderingType::kSolo && rng.NextBool(0.5)) {
           const std::string a = osn();
           std::string b = osn();
           if (a == b) b = endorser();
@@ -557,7 +419,7 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
     // every byzantine case is audited recoverable, so a stall is a bug.
     FaultEvent ev;
     const double latest_end = window_end - 10.0;
-    const double start = grid_time(kWarmupSeconds + 6.0, latest_end - 2.0);
+    const double start = grid_time(warmup_s + 6.0, latest_end - 2.0);
     const double len = grid_time(2.0, std::max(2.0, latest_end - start));
     ev.at = sim::FromSeconds(start);
     switch (rng.NextBelow(5)) {
@@ -631,8 +493,8 @@ CampaignResult ChaosFuzzer::RunCampaign() const {
         }
       }
       slot.original = GenerateCase(i);
-      slot.failure = RunCaseOracle(slot.original, options_.failpoints,
-                                   options_.verify_determinism);
+      slot.failure =
+          RunCaseOracle(slot.original, options_.verify_determinism);
       slot.shrunk = slot.original;
       slot.shrunk_failure = slot.failure;
       if (slot.failure.Failed() && options_.shrink) {
@@ -644,8 +506,8 @@ CampaignResult ChaosFuzzer::RunCampaign() const {
         shrink_options.max_oracle_runs = options_.max_shrink_runs;
         const ShrinkOutcome outcome = ShrinkCase(
             slot.original, slot.failure,
-            [this, verify](const ChaosCase& candidate) {
-              return RunCaseOracle(candidate, options_.failpoints, verify);
+            [verify](const ChaosCase& candidate) {
+              return RunCaseOracle(candidate, verify);
             },
             shrink_options);
         slot.shrunk = outcome.best;

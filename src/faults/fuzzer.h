@@ -24,44 +24,35 @@
 #include <vector>
 
 #include "fabric/experiment.h"
+#include "fabric/run_flags.h"
 #include "faults/fault_schedule.h"
 
 namespace fabricsim::faults {
 
-/// One generated chaos case: a CLI-expressible config point plus a fault
-/// schedule. Field defaults mirror fabricsim_cli's defaults exactly so
-/// ToArgs()/ReproLine() round-trip through the CLI faithfully.
-struct ChaosCase {
-  std::string ordering = "solo";  // solo|kafka|raft
-  double rate = 200.0;
-  double duration_s = 30.0;
-  int peers = 10;
-  int clients = -1;  // -1 = one per peer (the CLI default)
-  int osns = 3;
-  int channels = 1;
-  std::uint32_t batch_size = 100;
-  double batch_timeout_s = 1.0;
-  std::size_t value_size = 1;
-  std::uint64_t seed = 42;
-  std::string overload;  // ""=off, else reject|drop-oldest|block
-  /// --retain-blocks: ledger and OSN backfill blocks kept (0 = all). Replays
-  /// and pinned corpus entries only; campaigns never sample it.
-  std::uint64_t retain_blocks = 0;
-  /// Canonical fault spec (FaultSchedule::ToSpec of the generated events).
-  std::string faults;
+/// One generated chaos case: a fabricsim_cli flag set plus the oracle's
+/// recoverability verdict. Every flag means what it means to the CLI:
+/// ToArgs() is the CLI's canonical renderer, FromArgs() its parser and
+/// ToConfig() its config builder, so a repro line replays the case exactly.
+struct ChaosCase : fabric::RunFlags {
+  /// The oracle always checks the ledger invariants, so a case's flags say
+  /// so too and every repro line carries --check-invariants.
+  ChaosCase() { check_invariants = true; }
+
   /// True when ScheduleLooksRecoverable audited the schedule as one the
   /// recovery machinery must survive: a permanent stall is then a failure.
   bool expect_recovery = false;
 
   bool operator==(const ChaosCase&) const = default;
 
-  /// The exact ExperimentConfig fabricsim_cli would build from ToArgs().
+  /// The CLI's config for these flags, plus the oracle's two settings:
+  /// invariants always checked, and stalls left to the oracle.
   [[nodiscard]] fabric::ExperimentConfig ToConfig() const;
-  /// CLI flags, one per element, no shell quoting needed.
-  [[nodiscard]] std::vector<std::string> ToArgs() const;
+  /// ToArgs() without the failpoints: what a corpus entry stores, so it
+  /// replays green on a healthy tree.
+  [[nodiscard]] std::vector<std::string> CorpusArgs() const;
   /// One-line reproduction command for humans.
   [[nodiscard]] std::string ReproLine() const;
-  /// Inverse of ToArgs(); throws std::invalid_argument on unknown flags.
+  /// The CLI's parser; throws std::invalid_argument with its usage error.
   [[nodiscard]] static ChaosCase FromArgs(const std::vector<std::string>& args);
 };
 
@@ -89,12 +80,10 @@ struct CaseFailure {
   }
 };
 
-/// Runs one case and classifies the outcome. `failpoints` ride along so
-/// deliberate-bug campaigns and corpus replays share one oracle.
+/// Runs one case, its failpoints included, and classifies the outcome.
 /// `verify_determinism` adds a full repeat run (2x cost).
-[[nodiscard]] CaseFailure RunCaseOracle(
-    const ChaosCase& chaos_case, const fabric::FailpointOptions& failpoints,
-    bool verify_determinism);
+[[nodiscard]] CaseFailure RunCaseOracle(const ChaosCase& chaos_case,
+                                        bool verify_determinism);
 
 /// Conservative audit: true only when every fault is a bounded window the
 /// recovery machinery is expected to survive (so a stall is a real bug, not
@@ -124,7 +113,7 @@ struct FuzzerOptions {
   /// apart from a defense bug. That interplay is drilled deterministically
   /// in bench/fault_recovery instead.
   bool byzantine = false;
-  /// Deliberate-bug injection applied to every case (demo campaigns).
+  /// Deliberate-bug injection carried by every case (demo campaigns).
   fabric::FailpointOptions failpoints;
 };
 

@@ -138,8 +138,9 @@ bool RoundTimes(Shrink& shrink) {
   return progress;
 }
 
-/// Pass 5: reset config knobs to the CLI defaults, one at a time.
+/// Pass 5: reset config knobs to the flag defaults, one at a time.
 bool SimplifyKnobs(Shrink& shrink) {
+  static const fabric::RunFlags kDefaults;
   bool progress = false;
   auto attempt = [&](auto mutate) {
     if (shrink.Exhausted()) return;
@@ -148,13 +149,13 @@ bool SimplifyKnobs(Shrink& shrink) {
     if (candidate == shrink.best) return;
     if (shrink.Try(std::move(candidate))) progress = true;
   };
-  attempt([](ChaosCase& c) { c.channels = 1; });
-  attempt([](ChaosCase& c) { c.overload.clear(); });
-  attempt([](ChaosCase& c) { c.value_size = 1; });
-  attempt([](ChaosCase& c) { c.retain_blocks = 0; });
-  attempt([](ChaosCase& c) { c.batch_size = 100; });
-  attempt([](ChaosCase& c) { c.batch_timeout_s = 1.0; });
-  attempt([](ChaosCase& c) { c.clients = -1; });
+  attempt([](ChaosCase& c) { c.channels = kDefaults.channels; });
+  attempt([](ChaosCase& c) { c.overload = kDefaults.overload; });
+  attempt([](ChaosCase& c) { c.value_size = kDefaults.value_size; });
+  attempt([](ChaosCase& c) { c.retain_blocks = kDefaults.retain_blocks; });
+  attempt([](ChaosCase& c) { c.batch_size = kDefaults.batch_size; });
+  attempt([](ChaosCase& c) { c.batch_timeout_s = kDefaults.batch_timeout_s; });
+  attempt([](ChaosCase& c) { c.clients = kDefaults.clients; });
   attempt([](ChaosCase& c) {
     c.rate = std::max(10.0, std::round(c.rate / 10.0) * 10.0);
   });

@@ -9,8 +9,9 @@
 //   2. shorten the measurement horizon (duration x0.7 steps, >= 12 s);
 //   3. narrow fault windows (halve the length, >= 100 ms);
 //   4. round event times to whole seconds;
-//   5. reset config knobs to CLI defaults (channels, overload, value size,
-//      batch shape, client count, rate).
+//   5. reset config knobs to the fabricsim_cli flag defaults (channels,
+//      overload, value size, retention, batch shape, client count) and
+//      round the rate.
 //
 // Shrink-step validity invariant: every candidate's fault spec must parse
 // and round-trip through FaultSchedule::ToSpec unchanged, and a candidate

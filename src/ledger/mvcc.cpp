@@ -153,22 +153,4 @@ void MvccValidator::Commit(const proto::Block& block,
   state.SetHeight(block.header.number + 1);
 }
 
-void MvccValidator::CommitBulk(const proto::Block& block,
-                               const std::vector<proto::ValidationCode>& codes,
-                               StateDb& state) {
-  std::vector<std::pair<const proto::TxReadWriteSet*, proto::KeyVersion>>
-      batch;
-  batch.reserve(block.transactions.size());
-  for (std::size_t i = 0; i < block.transactions.size(); ++i) {
-    if (i < codes.size() && codes[i] != proto::ValidationCode::kValid) {
-      continue;
-    }
-    batch.emplace_back(&block.transactions[i].rwset,
-                       proto::KeyVersion{block.header.number,
-                                         static_cast<std::uint32_t>(i)});
-  }
-  state.ApplyBatch(batch);
-  state.SetHeight(block.header.number + 1);
-}
-
 }  // namespace fabricsim::ledger

@@ -35,14 +35,6 @@ class MvccValidator {
   static void Commit(const proto::Block& block,
                      const std::vector<proto::ValidationCode>& codes,
                      StateDb& state);
-
-  /// Bulk-commit variant (--opt-bulk-commit): gathers every valid
-  /// transaction's writes and applies them as one StateDb::ApplyBatch call
-  /// — one batched ledger write per block. End state is identical to
-  /// Commit (same writes, same order, same versions).
-  static void CommitBulk(const proto::Block& block,
-                         const std::vector<proto::ValidationCode>& codes,
-                         StateDb& state);
 };
 
 }  // namespace fabricsim::ledger

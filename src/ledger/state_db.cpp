@@ -136,14 +136,4 @@ void StateDb::ApplyRwSet(const proto::TxReadWriteSet& rwset,
   }
 }
 
-void StateDb::ApplyBatch(
-    const std::vector<std::pair<const proto::TxReadWriteSet*,
-                                proto::KeyVersion>>& batch) {
-  // One batched write: later entries overwrite earlier ones exactly as the
-  // per-tx path would (LevelDB WriteBatch semantics).
-  for (const auto& [rwset, version] : batch) {
-    ApplyRwSet(*rwset, version);
-  }
-}
-
 }  // namespace fabricsim::ledger

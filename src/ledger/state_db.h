@@ -58,15 +58,6 @@ class StateDb {
   void ApplyRwSet(const proto::TxReadWriteSet& rwset,
                   proto::KeyVersion version);
 
-  /// Bulk commit (Thakkar et al.): applies a whole block's worth of
-  /// transaction writes as one batched ledger write — what a LevelDB
-  /// WriteBatch per block does for real Fabric. The end state is identical
-  /// to calling ApplyRwSet per entry in order; only the modeled disk cost
-  /// differs (see Calibration::bulk_*).
-  void ApplyBatch(
-      const std::vector<std::pair<const proto::TxReadWriteSet*,
-                                  proto::KeyVersion>>& batch);
-
   /// Ordered range scan within a namespace: keys in [start_key, end_key)
   /// (an empty end_key means "to the end of the namespace"), with values
   /// and versions, in key order — Fabric's GetStateByRange.

@@ -386,11 +386,7 @@ void Committer::SerialCommit(PendingBlock pb) {
     PromoteDeferred();
     return;
   }
-  if (opts_.bulk_commit) {
-    ledger::MvccValidator::CommitBulk(*pb.block, mvcc.codes, state_);
-  } else {
-    ledger::MvccValidator::Commit(*pb.block, mvcc.codes, state_);
-  }
+  ledger::MvccValidator::Commit(*pb.block, mvcc.codes, state_);
 
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
     if (mvcc.codes[i] == proto::ValidationCode::kValid) {

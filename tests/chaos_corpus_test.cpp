@@ -59,8 +59,8 @@ TEST(ChaosCorpus, DirectoryHasPinnedSchedules) {
 
 TEST(ChaosCorpus, EveryEntryReplaysGreen) {
   for (const CorpusEntry& entry : LoadCorpus()) {
-    const CaseFailure failure = RunCaseOracle(
-        entry.chaos_case, /*failpoints=*/{}, /*verify_determinism=*/false);
+    const CaseFailure failure =
+        RunCaseOracle(entry.chaos_case, /*verify_determinism=*/false);
     EXPECT_FALSE(failure.Failed())
         << entry.file << " regressed: " << FailureKindName(failure.kind)
         << (failure.invariant.empty() ? "" : " (" + failure.invariant + ")")

@@ -32,9 +32,6 @@ TEST(ChaosFuzzerGenerate, CasesAreValidAndCanonical) {
     // The generator must emit the canonical rendering so shrinker
     // candidates compare apples to apples.
     EXPECT_EQ(schedule.ToSpec(), c.faults) << "case " << i;
-    EXPECT_TRUE(c.ordering == "solo" || c.ordering == "kafka" ||
-                c.ordering == "raft")
-        << "case " << i;
     EXPECT_GE(c.peers, 2) << "case " << i;
     EXPECT_LE(c.peers, 5) << "case " << i;
     EXPECT_GE(c.duration_s, 14.0) << "case " << i;
@@ -46,7 +43,7 @@ TEST(ChaosFuzzerGenerate, CasesAreValidAndCanonical) {
       }
       // Solo has no failover, so a crash anywhere disqualifies the audit
       // (loss/slowdown-only solo schedules may still pass it).
-      if (c.ordering == "solo") {
+      if (c.ordering == fabric::OrderingType::kSolo) {
         for (const FaultEvent& ev : schedule.events) {
           EXPECT_NE(ev.kind, FaultKind::kCrash)
               << "case " << i << ": solo schedules with crashes are never "
@@ -67,7 +64,7 @@ TEST(ChaosFuzzerGenerate, ByzantineCasesScheduleExactlyOneAttack) {
     const FaultSchedule schedule = FaultSchedule::Parse(c.faults);
     EXPECT_EQ(schedule.ToSpec(), c.faults) << "case " << i;
     // OSN-level attacks need a second OSN for attestation to ask.
-    EXPECT_NE(c.ordering, "solo") << "case " << i;
+    EXPECT_NE(c.ordering, fabric::OrderingType::kSolo) << "case " << i;
     // Exactly one Byzantine event; the rest of the mix is restricted to
     // non-message-destroying benign kinds so a defeated defense is always a
     // bug, never a lost-attester artifact.
@@ -179,25 +176,28 @@ TEST(ChaosCaseArgs, FromArgsRejectsUnknownFlag) {
                std::invalid_argument);
 }
 
-TEST(ChaosCaseArgs, FromArgsKeepsEveryBitOfA64BitSeed) {
-  // 2^53 + 1: the first integer a double cannot hold.
-  const ChaosCase c = ChaosCase::FromArgs({"--seed=9007199254740993"});
-  EXPECT_EQ(c.seed, 9007199254740993ULL);
-  EXPECT_EQ(ChaosCase::FromArgs(c.ToArgs()), c);
-}
-
-TEST(ChaosCaseArgs, FromArgsRejectsNonIntegerCounts) {
-  EXPECT_THROW((void)ChaosCase::FromArgs({"--peers=2.5"}),
-               std::invalid_argument);
-  EXPECT_THROW((void)ChaosCase::FromArgs({"--osns=99999999999"}),
-               std::invalid_argument);
-  EXPECT_THROW((void)ChaosCase::FromArgs({"--seed=-1"}),
-               std::invalid_argument);
-}
-
 TEST(ChaosCaseArgs, FromArgsRejectsBadSpec) {
   EXPECT_THROW((void)ChaosCase::FromArgs({"--faults=crash:@"}),
                std::invalid_argument);
+}
+
+TEST(ChaosCaseArgs, FailpointsReachTheReproLineButNotTheCorpusArgs) {
+  FuzzerOptions options = SmallCampaign(7, 0);
+  options.failpoints.client_silent_drop_every = 97;
+  const ChaosCase c = ChaosFuzzer(options).GenerateCase(0);
+  EXPECT_EQ(c.failpoints, options.failpoints);
+  EXPECT_EQ(c.ToConfig().network.failpoints, options.failpoints);
+  // The repro line carries the bug, so it fails through fabricsim_cli too...
+  EXPECT_NE(c.ReproLine().find(" --failpoint=silent-drop:97 "),
+            std::string::npos)
+      << c.ReproLine();
+  EXPECT_EQ(ChaosCase::FromArgs(c.ToArgs()).failpoints, options.failpoints);
+  // ...while the corpus entry is the same case on a healthy tree.
+  ChaosCase healthy = c;
+  healthy.failpoints = {};
+  EXPECT_EQ(c.CorpusArgs(), healthy.ToArgs());
+  EXPECT_EQ(ChaosFuzzer(SmallCampaign(7, 0)).GenerateCase(0).ToArgs(),
+            c.CorpusArgs());
 }
 
 TEST(ChaosCaseArgs, ReproLineQuotesFaultSpec) {
@@ -235,7 +235,7 @@ TEST(ChaosCampaign, InjectedDedupBugIsFoundShrunkAndPinned) {
   // only by dedup. This is campaign seed 7 case 5, the schedule the real
   // --inject-bug=no-committer-dedup demo campaign finds.
   ChaosCase c;
-  c.ordering = "solo";
+  c.ordering = fabric::OrderingType::kSolo;
   c.rate = 70.0;
   c.duration_s = 12.0;
   c.peers = 4;
@@ -243,12 +243,9 @@ TEST(ChaosCampaign, InjectedDedupBugIsFoundShrunkAndPinned) {
   c.batch_size = 100;
   c.seed = 888829;
   c.faults = "crash:leader@18s-26s";
+  c.failpoints.disable_committer_dedup = true;
 
-  fabric::FailpointOptions bug;
-  bug.disable_committer_dedup = true;
-
-  const CaseFailure failure =
-      RunCaseOracle(c, bug, /*verify_determinism=*/false);
+  const CaseFailure failure = RunCaseOracle(c, /*verify_determinism=*/false);
   ASSERT_EQ(failure.kind, FailureKind::kInvariant) << failure.detail;
   EXPECT_EQ(failure.invariant, "double-commit") << failure.detail;
 
@@ -256,8 +253,8 @@ TEST(ChaosCampaign, InjectedDedupBugIsFoundShrunkAndPinned) {
   shrink_options.max_oracle_runs = 60;
   const ShrinkOutcome outcome = ShrinkCase(
       c, failure,
-      [&](const ChaosCase& candidate) {
-        return RunCaseOracle(candidate, bug, false);
+      [](const ChaosCase& candidate) {
+        return RunCaseOracle(candidate, false);
       },
       shrink_options);
   const FaultSchedule shrunk = FaultSchedule::Parse(outcome.best.faults);
@@ -265,10 +262,12 @@ TEST(ChaosCampaign, InjectedDedupBugIsFoundShrunkAndPinned) {
   EXPECT_EQ(outcome.failure.invariant, "double-commit");
 
   // The minimized repro still fails under the bug...
-  const CaseFailure replay = RunCaseOracle(outcome.best, bug, false);
+  const CaseFailure replay = RunCaseOracle(outcome.best, false);
   EXPECT_TRUE(replay.SameAs(failure)) << replay.detail;
   // ...and is green once the bug is fixed.
-  const CaseFailure fixed = RunCaseOracle(outcome.best, {}, false);
+  ChaosCase fixed_case = outcome.best;
+  fixed_case.failpoints = {};
+  const CaseFailure fixed = RunCaseOracle(fixed_case, false);
   EXPECT_FALSE(fixed.Failed()) << fixed.detail;
 }
 

@@ -187,7 +187,7 @@ TEST(CommitterOptimizations, BulkCommitEndStateIdentical) {
   const auto [base, with] = RunBoth(opt);
   EXPECT_EQ(base, with);
 
-  // And the world state written through ApplyBatch matches key-by-key.
+  // And the world state written with bulk commit on matches key-by-key.
   Fixture serial, bulk;
   bulk.committer->SetOptimizations(opt);
   for (Fixture* f : {&serial, &bulk}) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "fabric/run_flags.h"
 #include "faults/fuzzer.h"
 #include "faults/shrinker.h"
 
@@ -102,30 +103,21 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
       }
       continue;
     }
-    try {
-      if (auto v = ArgValue(arg, "--seed")) {
-        out.fuzzer.campaign_seed = std::stoull(*v);
-        continue;
-      }
-      if (auto v = ArgValue(arg, "--runs")) {
-        out.fuzzer.runs = std::stoi(*v);
-        continue;
-      }
-      if (auto v = ArgValue(arg, "--time-budget")) {
-        out.fuzzer.time_budget_s = std::stod(*v);
-        continue;
-      }
-      if (auto v = ArgValue(arg, "--jobs")) {
-        out.fuzzer.jobs = std::stoi(*v);
-        continue;
-      }
-      if (auto v = ArgValue(arg, "--max-shrink")) {
-        out.fuzzer.max_shrink_runs = std::stoi(*v);
-        continue;
-      }
-    } catch (const std::exception&) {
-      error = "bad numeric value in: " + arg;
-      return false;
+    // Matches `key`, then parses its value into `field` with the
+    // fabricsim_cli number parser; a bad value sets `error`.
+    auto number = [&](const char* key, auto& field) -> bool {
+      const auto v = ArgValue(arg, key);
+      if (!v) return false;
+      error = fabric::ParseNumber(key, *v, field);
+      return true;
+    };
+    if (number("--seed", out.fuzzer.campaign_seed) ||
+        number("--runs", out.fuzzer.runs) ||
+        number("--time-budget", out.fuzzer.time_budget_s) ||
+        number("--jobs", out.fuzzer.jobs) ||
+        number("--max-shrink", out.fuzzer.max_shrink_runs)) {
+      if (!error.empty()) return false;
+      continue;
     }
     error = "unknown argument: " + arg;
     return false;
@@ -139,7 +131,7 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
 
 std::string CorpusFileName(const faults::CampaignFailure& failure) {
   std::string key;
-  for (const std::string& arg : failure.shrunk.ToArgs()) key += arg + "\n";
+  for (const std::string& arg : failure.shrunk.CorpusArgs()) key += arg + "\n";
   const std::string hash =
       crypto::DigestHex(crypto::HashStr(key)).substr(0, 12);
   const std::string tag = failure.failure.kind == faults::FailureKind::kInvariant
@@ -165,7 +157,7 @@ void WriteCorpusFile(const std::string& dir,
     os << " (" << failure.failure.invariant << ")";
   }
   os << "\n# repro: " << failure.shrunk.ReproLine() << "\n";
-  for (const std::string& arg : failure.shrunk.ToArgs()) {
+  for (const std::string& arg : failure.shrunk.CorpusArgs()) {
     os << "arg: " << arg << "\n";
   }
   os << "expect_recovery: " << (failure.shrunk.expect_recovery ? 1 : 0)

@@ -8,21 +8,16 @@
 //   fabricsim_cli --workload=smallbank --peers=6 --channels=2 --csv
 //   fabricsim_cli --ordering=raft --sweep=50,150,250,350 --jobs=4
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "bench/json.h"
 #include "fabric/experiment.h"
-#include "fabric/optimizations.h"
-#include "faults/fault_schedule.h"
+#include "fabric/run_flags.h"
 #include "faults/invariants.h"
 #include "metrics/registry.h"
 #include "metrics/reporter.h"
@@ -32,50 +27,6 @@
 using namespace fabricsim;
 
 namespace {
-
-struct CliOptions {
-  fabric::OrderingType ordering = fabric::OrderingType::kSolo;
-  double rate = 200.0;
-  double duration_s = 30.0;
-  int peers = 10;
-  int committing_peers = 1;
-  std::optional<int> clients;  // unset = one per endorsing peer
-  int osns = 3;
-  int brokers = 3;
-  int zookeepers = 3;
-  int channels = 1;
-  std::string policy;  // empty = OR over all peers
-  client::WorkloadKind workload = client::WorkloadKind::kKvWrite;
-  std::size_t value_size = 1;
-  std::size_t key_space = 1000;
-  std::uint64_t seed = 42;
-  std::uint32_t batch_size = 100;
-  double batch_timeout_s = 1.0;
-  bool csv = false;
-  bool help = false;
-  std::string trace_out;      // Chrome trace-event JSON path ("" = off)
-  std::string faults;         // declarative fault schedule ("" = none)
-  std::string overload;       // off|reject|drop-oldest|block ("" = off)
-  std::size_t osn_queue = 512;       // OSN ingress max inflight
-  std::size_t endorser_queue = 32;   // endorser ingress max inflight
-  std::size_t committer_blocks = 8;  // committer pipeline bound (0 = none)
-  double retry_after_ms = 200.0;     // SERVICE_UNAVAILABLE retry-after hint
-  double flow_window = 16.0;         // client AIMD initial window (0 = off)
-  double pace_tps = 0.0;             // client token-bucket rate (0 = off)
-  bool check_invariants = false;
-  std::string invariants_out;  // invariant-report JSON path ("" = off)
-  fabric::FailpointOptions failpoints;  // deliberate bugs for chaos demos
-  bool streaming_stats = false;  // bounded-memory tracker accounting
-  std::string metrics_out;       // metrics-timeline path ("" = off)
-  std::string metrics_format = "json";  // json|prom|csv
-  double metrics_period_ms = 250.0;
-  bool profile = false;        // host-side DES profiler + top-N table
-  std::string profile_trace;   // Chrome trace of sampled handler spans
-  std::uint64_t retain_blocks = 0;   // ledger/OSN blocks kept (0 = all)
-  std::vector<double> sweep;  // arrival rates; non-empty = sweep mode
-  int jobs = 1;               // host threads for --sweep (0 = hw concurrency)
-  fabric::OptimizationOptions optimizations;  // Thakkar-style validate fixes
-};
 
 void PrintHelp() {
   std::cout <<
@@ -200,261 +151,13 @@ void PrintHelp() {
       "  --help                       this text\n";
 }
 
-std::optional<std::string> ArgValue(const std::string& arg,
-                                    const std::string& key) {
-  const std::string prefix = key + "=";
-  if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  return std::nullopt;
-}
-
-/// Parses a flag's value into `field` and returns the error text, empty on
-/// success. Integer fields go through std::from_chars in the field's own
-/// type, so a 64-bit seed keeps every bit and a fractional or out-of-range
-/// value is an error instead of being rounded or truncated; floating-point
-/// fields go through std::stod.
-template <typename T>
-std::string ParseNumber(const std::string& key, const std::string& text,
-                        T& field) {
-  if constexpr (std::is_integral_v<T>) {
-    if (std::is_unsigned_v<T> && text.starts_with('-')) {
-      return key + " must not be negative";
-    }
-    T value{};
-    const char* last = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
-    if (ec == std::errc::result_out_of_range) {
-      return key + " is out of range: " + text;
-    }
-    if (ec != std::errc() || ptr != last) {
-      return key + " needs an integer, got " + text;
-    }
-    field = value;
-  } else {
-    std::size_t used = 0;
-    try {
-      field = std::stod(text, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used == 0 || used != text.size()) {
-      return key + " needs a number, got " + text;
-    }
-  }
-  return "";
-}
-
-/// An optional field is set only by a value that parses.
-template <typename T>
-std::string ParseNumber(const std::string& key, const std::string& text,
-                        std::optional<T>& field) {
-  T value{};
-  std::string error = ParseNumber(key, text, value);
-  if (error.empty()) field = value;
-  return error;
-}
-
-bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      out.help = true;
-      return true;
-    }
-    if (arg == "--csv") {
-      out.csv = true;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--ordering")) {
-      if (*v == "solo") {
-        out.ordering = fabric::OrderingType::kSolo;
-      } else if (*v == "kafka") {
-        out.ordering = fabric::OrderingType::kKafka;
-      } else if (*v == "raft") {
-        out.ordering = fabric::OrderingType::kRaft;
-      } else {
-        error = "unknown ordering: " + *v;
-        return false;
-      }
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--workload")) {
-      if (*v == "kvwrite") {
-        out.workload = client::WorkloadKind::kKvWrite;
-      } else if (*v == "readwrite") {
-        out.workload = client::WorkloadKind::kKvReadWrite;
-      } else if (*v == "token") {
-        out.workload = client::WorkloadKind::kTokenTransfer;
-      } else if (*v == "smallbank") {
-        out.workload = client::WorkloadKind::kSmallBank;
-      } else {
-        error = "unknown workload: " + *v;
-        return false;
-      }
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--policy")) {
-      out.policy = *v;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--trace-out")) {
-      out.trace_out = *v;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--faults")) {
-      out.faults = *v;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--overload")) {
-      if (*v != "off" && *v != "reject" && *v != "drop-oldest" &&
-          *v != "block") {
-        error = "unknown overload policy: " + *v;
-        return false;
-      }
-      out.overload = (*v == "off") ? "" : *v;
-      continue;
-    }
-    if (arg == "--check-invariants") {
-      out.check_invariants = true;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--invariants-out")) {
-      out.invariants_out = *v;
-      out.check_invariants = true;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--failpoint")) {
-      if (*v == "no-committer-dedup") {
-        out.failpoints.disable_committer_dedup = true;
-      } else if (v->rfind("silent-drop:", 0) == 0) {
-        try {
-          out.failpoints.client_silent_drop_every =
-              std::stoi(v->substr(12));
-        } catch (const std::exception&) {
-          out.failpoints.client_silent_drop_every = 0;
-        }
-        if (out.failpoints.client_silent_drop_every <= 0) {
-          error = "bad --failpoint silent-drop count: " + *v;
-          return false;
-        }
-      } else if (*v == "no-byzantine-defense") {
-        out.failpoints.disable_byzantine_defense = true;
-      } else {
-        error = "unknown failpoint: " + *v;
-        return false;
-      }
-      continue;
-    }
-    if (arg == "--streaming-stats") {
-      out.streaming_stats = true;
-      continue;
-    }
-    if (arg == "--opt-msp-cache") {
-      out.optimizations.msp_cache = true;
-      continue;
-    }
-    if (arg == "--opt-bulk-commit") {
-      out.optimizations.bulk_commit = true;
-      continue;
-    }
-    if (arg == "--opt-policy-shortcircuit") {
-      out.optimizations.policy_shortcircuit = true;
-      continue;
-    }
-    if (arg == "--profile") {
-      out.profile = true;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--profile-trace")) {
-      out.profile_trace = *v;
-      out.profile = true;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--metrics-out")) {
-      out.metrics_out = *v;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--metrics-format")) {
-      if (*v != "json" && *v != "prom" && *v != "csv") {
-        error = "unknown metrics format: " + *v;
-        return false;
-      }
-      out.metrics_format = *v;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--sweep")) {
-      std::stringstream ss(*v);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        try {
-          out.sweep.push_back(std::stod(item));
-        } catch (const std::exception&) {
-          error = "bad --sweep rate: " + item;
-          return false;
-        }
-      }
-      if (out.sweep.empty()) {
-        error = "--sweep needs at least one rate";
-        return false;
-      }
-      continue;
-    }
-    // Matches `key`, then parses its value into `field`; a bad value sets
-    // `error`.
-    auto number = [&](const char* key, auto& field) -> bool {
-      const auto v = ArgValue(arg, key);
-      if (!v) return false;
-      error = ParseNumber(key, *v, field);
-      return true;
-    };
-    if (number("--rate", out.rate) || number("--duration", out.duration_s) ||
-        number("--peers", out.peers) ||
-        number("--committing-peers", out.committing_peers) ||
-        number("--clients", out.clients) || number("--osns", out.osns) ||
-        number("--brokers", out.brokers) ||
-        number("--zookeepers", out.zookeepers) ||
-        number("--channels", out.channels) ||
-        number("--value-size", out.value_size) ||
-        number("--key-space", out.key_space) ||
-        number("--batch-size", out.batch_size) ||
-        number("--batch-timeout", out.batch_timeout_s) ||
-        number("--seed", out.seed) || number("--osn-queue", out.osn_queue) ||
-        number("--endorser-queue", out.endorser_queue) ||
-        number("--committer-blocks", out.committer_blocks) ||
-        number("--retry-after-ms", out.retry_after_ms) ||
-        number("--flow-window", out.flow_window) ||
-        number("--pace-tps", out.pace_tps) || number("--jobs", out.jobs) ||
-        number("--metrics-period-ms", out.metrics_period_ms) ||
-        number("--retain-blocks", out.retain_blocks) ||
-        number("--opt-vscc-workers", out.optimizations.vscc_workers)) {
-      if (!error.empty()) return false;
-      continue;
-    }
-    error = "unknown argument: " + arg;
-    return false;
-  }
-  // Sizes the network cannot be built with, and a sampling period that
-  // would never advance: rejected here instead of crashing mid-run.
-  auto at_least = [&](const char* key, double value, double min) {
-    if (value >= min) return true;
-    error = std::string(key) + " must be at least " + metrics::Fmt(min, 0);
-    return false;
-  };
-  return at_least("--peers", out.peers, 1) &&
-         at_least("--committing-peers", out.committing_peers, 1) &&
-         (!out.clients || at_least("--clients", *out.clients, 1)) &&
-         at_least("--channels", out.channels, 1) &&
-         at_least("--osns", out.osns, 1) &&
-         at_least("--brokers", out.brokers, 1) &&
-         at_least("--zookeepers", out.zookeepers, 1) &&
-         at_least("--metrics-period-ms", out.metrics_period_ms, 1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliOptions cli;
-  std::string error;
-  if (!Parse(argc, argv, cli, error)) {
+  fabric::RunFlags cli;
+  const std::string error = fabric::ParseRunFlags(
+      std::vector<std::string>(argv + 1, argv + argc), cli);
+  if (!error.empty()) {
     std::cerr << "error: " << error << "\n\n";
     PrintHelp();
     return 2;
@@ -463,65 +166,7 @@ int main(int argc, char** argv) {
     PrintHelp();
     return 0;
   }
-
-  fabric::ExperimentConfig config;
-  config.network.topology.ordering = cli.ordering;
-  config.network.topology.endorsing_peers = cli.peers;
-  config.network.topology.committing_peers = cli.committing_peers;
-  config.network.topology.clients = cli.clients.value_or(-1);
-  config.network.topology.osns = cli.osns;
-  config.network.topology.kafka_brokers = cli.brokers;
-  config.network.topology.zookeepers = cli.zookeepers;
-  config.network.channels = cli.channels;
-  config.network.channel.policy_expr = cli.policy;
-  config.network.channel.batch.max_message_count = cli.batch_size;
-  config.network.channel.batch.batch_timeout =
-      sim::FromSeconds(cli.batch_timeout_s);
-  config.network.seed = cli.seed;
-  config.workload.kind = cli.workload;
-  config.workload.rate_tps = cli.rate;
-  config.workload.duration = sim::FromSeconds(cli.duration_s);
-  config.workload.value_size = cli.value_size;
-  config.workload.key_space = cli.key_space;
-  config.faults = cli.faults;
-  config.check_invariants = cli.check_invariants;
-  config.network.failpoints = cli.failpoints;
-  config.streaming_stats = cli.streaming_stats;
-  config.profile = cli.profile;
-  config.network.retention.ledger_blocks = cli.retain_blocks;
-  config.network.retention.osn_history_blocks =
-      static_cast<std::size_t>(cli.retain_blocks);
-  config.network.optimizations = cli.optimizations;
-  config.metrics_period = sim::FromMillis(cli.metrics_period_ms);
-
-  if (!cli.overload.empty()) {
-    fabric::OverloadOptions& ov = config.network.overload;
-    ov.enabled = true;
-    ov.policy = cli.overload == "drop-oldest" ? sim::OverloadPolicy::kDropOldest
-                : cli.overload == "block"     ? sim::OverloadPolicy::kBlock
-                                              : sim::OverloadPolicy::kReject;
-    ov.osn_max_inflight = cli.osn_queue;
-    ov.osn_max_waiting = cli.osn_queue;
-    ov.endorser_max_inflight = cli.endorser_queue;
-    ov.endorser_max_waiting = cli.endorser_queue * 4;
-    ov.committer_max_blocks = cli.committer_blocks;
-    ov.retry_after = sim::FromMillis(cli.retry_after_ms);
-    if (cli.flow_window > 0) {
-      ov.flow.enabled = true;
-      ov.flow.initial_window = cli.flow_window;
-      ov.flow.pace_tps = cli.pace_tps;
-    }
-  }
-
-  // Validate the fault spec before the run so a typo fails fast.
-  if (!cli.faults.empty()) {
-    try {
-      (void)faults::FaultSchedule::Parse(cli.faults);
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "error: bad --faults spec: " << e.what() << "\n";
-      return 2;
-    }
-  }
+  fabric::ExperimentConfig config = cli.ToConfig();
 
   // Sweep mode: the base configuration once per arrival rate, fanned out
   // over --jobs host threads, one summary row per rate.
