@@ -2,7 +2,7 @@
 
 namespace fabricsim::chaincode {
 
-ChaincodeStub::ChaincodeStub(const ledger::StateDb& state, std::string ns,
+ChaincodeStub::ChaincodeStub(ledger::StateView state, std::string ns,
                              const proto::ChaincodeInvocation& invocation)
     : state_(state), invocation_(invocation), ns_(ns), builder_(std::move(ns)) {}
 

@@ -3,9 +3,10 @@
 //
 // In Fabric, user chaincode runs in a Docker container and talks to the peer
 // over gRPC; GetState/PutState round-trip to the peer's state database. Here
-// the chaincode runs in-process, the stub reads the endorser's StateDb
-// directly and records the rwset, and the Docker/gRPC round-trip appears as
-// a per-invocation CPU cost (see ExecutionCost / calibration).
+// the chaincode runs in-process, the stub reads the endorser's world state
+// (as of its peer's height) directly and records the rwset, and the
+// Docker/gRPC round-trip appears as a per-invocation CPU cost (see
+// ExecutionCost / calibration).
 #pragma once
 
 #include <functional>
@@ -25,7 +26,7 @@ namespace fabricsim::chaincode {
 /// The per-invocation view a chaincode gets: args plus recorded state access.
 class ChaincodeStub {
  public:
-  ChaincodeStub(const ledger::StateDb& state, std::string ns,
+  ChaincodeStub(ledger::StateView state, std::string ns,
                 const proto::ChaincodeInvocation& invocation);
 
   [[nodiscard]] const std::string& Function() const;
@@ -54,7 +55,7 @@ class ChaincodeStub {
   [[nodiscard]] proto::TxReadWriteSet TakeRwSet() &&;
 
  private:
-  const ledger::StateDb& state_;
+  ledger::StateView state_;
   const proto::ChaincodeInvocation& invocation_;
   std::string ns_;
   proto::RwSetBuilder builder_;

@@ -102,15 +102,22 @@ void FabricNetwork::BuildPeers() {
   const auto& topo = options_.topology;
   endorsing_count_ = topo.endorsing_peers;
 
-  auto setup_channels = [this](peer::PeerNode& peer) {
+  // One world state per channel, shared by every peer that joins it: each
+  // honest peer would hold an identical copy (see peer::ChannelState).
+  std::vector<std::shared_ptr<peer::ChannelState>> states;
+  for (int c = 0; c < options_.channels; ++c) {
+    states.push_back(std::make_shared<peer::ChannelState>());
+  }
+  auto setup_channels = [this, &states](peer::PeerNode& peer) {
     for (int c = 0; c < options_.channels; ++c) {
       const std::string id = ChannelId(c);
+      const auto index = static_cast<std::size_t>(c);
       peer.JoinChannel(id);
       peer.SetPolicy(id, "kvwrite", policy_);
       peer.SetPolicy(id, "token", policy_);
       peer.SetPolicy(id, "smallbank", policy_);
-      peer.GetCommitter(id).InstallGenesis(
-          genesis_[static_cast<std::size_t>(c)]);
+      peer.GetCommitter(id).ShareState(states[index]);
+      peer.GetCommitter(id).InstallGenesis(genesis_[index]);
     }
   };
 

@@ -162,12 +162,10 @@ std::string ParseRunFlags(const std::vector<std::string>& args,
       if (*v == "no-committer-dedup") {
         out.failpoints.disable_committer_dedup = true;
       } else if (v->starts_with("silent-drop:")) {
-        try {
-          out.failpoints.client_silent_drop_every = std::stoi(v->substr(12));
-        } catch (const std::exception&) {
-          out.failpoints.client_silent_drop_every = 0;
-        }
-        if (out.failpoints.client_silent_drop_every <= 0) {
+        int& every = out.failpoints.client_silent_drop_every;
+        if (!ParseNumber("--failpoint", v->substr(12), every).empty() ||
+            every <= 0) {
+          every = 0;
           return "bad --failpoint silent-drop count: " + *v;
         }
       } else if (*v == "no-byzantine-defense") {
@@ -189,11 +187,11 @@ std::string ParseRunFlags(const std::vector<std::string>& args,
       std::stringstream ss(*v);
       std::string item;
       while (std::getline(ss, item, ',')) {
-        try {
-          out.sweep.push_back(std::stod(item));
-        } catch (const std::exception&) {
+        double rate = 0;
+        if (!ParseNumber("--sweep", item, rate).empty()) {
           return "bad --sweep rate: " + item;
         }
+        out.sweep.push_back(rate);
       }
       if (out.sweep.empty()) return "--sweep needs at least one rate";
     } else {

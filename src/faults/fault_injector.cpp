@@ -385,6 +385,9 @@ bool FaultInjector::CrashNode(sim::NodeId id) {
   }
   net.Crash(id);
   crashed_.insert(id);
+  for (std::size_t i = 0; i < net_.PeerCount(); ++i) {
+    if (net_.Peer(i).NetId() == id) net_.Peer(i).OnCrash();
+  }
   Note("crash " + net.NameOf(id));
   return true;
 }

@@ -53,6 +53,7 @@ class BlockStore {
   /// Keeps only the newest `keep_blocks` blocks in memory (0 = keep all,
   /// the default). Takes effect on the next Append.
   void SetRetention(std::uint64_t keep_blocks) { keep_blocks_ = keep_blocks; }
+  [[nodiscard]] std::uint64_t Retention() const { return keep_blocks_; }
 
   /// Number of blocks appended ever (== next block number). Pruned blocks
   /// still count: height is chain position, not residency.

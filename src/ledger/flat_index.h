@@ -48,6 +48,14 @@ class FlatIndex {
     return i == kNone ? nullptr : &slots_[i].payload;
   }
 
+  /// Calls fn(payload) for every entry, in slot order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.hash != kEmpty) fn(s.payload);
+    }
+  }
+
   /// Sizes an empty index for `n` entries, so inserting them allocates once.
   void Reserve(std::size_t n) {
     std::size_t capacity = 8;

@@ -1,26 +1,65 @@
 #include "ledger/mvcc.h"
 
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 
 namespace fabricsim::ledger {
 namespace {
 
 /// Pending view: committed state overlaid with writes from earlier valid
-/// transactions of the block being validated. The overlay views the
-/// block's own namespace and key strings, so it must not outlive the block.
+/// transactions of the block being validated. The overlay is one flat
+/// index, sized for every write of the block up front, whose payload
+/// locates the latest applied write of a (namespace, key) inside the block
+/// itself — so it must not outlive the block.
 class PendingView {
+  /// Write `write` of transaction `tx`, counting across its namespaces.
+  struct WriteAt {
+    std::uint32_t tx;
+    std::uint32_t write;
+  };
+
+  static std::uint64_t Hash(std::string_view ns, std::string_view key) {
+    return HashKey(key) + 0x9e3779b97f4a7c15ULL * HashKey(ns);
+  }
+
+  [[nodiscard]] std::pair<std::string_view, const proto::KVWrite&> Locate(
+      WriteAt at) const {
+    std::uint32_t n = at.write;
+    for (const auto& ns : block_.transactions[at.tx].rwset.ns_rwsets) {
+      if (n < ns.writes.size()) return {ns.ns, ns.writes[n]};
+      n -= static_cast<std::uint32_t>(ns.writes.size());
+    }
+    std::abort();  // a WriteAt always names a write of its transaction
+  }
+
+  [[nodiscard]] auto Is(std::string_view ns, std::string_view key) const {
+    return [this, ns, key](WriteAt at) {
+      const auto [space, write] = Locate(at);
+      return write.key == key && space == ns;
+    };
+  }
+
+  [[nodiscard]] std::optional<proto::KeyVersion> VersionOf(WriteAt at) const {
+    if (Locate(at).second.is_delete) return std::nullopt;
+    return proto::KeyVersion{block_.header.number, at.tx};
+  }
+
  public:
-  PendingView(const StateDb& state, std::size_t block_size)
-      : state_(state), block_size_(block_size) {}
+  PendingView(const StateDb& state, const proto::Block& block)
+      : state_(state), block_(block) {
+    std::size_t writes = 0;
+    for (const auto& tx : block.transactions) {
+      for (const auto& ns : tx.rwset.ns_rwsets) writes += ns.writes.size();
+    }
+    if (writes > 0) overlay_.Reserve(writes);
+  }
 
   [[nodiscard]] std::optional<proto::KeyVersion> GetVersion(
       std::string_view ns, std::string_view key) const {
-    if (const Overlay* overlay = Find(ns)) {
-      auto it = overlay->find(key);
-      if (it != overlay->end()) return it->second;  // nullopt = deleted
+    if (const WriteAt* at = overlay_.Find(Hash(ns, key), Is(ns, key))) {
+      return VersionOf(*at);  // nullopt = deleted in this block
     }
     return state_.GetVersion(ns, key);
   }
@@ -31,17 +70,18 @@ class PendingView {
   [[nodiscard]] std::vector<std::pair<std::string, proto::KeyVersion>>
   RangeVersions(std::string_view ns, std::string_view start_key,
                 std::string_view end_key) const {
-    const auto committed = state_.GetRange(ns, start_key, end_key);
     std::map<std::string_view, std::optional<proto::KeyVersion>> merged;
-    for (const auto& [key, value] : committed) merged[key] = value.version;
+    state_.ForEachInRange(ns, start_key, end_key, StateDb::kHead,
+                          [&](std::string_view key, const VersionedValue& vv) {
+                            merged[key] = vv.version;
+                          });
     // Overlay entries within the range win.
-    if (const Overlay* overlay = Find(ns)) {
-      for (const auto& [key, version] : *overlay) {
-        if (key < start_key) continue;
-        if (!end_key.empty() && key >= end_key) continue;
-        merged[key] = version;  // nullopt = deleted in this block
-      }
-    }
+    overlay_.ForEach([&](WriteAt at) {
+      const auto [space, write] = Locate(at);
+      if (space != ns || write.key < start_key) return;
+      if (!end_key.empty() && write.key >= end_key) return;
+      merged[write.key] = VersionOf(at);  // nullopt = deleted in this block
+    });
     std::vector<std::pair<std::string, proto::KeyVersion>> out;
     out.reserve(merged.size());
     for (const auto& [key, version] : merged) {
@@ -50,43 +90,26 @@ class PendingView {
     return out;
   }
 
-  void ApplyWrites(const proto::TxReadWriteSet& rwset,
-                   proto::KeyVersion version) {
-    for (const auto& ns : rwset.ns_rwsets) {
-      if (ns.writes.empty()) continue;
-      Overlay& overlay = Space(ns.ns);
+  /// Overlays the writes of the block's transaction `tx`.
+  void ApplyWrites(std::uint32_t tx) {
+    std::uint32_t n = 0;
+    for (const auto& ns : block_.transactions[tx].rwset.ns_rwsets) {
       for (const auto& w : ns.writes) {
-        overlay[w.key] =
-            w.is_delete ? std::optional<proto::KeyVersion>{} : version;
+        const std::uint64_t hash = Hash(ns.ns, w.key);
+        if (WriteAt* at = overlay_.Find(hash, Is(ns.ns, w.key))) {
+          *at = WriteAt{tx, n};
+        } else {
+          overlay_.Insert(hash, WriteAt{tx, n});
+        }
+        ++n;
       }
     }
   }
 
  private:
-  // Value nullopt == key deleted in this block.
-  using Overlay =
-      std::unordered_map<std::string_view, std::optional<proto::KeyVersion>>;
-
-  // A block touches few namespaces, so they are searched linearly.
-  [[nodiscard]] const Overlay* Find(std::string_view ns) const {
-    for (const auto& [name, overlay] : overlays_) {
-      if (name == ns) return &overlay;
-    }
-    return nullptr;
-  }
-
-  Overlay& Space(std::string_view ns) {
-    for (auto& [name, overlay] : overlays_) {
-      if (name == ns) return overlay;
-    }
-    Overlay& overlay = overlays_.emplace_back(ns, Overlay{}).second;
-    overlay.reserve(block_size_);
-    return overlay;
-  }
-
   const StateDb& state_;
-  std::size_t block_size_;
-  std::vector<std::pair<std::string_view, Overlay>> overlays_;
+  const proto::Block& block_;
+  FlatIndex<WriteAt> overlay_;
 };
 
 }  // namespace
@@ -96,7 +119,7 @@ MvccResult MvccValidator::Validate(
     const std::vector<proto::ValidationCode>* precomputed) {
   MvccResult out;
   out.codes.resize(block.transactions.size(), proto::ValidationCode::kValid);
-  PendingView view(state, block.transactions.size());
+  PendingView view(state, block);
 
   for (std::size_t i = 0; i < block.transactions.size(); ++i) {
     if (precomputed != nullptr && i < precomputed->size() &&
@@ -132,9 +155,7 @@ MvccResult MvccValidator::Validate(
       continue;
     }
     ++out.valid_count;
-    view.ApplyWrites(
-        tx.rwset, proto::KeyVersion{block.header.number,
-                                    static_cast<std::uint32_t>(i)});
+    view.ApplyWrites(static_cast<std::uint32_t>(i));
   }
   return out;
 }

@@ -20,6 +20,39 @@ Committer::Committer(sim::Environment& env, sim::Machine& machine,
       cal_(cal),
       tracker_(tracker) {}
 
+Committer::~Committer() {
+  if (shared_ != nullptr) {
+    shared_->state.DetachReader(reader_);
+    shared_->DropPassedVerdicts();
+  }
+}
+
+void Committer::ShareState(std::shared_ptr<ChannelState> shared) {
+  if (shared_ != nullptr || shared == nullptr || shared->state.Height() > 1) {
+    return;
+  }
+  shared_ = std::move(shared);
+  reader_ = shared_->state.AttachReader(next_commit_);
+}
+
+void Committer::DetachState() {
+  if (shared_ == nullptr) return;
+  state_ = shared_->state.Snapshot(next_commit_);
+  shared_->state.DetachReader(reader_);
+  shared_->DropPassedVerdicts();
+  shared_.reset();
+}
+
+void Committer::AdvanceCursor() {
+  shared_->state.AdvanceReader(reader_, next_commit_ + 1);
+  shared_->DropPassedVerdicts();
+}
+
+void Committer::SeedState(const std::string& ns, const std::string& key,
+                          proto::Bytes value) {
+  Db().Put(ns, key, std::move(value), proto::KeyVersion{0, 0});
+}
+
 void Committer::SetPolicy(const std::string& chaincode_id,
                           policy::EndorsementPolicy policy) {
   policies_.insert_or_assign(chaincode_id, std::move(policy));
@@ -137,7 +170,12 @@ void Committer::InstallGenesis(proto::BlockPtr genesis) {
   if (chain_.Height() != 0 || !chain_.Append(std::move(genesis), {})) {
     return;  // already bootstrapped
   }
-  state_.SetHeight(1);
+  if (shared_ == nullptr) {
+    state_.SetHeight(1);
+  } else {
+    if (shared_->state.Height() == 0) shared_->state.SetHeight(1);
+    AdvanceCursor();
+  }
   next_commit_ = 1;
 }
 
@@ -340,41 +378,74 @@ void Committer::TrySerialCommit() {
   });
 }
 
-void Committer::SerialCommit(PendingBlock pb) {
+std::uint64_t Committer::ScreenDuplicates(
+    const proto::Block& block, std::vector<proto::ValidationCode>& codes) {
   // Duplicate tx-id screening (Fabric flags later duplicates invalid).
   // The failpoint skips it so chaos tests can observe double commits.
-  std::vector<proto::ValidationCode> codes = pb.vscc_codes;
-  if (!dedup_disabled_) {
-    // The block's earlier tx ids, by position in the block.
-    const proto::EnvelopeList& txs = pb.block->transactions;
-    ledger::FlatIndex<std::uint32_t> seen;
-    seen.Reserve(txs.size());
-    for (std::size_t i = 0; i < txs.size(); ++i) {
-      const std::string_view id = txs[i].tx_id;
-      const std::uint64_t hash = ledger::HashKey(id);
-      const bool repeated_in_block =
-          seen.Find(hash, [&](std::uint32_t j) { return txs[j].tx_id == id; }) !=
-          nullptr;
-      if (!repeated_in_block) {
-        seen.Insert(hash, static_cast<std::uint32_t>(i));
-      }
-      if (repeated_in_block || chain_.Store().HasTransaction(id)) {
-        if (codes[i] == proto::ValidationCode::kValid) {
-          codes[i] = proto::ValidationCode::kDuplicateTxId;
-          ++duplicate_tx_rejects_;
-        }
+  if (dedup_disabled_) return 0;
+  std::uint64_t flagged = 0;
+  // The block's earlier tx ids, by position in the block.
+  const proto::EnvelopeList& txs = block.transactions;
+  ledger::FlatIndex<std::uint32_t> seen;
+  seen.Reserve(txs.size());
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    const std::string_view id = txs[i].tx_id;
+    const std::uint64_t hash = ledger::HashKey(id);
+    const bool repeated_in_block =
+        seen.Find(hash, [&](std::uint32_t j) { return txs[j].tx_id == id; }) !=
+        nullptr;
+    if (!repeated_in_block) {
+      seen.Insert(hash, static_cast<std::uint32_t>(i));
+    }
+    if (repeated_in_block || chain_.Store().HasTransaction(id)) {
+      if (codes[i] == proto::ValidationCode::kValid) {
+        codes[i] = proto::ValidationCode::kDuplicateTxId;
+        ++flagged;
       }
     }
   }
+  return flagged;
+}
 
-  // MVCC with the VSCC verdicts folded in.
-  const ledger::MvccResult mvcc =
-      ledger::MvccValidator::Validate(*pb.block, state_, &codes);
+const ChannelState::Verdict* Committer::MatchingVerdict(
+    const PendingBlock& pb) const {
+  const ChannelState::Verdict* v = shared_->VerdictAt(next_commit_);
+  if (v == nullptr || v->vscc_codes != pb.vscc_codes ||
+      v->retention != chain_.Store().Retention() ||
+      v->block_hash != pb.block->header.Hash()) {
+    return nullptr;
+  }
+  return v;
+}
+
+void Committer::SerialCommit(PendingBlock pb) {
+  // With a shared state, the first committer at a height leads it; one
+  // that arrives after the head moved on follows the leader's verdict, or
+  // detaches when its block or VSCC verdicts differ.
+  std::vector<proto::ValidationCode> codes;
+  std::uint64_t duplicates = 0;
+  bool leading = true;
+  if (shared_ != nullptr && shared_->state.Height() != next_commit_) {
+    if (const ChannelState::Verdict* v = MatchingVerdict(pb)) {
+      codes = v->codes;
+      duplicates = v->duplicates;
+      leading = false;
+    } else {
+      DetachState();
+    }
+  }
+  if (leading) {
+    codes = pb.vscc_codes;
+    duplicates = ScreenDuplicates(*pb.block, codes);
+    // MVCC with the VSCC verdicts folded in.
+    codes = ledger::MvccValidator::Validate(*pb.block, Db(), &codes).codes;
+  }
+  duplicate_tx_rejects_ += duplicates;
 
   // The validation codes are stored beside the shared immutable block
   // (equivalent to Fabric filling the block metadata before the write,
   // without deep-copying the block on every peer).
-  if (!chain_.Append(pb.block, mvcc.codes)) {
+  if (!chain_.Append(pb.block, codes)) {
     // Linkage failure — an orderer bug or a tampered stream that slipped
     // the structural checks. Counted (never silently discarded: the
     // invariant oracle flags any unexplained reject) and left uncommitted,
@@ -386,10 +457,19 @@ void Committer::SerialCommit(PendingBlock pb) {
     PromoteDeferred();
     return;
   }
-  ledger::MvccValidator::Commit(*pb.block, mvcc.codes, state_);
+  // Advance first: the leader's own cursor must not hold back its write.
+  if (shared_ != nullptr) AdvanceCursor();
+  if (leading) {
+    ledger::MvccValidator::Commit(*pb.block, codes, Db());
+    if (shared_ != nullptr) {
+      shared_->Record(next_commit_,
+                      {pb.block->header.Hash(), std::move(pb.vscc_codes),
+                       codes, duplicates, chain_.Store().Retention()});
+    }
+  }
 
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
-    if (mvcc.codes[i] == proto::ValidationCode::kValid) {
+    if (codes[i] == proto::ValidationCode::kValid) {
       ++committed_tx_;
       commit_log_.Record(env_.Now());
     } else {
@@ -397,7 +477,7 @@ void Committer::SerialCommit(PendingBlock pb) {
     }
     if (tracker_ != nullptr) {
       tracker_->MarkCommitted(pb.block->transactions[i].tx_id, env_.Now(),
-                              mvcc.codes[i]);
+                              codes[i]);
     }
   }
 
@@ -405,7 +485,7 @@ void Committer::SerialCommit(PendingBlock pb) {
   serial_busy_ = false;
 
   if (pb.on_commit) {
-    pb.on_commit(CommittedBlock{pb.block, mvcc.codes});
+    pb.on_commit(CommittedBlock{pb.block, std::move(codes)});
   }
   TrySerialCommit();
   PromoteDeferred();

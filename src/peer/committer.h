@@ -14,6 +14,7 @@
 // committing: History() builds it on demand from the resident blocks.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -36,6 +37,46 @@
 
 namespace fabricsim::peer {
 
+/// One channel's committed world state, shared by the committers of every
+/// peer of a network that joined the channel, and the verdict each height
+/// was committed with. The first committer to reach a height (the leader)
+/// validates the block, writes the state and records the verdict; the
+/// others (followers) reuse the verdict when their block and VSCC codes
+/// match it. See Committer::ShareState.
+struct ChannelState {
+  struct Verdict {
+    crypto::Digest block_hash{};
+    std::vector<proto::ValidationCode> vscc_codes;
+    std::vector<proto::ValidationCode> codes;  // final, as stored
+    std::uint64_t duplicates = 0;              // kDuplicateTxId flags
+    std::uint64_t retention = 0;  // the leader's ledger retention
+  };
+
+  /// The verdict of height `h`, while some committer is still below it.
+  [[nodiscard]] const Verdict* VerdictAt(std::uint64_t h) const {
+    if (h < first_verdict || h - first_verdict >= verdicts.size()) {
+      return nullptr;
+    }
+    return &verdicts[h - first_verdict];
+  }
+  /// Records the verdict of height `h`, the height just led.
+  void Record(std::uint64_t h, Verdict verdict) {
+    if (verdicts.empty()) first_verdict = h;
+    verdicts.push_back(std::move(verdict));
+  }
+  /// Drops the verdicts every attached committer has passed.
+  void DropPassedVerdicts() {
+    while (!verdicts.empty() && first_verdict < state.MinReaderHeight()) {
+      verdicts.pop_front();
+      ++first_verdict;
+    }
+  }
+
+  ledger::StateDb state;
+  std::deque<Verdict> verdicts;  // heights first_verdict, first_verdict + 1..
+  std::uint64_t first_verdict = 0;
+};
+
 /// Result handed to the owner after each block commits.
 struct CommittedBlock {
   proto::BlockPtr block;
@@ -49,6 +90,9 @@ class Committer {
   Committer(sim::Environment& env, sim::Machine& machine,
             sim::Cpu& ledger_disk, const crypto::MspRegistry& msps,
             const fabric::Calibration& cal, metrics::TxTracker* tracker);
+  ~Committer();
+  Committer(const Committer&) = delete;
+  Committer& operator=(const Committer&) = delete;
 
   /// Registers the endorsement policy for a chaincode (channel config).
   void SetPolicy(const std::string& chaincode_id,
@@ -73,15 +117,38 @@ class Committer {
     max_pipeline_blocks_ = max_blocks;
   }
 
+  /// Commits against `shared`, the channel's one world state, instead of a
+  /// private one. Each block is then either led (validated and written
+  /// here, its verdict recorded) or followed (the recorded verdict reused
+  /// when this committer's block hash and VSCC codes match it; no dedup
+  /// screen, MVCC or state write). Simulated costs are charged as before.
+  /// Ignored once the channel has committed a block.
+  void ShareState(std::shared_ptr<ChannelState> shared);
+
+  /// Leaves the shared state for a private copy as of this committer's
+  /// height; every later block is validated and written here. Called on
+  /// any verdict mismatch, on a failpoint, on a crash, and on mutable chain
+  /// access. A no-op when the state is private already.
+  void DetachState();
+  [[nodiscard]] bool SharesState() const { return shared_ != nullptr; }
+
+  /// Seeds genesis data (version {0,0}) into the world state.
+  void SeedState(const std::string& ns, const std::string& key,
+                 proto::Bytes value);
+
   /// Failpoint: skip duplicate tx-id screening in SerialCommit. Exists only
   /// so chaos campaigns can prove the double-commit invariant fires (a
   /// client resubmission then commits twice). Never set in production runs.
-  void SetDedupDisabled(bool disabled) { dedup_disabled_ = disabled; }
+  void SetDedupDisabled(bool disabled) {
+    if (disabled) DetachState();
+    dedup_disabled_ = disabled;
+  }
 
   /// Failpoint: skip the commit-time data-hash re-verification so planted
   /// tamper-block drills can show the no-forged-commit invariant fire.
   /// Never set in production runs.
   void SetDataHashCheckDisabled(bool disabled) {
+    if (disabled) DetachState();
     data_hash_check_disabled_ = disabled;
     // The ledger's append-time linkage check re-verifies the data hash
     // independently (defense in depth); the drill must lower both gates or
@@ -167,9 +234,16 @@ class Committer {
   [[nodiscard]] const ledger::Blockchain& Chain() const { return chain_; }
   /// Mutable chain access for oracle self-tests (crafting forks and phantom
   /// commits). Production code only mutates the chain via SerialCommit.
-  [[nodiscard]] ledger::Blockchain& MutableChainForTest() { return chain_; }
-  [[nodiscard]] const ledger::StateDb& State() const { return state_; }
-  [[nodiscard]] ledger::StateDb& MutableState() { return state_; }
+  [[nodiscard]] ledger::Blockchain& MutableChainForTest() {
+    DetachState();
+    return chain_;
+  }
+  /// The world state as this committer's endorser sees it: as of its own
+  /// height.
+  [[nodiscard]] ledger::StateView State() const {
+    if (shared_ == nullptr) return state_;
+    return {shared_->state, next_commit_};
+  }
   /// Key history of the resident blocks, replayed from the block store.
   /// Returned by value: hold it in a local before referencing into it.
   [[nodiscard]] ledger::HistoryIndex History() const {
@@ -225,6 +299,18 @@ class Committer {
   void OnVsccDone(std::uint64_t number);
   void TrySerialCommit();
   void SerialCommit(PendingBlock pending);
+  /// Flags in-block and already-committed tx ids kDuplicateTxId; returns
+  /// how many it flagged.
+  std::uint64_t ScreenDuplicates(const proto::Block& block,
+                                 std::vector<proto::ValidationCode>& codes);
+  /// The channel's verdict for `pb`'s height, if it matches what this
+  /// committer would validate; nullptr otherwise.
+  [[nodiscard]] const ChannelState::Verdict* MatchingVerdict(
+      const PendingBlock& pb) const;
+  void AdvanceCursor();
+  [[nodiscard]] ledger::StateDb& Db() {
+    return shared_ != nullptr ? shared_->state : state_;
+  }
 
   sim::Environment& env_;
   sim::Machine& machine_;
@@ -241,7 +327,9 @@ class Committer {
   std::unique_ptr<sim::Cpu> vscc_cpu_;  // dedicated VSCC workers
 
   ledger::Blockchain chain_;
-  ledger::StateDb state_;
+  ledger::StateDb state_;  // the world state, unless shared_ is set
+  std::shared_ptr<ChannelState> shared_;
+  ledger::StateDb::ReaderId reader_ = 0;  // this committer's cursor in shared_
 
   // Blocks by number: received, undergoing VSCC, awaiting serial commit.
   std::map<std::uint64_t, PendingBlock> pending_;

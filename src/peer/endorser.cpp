@@ -7,12 +7,12 @@ namespace fabricsim::peer {
 Endorser::Endorser(const crypto::Identity& identity,
                    const crypto::MspRegistry& msps,
                    const chaincode::Registry& chaincodes,
-                   const ledger::StateDb& state,
+                   std::function<ledger::StateView()> state,
                    const ledger::BlockStore& store, std::string channel_id)
     : identity_(identity),
       msps_(msps),
       chaincodes_(chaincodes),
-      state_(state),
+      state_(std::move(state)),
       store_(store),
       channel_id_(std::move(channel_id)) {}
 
@@ -65,7 +65,7 @@ proto::ProposalResponse Endorser::Process(
   if (cc == nullptr) {
     return Refuse(p.tx_id, proto::EndorseStatus::kUnknownChaincode);
   }
-  chaincode::ChaincodeStub stub(state_, p.invocation.chaincode_id,
+  chaincode::ChaincodeStub stub(state_(), p.invocation.chaincode_id,
                                 p.invocation);
   chaincode::Response result = cc->Invoke(stub);
   if (result.status != proto::EndorseStatus::kSuccess) {

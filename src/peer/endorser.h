@@ -21,10 +21,13 @@ namespace fabricsim::peer {
 /// wires it to the network and charges the CPU costs.
 class Endorser {
  public:
+  /// `state` returns the committed world state to simulate against (its
+  /// peer's, as of the peer's height); `store` is the block store replays
+  /// are screened against.
   Endorser(const crypto::Identity& identity, const crypto::MspRegistry& msps,
            const chaincode::Registry& chaincodes,
-           const ledger::StateDb& state, const ledger::BlockStore& store,
-           std::string channel_id);
+           std::function<ledger::StateView()> state,
+           const ledger::BlockStore& store, std::string channel_id);
 
   /// Full ProcessProposal. Returns the response (success or a typed error).
   [[nodiscard]] proto::ProposalResponse Process(
@@ -51,7 +54,7 @@ class Endorser {
   const crypto::Identity& identity_;
   const crypto::MspRegistry& msps_;
   const chaincode::Registry& chaincodes_;
-  const ledger::StateDb& state_;
+  std::function<ledger::StateView()> state_;
   const ledger::BlockStore& store_;
   std::string channel_id_;
   mutable std::uint64_t endorsed_ = 0;

@@ -13,8 +13,9 @@ PeerNode::ChannelLedger::ChannelLedger(PeerNode& peer,
                                           peer.disk_, peer.msps_, peer.cal_,
                                           peer.tracker_);
   endorser = std::make_unique<Endorser>(
-      peer.identity_, peer.msps_, *peer.chaincodes_, committer->State(),
-      committer->Chain().Store(), channel_id);
+      peer.identity_, peer.msps_, *peer.chaincodes_,
+      [&c = *committer] { return c.State(); }, committer->Chain().Store(),
+      channel_id);
 }
 
 PeerNode::PeerNode(sim::Environment& env, sim::Machine& machine,
@@ -68,8 +69,11 @@ void PeerNode::SeedState(const std::string& ns, const std::string& key,
 
 void PeerNode::SeedState(const std::string& channel_id, const std::string& ns,
                          const std::string& key, proto::Bytes value) {
-  channels_.at(channel_id)->committer->MutableState().Put(
-      ns, key, std::move(value), proto::KeyVersion{0, 0});
+  channels_.at(channel_id)->committer->SeedState(ns, key, std::move(value));
+}
+
+void PeerNode::OnCrash() {
+  for (auto& [id, ledger] : channels_) ledger->committer->DetachState();
 }
 
 void PeerNode::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {

@@ -100,6 +100,10 @@ class PeerNode {
   void SeedState(const std::string& channel_id, const std::string& ns,
                  const std::string& key, proto::Bytes value);
 
+  /// Crash hook: every channel committer leaves its channel's shared world
+  /// state, so a peer that stops committing never pins old versions there.
+  void OnCrash();
+
   // --- gossip block dissemination (Fabric's gossip layer) -----------------
   // With gossip, only designated leader peers subscribe to the ordering
   // service; they push delivered blocks to their gossip peers, and every

@@ -1,0 +1,161 @@
+// Oracle for the shared channel state: after a faulty run, every peer's
+// world state as of its own height must equal a fresh StateDb replayed from
+// that peer's own stored blocks and validation codes — whether the peer
+// followed the channel's leaders throughout, or detached when it crashed or
+// was handed an equivocated block.
+#include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "chaincode/smallbank.h"
+#include "client/workload.h"
+#include "fabric/network_builder.h"
+#include "faults/fault_injector.h"
+#include "faults/fault_schedule.h"
+#include "ledger/mvcc.h"
+
+namespace fabricsim {
+namespace {
+
+constexpr std::size_t kSeededAccounts = 8;
+constexpr std::int64_t kSeededBalance = 500;
+
+// peer.endorse1 and peer.commit5 (the second committing peer) go down
+// while the ordering leader fails over, so clients resubmit; the
+// equivocating OSN forks the block stream some peers see, until
+// attestation quarantines it (Kafka, Raft) or for good (Solo, whose one
+// OSN nobody can attest against).
+constexpr const char* kCrash =
+    "crash:peer.endorse1|peer.commit5@10s,crash:leader@12s,revive@16s";
+constexpr const char* kEquivocate = "equivocate:osn0@10s-15s";
+
+struct Case {
+  fabric::OrderingType ordering;
+  const char* faults;
+  // Each peer's DuplicateTxRejects() at the end of the run.
+  std::vector<std::uint64_t> duplicates;
+};
+
+/// The genesis state FabricNetwork::SeedAccounts writes.
+ledger::StateDb GenesisState() {
+  ledger::StateDb db;
+  const proto::Bytes balance = proto::ToBytes(std::to_string(kSeededBalance));
+  for (std::size_t a = 0; a < kSeededAccounts; ++a) {
+    const std::string acct = "acct" + std::to_string(a);
+    db.Put("token", acct, balance, {0, 0});
+    db.Put("smallbank", chaincode::SmallBankChaincode::CheckingKey(acct),
+           balance, {0, 0});
+    db.Put("smallbank", chaincode::SmallBankChaincode::SavingsKey(acct),
+           balance, {0, 0});
+  }
+  db.SetHeight(1);
+  return db;
+}
+
+void ExpectSameState(ledger::StateView got, ledger::StateView want,
+                     const std::string& who) {
+  EXPECT_EQ(got.KeyCount(), want.KeyCount()) << who;
+  for (const char* ns : {"kvwrite", "token", "smallbank"}) {
+    const auto a = got.GetRange(ns, "", "");
+    const auto b = want.GetRange(ns, "", "");
+    ASSERT_EQ(a.size(), b.size()) << who << " " << ns;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].first, b[i].first) << who << " " << ns;
+      EXPECT_EQ(a[i].second.value, b[i].second.value) << who << " " << a[i].first;
+      EXPECT_EQ(a[i].second.version, b[i].second.version)
+          << who << " " << a[i].first;
+    }
+  }
+}
+
+class ChannelStateOracle : public ::testing::TestWithParam<Case> {};
+
+TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
+  const Case& c = GetParam();
+  const faults::FaultSchedule schedule = faults::FaultSchedule::Parse(c.faults);
+  fabric::NetworkOptions options;
+  options.topology.ordering = c.ordering;
+  options.topology.endorsing_peers = 4;
+  options.topology.committing_peers = 2;
+  options.topology.osns = 3;
+  options.topology.kafka_brokers = 3;
+  options.topology.zookeepers = 3;
+  options.seeded_accounts = kSeededAccounts;
+  options.seeded_balance = kSeededBalance;
+  options.recovery.enabled = true;
+  options.byzantine_defense = schedule.HasByzantine();
+  options.seed = 11;
+  fabric::FabricNetwork net(options);
+  faults::FaultInjector injector(net, schedule);
+  injector.Arm();
+  net.Start();
+
+  // Read-modify-write over a small key space: overwrites, MVCC conflicts
+  // and reads of keys other peers have already overwritten.
+  client::WorkloadConfig wl;
+  wl.kind = client::WorkloadKind::kKvReadWrite;
+  wl.rate_tps = 120;
+  wl.key_space = 40;
+  wl.start = sim::FromSeconds(5);
+  wl.duration = sim::FromSeconds(20);
+  client::WorkloadController controller(net.Env(), net.Clients(), wl);
+  controller.Start();
+  net.Env().Sched().RunUntil(sim::FromSeconds(40));
+
+  std::vector<std::uint64_t> duplicates;
+  std::optional<crypto::Digest> shared_tip;
+  for (std::size_t p = 0; p < net.PeerCount(); ++p) {
+    const peer::Committer& committer = net.Peer(p).GetCommitter();
+    const ledger::BlockStore& store = committer.Chain().Store();
+    ASSERT_EQ(store.FirstBlockNumber(), 0u);  // every block resident
+    ASSERT_GT(store.Height(), 5u);
+    ledger::StateDb replay = GenesisState();
+    for (std::uint64_t n = 1; n < store.Height(); ++n) {
+      ledger::MvccValidator::Commit(*store.GetBlock(n), store.CodesFor(n),
+                                    replay);
+    }
+    EXPECT_EQ(committer.State().Height(), committer.SharesState()
+                                              ? store.Height()
+                                              : ledger::StateDb::kHead);
+    ExpectSameState(committer.State(), replay, "peer " + std::to_string(p));
+    duplicates.push_back(committer.DuplicateTxRejects());
+    // Crashed peers detached; every peer still sharing is on one chain.
+    const std::string name = net.Env().Net().NameOf(net.Peer(p).NetId());
+    if (c.faults == kCrash) {
+      EXPECT_EQ(committer.SharesState(),
+                name != "peer.endorse1" && name != "peer.commit5")
+          << name;
+    }
+    if (committer.SharesState()) {
+      if (!shared_tip) shared_tip = committer.Chain().TipHash();
+      EXPECT_EQ(committer.Chain().TipHash(), *shared_tip) << name;
+    }
+  }
+  EXPECT_EQ(duplicates, c.duplicates);
+}
+
+// The duplicate counts are those of peers that each validate every block
+// on a private state; only the Kafka failover makes clients resubmit
+// transactions that already committed.
+const Case kCases[] = {
+    {fabric::OrderingType::kSolo, kCrash, {0, 0, 0, 0, 0, 0}},
+    {fabric::OrderingType::kKafka, kCrash, {377, 377, 377, 377, 377, 377}},
+    {fabric::OrderingType::kRaft, kCrash, {0, 0, 0, 0, 0, 0}},
+    {fabric::OrderingType::kSolo, kEquivocate, {0, 0, 0, 0, 0, 0}},
+    {fabric::OrderingType::kKafka, kEquivocate, {0, 0, 0, 0, 0, 0}},
+    {fabric::OrderingType::kRaft, kEquivocate, {0, 0, 0, 0, 0, 0}},
+};
+
+std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
+  const char* names[] = {"Solo", "Kafka", "Raft"};
+  return std::string(names[static_cast<int>(info.param.ordering)]) +
+         (info.param.faults == kCrash ? "Crash" : "Equivocate");
+}
+
+INSTANTIATE_TEST_SUITE_P(Faults, ChannelStateOracle,
+                         ::testing::ValuesIn(kCases), CaseName);
+
+}  // namespace
+}  // namespace fabricsim

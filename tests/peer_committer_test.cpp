@@ -266,5 +266,144 @@ TEST(Committer, UnknownChaincodePolicyInvalid) {
   EXPECT_EQ(codes[0], proto::ValidationCode::kInvalidOtherReason);
 }
 
+/// The fixture's committer plus a second one on its own machine, both on
+/// one shared channel state from genesis on. The fixture's committer leads
+/// each height it commits first.
+struct SharedFixture : CommitterFixture {
+  SharedFixture() {
+    follower_machine = &env.AddMachine("peer-b", sim::I7_2600());
+    follower_disk = std::make_unique<sim::Cpu>(env.Sched(), 1);
+    follower = std::make_unique<Committer>(env, *follower_machine,
+                                           *follower_disk, msps,
+                                           fabric::DefaultCalibration(),
+                                           nullptr);
+    follower->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
+                                                      "'Org2MSP.peer')"));
+    committer->ShareState(shared);
+    follower->ShareState(shared);
+    const proto::BlockPtr genesis = MakeBlock({});
+    committer->InstallGenesis(genesis);
+    follower->InstallGenesis(genesis);
+  }
+
+  /// Block `number` on the chain so far, but holding `txs`: what an
+  /// equivocating orderer hands some peers.
+  proto::BlockPtr MakeFork(std::uint64_t number, const crypto::Digest& prev,
+                           std::vector<proto::TransactionEnvelope> txs) {
+    auto block = std::make_shared<proto::Block>(
+        proto::Block::Make(number, &prev, std::move(txs)));
+    block->metadata.orderer_cert = orderer->Cert().Serialize();
+    block->metadata.orderer_signature =
+        orderer->Sign(block->header.Serialize());
+    return block;
+  }
+
+  std::vector<proto::ValidationCode> CommitOn(Committer& c,
+                                              proto::BlockPtr block) {
+    std::vector<proto::ValidationCode> out;
+    c.OnBlock(std::move(block), [&](const CommittedBlock& cb) {
+      out = cb.codes;
+    });
+    env.Sched().RunUntil(env.Now() + sim::FromSeconds(5));
+    return out;
+  }
+
+  std::shared_ptr<ChannelState> shared = std::make_shared<ChannelState>();
+  sim::Machine* follower_machine = nullptr;
+  std::unique_ptr<sim::Cpu> follower_disk;
+  std::unique_ptr<Committer> follower;
+};
+
+TEST(SharedCommitter, FollowerReusesTheLeadersVerdict) {
+  SharedFixture f;
+  auto t1 = f.MakeTx("t1", {f.peer1.get()}, {{"k", std::nullopt}}, {"k"});
+  auto t2 = f.MakeTx("t2", {f.peer1.get()}, {{"k", std::nullopt}}, {"k"});
+  const auto block = f.MakeBlock({t1, t2, t1});
+  const auto leader_codes = f.CommitOn(*f.committer, block);
+
+  // The follower is behind the head: its view does not see block 1 yet.
+  EXPECT_TRUE(f.committer->State().Get("cc", "k").has_value());
+  EXPECT_FALSE(f.follower->State().Get("cc", "k").has_value());
+  EXPECT_EQ(f.shared->state.RetainedVersions(), 0u);  // a fresh key
+
+  EXPECT_EQ(f.CommitOn(*f.follower, block), leader_codes);
+  EXPECT_EQ(leader_codes,
+            (std::vector<proto::ValidationCode>{
+                proto::ValidationCode::kValid,
+                proto::ValidationCode::kMvccReadConflict,
+                proto::ValidationCode::kDuplicateTxId}));
+  EXPECT_TRUE(f.follower->SharesState());
+  EXPECT_EQ(f.follower->DuplicateTxRejects(), 1u);
+  EXPECT_EQ(f.follower->CommittedTx(), 1u);
+  EXPECT_EQ(f.follower->State().Get("cc", "k")->version,
+            (proto::KeyVersion{1, 0}));
+  EXPECT_EQ(f.follower->Chain().Store().CodesFor(1), leader_codes);
+  EXPECT_TRUE(f.follower->Chain().Audit().ok);
+  // Both cursors passed height 1, so its verdict is gone.
+  EXPECT_EQ(f.shared->VerdictAt(1), nullptr);
+}
+
+TEST(SharedCommitter, LaggingFollowerReadsTheVersionItsHeightSees) {
+  SharedFixture f;
+  f.CommitOn(*f.committer, f.MakeBlock({f.MakeTx("a", {f.peer1.get()})}));
+  f.CommitOn(*f.follower, f.committer->Chain().Store().GetBlock(1));
+  // The leader overwrites "k" in block 2; the follower, still at height 2,
+  // keeps reading block 1's version until it commits block 2 itself.
+  const auto b2 = f.MakeBlock({f.MakeTx(
+      "b", {f.peer1.get()}, {{"k", proto::KeyVersion{1, 0}}}, {"k"})});
+  EXPECT_EQ(f.CommitOn(*f.committer, b2)[0], proto::ValidationCode::kValid);
+  EXPECT_EQ(f.committer->State().Get("cc", "k")->version,
+            (proto::KeyVersion{2, 0}));
+  EXPECT_EQ(f.follower->State().Get("cc", "k")->version,
+            (proto::KeyVersion{1, 0}));
+  EXPECT_EQ(f.shared->state.RetainedVersions(), 1u);
+  f.CommitOn(*f.follower, b2);
+  EXPECT_EQ(f.follower->State().Get("cc", "k")->version,
+            (proto::KeyVersion{2, 0}));
+  EXPECT_EQ(f.shared->state.RetainedVersions(), 0u);
+}
+
+TEST(SharedCommitter, FollowerHandedADifferentBlockDetaches) {
+  SharedFixture f;
+  const crypto::Digest prev = f.prev_hash;
+  // The leader commits t1 writing "k"; the follower is handed a forged
+  // block 1 whose tx reads "k" as absent — valid on its own chain.
+  f.CommitOn(*f.committer, f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})}));
+  const auto fork = f.MakeFork(
+      1, prev, {f.MakeTx("f1", {f.peer1.get()}, {{"k", std::nullopt}}, {"j"})});
+  EXPECT_EQ(f.CommitOn(*f.follower, fork)[0], proto::ValidationCode::kValid);
+  EXPECT_FALSE(f.follower->SharesState());
+  EXPECT_TRUE(f.committer->SharesState());
+  // Each holds its own chain's state.
+  EXPECT_TRUE(f.follower->State().Get("cc", "j").has_value());
+  EXPECT_FALSE(f.follower->State().Get("cc", "k").has_value());
+  EXPECT_TRUE(f.committer->State().Get("cc", "k").has_value());
+  EXPECT_FALSE(f.committer->State().Get("cc", "j").has_value());
+}
+
+TEST(SharedCommitter, FollowerWithDifferentVsccCodesDetaches) {
+  SharedFixture f;
+  // Same block, but the follower's channel policy demands Org2.
+  f.follower->SetPolicy("cc", policy::MustParsePolicy("'Org2MSP.peer'"));
+  const auto block = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})});
+  EXPECT_EQ(f.CommitOn(*f.committer, block)[0],
+            proto::ValidationCode::kValid);
+  EXPECT_EQ(f.CommitOn(*f.follower, block)[0],
+            proto::ValidationCode::kEndorsementPolicyFailure);
+  EXPECT_FALSE(f.follower->SharesState());
+  EXPECT_FALSE(f.follower->State().Get("cc", "k").has_value());
+  EXPECT_TRUE(f.committer->State().Get("cc", "k").has_value());
+  EXPECT_EQ(f.follower->InvalidTx(), 1u);
+}
+
+TEST(SharedCommitter, FailpointAndMutableChainDetach) {
+  SharedFixture f;
+  f.committer->SetDedupDisabled(true);
+  EXPECT_FALSE(f.committer->SharesState());
+  (void)f.follower->MutableChainForTest();
+  EXPECT_FALSE(f.follower->SharesState());
+  EXPECT_EQ(f.shared->state.MinReaderHeight(), ledger::StateDb::kHead);
+}
+
 }  // namespace
 }  // namespace fabricsim::peer

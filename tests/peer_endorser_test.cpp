@@ -18,8 +18,9 @@ struct EndorserFixture {
         msps.Find("ClientOrgMSP")->Enroll("app0", crypto::Role::kClient));
     chaincodes.Install(std::make_shared<chaincode::KvWriteChaincode>());
     chaincodes.Install(std::make_shared<chaincode::TokenChaincode>());
-    endorser = std::make_unique<Endorser>(*peer_identity, msps, chaincodes,
-                                          state, store, "mychannel");
+    endorser = std::make_unique<Endorser>(
+        *peer_identity, msps, chaincodes,
+        [this] { return ledger::StateView(state); }, store, "mychannel");
   }
 
   proto::SignedProposal MakeProposal(

@@ -288,7 +288,7 @@ using StateRef = std::map<std::pair<std::string, std::string>,
 
 /// Expects `db` to hold exactly `ref`: every key of both namespaces
 /// (present or not), full ordered scans and the key count.
-void ExpectStateMatches(const ledger::StateDb& db, const StateRef& ref,
+void ExpectStateMatches(ledger::StateView db, const StateRef& ref,
                         const std::vector<std::string>& spaces,
                         std::size_t keys_per_space) {
   ASSERT_EQ(db.KeyCount(), ref.size());
@@ -375,6 +375,155 @@ TEST(LedgerProperty, StateDbMatchesAnOrderedMapReference) {
   ExpectStateMatches(db, ref, spaces, kKeys);
   ASSERT_TRUE(copy.has_value());
   ExpectStateMatches(*copy, copy_ref, spaces, kKeys);
+}
+
+TEST(LedgerProperty, ReadsAsOfAHeightMatchASnapshotPerHeight) {
+  // One store, written block by block at its head, read by cursors that
+  // lag behind it: every read at a height between the slowest cursor and
+  // the head must match the full snapshot the reference kept for that
+  // height, however the cursors advance and whatever the collector drops.
+  const std::vector<std::string> spaces = {"cc", "other"};
+  constexpr std::size_t kKeys = 24;
+  constexpr std::uint64_t kBlocks = 400;
+  sim::Rng rng(20261);
+  auto key = [&] { return "k" + std::to_string(rng.NextBelow(kKeys)); };
+
+  ledger::StateDb db;
+  std::vector<StateRef> ref(2);  // ref[h]: the state at height h
+  for (std::size_t k = 0; k < kKeys; k += 3) {
+    const std::string seed = "k" + std::to_string(k);
+    db.Put("cc", seed, proto::ToBytes("seed"), proto::KeyVersion{0, 0});
+    ref[1][{"cc", seed}] =
+        ledger::VersionedValue{proto::ToBytes("seed"), proto::KeyVersion{0, 0}};
+  }
+  db.SetHeight(1);
+  std::vector<ledger::StateDb::ReaderId> readers;
+  std::vector<std::uint64_t> cursor;
+  for (int r = 0; r < 4; ++r) {
+    readers.push_back(db.AttachReader(1));
+    cursor.push_back(1);
+  }
+  std::vector<bool> attached(readers.size(), true);
+
+  auto check_reads = [&](std::uint64_t low) {
+    for (int i = 0; i < 6; ++i) {
+      const std::uint64_t h = low + rng.NextBelow(db.Height() - low + 1);
+      const StateRef& at = ref[h];
+      const std::string& ns = spaces[rng.NextBelow(spaces.size())];
+      const std::string k = key();
+      const auto got = db.Get(ns, k, h);
+      const auto it = at.find({ns, k});
+      ASSERT_EQ(got.has_value(), it != at.end()) << ns << "/" << k << "@" << h;
+      if (got) {
+        EXPECT_EQ(got->value, it->second.value);
+        EXPECT_EQ(got->version, it->second.version);
+      }
+      std::string lo = key(), hi = rng.NextBool(0.3) ? "" : key();
+      std::vector<std::pair<std::string, proto::KeyVersion>> expect;
+      for (auto e = at.lower_bound({ns, lo});
+           e != at.end() && e->first.first == ns &&
+           (hi.empty() || e->first.second < hi);
+           ++e) {
+        expect.emplace_back(e->first.second, e->second.version);
+      }
+      std::vector<std::pair<std::string, proto::KeyVersion>> scanned;
+      db.ForEachInRange(ns, lo, hi, h,
+                        [&](std::string_view k2, const ledger::VersionedValue& vv) {
+                          scanned.emplace_back(std::string(k2), vv.version);
+                        });
+      EXPECT_EQ(scanned, expect) << ns << " [" << lo << "," << hi << ")@" << h;
+    }
+    const std::uint64_t h = low + rng.NextBelow(db.Height() - low + 1);
+    ExpectStateMatches(ledger::StateView(db, h), ref[h], spaces, kKeys);
+  };
+
+  for (std::uint64_t b = 1; b <= kBlocks; ++b) {
+    StateRef next = ref[b];
+    const std::uint64_t txs = 1 + rng.NextBelow(4);
+    for (std::uint32_t tx = 0; tx < txs; ++tx) {
+      const proto::KeyVersion version{b, tx};
+      proto::TxReadWriteSet rwset;
+      for (const std::string& ns : spaces) {
+        proto::NsReadWriteSet ns_rw;
+        ns_rw.ns = ns;
+        for (std::uint64_t w = rng.NextBelow(3); w > 0; --w) {
+          const std::string k = key();
+          const bool del = rng.NextBool(0.3);
+          const proto::Bytes value = proto::ToBytes(std::to_string(b * 10 + w));
+          ns_rw.writes.push_back(proto::KVWrite{k, del ? proto::Bytes{} : value,
+                                                del});
+          if (del) {
+            next.erase({ns, k});
+          } else {
+            next[{ns, k}] = ledger::VersionedValue{value, version};
+          }
+        }
+        rwset.ns_rwsets.push_back(std::move(ns_rw));
+      }
+      db.ApplyRwSet(rwset, version);
+    }
+    db.SetHeight(b + 1);
+    ref.push_back(std::move(next));
+
+    // Cursors move forward at random, never past the head; one detaches
+    // midway and comes back at the head.
+    for (std::size_t r = 0; r < readers.size(); ++r) {
+      if (!attached[r]) continue;
+      if (rng.NextBool(0.4)) {
+        cursor[r] += rng.NextBelow(db.Height() - cursor[r] + 1);
+        db.AdvanceReader(readers[r], cursor[r]);
+      }
+    }
+    if (b == kBlocks / 2) {
+      db.DetachReader(readers[0]);
+      attached[0] = false;
+    }
+    if (b == kBlocks * 3 / 4) {
+      cursor[0] = db.Height();
+      readers[0] = db.AttachReader(cursor[0]);
+      attached[0] = true;
+    }
+    std::uint64_t low = db.Height();
+    for (std::size_t r = 0; r < readers.size(); ++r) {
+      if (attached[r]) low = std::min(low, cursor[r]);
+    }
+    ASSERT_EQ(db.MinReaderHeight(), low);
+    check_reads(low);
+    if (HasFatalFailure()) return;
+  }
+
+  // A snapshot at a lagging height is that height's state on its own.
+  const std::uint64_t low = db.MinReaderHeight();
+  const ledger::StateDb snapshot = db.Snapshot(low);
+  EXPECT_EQ(snapshot.Height(), low);
+  EXPECT_EQ(snapshot.RetainedVersions(), 0u);
+  ExpectStateMatches(snapshot, ref[low], spaces, kKeys);
+
+  // With every reader gone, nothing is retained and the head is exact.
+  EXPECT_GT(db.RetainedVersions(), 0u);
+  for (std::size_t r = 0; r < readers.size(); ++r) {
+    if (attached[r]) db.DetachReader(readers[r]);
+  }
+  EXPECT_EQ(db.MinReaderHeight(), ledger::StateDb::kHead);
+  EXPECT_EQ(db.RetainedVersions(), 0u);
+  ExpectStateMatches(db, ref.back(), spaces, kKeys);
+}
+
+TEST(LedgerProperty, WritesWithNoReaderBehindRetainNothing) {
+  // A reader at the head does not hold versions back: the store behaves as
+  // a single-reader one.
+  ledger::StateDb db;
+  db.SetHeight(1);
+  const auto reader = db.AttachReader(1);
+  for (std::uint64_t b = 1; b <= 50; ++b) {
+    db.AdvanceReader(reader, b + 1);
+    db.Put("cc", "k", proto::ToBytes(std::to_string(b)), {b, 0});
+    db.Delete("cc", "gone", {b, 1});
+    db.Put("cc", "gone", proto::ToBytes("x"), {b, 2});
+    db.SetHeight(b + 1);
+    EXPECT_EQ(db.RetainedVersions(), 0u);
+  }
+  EXPECT_EQ(db.KeyCount(), 2u);
 }
 
 proto::BlockPtr BlockOfIds(std::uint64_t number,

@@ -35,7 +35,10 @@ TEST(RunFlags, ParseRejectsWhatTheCliRejects) {
       {{"--failpoint=silent-drop:0"},
        "bad --failpoint silent-drop count: silent-drop:0"},
       {{"--metrics-format=xml"}, "unknown metrics format: xml"},
+      {{"--failpoint=silent-drop:97x"},
+       "bad --failpoint silent-drop count: silent-drop:97x"},
       {{"--sweep=50,fast"}, "bad --sweep rate: fast"},
+      {{"--sweep=50x,1e9zz"}, "bad --sweep rate: 50x"},
       {{"--bogus=1"}, "unknown argument: --bogus=1"},
       // The first bad flag is the one reported; --help stops parsing.
       {{"--peers=x", "--rate=y"}, "--peers needs an integer, got x"},
