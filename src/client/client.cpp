@@ -597,25 +597,26 @@ void Client::OnBroadcastAck(const ordering::BroadcastAckMsg& ack) {
 }
 
 void Client::OnCommitEvent(const peer::CommitEventMsg& ev) {
-  for (const auto& outcome : ev.outcomes) {
+  for (std::size_t i = 0; i < ev.codes->size(); ++i) {
+    const std::string& tx_id = ev.block->transactions[i].tx_id;
+    const proto::ValidationCode code = (*ev.codes)[i];
     // Outcome bookkeeping sees every commit event for our transactions,
     // including duplicates committed after this client already finished
     // the tx — exactly what the exactly-once invariant needs to audit.
-    if (config_.track_outcomes &&
-        outcomes_.submitted.count(outcome.tx_id) != 0) {
-      ++outcomes_.commits[outcome.tx_id];
-      if (outcome.code == proto::ValidationCode::kValid) {
-        ++outcomes_.valid_commits[outcome.tx_id];
+    if (config_.track_outcomes && outcomes_.submitted.count(tx_id) != 0) {
+      ++outcomes_.commits[tx_id];
+      if (code == proto::ValidationCode::kValid) {
+        ++outcomes_.valid_commits[tx_id];
       }
     }
-    auto it = pending_.find(outcome.tx_id);
+    auto it = pending_.find(tx_id);
     if (it == pending_.end() || it->second.done) continue;
-    if (outcome.code == proto::ValidationCode::kValid) {
+    if (code == proto::ValidationCode::kValid) {
       ++committed_valid_;
     } else {
       ++committed_invalid_;
     }
-    Finish(outcome.tx_id);
+    Finish(tx_id);
   }
 }
 

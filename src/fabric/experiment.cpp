@@ -154,11 +154,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
                          net_options.tracer == nullptr && schedule.Empty() &&
                          !config.check_invariants &&
                          !net_options.recovery.enabled;
-  if (streaming) {
-    net.Tracker().EnableStreaming(measure_start, window_end);
-    // The per-job busy-mark history is the one remaining O(jobs) allocation;
-    // its only consumer (attribution's windowed utilization) is excluded by
-    // the gate above, so drop it too and RSS stays flat at any run length.
+  if (streaming) net.Tracker().EnableStreaming(measure_start, window_end);
+  if (net_options.tracer == nullptr) {
+    // The per-job busy-mark history (two marks per CPU job) has one reader,
+    // attribution's windowed utilization, and attribution needs a tracer;
+    // without one, keep running totals only.
     for (std::size_t i = 0; i < net.Env().MachineCount(); ++i) {
       net.Env().MachineAt(i).GetCpu().SetBoundedMarks(true);
     }

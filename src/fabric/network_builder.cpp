@@ -102,8 +102,9 @@ void FabricNetwork::BuildPeers() {
   const auto& topo = options_.topology;
   endorsing_count_ = topo.endorsing_peers;
 
-  // One world state per channel, shared by every peer that joins it: each
-  // honest peer would hold an identical copy (see peer::ChannelState).
+  // One world state and block log per channel, shared by every peer that
+  // joins it: each honest peer would hold an identical copy (see
+  // peer::ChannelState).
   std::vector<std::shared_ptr<peer::ChannelState>> states;
   for (int c = 0; c < options_.channels; ++c) {
     states.push_back(std::make_shared<peer::ChannelState>());
@@ -425,19 +426,28 @@ void FabricNetwork::ApplyOverloadProtection() {
 }
 
 void FabricNetwork::SeedAccounts() {
+  const proto::Bytes balance =
+      proto::ToBytes(std::to_string(options_.seeded_balance));
   for (int c = 0; c < options_.channels; ++c) {
     const std::string channel_id = ChannelId(c);
     for (std::size_t a = 0; a < options_.seeded_accounts; ++a) {
       const std::string acct = "acct" + std::to_string(a);
-      const proto::Bytes balance =
-          proto::ToBytes(std::to_string(options_.seeded_balance));
+      const std::string checking =
+          chaincode::SmallBankChaincode::CheckingKey(acct);
+      const std::string savings =
+          chaincode::SmallBankChaincode::SavingsKey(acct);
+      // The peers that share the channel's world state are seeded through
+      // the first of them; a peer on a private state gets its own copy.
+      bool shared_seeded = false;
       for (auto& p : peers_) {
-        p->SeedState(channel_id, "token", acct, balance);
-        p->SeedState(channel_id, "smallbank",
-                     chaincode::SmallBankChaincode::CheckingKey(acct),
-                     balance);
-        p->SeedState(channel_id, "smallbank",
-                     chaincode::SmallBankChaincode::SavingsKey(acct), balance);
+        peer::Committer& committer = p->GetCommitter(channel_id);
+        if (committer.SharesState()) {
+          if (shared_seeded) continue;
+          shared_seeded = true;
+        }
+        committer.SeedState("token", acct, balance);
+        committer.SeedState("smallbank", checking, balance);
+        committer.SeedState("smallbank", savings, balance);
       }
     }
   }

@@ -1,76 +1,185 @@
 #include "ledger/block_store.h"
 
+#include <algorithm>
+
 namespace fabricsim::ledger {
 
-void BlockStore::Append(proto::BlockPtr block,
-                        std::vector<proto::ValidationCode> codes) {
-  const auto num_lo = static_cast<std::uint32_t>(Height());
-  total_txs_ += block->transactions.size();
-  stored_bytes_ += block->WireSize();
-  blocks_.push_back(std::move(block));
-  codes_.push_back(std::move(codes));
-  // Indexed once resident, so an id repeated inside this block confirms
-  // against its earlier occurrence.
-  const proto::EnvelopeList& txs = blocks_.back()->transactions;
-  for (std::uint32_t i = 0; i < txs.size(); ++i) {
-    const std::string_view id = txs[i].tx_id;
-    const std::uint64_t hash = HashKey(id);
-    const TxSlot slot{num_lo, i};
-    if (TxSlot* newest = tx_index_.Find(hash, IdIs(id))) {
-      // A resubmitted id: re-point the entry at this newest occurrence. It
-      // is pruned last, so the id stays visible while any occurrence is
-      // resident.
-      *newest = slot;
-    } else {
-      tx_index_.Insert(hash, slot);
-    }
-  }
-  PruneFront();
+namespace {
+
+CodesPtr ShareCodes(std::vector<proto::ValidationCode> codes) {
+  // Blocks stored without codes (the orderer side, genesis) share one empty
+  // list instead of allocating one each.
+  static const CodesPtr kNone =
+      std::make_shared<const std::vector<proto::ValidationCode>>();
+  if (codes.empty()) return kNone;
+  return std::make_shared<const std::vector<proto::ValidationCode>>(
+      std::move(codes));
 }
 
-void BlockStore::PruneFront() {
-  if (keep_blocks_ == 0) return;
-  while (blocks_.size() > keep_blocks_) {
-    const auto first_lo = static_cast<std::uint32_t>(first_block_num_);
-    const proto::EnvelopeList& txs = blocks_.front()->transactions;
+}  // namespace
+
+// --- BlockLog ---------------------------------------------------------------
+
+bool BlockLog::Holds(std::uint64_t number, const proto::Block& block,
+                     const std::vector<proto::ValidationCode>& codes,
+                     std::size_t wire_size) const {
+  if (number < first_ || number >= Height()) return false;
+  const Entry& e = At(number);
+  // The same header and data hash mean the same transactions; the same
+  // wire size keeps every byte count a reader derives from the block.
+  return (e.block.get() == &block ||
+          (e.block->header == block.header &&
+           e.block->DataHash() == block.DataHash() &&
+           e.wire_size == wire_size)) &&
+         *e.codes == codes;
+}
+
+void BlockLog::Push(Entry entry) {
+  const auto num_lo = static_cast<std::uint32_t>(Height());
+  entries_.push_back(std::move(entry));
+  // Every occurrence gets its own slot, so a view whose window holds only
+  // an older occurrence of a resubmitted id still finds it.
+  const proto::EnvelopeList& txs = entries_.back().block->transactions;
+  for (std::uint32_t i = 0; i < txs.size(); ++i) {
+    index_.Insert(HashKey(txs[i].tx_id), TxSlot{num_lo, i});
+  }
+}
+
+BlockLog::ViewId BlockLog::Join(std::uint64_t first) {
+  for (ViewId v = 0; v < views_.size(); ++v) {
+    if (!views_[v]) {
+      views_[v] = first;
+      return v;
+    }
+  }
+  views_.emplace_back(first);
+  return views_.size() - 1;
+}
+
+void BlockLog::Move(ViewId view, std::uint64_t first) {
+  views_[view] = first;
+  DropUnread();
+}
+
+void BlockLog::Leave(ViewId view) {
+  views_[view].reset();
+  DropUnread();
+}
+
+void BlockLog::DropUnread() {
+  std::optional<std::uint64_t> lowest;
+  for (const auto& v : views_) {
+    if (v && (!lowest || *v < *lowest)) lowest = *v;
+  }
+  if (!lowest) return;  // nobody reads the log; keep it as it is
+  while (!entries_.empty() && first_ < *lowest) {
+    const auto first_lo = static_cast<std::uint32_t>(first_);
+    const proto::EnvelopeList& txs = entries_.front().block->transactions;
     for (std::uint32_t i = 0; i < txs.size(); ++i) {
-      // Only an entry that points here goes: a resubmitted tx id may have
-      // landed again in a newer (retained) block, whose entry must survive.
-      tx_index_.Erase(HashKey(txs[i].tx_id), [first_lo, i](TxSlot slot) {
+      index_.Erase(HashKey(txs[i].tx_id), [first_lo, i](TxSlot slot) {
         return slot.block_lo == first_lo && slot.tx_index == i;
       });
     }
-    blocks_.pop_front();
-    codes_.pop_front();
-    ++first_block_num_;
+    entries_.pop_front();
+    ++first_;
   }
+}
+
+// --- BlockStore -------------------------------------------------------------
+
+BlockStore::BlockStore() : log_(std::make_shared<BlockLog>()) {
+  view_ = log_->Join(0);
+}
+
+BlockStore::~BlockStore() { log_->Leave(view_); }
+
+void BlockStore::Share(std::shared_ptr<BlockLog> log) {
+  if (log == nullptr || height_ != 0) return;
+  log_->Leave(view_);
+  log_ = std::move(log);
+  view_ = log_->Join(first_);
+}
+
+bool BlockStore::Shared() const {
+  return std::count_if(log_->views_.begin(), log_->views_.end(),
+                       [](const auto& v) { return v.has_value(); }) > 1;
+}
+
+void BlockStore::Unshare() {
+  if (Shared()) Fork();
+}
+
+void BlockStore::Fork() {
+  auto own = std::make_shared<BlockLog>();
+  own->first_ = first_;
+  for (std::uint64_t n = first_; n < height_; ++n) own->Push(log_->At(n));
+  log_->Leave(view_);
+  log_ = std::move(own);
+  view_ = log_->Join(first_);
+}
+
+void BlockStore::Append(proto::BlockPtr block,
+                        std::vector<proto::ValidationCode> codes) {
+  const std::size_t wire_size = block->WireSize();
+  total_txs_ += block->transactions.size();
+  stored_bytes_ += wire_size;
+  if (log_->Height() != height_ &&
+      !log_->Holds(height_, *block, codes, wire_size)) {
+    Fork();  // the log holds a different block at this height
+  }
+  if (log_->Height() == height_) {
+    log_->Push({std::move(block), ShareCodes(std::move(codes)), wire_size});
+  }
+  ++height_;
+  if (keep_blocks_ > 0 && height_ - first_ > keep_blocks_) {
+    first_ = height_ - keep_blocks_;
+  }
+  log_->Move(view_, first_);
 }
 
 const std::vector<proto::ValidationCode>& BlockStore::CodesFor(
     std::uint64_t number) const {
   static const std::vector<proto::ValidationCode> kEmpty;
-  if (number < first_block_num_ || number >= Height()) return kEmpty;
-  return codes_[static_cast<std::size_t>(number - first_block_num_)];
+  if (!Resident(number)) return kEmpty;
+  return *log_->At(number).codes;
+}
+
+CodesPtr BlockStore::SharedCodesFor(std::uint64_t number) const {
+  if (!Resident(number)) return nullptr;
+  return log_->At(number).codes;
 }
 
 proto::BlockPtr BlockStore::GetBlock(std::uint64_t number) const {
-  if (number < first_block_num_ || number >= Height()) return nullptr;
-  return blocks_[static_cast<std::size_t>(number - first_block_num_)];
+  if (!Resident(number)) return nullptr;
+  return log_->At(number).block;
 }
 
 proto::BlockPtr BlockStore::LastBlock() const {
-  return blocks_.empty() ? nullptr : blocks_.back();
+  return height_ > first_ ? GetBlock(height_ - 1) : nullptr;
 }
 
 bool BlockStore::HasTransaction(std::string_view tx_id) const {
-  return tx_index_.Find(HashKey(tx_id), IdIs(tx_id)) != nullptr;
+  return log_->index_.Find(HashKey(tx_id), VisibleIdIs(tx_id)) != nullptr;
 }
 
 std::optional<TxLocation> BlockStore::FindTransaction(
     std::string_view tx_id) const {
-  const TxSlot* slot = tx_index_.Find(HashKey(tx_id), IdIs(tx_id));
-  if (slot == nullptr) return std::nullopt;
-  return TxLocation{first_block_num_ + OffsetOf(*slot), slot->tx_index};
+  // Every occurrence has its own slot; the newest visible one wins. The
+  // predicate never confirms, so the probe visits the whole cluster.
+  std::optional<TxLocation> newest;
+  const auto visible = VisibleIdIs(tx_id);
+  (void)log_->index_.Find(HashKey(tx_id), [&](BlockLog::TxSlot slot) {
+    if (visible(slot)) {
+      const TxLocation at{log_->BlockOf(slot), slot.tx_index};
+      if (!newest || at.block_num > newest->block_num ||
+          (at.block_num == newest->block_num &&
+           at.tx_index > newest->tx_index)) {
+        newest = at;
+      }
+    }
+    return false;
+  });
+  return newest;
 }
 
 }  // namespace fabricsim::ledger

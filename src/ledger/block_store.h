@@ -15,15 +15,29 @@
 // ledger/history_index.h), so nothing outside the store keeps a pruned
 // block's envelopes alive.
 //
+// One log per channel. A BlockStore is a view of a BlockLog: the log holds
+// the blocks, their validation codes and the tx-id index; the view holds
+// its own height, retention and running totals, and answers every query as
+// of its own window [FirstBlockNumber(), Height()). A standalone store owns
+// a private log. The stores of the peers of one channel can share one log
+// (Share): every honest peer commits the same blocks with the same codes,
+// so the first view to reach a height appends the block to the log, and a
+// view that arrives later with the same block and codes only advances. A
+// view that appends anything else continues on a private log holding a
+// copy of its window (Unshare). The log drops a block only when it lies
+// below every attached view's window.
+//
 // Stored blocks are immutable: BlockPtr is shared_ptr<const Block>, and no
 // holder may edit a block (or swap its envelopes) after Append. The tx-id
 // index relies on it: a flat open-addressing index (ledger/flat_index.h)
-// whose slots hold each id's hash and (block, position), confirmed against
-// the tx id inside the resident block. A miss — what HasTransaction returns
-// for almost every fresh id — touches the slot array and no envelope.
+// whose slots hold each id's hash and (block, position), one slot per
+// occurrence, confirmed against the tx id inside the logged block. A miss —
+// what HasTransaction returns for almost every fresh id — touches the slot
+// array and no envelope.
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -40,8 +54,77 @@ struct TxLocation {
   std::uint32_t tx_index = 0;
 };
 
+/// A stored block's validation codes, shared by every view of its log and
+/// by the commit events that report them.
+using CodesPtr = std::shared_ptr<const std::vector<proto::ValidationCode>>;
+
+/// The blocks of one channel, shared by the BlockStore views of its peers.
+/// Only BlockStore reads or writes it.
+class BlockLog {
+ public:
+  /// Number of blocks appended ever (== the next block number).
+  [[nodiscard]] std::uint64_t Height() const { return first_ + entries_.size(); }
+  /// Blocks currently held.
+  [[nodiscard]] std::size_t ResidentBlocks() const { return entries_.size(); }
+  /// Index entries currently held (one per transaction of each held block).
+  [[nodiscard]] std::size_t IndexedTransactions() const {
+    return index_.Size();
+  }
+
+ private:
+  friend class BlockStore;
+  using ViewId = std::size_t;
+
+  struct Entry {
+    proto::BlockPtr block;
+    CodesPtr codes;  // never null
+    std::size_t wire_size = 0;
+  };
+  // An index slot's payload: the low 32 bits of the block number (held
+  // blocks span far fewer than 2^32 numbers, so they identify the block)
+  // and the position inside it.
+  struct TxSlot {
+    std::uint32_t block_lo;
+    std::uint32_t tx_index;
+  };
+
+  [[nodiscard]] const Entry& At(std::uint64_t number) const {
+    return entries_[static_cast<std::size_t>(number - first_)];
+  }
+  /// Block number of a slot's block.
+  [[nodiscard]] std::uint64_t BlockOf(TxSlot slot) const {
+    return first_ + static_cast<std::uint32_t>(
+                        slot.block_lo - static_cast<std::uint32_t>(first_));
+  }
+  [[nodiscard]] const std::string& IdAt(TxSlot slot) const {
+    return At(BlockOf(slot)).block->transactions[slot.tx_index].tx_id;
+  }
+  /// True if the log holds block `number` and it is `block` (same header,
+  /// data hash and wire size) with `codes`.
+  [[nodiscard]] bool Holds(std::uint64_t number, const proto::Block& block,
+                           const std::vector<proto::ValidationCode>& codes,
+                           std::size_t wire_size) const;
+  void Push(Entry entry);
+  [[nodiscard]] ViewId Join(std::uint64_t first);
+  /// Moves a view's window start, then drops what no view can read.
+  void Move(ViewId view, std::uint64_t first);
+  void Leave(ViewId view);
+  void DropUnread();
+
+  std::deque<Entry> entries_;
+  FlatIndex<TxSlot> index_;
+  std::uint64_t first_ = 0;
+  std::vector<std::optional<std::uint64_t>> views_;  // window start, by id
+};
+
 class BlockStore {
  public:
+  /// A standalone store on a private log.
+  BlockStore();
+  ~BlockStore();
+  BlockStore(const BlockStore&) = delete;
+  BlockStore& operator=(const BlockStore&) = delete;
+
   /// Appends a block with its per-transaction validation codes (the
   /// committer fills the metadata; storing the codes beside the shared
   /// immutable block avoids deep-copying it on every peer). The caller
@@ -55,19 +138,26 @@ class BlockStore {
   void SetRetention(std::uint64_t keep_blocks) { keep_blocks_ = keep_blocks; }
   [[nodiscard]] std::uint64_t Retention() const { return keep_blocks_; }
 
+  /// Becomes a view of `log`, the channel's shared log. Ignored unless this
+  /// store is still empty.
+  void Share(std::shared_ptr<BlockLog> log);
+  /// Continues on a private log holding a copy of this view's window. A
+  /// no-op when no other view reads this store's log.
+  void Unshare();
+  /// True while another view reads this store's log.
+  [[nodiscard]] bool Shared() const;
+
   /// Number of blocks appended ever (== next block number). Pruned blocks
   /// still count: height is chain position, not residency.
-  [[nodiscard]] std::uint64_t Height() const {
-    return first_block_num_ + blocks_.size();
-  }
+  [[nodiscard]] std::uint64_t Height() const { return height_; }
 
   /// Oldest block number still resident (0 until pruning starts).
-  [[nodiscard]] std::uint64_t FirstBlockNumber() const {
-    return first_block_num_;
-  }
+  [[nodiscard]] std::uint64_t FirstBlockNumber() const { return first_; }
 
   /// Blocks currently resident in memory.
-  [[nodiscard]] std::size_t ResidentBlocks() const { return blocks_.size(); }
+  [[nodiscard]] std::size_t ResidentBlocks() const {
+    return static_cast<std::size_t>(height_ - first_);
+  }
 
   /// Block by number, or nullptr if out of range or pruned.
   [[nodiscard]] proto::BlockPtr GetBlock(std::uint64_t number) const;
@@ -87,6 +177,8 @@ class BlockStore {
   /// blocks appended without codes, e.g. on the orderer side, or pruned).
   [[nodiscard]] const std::vector<proto::ValidationCode>& CodesFor(
       std::uint64_t number) const;
+  /// The same codes, shared (null if out of range or pruned).
+  [[nodiscard]] CodesPtr SharedCodesFor(std::uint64_t number) const;
 
   /// Total transactions appended ever (pruned blocks included).
   [[nodiscard]] std::uint64_t TxCount() const { return total_txs_; }
@@ -96,32 +188,23 @@ class BlockStore {
   [[nodiscard]] std::uint64_t StoredBytes() const { return stored_bytes_; }
 
  private:
-  // An index slot's payload: the low 32 bits of the block number (resident
-  // blocks span far fewer than 2^32 numbers, so they identify the block)
-  // and the position inside it.
-  struct TxSlot {
-    std::uint32_t block_lo;
-    std::uint32_t tx_index;
-  };
-
-  /// Position in blocks_ of the slot's block.
-  [[nodiscard]] std::size_t OffsetOf(TxSlot slot) const {
-    return static_cast<std::uint32_t>(
-        slot.block_lo - static_cast<std::uint32_t>(first_block_num_));
+  /// Moves this view onto a private log holding a copy of its window.
+  void Fork();
+  [[nodiscard]] bool Resident(std::uint64_t number) const {
+    return number >= first_ && number < height_;
   }
-  /// Confirms an index hit: is the transaction at a slot's location this id?
-  [[nodiscard]] auto IdIs(std::string_view tx_id) const {
-    return [this, tx_id](TxSlot slot) {
-      return blocks_[OffsetOf(slot)]->transactions[slot.tx_index].tx_id ==
-             tx_id;
+  /// Confirms an index hit: is the transaction at a slot this id, inside
+  /// this view's window?
+  [[nodiscard]] auto VisibleIdIs(std::string_view tx_id) const {
+    return [this, tx_id](BlockLog::TxSlot slot) {
+      return Resident(log_->BlockOf(slot)) && log_->IdAt(slot) == tx_id;
     };
   }
-  void PruneFront();
 
-  std::deque<proto::BlockPtr> blocks_;
-  std::deque<std::vector<proto::ValidationCode>> codes_;
-  FlatIndex<TxSlot> tx_index_;
-  std::uint64_t first_block_num_ = 0;
+  std::shared_ptr<BlockLog> log_;
+  BlockLog::ViewId view_ = 0;
+  std::uint64_t height_ = 0;
+  std::uint64_t first_ = 0;        // window start
   std::uint64_t keep_blocks_ = 0;  // 0 = unbounded
   std::uint64_t total_txs_ = 0;
   std::uint64_t stored_bytes_ = 0;

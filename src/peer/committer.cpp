@@ -33,10 +33,12 @@ void Committer::ShareState(std::shared_ptr<ChannelState> shared) {
   }
   shared_ = std::move(shared);
   reader_ = shared_->state.AttachReader(next_commit_);
+  chain_.MutableStore().Share(shared_->blocks);
 }
 
 void Committer::DetachState() {
   if (shared_ == nullptr) return;
+  chain_.MutableStore().Unshare();
   state_ = shared_->state.Snapshot(next_commit_);
   shared_->state.DetachReader(reader_);
   shared_->DropPassedVerdicts();
@@ -427,7 +429,7 @@ void Committer::SerialCommit(PendingBlock pb) {
   bool leading = true;
   if (shared_ != nullptr && shared_->state.Height() != next_commit_) {
     if (const ChannelState::Verdict* v = MatchingVerdict(pb)) {
-      codes = v->codes;
+      codes = *v->codes;
       duplicates = v->duplicates;
       leading = false;
     } else {
@@ -444,8 +446,9 @@ void Committer::SerialCommit(PendingBlock pb) {
 
   // The validation codes are stored beside the shared immutable block
   // (equivalent to Fabric filling the block metadata before the write,
-  // without deep-copying the block on every peer).
-  if (!chain_.Append(pb.block, codes)) {
+  // without deep-copying the block on every peer). A follower's chain
+  // finds the same block and codes in the channel's log and only advances.
+  if (!chain_.Append(pb.block, std::move(codes))) {
     // Linkage failure — an orderer bug or a tampered stream that slipped
     // the structural checks. Counted (never silently discarded: the
     // invariant oracle flags any unexplained reject) and left uncommitted,
@@ -457,19 +460,21 @@ void Committer::SerialCommit(PendingBlock pb) {
     PromoteDeferred();
     return;
   }
+  const ledger::CodesPtr stored = chain_.Store().SharedCodesFor(next_commit_);
   // Advance first: the leader's own cursor must not hold back its write.
   if (shared_ != nullptr) AdvanceCursor();
   if (leading) {
-    ledger::MvccValidator::Commit(*pb.block, codes, Db());
+    ledger::MvccValidator::Commit(*pb.block, *stored, Db());
     if (shared_ != nullptr) {
       shared_->Record(next_commit_,
                       {pb.block->header.Hash(), std::move(pb.vscc_codes),
-                       codes, duplicates, chain_.Store().Retention()});
+                       stored, duplicates, chain_.Store().Retention()});
     }
   }
 
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
-    if (codes[i] == proto::ValidationCode::kValid) {
+    const proto::ValidationCode code = (*stored)[i];
+    if (code == proto::ValidationCode::kValid) {
       ++committed_tx_;
       commit_log_.Record(env_.Now());
     } else {
@@ -477,16 +482,14 @@ void Committer::SerialCommit(PendingBlock pb) {
     }
     if (tracker_ != nullptr) {
       tracker_->MarkCommitted(pb.block->transactions[i].tx_id, env_.Now(),
-                              codes[i]);
+                              code);
     }
   }
 
   ++next_commit_;
   serial_busy_ = false;
 
-  if (pb.on_commit) {
-    pb.on_commit(CommittedBlock{pb.block, std::move(codes)});
-  }
+  if (pb.on_commit) pb.on_commit(CommittedBlock{pb.block, stored});
   TrySerialCommit();
   PromoteDeferred();
 }

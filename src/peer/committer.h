@@ -37,19 +37,21 @@
 
 namespace fabricsim::peer {
 
-/// One channel's committed world state, shared by the committers of every
-/// peer of a network that joined the channel, and the verdict each height
-/// was committed with. The first committer to reach a height (the leader)
-/// validates the block, writes the state and records the verdict; the
-/// others (followers) reuse the verdict when their block and VSCC codes
-/// match it. See Committer::ShareState.
+/// One channel's committed ledger, shared by the committers of every peer
+/// of a network that joined the channel: its world state, its block log,
+/// and the verdict each height was committed with. The first committer to
+/// reach a height (the leader) validates the block, writes the state,
+/// appends the block to the log and records the verdict; the others
+/// (followers) reuse the verdict when their block and VSCC codes match it,
+/// and their chains advance over the logged block. See
+/// Committer::ShareState.
 struct ChannelState {
   struct Verdict {
     crypto::Digest block_hash{};
     std::vector<proto::ValidationCode> vscc_codes;
-    std::vector<proto::ValidationCode> codes;  // final, as stored
-    std::uint64_t duplicates = 0;              // kDuplicateTxId flags
-    std::uint64_t retention = 0;  // the leader's ledger retention
+    ledger::CodesPtr codes;        // final, as stored in the log
+    std::uint64_t duplicates = 0;  // kDuplicateTxId flags
+    std::uint64_t retention = 0;   // the leader's ledger retention
   };
 
   /// The verdict of height `h`, while some committer is still below it.
@@ -73,6 +75,8 @@ struct ChannelState {
   }
 
   ledger::StateDb state;
+  std::shared_ptr<ledger::BlockLog> blocks =
+      std::make_shared<ledger::BlockLog>();
   std::deque<Verdict> verdicts;  // heights first_verdict, first_verdict + 1..
   std::uint64_t first_verdict = 0;
 };
@@ -80,7 +84,7 @@ struct ChannelState {
 /// Result handed to the owner after each block commits.
 struct CommittedBlock {
   proto::BlockPtr block;
-  std::vector<proto::ValidationCode> codes;
+  ledger::CodesPtr codes;  // as stored in the chain
 };
 
 class Committer {
@@ -117,18 +121,20 @@ class Committer {
     max_pipeline_blocks_ = max_blocks;
   }
 
-  /// Commits against `shared`, the channel's one world state, instead of a
-  /// private one. Each block is then either led (validated and written
-  /// here, its verdict recorded) or followed (the recorded verdict reused
-  /// when this committer's block hash and VSCC codes match it; no dedup
-  /// screen, MVCC or state write). Simulated costs are charged as before.
-  /// Ignored once the channel has committed a block.
+  /// Commits against `shared`, the channel's one world state and block
+  /// log, instead of private ones. Each block is then either led (validated
+  /// and written here, appended to the log, its verdict recorded) or
+  /// followed (the recorded verdict reused when this committer's block hash
+  /// and VSCC codes match it; no dedup screen, MVCC, state write or log
+  /// append: the chain only advances its height). Simulated costs are
+  /// charged as before. Ignored once the channel has committed a block.
   void ShareState(std::shared_ptr<ChannelState> shared);
 
-  /// Leaves the shared state for a private copy as of this committer's
-  /// height; every later block is validated and written here. Called on
-  /// any verdict mismatch, on a failpoint, on a crash, and on mutable chain
-  /// access. A no-op when the state is private already.
+  /// Leaves the shared state and log for private copies as of this
+  /// committer's height (the chain keeps a copy of its resident window);
+  /// every later block is validated and written here. Called on any verdict
+  /// mismatch, on a failpoint, on a crash, and on mutable chain access. A
+  /// no-op when the state is private already.
   void DetachState();
   [[nodiscard]] bool SharesState() const { return shared_ != nullptr; }
 

@@ -3,8 +3,11 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "ledger/block_store.h"
+#include "proto/block.h"
 #include "proto/proposal.h"
 #include "proto/transaction.h"
 #include "sim/network.h"
@@ -94,20 +97,23 @@ class RegisterEventsMsg final : public sim::Message {
   }
 };
 
-/// Peer -> subscribed clients: transactions of a committed block.
+/// Peer -> subscribed clients: transactions of a committed block. Carries
+/// the committed block and its stored codes, shared with the chain; on the
+/// wire it is 72 bytes per transaction (id and code) plus a header.
 class CommitEventMsg final : public sim::Message {
  public:
-  struct TxOutcome {
-    std::string tx_id;
-    proto::ValidationCode code = proto::ValidationCode::kValid;
-  };
+  CommitEventMsg(std::string channel_id, proto::BlockPtr block,
+                 ledger::CodesPtr codes)
+      : channel_id(std::move(channel_id)),
+        block(std::move(block)),
+        codes(std::move(codes)) {}
 
   std::string channel_id;
-  std::uint64_t block_number = 0;
-  std::vector<TxOutcome> outcomes;
+  proto::BlockPtr block;
+  ledger::CodesPtr codes;  // one per transaction of `block`
 
   [[nodiscard]] std::size_t WireSize() const override {
-    return 32 + outcomes.size() * 72;
+    return 32 + codes->size() * 72;
   }
   [[nodiscard]] std::string TypeName() const override { return "CommitEvent"; }
 };

@@ -586,14 +586,7 @@ void PeerNode::RecordEndorseSpans(obs::Tracer& tr, sim::SimDuration cost,
 void PeerNode::OnBlockCommitted(const std::string& channel_id,
                                 const CommittedBlock& cb) {
   if (event_subscribers_.empty()) return;
-  auto ev = std::make_shared<CommitEventMsg>();
-  ev->channel_id = channel_id;
-  ev->block_number = cb.block->header.number;
-  ev->outcomes.reserve(cb.block->transactions.size());
-  for (std::size_t i = 0; i < cb.block->transactions.size(); ++i) {
-    ev->outcomes.push_back(CommitEventMsg::TxOutcome{
-        cb.block->transactions[i].tx_id, cb.codes[i]});
-  }
+  auto ev = std::make_shared<CommitEventMsg>(channel_id, cb.block, cb.codes);
   for (sim::NodeId sub : event_subscribers_) {
     env_.Net().Send(net_id_, sub, ev);
   }

@@ -77,11 +77,11 @@ class Cpu {
   [[nodiscard]] std::uint64_t CompletedJobs() const { return completed_; }
 
   /// Bounded-memory mode: stop recording the busy-core transition history
-  /// (two marks per job, forever — the one per-job allocation left once the
-  /// TxTracker streams). Running totals (BusyTime(), Utilization() to now,
-  /// BusyCores()) stay exact; only PAST-time queries (BusyTimeAt(t) /
+  /// (two marks per job, forever). Running totals (BusyTime(), Utilization()
+  /// to now, BusyCores()) stay exact; only PAST-time queries (BusyTimeAt(t) /
   /// Utilization(t0, t1) with t < now) need the history, and the sole such
-  /// caller — attribution — is mutually exclusive with streaming runs.
+  /// caller — attribution — runs only with a tracer attached, so
+  /// RunExperiment switches this on for every untraced run.
   /// Already-recorded marks are kept, so past queries up to the switch-on
   /// point remain exact.
   void SetBoundedMarks(bool on) { bounded_marks_ = on; }

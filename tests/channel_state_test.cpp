@@ -1,10 +1,12 @@
 // Oracle for the shared channel state: after a faulty run, every peer's
 // world state as of its own height must equal a fresh StateDb replayed from
-// that peer's own stored blocks and validation codes — whether the peer
-// followed the channel's leaders throughout, or detached when it crashed or
-// was handed an equivocated block.
+// that peer's own stored blocks and validation codes, and its chain must
+// answer as a private chain replayed from them — whether the peer followed
+// the channel's leaders throughout, or detached when it crashed or was
+// handed an equivocated block.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,6 +72,41 @@ void ExpectSameState(ledger::StateView got, ledger::StateView want,
   }
 }
 
+/// A peer's chain, whether a view of the channel's shared log or forked
+/// onto a private one, must answer as a private chain replayed from the
+/// peer's own blocks and codes: height, tip, every block and its codes,
+/// and the tx-id index over `probes`.
+void ExpectSameChain(const ledger::Blockchain& chain,
+                     const std::vector<std::string>& probes,
+                     const std::string& who) {
+  const ledger::BlockStore& store = chain.Store();
+  ledger::Blockchain replay;
+  for (std::uint64_t n = 0; n < store.Height(); ++n) {
+    ASSERT_TRUE(replay.Append(store.GetBlock(n), store.CodesFor(n)))
+        << who << " block " << n;
+  }
+  EXPECT_EQ(chain.Height(), replay.Height()) << who;
+  EXPECT_EQ(chain.TipHash(), replay.TipHash()) << who;
+  EXPECT_TRUE(chain.Audit().ok) << who;
+  const ledger::BlockStore& want = replay.Store();
+  EXPECT_EQ(store.TxCount(), want.TxCount()) << who;
+  EXPECT_EQ(store.StoredBytes(), want.StoredBytes()) << who;
+  for (std::uint64_t n = 0; n <= store.Height(); ++n) {
+    EXPECT_EQ(store.GetBlock(n), want.GetBlock(n)) << who << " block " << n;
+    EXPECT_EQ(store.CodesFor(n), want.CodesFor(n)) << who << " block " << n;
+  }
+  for (const std::string& id : probes) {
+    EXPECT_EQ(store.HasTransaction(id), want.HasTransaction(id)) << who;
+    const auto a = store.FindTransaction(id);
+    const auto b = want.FindTransaction(id);
+    ASSERT_EQ(a.has_value(), b.has_value()) << who << " " << id;
+    if (a) {
+      EXPECT_EQ(a->block_num, b->block_num) << who << " " << id;
+      EXPECT_EQ(a->tx_index, b->tx_index) << who << " " << id;
+    }
+  }
+}
+
 class ChannelStateOracle : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
@@ -104,6 +141,27 @@ TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
   controller.Start();
   net.Env().Sched().RunUntil(sim::FromSeconds(40));
 
+  // Ids to probe every peer's tx-id index with: every id any peer holds,
+  // resubmitted ones (stored more than once) among them, so a peer is also
+  // asked about ids that only peers above its height committed.
+  std::map<std::string, int> occurrences;
+  for (std::size_t p = 0; p < net.PeerCount(); ++p) {
+    const ledger::BlockStore& store = net.Peer(p).GetCommitter().Chain().Store();
+    for (std::uint64_t n = 0; n < store.Height(); ++n) {
+      for (const auto& tx : store.GetBlock(n)->transactions) {
+        ++occurrences[tx.tx_id];
+      }
+    }
+  }
+  std::vector<std::string> probes;
+  std::size_t resubmitted = 0;
+  for (const auto& [id, count] : occurrences) {
+    const bool repeated = count > static_cast<int>(net.PeerCount());
+    resubmitted += repeated ? 1 : 0;
+    if (repeated || probes.size() % 7 == 0) probes.push_back(id);
+  }
+  EXPECT_EQ(resubmitted > 0, c.duplicates.front() > 0);
+
   std::vector<std::uint64_t> duplicates;
   std::optional<crypto::Digest> shared_tip;
   for (std::size_t p = 0; p < net.PeerCount(); ++p) {
@@ -120,6 +178,7 @@ TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
                                               ? store.Height()
                                               : ledger::StateDb::kHead);
     ExpectSameState(committer.State(), replay, "peer " + std::to_string(p));
+    ExpectSameChain(committer.Chain(), probes, "peer " + std::to_string(p));
     duplicates.push_back(committer.DuplicateTxRejects());
     // Crashed peers detached; every peer still sharing is on one chain.
     const std::string name = net.Env().Net().NameOf(net.Peer(p).NetId());
@@ -128,6 +187,9 @@ TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
                 name != "peer.endorse1" && name != "peer.commit5")
           << name;
     }
+    // A peer on the shared state also reads the shared block log.
+    EXPECT_EQ(committer.Chain().Store().Shared(), committer.SharesState())
+        << name;
     if (committer.SharesState()) {
       if (!shared_tip) shared_tip = committer.Chain().TipHash();
       EXPECT_EQ(committer.Chain().TipHash(), *shared_tip) << name;

@@ -88,7 +88,7 @@ struct Fixture {
   std::vector<proto::ValidationCode> Commit(proto::BlockPtr block) {
     std::vector<proto::ValidationCode> out;
     committer->OnBlock(std::move(block), [&](const CommittedBlock& cb) {
-      out = cb.codes;
+      out = *cb.codes;
     });
     env.Sched().RunUntil(env.Now() + sim::FromSeconds(30));
     return out;

@@ -487,6 +487,68 @@ TEST(BlockStore, IndexLookupsWorkAfterPruning) {
   EXPECT_EQ(store.CodesFor(4)[1], ValidationCode::kMvccReadConflict);
 }
 
+TEST(BlockStore, SharedLogKeepsWhatItsSlowestViewReads) {
+  auto log = std::make_shared<BlockLog>();
+  BlockStore leader;
+  BlockStore follower;
+  leader.SetRetention(2);
+  follower.SetRetention(2);
+  leader.Share(log);
+  follower.Share(log);
+  std::vector<proto::BlockPtr> blocks;
+  for (std::uint64_t n = 0; n < 6; ++n) {
+    const std::string id = "t" + std::to_string(n);
+    blocks.push_back(MakeBlock(n, nullptr, {TxRW(id, {}, {"k"})}));
+    leader.Append(blocks.back(), {ValidationCode::kValid});
+  }
+  follower.Append(blocks[0], {ValidationCode::kValid});
+  follower.Append(blocks[1], {ValidationCode::kValid});
+  // The follower's window is blocks 0-1, so the log still holds all six,
+  // and each view sees only its own window.
+  EXPECT_EQ(log->ResidentBlocks(), 6u);
+  EXPECT_EQ(log->IndexedTransactions(), 6u);
+  EXPECT_TRUE(follower.HasTransaction("t0"));
+  EXPECT_FALSE(follower.HasTransaction("t2"));
+  EXPECT_FALSE(leader.HasTransaction("t0"));
+  EXPECT_TRUE(leader.HasTransaction("t5"));
+
+  // Following advances the window and releases the blocks behind it.
+  for (std::uint64_t n = 2; n < 5; ++n) {
+    follower.Append(blocks[n], {ValidationCode::kValid});
+  }
+  EXPECT_TRUE(follower.Shared());
+  EXPECT_EQ(follower.GetBlock(4), blocks[4]);
+  EXPECT_EQ(log->ResidentBlocks(), 3u);  // blocks 3-5
+  EXPECT_EQ(log->IndexedTransactions(), 3u);
+
+  // Other codes at its height move the follower onto a private copy of its
+  // window; the shared log then serves the leader alone.
+  follower.Append(blocks[5], {ValidationCode::kMvccReadConflict});
+  EXPECT_FALSE(follower.Shared());
+  EXPECT_FALSE(leader.Shared());
+  EXPECT_EQ(follower.CodesFor(5)[0], ValidationCode::kMvccReadConflict);
+  EXPECT_EQ(leader.CodesFor(5)[0], ValidationCode::kValid);
+  EXPECT_EQ(follower.GetBlock(4), blocks[4]);
+  EXPECT_TRUE(follower.HasTransaction("t4"));
+  EXPECT_EQ(log->ResidentBlocks(), 2u);  // the leader's window, blocks 4-5
+}
+
+TEST(BlockStore, ViewFollowsAnEqualBlockFromAnotherOrderer) {
+  // Each OSN assembles its own copy of a block; a copy with the same
+  // header, payload and size follows the logged one.
+  auto log = std::make_shared<BlockLog>();
+  BlockStore a;
+  BlockStore b;
+  a.Share(log);
+  b.Share(log);
+  const auto block = MakeBlock(0, nullptr, {TxRW("t", {}, {"k"})});
+  a.Append(block, {ValidationCode::kValid});
+  b.Append(std::make_shared<proto::Block>(*block), {ValidationCode::kValid});
+  EXPECT_TRUE(b.Shared());
+  EXPECT_EQ(b.GetBlock(0), block);
+  EXPECT_EQ(log->ResidentBlocks(), 1u);
+}
+
 // ------------------------------------------------------------- Blockchain
 
 TEST(Blockchain, AppendsLinkedBlocks) {

@@ -76,7 +76,7 @@ struct CommitterFixture {
   std::vector<proto::ValidationCode> Commit(proto::BlockPtr block) {
     std::vector<proto::ValidationCode> out;
     committer->OnBlock(std::move(block), [&](const CommittedBlock& cb) {
-      out = cb.codes;
+      out = *cb.codes;
     });
     env.Sched().RunUntil(env.Now() + sim::FromSeconds(5));
     return out;
@@ -302,7 +302,7 @@ struct SharedFixture : CommitterFixture {
                                               proto::BlockPtr block) {
     std::vector<proto::ValidationCode> out;
     c.OnBlock(std::move(block), [&](const CommittedBlock& cb) {
-      out = cb.codes;
+      out = *cb.codes;
     });
     env.Sched().RunUntil(env.Now() + sim::FromSeconds(5));
     return out;

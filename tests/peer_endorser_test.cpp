@@ -149,6 +149,39 @@ TEST(Endorser, RejectsReplayedCommittedTx) {
   EXPECT_EQ(resp.payload.status, proto::EndorseStatus::kDuplicateTxId);
 }
 
+TEST(Endorser, LaggingPeerAcceptsAnIdCommittedOnlyAboveItsHeight) {
+  // The endorser's store shares its block log with a peer that is two
+  // blocks ahead; the proposal's id is committed only in the leader's
+  // newest block, so the lagging peer has not seen it yet.
+  EndorserFixture f;
+  const auto sp = f.MakeProposal("kvwrite", "write", {"k", "v"});
+  auto log = std::make_shared<ledger::BlockLog>();
+  ledger::BlockStore leader;
+  leader.Share(log);
+  f.store.Share(log);
+  std::vector<proto::BlockPtr> blocks;
+  for (std::uint64_t n = 0; n < 3; ++n) {
+    proto::TransactionEnvelope env;
+    env.tx_id = n == 2 ? sp.proposal.tx_id : "other" + std::to_string(n);
+    blocks.push_back(std::make_shared<proto::Block>(
+        proto::Block::Make(n, nullptr, {env})));
+    leader.Append(blocks.back());
+  }
+  f.store.Append(blocks[0]);
+  EXPECT_EQ(log->ResidentBlocks(), 3u);
+  EXPECT_TRUE(leader.HasTransaction(sp.proposal.tx_id));
+  EXPECT_FALSE(f.store.HasTransaction(sp.proposal.tx_id));
+  EXPECT_EQ(f.endorser->Process(sp).payload.status,
+            proto::EndorseStatus::kSuccess);
+
+  // Once the lagging peer commits the block too, the id is a duplicate.
+  f.store.Append(blocks[1]);
+  f.store.Append(blocks[2]);
+  EXPECT_TRUE(f.store.Shared());
+  EXPECT_EQ(f.endorser->Process(sp).payload.status,
+            proto::EndorseStatus::kDuplicateTxId);
+}
+
 TEST(Endorser, RejectsUnknownChaincode) {
   EndorserFixture f;
   const auto resp =

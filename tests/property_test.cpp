@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ledger/block_store.h"
 #include "ledger/state_db.h"
@@ -573,6 +576,114 @@ TEST(LedgerProperty, BlockStoreFindsTheNewestResidentOccurrence) {
         if (got) {
           EXPECT_EQ(got->block_num, expect->block_num);
           EXPECT_EQ(got->tx_index, expect->tx_index);
+        }
+      }
+    }
+  }
+}
+
+// Views of one shared block log answer every query exactly as a private
+// store that was handed the same blocks and codes. Views lead or follow the
+// channel's canonical blocks, fork onto private logs (another block or
+// other codes at their height, or an explicit Unshare), join late, and
+// leave; the ids repeat, so resubmitted ids sit at several heights.
+TEST(LedgerProperty, BlockStoreViewsAnswerAsPrivateStores) {
+  constexpr std::uint64_t kPool = 16;
+  constexpr std::size_t kMaxViews = 5;
+  const std::uint64_t kKeeps[] = {0, 1, 2, 3, 7};
+  sim::Rng rng(2027);
+  auto random_ids = [&] {
+    std::vector<std::string> ids(rng.NextBelow(5));
+    for (auto& id : ids) id = "tx-" + std::to_string(rng.NextBelow(kPool));
+    return ids;
+  };
+  auto random_codes = [&](std::size_t n) {
+    std::vector<proto::ValidationCode> codes(n);
+    for (auto& c : codes) {
+      c = rng.NextBelow(4) == 0 ? proto::ValidationCode::kMvccReadConflict
+                                : proto::ValidationCode::kValid;
+    }
+    return codes;
+  };
+
+  for (int trial = 0; trial < 20; ++trial) {
+    auto log = std::make_shared<ledger::BlockLog>();
+    // The channel's canonical blocks and codes, extended by whichever view
+    // first reaches a height.
+    std::vector<proto::BlockPtr> canon;
+    std::vector<std::vector<proto::ValidationCode>> canon_codes;
+    struct View {
+      std::unique_ptr<ledger::BlockStore> store;
+      std::unique_ptr<ledger::BlockStore> reference;
+    };
+    std::vector<View> views;
+    auto attach = [&] {
+      View v{std::make_unique<ledger::BlockStore>(),
+             std::make_unique<ledger::BlockStore>()};
+      const std::uint64_t keep = kKeeps[rng.NextBelow(std::size(kKeeps))];
+      v.store->SetRetention(keep);
+      v.reference->SetRetention(keep);
+      v.store->Share(log);
+      views.push_back(std::move(v));
+    };
+    attach();
+    attach();
+
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t action = rng.NextBelow(100);
+      if (action < 4 && views.size() < kMaxViews) {
+        attach();
+      } else if (action < 6 && views.size() > 1) {
+        views.erase(views.begin() +
+                    static_cast<std::ptrdiff_t>(rng.NextBelow(views.size())));
+      } else if (action < 8) {
+        views[rng.NextBelow(views.size())].store->Unshare();
+      } else {
+        View& v = views[rng.NextBelow(views.size())];
+        const std::uint64_t h = v.store->Height();
+        if (h == canon.size()) {
+          canon.push_back(BlockOfIds(h, random_ids()));
+          canon_codes.push_back(random_codes(canon.back()->TxCount()));
+        }
+        proto::BlockPtr block = canon[h];
+        std::vector<proto::ValidationCode> codes = canon_codes[h];
+        if (action < 11) {
+          block = BlockOfIds(h, random_ids());  // an equivocated block
+          codes = random_codes(block->TxCount());
+        } else if (action < 13 && !codes.empty()) {
+          codes[0] = proto::ValidationCode::kDuplicateTxId;  // other codes
+        }
+        v.store->Append(block, codes);
+        v.reference->Append(block, codes);
+      }
+
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        const ledger::BlockStore& got = *views[i].store;
+        const ledger::BlockStore& want = *views[i].reference;
+        const std::string where =
+            "trial " + std::to_string(trial) + " step " +
+            std::to_string(step) + " view " + std::to_string(i);
+        ASSERT_EQ(got.Height(), want.Height()) << where;
+        ASSERT_EQ(got.FirstBlockNumber(), want.FirstBlockNumber()) << where;
+        ASSERT_EQ(got.ResidentBlocks(), want.ResidentBlocks()) << where;
+        ASSERT_EQ(got.TxCount(), want.TxCount()) << where;
+        ASSERT_EQ(got.StoredBytes(), want.StoredBytes()) << where;
+        ASSERT_EQ(got.LastBlock(), want.LastBlock()) << where;
+        for (std::uint64_t n = 0; n <= want.Height(); ++n) {
+          ASSERT_EQ(got.GetBlock(n), want.GetBlock(n)) << where << " #" << n;
+          ASSERT_EQ(got.CodesFor(n), want.CodesFor(n)) << where << " #" << n;
+        }
+        for (std::uint64_t p = 0; p < kPool; ++p) {
+          const std::string id = "tx-" + std::to_string(p);
+          ASSERT_EQ(got.HasTransaction(id), want.HasTransaction(id))
+              << where << " " << id;
+          const auto a = got.FindTransaction(id);
+          const auto b = want.FindTransaction(id);
+          ASSERT_EQ(a.has_value(), b.has_value()) << where << " " << id;
+          if (a) {
+            EXPECT_EQ(a->block_num, b->block_num) << where << " " << id;
+            EXPECT_EQ(a->tx_index, b->tx_index) << where << " " << id;
+          }
         }
       }
     }
