@@ -50,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "alloc_counter.h"
 #include "bench/recorder.h"
 #include "fabric/experiment.h"
 #include "metrics/registry.h"
@@ -199,7 +198,6 @@ class Sweep {
     options.jobs = args_.jobs;
     options.reps = args_.reps;
     options.attribution = args_.attribution;
-    options.thread_allocations = &fabricsim::bench::ThreadAllocations;
     std::vector<fabricsim::runner::PointOutcome> outcomes =
         fabricsim::runner::RunSweep(std::move(points_), options);
     points_.clear();
@@ -215,7 +213,6 @@ class Sweep {
       fabricsim::bench::HostSample host;
       host.wall_s = std::move(outcome.wall_s);
       host.sched_events = outcome.result.sched_events;
-      host.allocs = outcome.allocs;
       RecorderSlot()->AddPoint(outcome.label, outcome.result, host);
       if (outcome.result.attribution) {
         std::cout << "attribution @ " << outcome.label << ":\n";

@@ -128,7 +128,7 @@ void CheckCost(const Json& base, const Json& cur, const std::string& key,
   if (c > b * (1.0 + tol)) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "host regression: %s %.10g -> %.10g (+%.2f%%, tolerance %g%%)",
+                  "host regression: %s %.4g -> %.4g (+%.1f%%, tolerance %.0f%%)",
                   key.c_str(), b, c, (c / b - 1.0) * 100.0, tol * 100.0);
     Fail(report, path, buf);
   }
@@ -147,18 +147,6 @@ void CheckRate(const Json& base, const Json& cur, const std::string& key,
                   key.c_str(), b, c, (1.0 - c / b) * 100.0, tol * 100.0);
     Fail(report, path, buf);
   }
-}
-
-/// Allocation count: compared only between points built by one toolchain.
-void CheckAllocs(const Json& base, const Json& cur, double tol,
-                 const std::string& path, DiffReport* report) {
-  const Json* b = base.Find("toolchain");
-  const Json* c = cur.Find("toolchain");
-  if (b == nullptr || c == nullptr || !b->IsString() || !c->IsString() ||
-      b->AsString() != c->AsString()) {
-    return;
-  }
-  CheckCost(base, cur, "allocs", tol, path, report);
 }
 
 const Json* Require(const Json& doc, const std::string& key,
@@ -248,7 +236,6 @@ DiffReport CompareBenchJson(const Json& baseline, const Json& current,
                   &report);
         CheckRate(*bhost, *chost, "events_per_sec", options.host_tol, path,
                   &report);
-        CheckAllocs(*bhost, *chost, options.alloc_tol, path, &report);
       }
     }
   }

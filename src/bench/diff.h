@@ -5,10 +5,7 @@
 //     slightest drift is a correctness change and fails the diff;
 //   - "host" metrics (wall clock, events/sec, peak RSS) wobble with the
 //     machine, so only a regression beyond a relative tolerance fails, and
-//     improvements never do;
-//   - a point's heap-allocation count ("host.allocs") does not wobble: for
-//     one toolchain it is deterministic, so it is gated with a narrow
-//     margin, and only when both points name the same "host.toolchain".
+//     improvements never do.
 #pragma once
 
 #include <string>
@@ -23,8 +20,6 @@ struct DiffOptions {
   double host_tol = 0.15;
   /// Relative tolerance for peak-RSS growth (allocator noise is coarser).
   double rss_tol = 0.30;
-  /// Relative margin for a point's heap-allocation count.
-  double alloc_tol = 0.005;
   /// False skips host metrics entirely (simulated-only comparison).
   bool check_host = true;
 };

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <string>
 
 namespace fabricsim::bench {
 
@@ -92,22 +91,6 @@ MeanStddev Summarize(const std::vector<double>& xs) {
   return out;
 }
 
-std::string ToolchainId() {
-#if defined(__clang__)
-  std::string id = "clang " __clang_version__;
-#elif defined(__GNUC__)
-  std::string id = "gcc " __VERSION__;
-#else
-  std::string id = "unknown compiler";
-#endif
-#if defined(__GLIBCXX__)
-  id += ", libstdc++ " + std::to_string(__GLIBCXX__);
-#elif defined(_LIBCPP_VERSION)
-  id += ", libc++ " + std::to_string(_LIBCPP_VERSION);
-#endif
-  return id;
-}
-
 std::uint64_t PeakRssKb() {
   struct rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
@@ -137,15 +120,6 @@ void Recorder::AddPoint(const std::string& label,
       Json(wall.mean > 0.0
                ? static_cast<double>(host.sched_events) / wall.mean
                : 0.0);
-  if (host.allocs) {
-    h["allocs"] = Json(*host.allocs);
-    h["allocs_per_tx"] =
-        Json(result.report.submitted > 0
-                 ? static_cast<double>(*host.allocs) /
-                       static_cast<double>(result.report.submitted)
-                 : 0.0);
-    h["toolchain"] = Json(ToolchainId());
-  }
   if (result.profile) h["profile"] = ProfileJson(*result.profile);
   point["host"] = std::move(h);
   points_.push_back(std::move(point));

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,14 +24,7 @@ namespace fabricsim::bench {
 struct HostSample {
   std::vector<double> wall_s;
   std::uint64_t sched_events = 0;  // per repetition (identical across reps)
-  /// Heap allocations of one repetition, when the binary counts them.
-  std::optional<std::uint64_t> allocs;
 };
-
-/// The compiler and standard library this binary was built with. Heap
-/// allocation counts are deterministic for one toolchain, so bench_diff
-/// gates them only between points recorded with the same one.
-std::string ToolchainId();
 
 /// Mean and (population) standard deviation of `xs`; {0, 0} when empty.
 struct MeanStddev {
@@ -69,9 +61,7 @@ class Recorder {
   /// bench (config encoded, e.g. "Solo/AND5@250") and must be unique.
   /// A profiled result additionally emits "host.profile" (events/sec plus
   /// the top-10 handler table) — under "host" because the timings wobble
-  /// with the machine, and bench_diff only checks host keys it knows. A
-  /// counted sample emits "host.allocs", "host.allocs_per_tx" (per
-  /// submitted transaction) and "host.toolchain".
+  /// with the machine, and bench_diff only checks host keys it knows.
   void AddPoint(const std::string& label,
                 const fabric::ExperimentResult& result,
                 const HostSample& host);

@@ -118,7 +118,6 @@ void FabricNetwork::BuildPeers() {
       peer.SetPolicy(id, "token", policy_);
       peer.SetPolicy(id, "smallbank", policy_);
       peer.GetCommitter(id).ShareState(states[index]);
-      peer.GetCommitter(id).InstallGenesis(genesis_[index]);
     }
   };
 
@@ -151,6 +150,15 @@ void FabricNetwork::BuildPeers() {
         options_.calibration, ChannelId(0), tracker,
         /*endorsing=*/false, endorsing_count_ + i));
     setup_channels(*peers_.back());
+  }
+  // Genesis goes in once every peer shares its channel's state, so the
+  // verdict the first peer records for it is still held when the last one
+  // follows it.
+  for (auto& p : peers_) {
+    for (int c = 0; c < options_.channels; ++c) {
+      p->GetCommitter(ChannelId(c))
+          .InstallGenesis(genesis_[static_cast<std::size_t>(c)]);
+    }
   }
 }
 

@@ -20,20 +20,6 @@ CodesPtr ShareCodes(std::vector<proto::ValidationCode> codes) {
 
 // --- BlockLog ---------------------------------------------------------------
 
-bool BlockLog::Holds(std::uint64_t number, const proto::Block& block,
-                     const std::vector<proto::ValidationCode>& codes,
-                     std::size_t wire_size) const {
-  if (number < first_ || number >= Height()) return false;
-  const Entry& e = At(number);
-  // The same header and data hash mean the same transactions; the same
-  // wire size keeps every byte count a reader derives from the block.
-  return (e.block.get() == &block ||
-          (e.block->header == block.header &&
-           e.block->DataHash() == block.DataHash() &&
-           e.wire_size == wire_size)) &&
-         *e.codes == codes;
-}
-
 void BlockLog::Push(Entry entry) {
   const auto num_lo = static_cast<std::uint32_t>(Height());
   entries_.push_back(std::move(entry));
@@ -120,16 +106,22 @@ void BlockStore::Fork() {
 
 void BlockStore::Append(proto::BlockPtr block,
                         std::vector<proto::ValidationCode> codes) {
+  if (log_->Height() != height_) Fork();
   const std::size_t wire_size = block->WireSize();
-  total_txs_ += block->transactions.size();
-  stored_bytes_ += wire_size;
-  if (log_->Height() != height_ &&
-      !log_->Holds(height_, *block, codes, wire_size)) {
-    Fork();  // the log holds a different block at this height
-  }
-  if (log_->Height() == height_) {
-    log_->Push({std::move(block), ShareCodes(std::move(codes)), wire_size});
-  }
+  log_->Push({std::move(block), ShareCodes(std::move(codes)), wire_size});
+  Advance();
+}
+
+bool BlockStore::Follow() {
+  if (height_ < log_->first_ || height_ >= log_->Height()) return false;
+  Advance();
+  return true;
+}
+
+void BlockStore::Advance() {
+  const BlockLog::Entry& entry = log_->At(height_);
+  total_txs_ += entry.block->transactions.size();
+  stored_bytes_ += entry.wire_size;
   ++height_;
   if (keep_blocks_ > 0 && height_ - first_ > keep_blocks_) {
     first_ = height_ - keep_blocks_;

@@ -22,10 +22,11 @@
 // a private log. The stores of the peers of one channel can share one log
 // (Share): every honest peer commits the same blocks with the same codes,
 // so the first view to reach a height appends the block to the log, and a
-// view that arrives later with the same block and codes only advances. A
-// view that appends anything else continues on a private log holding a
-// copy of its window (Unshare). The log drops a block only when it lies
-// below every attached view's window.
+// view that arrives later only advances over it (Follow). The store never
+// compares blocks: its owner (peer::Committer) decides whether it follows
+// the logged block, and moves a view that diverges onto a private log
+// holding a copy of its window (Unshare). The log drops a block only when
+// it lies below every attached view's window.
 //
 // Stored blocks are immutable: BlockPtr is shared_ptr<const Block>, and no
 // holder may edit a block (or swap its envelopes) after Append. The tx-id
@@ -99,11 +100,6 @@ class BlockLog {
   [[nodiscard]] const std::string& IdAt(TxSlot slot) const {
     return At(BlockOf(slot)).block->transactions[slot.tx_index].tx_id;
   }
-  /// True if the log holds block `number` and it is `block` (same header,
-  /// data hash and wire size) with `codes`.
-  [[nodiscard]] bool Holds(std::uint64_t number, const proto::Block& block,
-                           const std::vector<proto::ValidationCode>& codes,
-                           std::size_t wire_size) const;
   void Push(Entry entry);
   [[nodiscard]] ViewId Join(std::uint64_t first);
   /// Moves a view's window start, then drops what no view can read.
@@ -129,9 +125,15 @@ class BlockStore {
   /// committer fills the metadata; storing the codes beside the shared
   /// immutable block avoids deep-copying it on every peer). The caller
   /// (Blockchain) is responsible for chain integrity; the store only
-  /// indexes.
+  /// indexes. A view behind its shared log's head cannot write there, so it
+  /// continues on a private copy of its window first.
   void Append(proto::BlockPtr block,
               std::vector<proto::ValidationCode> codes = {});
+
+  /// Advances this view over the block its log holds at Height(): the
+  /// caller has established that it is the block, with the codes, it would
+  /// append. False, changing nothing, when the log holds no block there.
+  bool Follow();
 
   /// Keeps only the newest `keep_blocks` blocks in memory (0 = keep all,
   /// the default). Takes effect on the next Append.
@@ -190,6 +192,8 @@ class BlockStore {
  private:
   /// Moves this view onto a private log holding a copy of its window.
   void Fork();
+  /// Counts the logged block at Height() into this view and moves past it.
+  void Advance();
   [[nodiscard]] bool Resident(std::uint64_t number) const {
     return number >= first_ && number < height_;
   }

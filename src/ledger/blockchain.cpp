@@ -33,6 +33,10 @@ bool Blockchain::Append(proto::BlockPtr block,
   return true;
 }
 
+bool Blockchain::Follow(const proto::Block& block) {
+  return ValidateLinkage(block) && store_.Follow();
+}
+
 ChainCheck Blockchain::Audit() const {
   ChainCheck out;
   crypto::Digest prev{};

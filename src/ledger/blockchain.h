@@ -26,6 +26,13 @@ class Blockchain {
   bool Append(proto::BlockPtr block,
               std::vector<proto::ValidationCode> codes = {});
 
+  /// Validates `block`'s linkage and advances over the block the store's
+  /// shared log holds at this height, which the caller has established is
+  /// `block` with the codes it would store (see BlockStore::Follow).
+  /// Returns false (and stores nothing) if linkage is wrong or the log
+  /// holds no block there.
+  bool Follow(const proto::Block& block);
+
   [[nodiscard]] std::uint64_t Height() const { return store_.Height(); }
   [[nodiscard]] const BlockStore& Store() const { return store_; }
   [[nodiscard]] BlockStore& MutableStore() { return store_; }

@@ -169,13 +169,20 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
 }
 
 void Committer::InstallGenesis(proto::BlockPtr genesis) {
-  if (chain_.Height() != 0 || !chain_.Append(std::move(genesis), {})) {
-    return;  // already bootstrapped
+  if (chain_.Height() != 0) return;  // already bootstrapped
+  // Led or followed like every later height (see SerialCommit).
+  const bool leading = FollowedVerdict(*genesis, {}) == nullptr;
+  if (!(leading ? chain_.Append(genesis, {}) : chain_.Follow(*genesis))) {
+    return;
   }
   if (shared_ == nullptr) {
     state_.SetHeight(1);
   } else {
-    if (shared_->state.Height() == 0) shared_->state.SetHeight(1);
+    if (leading) {
+      shared_->state.SetHeight(1);
+      shared_->Record(0, {genesis->header.Hash(), {}, 0,
+                          chain_.Store().Retention(), genesis->WireSize()});
+    }
     AdvanceCursor();
   }
   next_commit_ = 1;
@@ -409,46 +416,54 @@ std::uint64_t Committer::ScreenDuplicates(
   return flagged;
 }
 
-const ChannelState::Verdict* Committer::MatchingVerdict(
-    const PendingBlock& pb) const {
-  const ChannelState::Verdict* v = shared_->VerdictAt(next_commit_);
-  if (v == nullptr || v->vscc_codes != pb.vscc_codes ||
-      v->retention != chain_.Store().Retention() ||
-      v->block_hash != pb.block->header.Hash()) {
-    return nullptr;
+const ChannelState::Verdict* Committer::FollowedVerdict(
+    const proto::Block& block,
+    const std::vector<proto::ValidationCode>& vscc_codes) {
+  if (shared_ == nullptr || shared_->state.Height() == next_commit_) {
+    return nullptr;  // private, or the first committer at this height
   }
-  return v;
+  const ChannelState::Verdict* v = shared_->VerdictAt(next_commit_);
+  if (v != nullptr && v->vscc_codes == vscc_codes &&
+      v->retention == chain_.Store().Retention() &&
+      v->block_hash == block.header.Hash() &&
+      v->wire_size == block.WireSize()) {
+    return v;
+  }
+  DetachState();
+  return nullptr;
 }
 
 void Committer::SerialCommit(PendingBlock pb) {
   // With a shared state, the first committer at a height leads it; one
   // that arrives after the head moved on follows the leader's verdict, or
   // detaches when its block or VSCC verdicts differ.
-  std::vector<proto::ValidationCode> codes;
-  std::uint64_t duplicates = 0;
-  bool leading = true;
-  if (shared_ != nullptr && shared_->state.Height() != next_commit_) {
-    if (const ChannelState::Verdict* v = MatchingVerdict(pb)) {
-      codes = *v->codes;
-      duplicates = v->duplicates;
-      leading = false;
-    } else {
-      DetachState();
-    }
-  }
+  const ChannelState::Verdict* followed =
+      FollowedVerdict(*pb.block, pb.vscc_codes);
+  const bool leading = followed == nullptr;
+  bool linked = false;
   if (leading) {
-    codes = pb.vscc_codes;
-    duplicates = ScreenDuplicates(*pb.block, codes);
+    std::vector<proto::ValidationCode> codes = pb.vscc_codes;
+    const std::uint64_t duplicates = ScreenDuplicates(*pb.block, codes);
+    duplicate_tx_rejects_ += duplicates;
     // MVCC with the VSCC verdicts folded in.
     codes = ledger::MvccValidator::Validate(*pb.block, Db(), &codes).codes;
+    // The validation codes are stored beside the shared immutable block
+    // (equivalent to Fabric filling the block metadata before the write,
+    // without deep-copying the block on every peer).
+    linked = chain_.Append(pb.block, std::move(codes));
+    if (linked && shared_ != nullptr) {
+      shared_->Record(next_commit_,
+                      {pb.block->header.Hash(), std::move(pb.vscc_codes),
+                       duplicates, chain_.Store().Retention(),
+                       pb.block->WireSize()});
+    }
+  } else {
+    // The follower's chain advances over the leader's logged block and
+    // codes, which the verdict vouches are this block's.
+    duplicate_tx_rejects_ += followed->duplicates;
+    linked = chain_.Follow(*pb.block);
   }
-  duplicate_tx_rejects_ += duplicates;
-
-  // The validation codes are stored beside the shared immutable block
-  // (equivalent to Fabric filling the block metadata before the write,
-  // without deep-copying the block on every peer). A follower's chain
-  // finds the same block and codes in the channel's log and only advances.
-  if (!chain_.Append(pb.block, std::move(codes))) {
+  if (!linked) {
     // Linkage failure — an orderer bug or a tampered stream that slipped
     // the structural checks. Counted (never silently discarded: the
     // invariant oracle flags any unexplained reject) and left uncommitted,
@@ -463,14 +478,7 @@ void Committer::SerialCommit(PendingBlock pb) {
   const ledger::CodesPtr stored = chain_.Store().SharedCodesFor(next_commit_);
   // Advance first: the leader's own cursor must not hold back its write.
   if (shared_ != nullptr) AdvanceCursor();
-  if (leading) {
-    ledger::MvccValidator::Commit(*pb.block, *stored, Db());
-    if (shared_ != nullptr) {
-      shared_->Record(next_commit_,
-                      {pb.block->header.Hash(), std::move(pb.vscc_codes),
-                       stored, duplicates, chain_.Store().Retention()});
-    }
-  }
+  if (leading) ledger::MvccValidator::Commit(*pb.block, *stored, Db());
 
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
     const proto::ValidationCode code = (*stored)[i];

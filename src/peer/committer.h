@@ -49,9 +49,12 @@ struct ChannelState {
   struct Verdict {
     crypto::Digest block_hash{};
     std::vector<proto::ValidationCode> vscc_codes;
-    ledger::CodesPtr codes;        // final, as stored in the log
     std::uint64_t duplicates = 0;  // kDuplicateTxId flags
     std::uint64_t retention = 0;   // the leader's ledger retention
+    // Each orderer signs its own copy of a block: the same header hash can
+    // come with other metadata. The same size keeps every byte count a
+    // follower derives from the logged block its own.
+    std::size_t wire_size = 0;
   };
 
   /// The verdict of height `h`, while some committer is still below it.
@@ -124,10 +127,12 @@ class Committer {
   /// Commits against `shared`, the channel's one world state and block
   /// log, instead of private ones. Each block is then either led (validated
   /// and written here, appended to the log, its verdict recorded) or
-  /// followed (the recorded verdict reused when this committer's block hash
-  /// and VSCC codes match it; no dedup screen, MVCC, state write or log
-  /// append: the chain only advances its height). Simulated costs are
-  /// charged as before. Ignored once the channel has committed a block.
+  /// followed (the recorded verdict reused when this committer's block hash,
+  /// block size and VSCC codes match it; no dedup screen, MVCC, state write
+  /// or log append: the chain only advances its height). Genesis is led or
+  /// followed the same way, so share before any committer installs it.
+  /// Simulated costs are charged as before. Ignored once the channel has
+  /// committed a block.
   void ShareState(std::shared_ptr<ChannelState> shared);
 
   /// Leaves the shared state and log for private copies as of this
@@ -309,10 +314,14 @@ class Committer {
   /// how many it flagged.
   std::uint64_t ScreenDuplicates(const proto::Block& block,
                                  std::vector<proto::ValidationCode>& codes);
-  /// The channel's verdict for `pb`'s height, if it matches what this
-  /// committer would validate; nullptr otherwise.
-  [[nodiscard]] const ChannelState::Verdict* MatchingVerdict(
-      const PendingBlock& pb) const;
+  /// The one lead-or-follow decision of a shared committer, for `block`
+  /// at its height: the channel's verdict when the block (header hash and
+  /// wire size) and VSCC codes match it, so this committer follows it.
+  /// nullptr when it leads: it is private, or the first at this height, or
+  /// it found a verdict it does not match and detached.
+  [[nodiscard]] const ChannelState::Verdict* FollowedVerdict(
+      const proto::Block& block,
+      const std::vector<proto::ValidationCode>& vscc_codes);
   void AdvanceCursor();
   [[nodiscard]] ledger::StateDb& Db() {
     return shared_ != nullptr ? shared_->state : state_;

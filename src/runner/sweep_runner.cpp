@@ -14,26 +14,23 @@ PointOutcome RunPointOnce(const SweepPoint& point,
                           const SweepOptions& options) {
   using Clock = std::chrono::steady_clock;
 
+  // The tracer must outlive the runs it observes; the attribution itself is
+  // captured by value into the result before the tracer dies.
   fabric::ExperimentConfig config = point.config;
+  std::optional<obs::Tracer> tracer;
+  if (options.attribution) {
+    tracer.emplace();
+    config.network.tracer = &*tracer;
+  }
+
   PointOutcome out;
   out.label = point.label;
   std::optional<fabric::ExperimentResult> result;
   const int total_runs = options.reps > 1 ? options.reps + 1 : 1;
   for (int rep = 0; rep < total_runs; ++rep) {
-    // A fresh tracer per repetition, so each one observes only its own run
-    // (and allocates what a single run does). The attribution is captured
-    // by value into the result before the tracer dies.
-    std::optional<obs::Tracer> tracer;
-    if (options.attribution) {
-      tracer.emplace();
-      config.network.tracer = &*tracer;
-    }
-    const auto count = options.thread_allocations;
-    const std::uint64_t allocs_before = count != nullptr ? count() : 0;
     const auto t0 = Clock::now();
     fabric::ExperimentResult r = fabric::RunExperiment(config);
     const std::chrono::duration<double> wall = Clock::now() - t0;
-    if (count != nullptr) out.allocs = count() - allocs_before;
     const bool warmup_rep = options.reps > 1 && rep == 0;
     if (!warmup_rep) out.wall_s.push_back(wall.count());
     if (result && r.chain_head_hex != result->chain_head_hex) {

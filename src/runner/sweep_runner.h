@@ -16,8 +16,6 @@
 // (envelopes, blocks, identity registries, caches, counters) it owns.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,10 +43,6 @@ struct SweepOptions {
   /// Attach a fresh obs::Tracer per point and capture the per-phase
   /// bottleneck attribution into the result.
   bool attribution = false;
-  /// Heap allocations so far on the calling thread, when the binary links
-  /// a counting operator new (the bench binaries do: bench/alloc_counter.h);
-  /// null skips the count.
-  std::uint64_t (*thread_allocations)() = nullptr;
 };
 
 /// What one point produced.
@@ -57,8 +51,6 @@ struct PointOutcome {
   fabric::ExperimentResult result;  // from the last repetition
   /// Host wall clock per kept repetition (warm-up already discarded).
   std::vector<double> wall_s;
-  /// Heap allocations of the last repetition, when counted.
-  std::optional<std::uint64_t> allocs;
   /// False when repetitions disagreed on the chain head — a determinism
   /// violation; `mismatch` holds a printable description.
   bool deterministic = true;

@@ -1,20 +1,21 @@
 // Heap-allocation budgets of the per-transaction hot paths.
 //
-// This executable links the bench binaries' counting operator new/delete
-// (bench/alloc_counter.h), so each test can assert how many allocations a
-// code path makes: none for policy evaluation, scheduling and dispatching
-// an event, a CPU job, or the digest and wire size of a message; exactly
-// one for Serialize(); and, end to end, at most a fixed number per terminal
+// This executable replaces the global operator new/delete with counting
+// versions, so each test can assert how many allocations a code path makes:
+// none for policy evaluation, scheduling and dispatching an event, a CPU
+// job, or the digest and wire size of a message; exactly one for
+// Serialize(); and, end to end, at most a fixed number per terminal
 // transaction for a short run of two perfbench workload configurations.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "alloc_counter.h"
 #include "fabric/experiment.h"
 #include "policy/evaluator.h"
 #include "policy/policy.h"
@@ -23,15 +24,63 @@
 #include "sim/cpu.h"
 #include "sim/scheduler.h"
 
+namespace {
+
+std::uint64_t g_allocations = 0;
+
+void* CountedAlloc(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
+  ++g_allocations;
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedAlignedAlloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return CountedAlignedAlloc(n, a);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
 namespace fabricsim {
 namespace {
 
 // Allocations made while `fn` runs.
 template <typename F>
 std::uint64_t AllocationsIn(F&& fn) {
-  const std::uint64_t before = bench::ThreadAllocations();
+  const std::uint64_t before = g_allocations;
   fn();
-  return bench::ThreadAllocations() - before;
+  return g_allocations - before;
 }
 
 crypto::Principal OrgPeer(int org) {
@@ -187,11 +236,11 @@ double AllocationsPerTx(fabric::OrderingType ordering, int and_x,
   return per_tx;
 }
 
-// Budgets: the count measured when they were set (49.3 and 112.7, with the
+// Budgets: the count measured when they were set (49.2 and 112.6, with the
 // peers of a channel sharing one world state, seeded once, and one block
 // log, and commit events sharing the committed block), plus 10%.
-constexpr double kOrRaftFreshBudget = 54.2;
-constexpr double kAnd5KafkaBudget = 124.0;
+constexpr double kOrRaftFreshBudget = 54.1;
+constexpr double kAnd5KafkaBudget = 123.9;
 
 TEST(AllocBudget, OrRaftFreshRunStaysWithinBudget) {
   EXPECT_LE(AllocationsPerTx(fabric::OrderingType::kRaft, 0, 300),

@@ -202,47 +202,6 @@ TEST(BenchDiff, IgnoreHostSkipsHostChecksOnly) {
   EXPECT_FALSE(CompareBenchJson(base, cur, options).Ok());
 }
 
-/// Stamps an allocation count and toolchain on point `i`.
-void SetAllocs(Json& doc, int i, double allocs, const char* toolchain) {
-  Point(doc, i)["host"]["allocs"] = allocs;
-  Point(doc, i)["host"]["toolchain"] = toolchain;
-}
-
-TEST(BenchDiff, AllocRiseBeyondMarginFailsOnTheSameToolchain) {
-  Json base = Doc();
-  Json cur = Doc();
-  SetAllocs(base, 0, 1e6, "gcc 12");
-  SetAllocs(cur, 0, 1e6 * 1.01, "gcc 12");  // +1% > 0.5%
-  const auto report = CompareBenchJson(base, cur, DiffOptions{});
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_NE(report.failures[0].find("allocs"), std::string::npos);
-  EXPECT_NE(report.failures[0].find("Solo/OR@150"), std::string::npos);
-  DiffOptions ignore_host;
-  ignore_host.check_host = false;
-  EXPECT_TRUE(CompareBenchJson(base, cur, ignore_host).Ok());
-}
-
-TEST(BenchDiff, AllocWithinMarginOrFallingPasses) {
-  Json base = Doc();
-  Json cur = Doc();
-  SetAllocs(base, 0, 1e6, "gcc 12");
-  SetAllocs(cur, 0, 1e6 * 1.004, "gcc 12");  // +0.4% < 0.5%
-  SetAllocs(base, 1, 1e6, "gcc 12");
-  SetAllocs(cur, 1, 5e5, "gcc 12");  // halved
-  EXPECT_TRUE(CompareBenchJson(base, cur, DiffOptions{}).Ok());
-}
-
-TEST(BenchDiff, AllocCountsOfDifferentToolchainsAreNotCompared) {
-  Json base = Doc();
-  Json cur = Doc();
-  SetAllocs(base, 0, 1e6, "gcc 12");
-  SetAllocs(cur, 0, 2e6, "clang 16");
-  EXPECT_TRUE(CompareBenchJson(base, cur, DiffOptions{}).Ok());
-  // A baseline recorded before counting began is not compared either.
-  Json old = Doc();
-  EXPECT_TRUE(CompareBenchJson(old, cur, DiffOptions{}).Ok());
-}
-
 TEST(BenchDiff, MissingPointFailsBothDirections) {
   const Json base = Doc();
   Json dropped = Doc();

@@ -501,8 +501,8 @@ TEST(BlockStore, SharedLogKeepsWhatItsSlowestViewReads) {
     blocks.push_back(MakeBlock(n, nullptr, {TxRW(id, {}, {"k"})}));
     leader.Append(blocks.back(), {ValidationCode::kValid});
   }
-  follower.Append(blocks[0], {ValidationCode::kValid});
-  follower.Append(blocks[1], {ValidationCode::kValid});
+  EXPECT_TRUE(follower.Follow());
+  EXPECT_TRUE(follower.Follow());
   // The follower's window is blocks 0-1, so the log still holds all six,
   // and each view sees only its own window.
   EXPECT_EQ(log->ResidentBlocks(), 6u);
@@ -513,16 +513,16 @@ TEST(BlockStore, SharedLogKeepsWhatItsSlowestViewReads) {
   EXPECT_TRUE(leader.HasTransaction("t5"));
 
   // Following advances the window and releases the blocks behind it.
-  for (std::uint64_t n = 2; n < 5; ++n) {
-    follower.Append(blocks[n], {ValidationCode::kValid});
-  }
+  for (std::uint64_t n = 2; n < 5; ++n) EXPECT_TRUE(follower.Follow());
   EXPECT_TRUE(follower.Shared());
   EXPECT_EQ(follower.GetBlock(4), blocks[4]);
+  EXPECT_EQ(follower.TxCount(), 5u);
   EXPECT_EQ(log->ResidentBlocks(), 3u);  // blocks 3-5
   EXPECT_EQ(log->IndexedTransactions(), 3u);
 
-  // Other codes at its height move the follower onto a private copy of its
-  // window; the shared log then serves the leader alone.
+  // Appending below the head (here: other codes) moves the follower onto a
+  // private copy of its window; the shared log then serves the leader
+  // alone.
   follower.Append(blocks[5], {ValidationCode::kMvccReadConflict});
   EXPECT_FALSE(follower.Shared());
   EXPECT_FALSE(leader.Shared());
@@ -533,20 +533,43 @@ TEST(BlockStore, SharedLogKeepsWhatItsSlowestViewReads) {
   EXPECT_EQ(log->ResidentBlocks(), 2u);  // the leader's window, blocks 4-5
 }
 
-TEST(BlockStore, ViewFollowsAnEqualBlockFromAnotherOrderer) {
-  // Each OSN assembles its own copy of a block; a copy with the same
-  // header, payload and size follows the logged one.
+TEST(BlockStore, ViewFollowsOnlyABlockItsLogHolds) {
   auto log = std::make_shared<BlockLog>();
   BlockStore a;
   BlockStore b;
   a.Share(log);
   b.Share(log);
+  EXPECT_FALSE(b.Follow());  // nothing logged yet
   const auto block = MakeBlock(0, nullptr, {TxRW("t", {}, {"k"})});
   a.Append(block, {ValidationCode::kValid});
-  b.Append(std::make_shared<proto::Block>(*block), {ValidationCode::kValid});
+  EXPECT_TRUE(b.Follow());
+  EXPECT_FALSE(b.Follow());  // at the head
+  EXPECT_EQ(b.Height(), 1u);
   EXPECT_TRUE(b.Shared());
   EXPECT_EQ(b.GetBlock(0), block);
+  EXPECT_EQ(b.StoredBytes(), block->WireSize());
   EXPECT_EQ(log->ResidentBlocks(), 1u);
+
+  // A private store has no one else's block to follow.
+  BlockStore alone;
+  EXPECT_FALSE(alone.Follow());
+  EXPECT_EQ(alone.Height(), 0u);
+}
+
+TEST(Blockchain, FollowChecksTheLinkageOfTheFollowersOwnBlock) {
+  auto log = std::make_shared<BlockLog>();
+  Blockchain leader;
+  Blockchain follower;
+  leader.MutableStore().Share(log);
+  follower.MutableStore().Share(log);
+  const auto b0 = MakeBlock(0, nullptr, {TxRW("t1", {}, {"a"})});
+  ASSERT_TRUE(leader.Append(b0));
+  // The follower's copy names another height: linkage fails, and the
+  // follower stays where it was.
+  EXPECT_FALSE(follower.Follow(*MakeBlock(1, nullptr, {})));
+  EXPECT_EQ(follower.Height(), 0u);
+  EXPECT_TRUE(follower.Follow(*b0));
+  EXPECT_EQ(follower.TipHash(), leader.TipHash());
 }
 
 // ------------------------------------------------------------- Blockchain

@@ -381,6 +381,45 @@ TEST(SharedCommitter, FollowerHandedADifferentBlockDetaches) {
   EXPECT_FALSE(f.committer->State().Get("cc", "j").has_value());
 }
 
+TEST(SharedCommitter, FollowerHandedAForgedBlockOfTheSameSizeDetaches) {
+  SharedFixture f;
+  const crypto::Digest prev = f.prev_hash;
+  // Same size and the same VSCC codes as the leader's block 1: only the
+  // header hash tells the forged block apart.
+  const auto block = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})});
+  const auto fork =
+      f.MakeFork(1, prev, {f.MakeTx("f1", {f.peer1.get()}, {}, {"j"})});
+  ASSERT_EQ(fork->WireSize(), block->WireSize());
+  EXPECT_EQ(f.CommitOn(*f.committer, block)[0],
+            proto::ValidationCode::kValid);
+  EXPECT_EQ(f.CommitOn(*f.follower, fork)[0], proto::ValidationCode::kValid);
+  EXPECT_FALSE(f.follower->SharesState());
+  EXPECT_EQ(f.follower->Chain().Store().GetBlock(1), fork);
+  EXPECT_TRUE(f.follower->State().Get("cc", "j").has_value());
+  EXPECT_FALSE(f.follower->State().Get("cc", "k").has_value());
+}
+
+TEST(SharedCommitter, FollowerHandedACopyOfAnotherSizeKeepsItsOwn) {
+  SharedFixture f;
+  // The same block as assembled by another OSN, whose certificate has
+  // another size: the follower's chain must hold and count its own copy.
+  const auto block = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})});
+  const crypto::Identity other = f.msps.Find("OrdererMSP")->Enroll(
+      "orderer-with-a-longer-name", crypto::Role::kOrderer);
+  auto copy = std::make_shared<proto::Block>(*block);
+  copy->metadata.orderer_cert = other.Cert().Serialize();
+  copy->metadata.orderer_signature = other.Sign(copy->header.Serialize());
+  ASSERT_EQ(copy->header.Hash(), block->header.Hash());
+  ASSERT_NE(copy->WireSize(), block->WireSize());
+  f.CommitOn(*f.committer, block);
+  EXPECT_EQ(f.CommitOn(*f.follower, copy)[0], proto::ValidationCode::kValid);
+  EXPECT_FALSE(f.follower->SharesState());
+  const ledger::BlockStore& store = f.follower->Chain().Store();
+  EXPECT_EQ(store.GetBlock(1), copy);
+  EXPECT_EQ(store.StoredBytes(),
+            store.GetBlock(0)->WireSize() + copy->WireSize());
+}
+
 TEST(SharedCommitter, FollowerWithDifferentVsccCodesDetaches) {
   SharedFixture f;
   // Same block, but the follower's channel policy demands Org2.

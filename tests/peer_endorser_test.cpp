@@ -159,15 +159,13 @@ TEST(Endorser, LaggingPeerAcceptsAnIdCommittedOnlyAboveItsHeight) {
   ledger::BlockStore leader;
   leader.Share(log);
   f.store.Share(log);
-  std::vector<proto::BlockPtr> blocks;
   for (std::uint64_t n = 0; n < 3; ++n) {
     proto::TransactionEnvelope env;
     env.tx_id = n == 2 ? sp.proposal.tx_id : "other" + std::to_string(n);
-    blocks.push_back(std::make_shared<proto::Block>(
+    leader.Append(std::make_shared<proto::Block>(
         proto::Block::Make(n, nullptr, {env})));
-    leader.Append(blocks.back());
   }
-  f.store.Append(blocks[0]);
+  ASSERT_TRUE(f.store.Follow());
   EXPECT_EQ(log->ResidentBlocks(), 3u);
   EXPECT_TRUE(leader.HasTransaction(sp.proposal.tx_id));
   EXPECT_FALSE(f.store.HasTransaction(sp.proposal.tx_id));
@@ -175,8 +173,8 @@ TEST(Endorser, LaggingPeerAcceptsAnIdCommittedOnlyAboveItsHeight) {
             proto::EndorseStatus::kSuccess);
 
   // Once the lagging peer commits the block too, the id is a duplicate.
-  f.store.Append(blocks[1]);
-  f.store.Append(blocks[2]);
+  ASSERT_TRUE(f.store.Follow());
+  ASSERT_TRUE(f.store.Follow());
   EXPECT_TRUE(f.store.Shared());
   EXPECT_EQ(f.endorser->Process(sp).payload.status,
             proto::EndorseStatus::kDuplicateTxId);

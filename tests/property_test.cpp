@@ -583,10 +583,12 @@ TEST(LedgerProperty, BlockStoreFindsTheNewestResidentOccurrence) {
 }
 
 // Views of one shared block log answer every query exactly as a private
-// store that was handed the same blocks and codes. Views lead or follow the
-// channel's canonical blocks, fork onto private logs (another block or
-// other codes at their height, or an explicit Unshare), join late, and
-// leave; the ids repeat, so resubmitted ids sit at several heights.
+// store that was handed the same blocks and codes. As a committer does,
+// each view leads a height (appends at the log's head), follows it (the
+// log holds the block and codes it would append), or diverges (another
+// block or other codes: it appends below the head or Unshares first, and
+// continues privately). Views also join late and leave; the ids repeat,
+// so resubmitted ids sit at several heights.
 TEST(LedgerProperty, BlockStoreViewsAnswerAsPrivateStores) {
   constexpr std::uint64_t kPool = 16;
   constexpr std::size_t kMaxViews = 5;
@@ -609,12 +611,15 @@ TEST(LedgerProperty, BlockStoreViewsAnswerAsPrivateStores) {
   for (int trial = 0; trial < 20; ++trial) {
     auto log = std::make_shared<ledger::BlockLog>();
     // The channel's canonical blocks and codes, extended by whichever view
-    // first reaches a height.
+    // first reaches a height, and what the shared log holds at each height.
     std::vector<proto::BlockPtr> canon;
     std::vector<std::vector<proto::ValidationCode>> canon_codes;
+    std::vector<proto::BlockPtr> logged;
+    std::vector<std::vector<proto::ValidationCode>> logged_codes;
     struct View {
       std::unique_ptr<ledger::BlockStore> store;
       std::unique_ptr<ledger::BlockStore> reference;
+      bool on_log = true;  // a view of the shared log, not forked
     };
     std::vector<View> views;
     auto attach = [&] {
@@ -637,7 +642,10 @@ TEST(LedgerProperty, BlockStoreViewsAnswerAsPrivateStores) {
         views.erase(views.begin() +
                     static_cast<std::ptrdiff_t>(rng.NextBelow(views.size())));
       } else if (action < 8) {
-        views[rng.NextBelow(views.size())].store->Unshare();
+        View& v = views[rng.NextBelow(views.size())];
+        // A view alone on its log stays where it is.
+        if (v.store->Shared()) v.on_log = false;
+        v.store->Unshare();
       } else {
         View& v = views[rng.NextBelow(views.size())];
         const std::uint64_t h = v.store->Height();
@@ -653,7 +661,22 @@ TEST(LedgerProperty, BlockStoreViewsAnswerAsPrivateStores) {
         } else if (action < 13 && !codes.empty()) {
           codes[0] = proto::ValidationCode::kDuplicateTxId;  // other codes
         }
-        v.store->Append(block, codes);
+        const std::uint64_t log_first = log->Height() - log->ResidentBlocks();
+        if (v.on_log && h < logged.size() && h >= log_first &&
+            logged[h] == block && logged_codes[h] == codes) {
+          ASSERT_TRUE(v.store->Follow());
+        } else {
+          if (v.on_log && h < logged.size()) {
+            // Diverging: fork explicitly, or let Append below the head do it.
+            if (rng.NextBelow(2) == 0) v.store->Unshare();
+            v.on_log = false;
+          }
+          if (v.on_log) {
+            logged.push_back(block);
+            logged_codes.push_back(codes);
+          }
+          v.store->Append(block, codes);
+        }
         v.reference->Append(block, codes);
       }
 
