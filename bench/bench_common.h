@@ -24,9 +24,6 @@
 //   --profile          attach the host-side DES profiler to every point and
 //                      emit the top-10 handler table under each point's
 //                      "host.profile" (host-only; never gated)
-//   --streaming        streaming (bounded-memory) TxTracker accounting; the
-//                      simulated results are identical to full-record mode
-//                      by construction, so baselines still match
 //   --metrics-out <p>  attach a metrics registry to every point and write
 //                      all per-point timelines (JSON object keyed by point
 //                      label) to <p>; sampling rides observer events, so
@@ -66,7 +63,6 @@ struct Args {
   bool csv = false;
   bool attribution = false;
   bool profile = false;
-  bool streaming = false;
   int reps = 1;
   int jobs = 0;  // resolved: 0 -> hardware concurrency
   int metrics_period_ms = 250;
@@ -134,8 +130,6 @@ inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
       out.attribution = true;
     } else if (a == "--profile") {
       out.profile = true;
-    } else if (a == "--streaming") {
-      out.streaming = true;
     } else if (a == "--json") {
       out.json_path = value();
     } else if (a == "--metrics-out") {
@@ -173,11 +167,10 @@ class Sweep {
 
   /// Queues one measurement point (label must be unique within the bench;
   /// it is the join key for baseline comparison). The global --profile /
-  /// --streaming / --metrics-out flags are OR-ed in, so a bench can also
-  /// set them per point (bench/soak does, to contrast the tracker modes).
+  /// --metrics-out flags are OR-ed in, so a bench can also set them per
+  /// point.
   void Add(fabricsim::fabric::ExperimentConfig config, std::string label) {
     config.profile = config.profile || args_.profile;
-    config.streaming_stats = config.streaming_stats || args_.streaming;
     if (!args_.metrics_out.empty() && config.registry == nullptr) {
       auto reg = std::make_unique<fabricsim::metrics::Registry>();
       config.registry = reg.get();

@@ -105,11 +105,10 @@ void FabricNetwork::BuildPeers() {
   // One world state and block log per channel, shared by every peer that
   // joins it: each honest peer would hold an identical copy (see
   // peer::ChannelState).
-  std::vector<std::shared_ptr<peer::ChannelState>> states;
   for (int c = 0; c < options_.channels; ++c) {
-    states.push_back(std::make_shared<peer::ChannelState>());
+    ledgers_.push_back(std::make_shared<peer::ChannelState>());
   }
-  auto setup_channels = [this, &states](peer::PeerNode& peer) {
+  auto setup_channels = [this](peer::PeerNode& peer) {
     for (int c = 0; c < options_.channels; ++c) {
       const std::string id = ChannelId(c);
       const auto index = static_cast<std::size_t>(c);
@@ -117,7 +116,7 @@ void FabricNetwork::BuildPeers() {
       peer.SetPolicy(id, "kvwrite", policy_);
       peer.SetPolicy(id, "token", policy_);
       peer.SetPolicy(id, "smallbank", policy_);
-      peer.GetCommitter(id).ShareState(states[index]);
+      peer.GetCommitter(id).ShareState(ledgers_[index]);
     }
   };
 
@@ -436,27 +435,16 @@ void FabricNetwork::ApplyOverloadProtection() {
 void FabricNetwork::SeedAccounts() {
   const proto::Bytes balance =
       proto::ToBytes(std::to_string(options_.seeded_balance));
-  for (int c = 0; c < options_.channels; ++c) {
-    const std::string channel_id = ChannelId(c);
+  const proto::KeyVersion genesis{0, 0};
+  for (const auto& ledger : ledgers_) {
+    ledger::StateDb& state = ledger->state;
     for (std::size_t a = 0; a < options_.seeded_accounts; ++a) {
       const std::string acct = "acct" + std::to_string(a);
-      const std::string checking =
-          chaincode::SmallBankChaincode::CheckingKey(acct);
-      const std::string savings =
-          chaincode::SmallBankChaincode::SavingsKey(acct);
-      // The peers that share the channel's world state are seeded through
-      // the first of them; a peer on a private state gets its own copy.
-      bool shared_seeded = false;
-      for (auto& p : peers_) {
-        peer::Committer& committer = p->GetCommitter(channel_id);
-        if (committer.SharesState()) {
-          if (shared_seeded) continue;
-          shared_seeded = true;
-        }
-        committer.SeedState("token", acct, balance);
-        committer.SeedState("smallbank", checking, balance);
-        committer.SeedState("smallbank", savings, balance);
-      }
+      state.Put("token", acct, balance, genesis);
+      state.Put("smallbank", chaincode::SmallBankChaincode::CheckingKey(acct),
+                balance, genesis);
+      state.Put("smallbank", chaincode::SmallBankChaincode::SavingsKey(acct),
+                balance, genesis);
     }
   }
 }

@@ -244,6 +244,8 @@ class FabricNetwork {
   NetworkOptions options_;
   std::unique_ptr<sim::Environment> env_;
   std::vector<proto::BlockPtr> genesis_;  // one per channel
+  // One committed ledger per channel, shared by every peer that joins it.
+  std::vector<std::shared_ptr<peer::ChannelState>> ledgers_;
   metrics::TxTracker tracker_;
   crypto::MspRegistry msps_;
   std::shared_ptr<chaincode::Registry> chaincodes_;

@@ -218,11 +218,16 @@ bool ScheduleLooksRecoverable(const ChaosCase& chaos_case,
 }
 
 ChaosCase ChaosFuzzer::GenerateCase(int index) const {
-  // Independent per-case stream: reproducible from (campaign_seed, index)
-  // alone, regardless of --jobs or completion order.
-  sim::Rng rng(options_.campaign_seed ^
-               (0x9E3779B97F4A7C15ULL *
-                (static_cast<std::uint64_t>(index) + 1)));
+  // Independent per-case streams: reproducible from (campaign_seed, index)
+  // alone, regardless of --jobs or completion order. The committer
+  // dimensions (committing peers, VSCC knobs, which committing peer a crash
+  // names) come from a second stream, so they leave every other dimension
+  // of a case as the first stream draws it.
+  const std::uint64_t case_key = static_cast<std::uint64_t>(index) + 1;
+  sim::Rng rng(options_.campaign_seed ^ (0x9E3779B97F4A7C15ULL * case_key));
+  sim::Rng committer_rng(options_.campaign_seed ^
+                         (0xD6E8FEB86659FD93ULL * case_key) ^
+                         0x2545F4914F6CDD1DULL);
 
   using fabric::OrderingType;
   ChaosCase c;
@@ -251,6 +256,15 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
     const char* policies[] = {"reject", "drop-oldest", "block"};
     c.overload = policies[rng.NextBelow(3)];
   }
+  // --opt-policy-shortcircuit is left out: it deliberately skips checks the
+  // no-forged-commit oracle's full VSCC re-check makes.
+  c.committing_peers = static_cast<int>(committer_rng.NextInRange(1, 3));
+  c.optimizations.msp_cache = committer_rng.NextBool(0.3);
+  if (committer_rng.NextBool(0.3)) {
+    c.optimizations.vscc_workers =
+        static_cast<int>(committer_rng.NextInRange(2, 4));
+  }
+  c.optimizations.bulk_commit = committer_rng.NextBool(0.3);
 
   // Wild cases explore harsher faults (bare crashes, validator outages,
   // heavy loss) where a stall is a legitimate outcome; tame cases stay
@@ -265,9 +279,14 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
   const double window_end = warmup_s + c.duration_s;
 
   const int client_count = c.clients.value_or(c.peers);
-  // The single committing peer registers after the endorsing ones, so its
-  // endpoint name carries the next index.
+  // The committing peers register after the endorsing ones, so the first
+  // of them, the validator, carries the next index.
   const std::string validator = "peer.commit" + std::to_string(c.peers);
+  auto committing_peer = [&] {
+    const auto k = static_cast<int>(committer_rng.NextBelow(
+        static_cast<std::uint64_t>(c.committing_peers)));
+    return "peer.commit" + std::to_string(c.peers + k);
+  };
   auto endorser = [&] {
     return "peer.endorse" +
            std::to_string(rng.NextBelow(static_cast<std::uint64_t>(c.peers)));
@@ -367,6 +386,10 @@ ChaosCase ChaosFuzzer::GenerateCase(int index) const {
         if (wild && rng.NextBool(0.3)) {
           const std::string second = crash_target();
           if (second != ev.groups[0][0]) ev.groups[0].push_back(second);
+        }
+        // A crash drawn for the validator may name any committing peer.
+        for (std::string& target : ev.groups[0]) {
+          if (target == validator) target = committing_peer();
         }
         break;
       case 3:

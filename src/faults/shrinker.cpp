@@ -156,6 +156,10 @@ bool SimplifyKnobs(Shrink& shrink) {
   attempt([](ChaosCase& c) { c.batch_size = kDefaults.batch_size; });
   attempt([](ChaosCase& c) { c.batch_timeout_s = kDefaults.batch_timeout_s; });
   attempt([](ChaosCase& c) { c.clients = kDefaults.clients; });
+  attempt([](ChaosCase& c) { c.optimizations = kDefaults.optimizations; });
+  attempt([](ChaosCase& c) {
+    c.committing_peers = kDefaults.committing_peers;
+  });
   attempt([](ChaosCase& c) {
     c.rate = std::max(10.0, std::round(c.rate / 10.0) * 10.0);
   });

@@ -31,34 +31,35 @@ void BlockLog::Push(Entry entry) {
   }
 }
 
-BlockLog::ViewId BlockLog::Join(std::uint64_t first) {
-  for (ViewId v = 0; v < views_.size(); ++v) {
-    if (!views_[v]) {
-      views_[v] = first;
-      return v;
-    }
-  }
-  views_.emplace_back(first);
-  return views_.size() - 1;
+BlockLog::ViewId BlockLog::Join(View view) {
+  ViewId id = 0;
+  while (id < views_.size() && views_[id]) ++id;
+  if (id == views_.size()) views_.emplace_back();
+  views_[id] = view;
+  DropUnread();
+  return id;
 }
 
-void BlockLog::Move(ViewId view, std::uint64_t first) {
-  views_[view] = first;
+void BlockLog::Move(ViewId id, View view) {
+  views_[id] = view;
   DropUnread();
 }
 
-void BlockLog::Leave(ViewId view) {
-  views_[view].reset();
+void BlockLog::Leave(ViewId id) {
+  views_[id].reset();
   DropUnread();
 }
 
 void BlockLog::DropUnread() {
-  std::optional<std::uint64_t> lowest;
+  std::uint64_t lowest_first = kNoView;
+  oldest_ = kNoView;
   for (const auto& v : views_) {
-    if (v && (!lowest || *v < *lowest)) lowest = *v;
+    if (!v) continue;
+    lowest_first = std::min(lowest_first, v->first);
+    oldest_ = std::min(oldest_, v->height);
   }
-  if (!lowest) return;  // nobody reads the log; keep it as it is
-  while (!entries_.empty() && first_ < *lowest) {
+  if (oldest_ == kNoView) return;  // nobody reads the log; keep it as it is
+  while (!entries_.empty() && first_ < lowest_first) {
     const auto first_lo = static_cast<std::uint32_t>(first_);
     const proto::EnvelopeList& txs = entries_.front().block->transactions;
     for (std::uint32_t i = 0; i < txs.size(); ++i) {
@@ -74,7 +75,7 @@ void BlockLog::DropUnread() {
 // --- BlockStore -------------------------------------------------------------
 
 BlockStore::BlockStore() : log_(std::make_shared<BlockLog>()) {
-  view_ = log_->Join(0);
+  view_ = log_->Join({0, 0});
 }
 
 BlockStore::~BlockStore() { log_->Leave(view_); }
@@ -83,11 +84,12 @@ void BlockStore::Share(std::shared_ptr<BlockLog> log) {
   if (log == nullptr || height_ != 0) return;
   log_->Leave(view_);
   log_ = std::move(log);
-  view_ = log_->Join(first_);
+  view_ = log_->Join({first_, height_});
 }
 
 bool BlockStore::Shared() const {
-  return std::count_if(log_->views_.begin(), log_->views_.end(),
+  return log_->Height() != height_ ||
+         std::count_if(log_->views_.begin(), log_->views_.end(),
                        [](const auto& v) { return v.has_value(); }) > 1;
 }
 
@@ -101,7 +103,7 @@ void BlockStore::Fork() {
   for (std::uint64_t n = first_; n < height_; ++n) own->Push(log_->At(n));
   log_->Leave(view_);
   log_ = std::move(own);
-  view_ = log_->Join(first_);
+  view_ = log_->Join({first_, height_});
 }
 
 void BlockStore::Append(proto::BlockPtr block,
@@ -126,7 +128,7 @@ void BlockStore::Advance() {
   if (keep_blocks_ > 0 && height_ - first_ > keep_blocks_) {
     first_ = height_ - keep_blocks_;
   }
-  log_->Move(view_, first_);
+  log_->Move(view_, {first_, height_});
 }
 
 const std::vector<proto::ValidationCode>& BlockStore::CodesFor(

@@ -25,8 +25,14 @@
 // view that arrives later only advances over it (Follow). The store never
 // compares blocks: its owner (peer::Committer) decides whether it follows
 // the logged block, and moves a view that diverges onto a private log
-// holding a copy of its window (Unshare). The log drops a block only when
-// it lies below every attached view's window.
+// holding a copy of its window (Unshare).
+//
+// The log's view table is the channel's one record of committer positions:
+// each view's window start and height. The log drops a block only when it
+// lies below every view's window, and OldestHeight() — the lowest view
+// height — bounds what the channel keeps beside the log for the views
+// behind its head (peer::ChannelState: superseded state versions and the
+// verdicts of heights not every view has committed).
 //
 // Stored blocks are immutable: BlockPtr is shared_ptr<const Block>, and no
 // holder may edit a block (or swap its envelopes) after Append. The tx-id
@@ -71,10 +77,18 @@ class BlockLog {
   [[nodiscard]] std::size_t IndexedTransactions() const {
     return index_.Size();
   }
+  /// The lowest height of the views reading the log (kNoView with none).
+  [[nodiscard]] std::uint64_t OldestHeight() const { return oldest_; }
+  static constexpr std::uint64_t kNoView = ~std::uint64_t{0};
 
  private:
   friend class BlockStore;
   using ViewId = std::size_t;
+
+  struct View {
+    std::uint64_t first;   // window start
+    std::uint64_t height;  // blocks the view has committed
+  };
 
   struct Entry {
     proto::BlockPtr block;
@@ -101,16 +115,17 @@ class BlockLog {
     return At(BlockOf(slot)).block->transactions[slot.tx_index].tx_id;
   }
   void Push(Entry entry);
-  [[nodiscard]] ViewId Join(std::uint64_t first);
-  /// Moves a view's window start, then drops what no view can read.
-  void Move(ViewId view, std::uint64_t first);
-  void Leave(ViewId view);
+  [[nodiscard]] ViewId Join(View view);
+  /// Records where a view is, then drops what no view can read.
+  void Move(ViewId id, View view);
+  void Leave(ViewId id);
   void DropUnread();
 
   std::deque<Entry> entries_;
   FlatIndex<TxSlot> index_;
   std::uint64_t first_ = 0;
-  std::vector<std::optional<std::uint64_t>> views_;  // window start, by id
+  std::vector<std::optional<View>> views_;  // by id
+  std::uint64_t oldest_ = kNoView;          // lowest view height
 };
 
 class BlockStore {
@@ -144,10 +159,13 @@ class BlockStore {
   /// store is still empty.
   void Share(std::shared_ptr<BlockLog> log);
   /// Continues on a private log holding a copy of this view's window. A
-  /// no-op when no other view reads this store's log.
+  /// no-op when the log is this store's own already.
   void Unshare();
-  /// True while another view reads this store's log.
+  /// True while the log is not this store's own: another view reads it, or
+  /// it holds blocks above this view that another view appended.
   [[nodiscard]] bool Shared() const;
+  /// The log this store views.
+  [[nodiscard]] const std::shared_ptr<BlockLog>& Log() const { return log_; }
 
   /// Number of blocks appended ever (== next block number). Pruned blocks
   /// still count: height is chain position, not residency.

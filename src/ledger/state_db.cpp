@@ -182,31 +182,11 @@ void StateDb::ApplyRwSet(const proto::TxReadWriteSet& rwset,
   }
 }
 
-StateDb::ReaderId StateDb::AttachReader(std::uint64_t height) {
-  readers_.emplace_back(height);
-  min_reader_ = std::min(min_reader_, height);
-  return readers_.size() - 1;
-}
-
-void StateDb::AdvanceReader(ReaderId reader, std::uint64_t height) {
-  readers_.at(reader) = height;
-  Collect();
-}
-
-void StateDb::DetachReader(ReaderId reader) {
-  readers_.at(reader).reset();
-  Collect();
-}
-
-void StateDb::Collect() {
-  std::uint64_t low = kHead;
-  for (const auto& h : readers_) {
-    if (h) low = std::min(low, *h);
-  }
-  min_reader_ = low;
+void StateDb::Collect(std::uint64_t oldest) {
+  oldest_ = oldest;
   for (auto& [ns, space] : namespaces_) {
     // A key superseded at block b is seen in full by every reader above b.
-    while (!space.retained.empty() && space.retained.front().first < low) {
+    while (!space.retained.empty() && space.retained.front().first < oldest) {
       Prune(space, space.retained.front().second);
       space.retained.pop_front();
     }
@@ -217,9 +197,9 @@ void StateDb::Prune(Namespace& space, std::string_view key) {
   const std::uint32_t* pos = space.index.Find(HashKey(key), space.KeyIs(key));
   if (pos == nullptr) return;
   Entry& e = (*space.entries)[*pos];
-  // Readers at or above min_reader_ see at most the versions down to the
-  // one visible at min_reader_; the older ones go.
-  if (Visible(e.newest.vv.version, min_reader_)) {
+  // Readers at or above oldest_ see at most the versions down to the one
+  // visible at oldest_; the older ones go.
+  if (Visible(e.newest.vv.version, oldest_)) {
     e.older.clear();
     if (e.newest.deleted) {
       --space.tombstones;
@@ -228,7 +208,7 @@ void StateDb::Prune(Namespace& space, std::string_view key) {
     return;
   }
   for (std::size_t i = 0; i < e.older.size(); ++i) {
-    if (Visible(e.older[i].vv.version, min_reader_)) {
+    if (Visible(e.older[i].vv.version, oldest_)) {
       e.older.resize(i + 1);
       return;
     }

@@ -18,13 +18,15 @@
 // Reads as of a height. One store can serve several readers that commit
 // the same blocks at different times (the peers of one channel). A version
 // written by block b is visible at height h iff b < h; genesis seeds
-// (version {0,0}) are visible at every height. A reader attaches with its
-// height and advances it as it commits. While an attached reader is behind
-// a write, the write keeps the version it supersedes, and a delete leaves a
-// tombstone, so the reader still sees the state as of its own height. After
-// every cursor advance the versions no attached reader can see any more
-// are dropped. With no reader behind the head — standalone use — writes
-// overwrite and delete in place, exactly as a single-reader store.
+// (version {0,0}) are visible at every height. The store keeps no record of
+// its readers: its owner tells it the lowest reader height through
+// Collect(oldest). While that height is at or below a write's block, the
+// write keeps the version it supersedes, and a delete leaves a tombstone,
+// so a reader behind it still sees the state as of its own height; each
+// Collect drops the versions no reader at or above `oldest` can see any
+// more. A store that is never collected — standalone use — has no reader
+// behind its head: writes overwrite and delete in place, exactly as a
+// single-reader store.
 #pragma once
 
 #include <algorithm>
@@ -100,25 +102,16 @@ class StateDb {
   [[nodiscard]] std::uint64_t Height() const { return height_; }
   void SetHeight(std::uint64_t h) { height_ = h; }
 
-  // --- readers behind the head ----------------------------------------------
-
-  using ReaderId = std::size_t;
-
-  /// Registers a reader at `height`; versions it can see are kept until it
-  /// advances past them or detaches.
-  [[nodiscard]] ReaderId AttachReader(std::uint64_t height);
-  /// Moves a reader's cursor, then drops what no reader can see any more.
-  void AdvanceReader(ReaderId reader, std::uint64_t height);
-  void DetachReader(ReaderId reader);
-  /// The lowest attached cursor (kHead with none attached). Reads below it
-  /// may miss versions that were already dropped.
-  [[nodiscard]] std::uint64_t MinReaderHeight() const { return min_reader_; }
+  /// Sets the lowest height any reader reads at, then drops the versions
+  /// no reader at or above it can see. Reads below it may miss versions
+  /// that were dropped.
+  void Collect(std::uint64_t oldest);
   /// Superseded versions and tombstones held for readers behind the head.
   [[nodiscard]] std::size_t RetainedVersions() const;
 
   /// A standalone copy of the state as of `height`: live keys only, no
-  /// readers, no retained versions; its Height() is `height` (or this
-  /// store's height, if lower).
+  /// retained versions; its Height() is `height` (or this store's height,
+  /// if lower).
   [[nodiscard]] StateDb Snapshot(std::uint64_t height) const;
 
  private:
@@ -162,9 +155,9 @@ class StateDb {
   }
   /// The version of `e` a reader at `height` sees, or nullptr.
   static const Version* AsOf(const Entry& e, std::uint64_t height);
-  /// True while some attached reader cannot see a write of `block`.
+  /// True while some reader cannot see a write of `block`.
   [[nodiscard]] bool Lagging(std::uint64_t block) const {
-    return min_reader_ <= block;
+    return oldest_ <= block;
   }
 
   [[nodiscard]] const Namespace* Find(std::string_view ns) const;
@@ -177,7 +170,6 @@ class StateDb {
   /// the key for collection.
   static void Supersede(Namespace& space, Entry& e,
                         proto::KeyVersion version);
-  void Collect();
   void Prune(Namespace& space, std::string_view key);
   [[nodiscard]] const VersionedValue* Lookup(std::string_view ns,
                                              std::string_view key,
@@ -186,8 +178,7 @@ class StateDb {
 
   proto::StringMap<Namespace> namespaces_;
   std::uint64_t height_ = 0;
-  std::vector<std::optional<std::uint64_t>> readers_;  // by ReaderId
-  std::uint64_t min_reader_ = kHead;
+  std::uint64_t oldest_ = kHead;  // the lowest reader height, see Collect
 };
 
 /// A StateDb read as of one height: what a peer at that height sees. Reads

@@ -18,41 +18,25 @@ Committer::Committer(sim::Environment& env, sim::Machine& machine,
       disk_(ledger_disk),
       msps_(msps),
       cal_(cal),
-      tracker_(tracker) {}
-
-Committer::~Committer() {
-  if (shared_ != nullptr) {
-    shared_->state.DetachReader(reader_);
-    shared_->DropPassedVerdicts();
-  }
-}
+      tracker_(tracker),
+      channel_(std::make_shared<ChannelState>(chain_.Store().Log())) {}
 
 void Committer::ShareState(std::shared_ptr<ChannelState> shared) {
-  if (shared_ != nullptr || shared == nullptr || shared->state.Height() > 1) {
+  if (shared == nullptr || chain_.Height() != 0 ||
+      shared->state.Height() > 1) {
     return;
   }
-  shared_ = std::move(shared);
-  reader_ = shared_->state.AttachReader(next_commit_);
-  chain_.MutableStore().Share(shared_->blocks);
+  chain_.MutableStore().Share(shared->blocks);
+  channel_ = std::move(shared);
 }
 
 void Committer::DetachState() {
-  if (shared_ == nullptr) return;
+  if (!SharesState()) return;
+  ledger::StateDb own = channel_->state.Snapshot(next_commit_);
   chain_.MutableStore().Unshare();
-  state_ = shared_->state.Snapshot(next_commit_);
-  shared_->state.DetachReader(reader_);
-  shared_->DropPassedVerdicts();
-  shared_.reset();
-}
-
-void Committer::AdvanceCursor() {
-  shared_->state.AdvanceReader(reader_, next_commit_ + 1);
-  shared_->DropPassedVerdicts();
-}
-
-void Committer::SeedState(const std::string& ns, const std::string& key,
-                          proto::Bytes value) {
-  Db().Put(ns, key, std::move(value), proto::KeyVersion{0, 0});
+  channel_->Collect();  // the channel no longer waits for this committer
+  channel_ = std::make_shared<ChannelState>(chain_.Store().Log(),
+                                            std::move(own));
 }
 
 void Committer::SetPolicy(const std::string& chaincode_id,
@@ -175,16 +159,12 @@ void Committer::InstallGenesis(proto::BlockPtr genesis) {
   if (!(leading ? chain_.Append(genesis, {}) : chain_.Follow(*genesis))) {
     return;
   }
-  if (shared_ == nullptr) {
-    state_.SetHeight(1);
-  } else {
-    if (leading) {
-      shared_->state.SetHeight(1);
-      shared_->Record(0, {genesis->header.Hash(), {}, 0,
-                          chain_.Store().Retention(), genesis->WireSize()});
-    }
-    AdvanceCursor();
+  if (leading) {
+    channel_->state.SetHeight(1);
+    channel_->Record(0, {genesis->header.Hash(), {}, 0,
+                         chain_.Store().Retention(), genesis->WireSize()});
   }
+  channel_->Collect();
   next_commit_ = 1;
 }
 
@@ -419,10 +399,10 @@ std::uint64_t Committer::ScreenDuplicates(
 const ChannelState::Verdict* Committer::FollowedVerdict(
     const proto::Block& block,
     const std::vector<proto::ValidationCode>& vscc_codes) {
-  if (shared_ == nullptr || shared_->state.Height() == next_commit_) {
-    return nullptr;  // private, or the first committer at this height
+  if (channel_->state.Height() == next_commit_) {
+    return nullptr;  // the first committer at this height
   }
-  const ChannelState::Verdict* v = shared_->VerdictAt(next_commit_);
+  const ChannelState::Verdict* v = channel_->VerdictAt(next_commit_);
   if (v != nullptr && v->vscc_codes == vscc_codes &&
       v->retention == chain_.Store().Retention() &&
       v->block_hash == block.header.Hash() &&
@@ -434,9 +414,9 @@ const ChannelState::Verdict* Committer::FollowedVerdict(
 }
 
 void Committer::SerialCommit(PendingBlock pb) {
-  // With a shared state, the first committer at a height leads it; one
-  // that arrives after the head moved on follows the leader's verdict, or
-  // detaches when its block or VSCC verdicts differ.
+  // The first committer at a height leads it; one that arrives after the
+  // head moved on follows the leader's verdict, or detaches when its block
+  // or VSCC verdicts differ.
   const ChannelState::Verdict* followed =
       FollowedVerdict(*pb.block, pb.vscc_codes);
   const bool leading = followed == nullptr;
@@ -446,16 +426,17 @@ void Committer::SerialCommit(PendingBlock pb) {
     const std::uint64_t duplicates = ScreenDuplicates(*pb.block, codes);
     duplicate_tx_rejects_ += duplicates;
     // MVCC with the VSCC verdicts folded in.
-    codes = ledger::MvccValidator::Validate(*pb.block, Db(), &codes).codes;
+    codes = ledger::MvccValidator::Validate(*pb.block, channel_->state, &codes)
+                .codes;
     // The validation codes are stored beside the shared immutable block
     // (equivalent to Fabric filling the block metadata before the write,
     // without deep-copying the block on every peer).
     linked = chain_.Append(pb.block, std::move(codes));
-    if (linked && shared_ != nullptr) {
-      shared_->Record(next_commit_,
-                      {pb.block->header.Hash(), std::move(pb.vscc_codes),
-                       duplicates, chain_.Store().Retention(),
-                       pb.block->WireSize()});
+    if (linked) {
+      channel_->Record(next_commit_,
+                       {pb.block->header.Hash(), std::move(pb.vscc_codes),
+                        duplicates, chain_.Store().Retention(),
+                        pb.block->WireSize()});
     }
   } else {
     // The follower's chain advances over the leader's logged block and
@@ -476,9 +457,12 @@ void Committer::SerialCommit(PendingBlock pb) {
     return;
   }
   const ledger::CodesPtr stored = chain_.Store().SharedCodesFor(next_commit_);
-  // Advance first: the leader's own cursor must not hold back its write.
-  if (shared_ != nullptr) AdvanceCursor();
-  if (leading) ledger::MvccValidator::Commit(*pb.block, *stored, Db());
+  // The chain advanced first: the leader's own height must not hold back
+  // its write.
+  channel_->Collect();
+  if (leading) {
+    ledger::MvccValidator::Commit(*pb.block, *stored, channel_->state);
+  }
 
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
     const proto::ValidationCode code = (*stored)[i];

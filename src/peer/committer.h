@@ -37,14 +37,19 @@
 
 namespace fabricsim::peer {
 
-/// One channel's committed ledger, shared by the committers of every peer
-/// of a network that joined the channel: its world state, its block log,
-/// and the verdict each height was committed with. The first committer to
-/// reach a height (the leader) validates the block, writes the state,
-/// appends the block to the log and records the verdict; the others
-/// (followers) reuse the verdict when their block and VSCC codes match it,
-/// and their chains advance over the logged block. See
-/// Committer::ShareState.
+/// One channel's committed ledger: its world state, its block log, and the
+/// verdict each height was committed with. Every committer commits into
+/// one. The network gives the committers of every peer that joined a
+/// channel the same one: the first committer to reach a height (the leader)
+/// validates the block, writes the state, appends the block to the log and
+/// records the verdict; the others (followers) reuse the verdict when their
+/// block and VSCC codes match it, and their chains advance over the logged
+/// block. A standalone or detached committer holds its own: a channel of
+/// one, which leads every height. See Committer::ShareState.
+///
+/// The log's view table (ledger::BlockLog) is the one record of where the
+/// committers are: the state keeps superseded versions, and the verdicts
+/// stay, only down to the lowest committer height (Collect).
 struct ChannelState {
   struct Verdict {
     crypto::Digest block_hash{};
@@ -56,6 +61,12 @@ struct ChannelState {
     // follower derives from the logged block its own.
     std::size_t wire_size = 0;
   };
+
+  explicit ChannelState(
+      std::shared_ptr<ledger::BlockLog> log =
+          std::make_shared<ledger::BlockLog>(),
+      ledger::StateDb db = {})
+      : state(std::move(db)), blocks(std::move(log)) {}
 
   /// The verdict of height `h`, while some committer is still below it.
   [[nodiscard]] const Verdict* VerdictAt(std::uint64_t h) const {
@@ -69,17 +80,19 @@ struct ChannelState {
     if (verdicts.empty()) first_verdict = h;
     verdicts.push_back(std::move(verdict));
   }
-  /// Drops the verdicts every attached committer has passed.
-  void DropPassedVerdicts() {
-    while (!verdicts.empty() && first_verdict < state.MinReaderHeight()) {
+  /// Collects the state, and drops the verdicts, below the lowest height of
+  /// the committers on the log.
+  void Collect() {
+    const std::uint64_t oldest = blocks->OldestHeight();
+    state.Collect(oldest);
+    while (!verdicts.empty() && first_verdict < oldest) {
       verdicts.pop_front();
       ++first_verdict;
     }
   }
 
   ledger::StateDb state;
-  std::shared_ptr<ledger::BlockLog> blocks =
-      std::make_shared<ledger::BlockLog>();
+  std::shared_ptr<ledger::BlockLog> blocks;
   std::deque<Verdict> verdicts;  // heights first_verdict, first_verdict + 1..
   std::uint64_t first_verdict = 0;
 };
@@ -97,7 +110,6 @@ class Committer {
   Committer(sim::Environment& env, sim::Machine& machine,
             sim::Cpu& ledger_disk, const crypto::MspRegistry& msps,
             const fabric::Calibration& cal, metrics::TxTracker* tracker);
-  ~Committer();
   Committer(const Committer&) = delete;
   Committer& operator=(const Committer&) = delete;
 
@@ -124,28 +136,26 @@ class Committer {
     max_pipeline_blocks_ = max_blocks;
   }
 
-  /// Commits against `shared`, the channel's one world state and block
-  /// log, instead of private ones. Each block is then either led (validated
-  /// and written here, appended to the log, its verdict recorded) or
-  /// followed (the recorded verdict reused when this committer's block hash,
-  /// block size and VSCC codes match it; no dedup screen, MVCC, state write
-  /// or log append: the chain only advances its height). Genesis is led or
-  /// followed the same way, so share before any committer installs it.
-  /// Simulated costs are charged as before. Ignored once the channel has
-  /// committed a block.
+  /// Commits into `shared`, the channel's one world state and block log,
+  /// instead of a private channel of one. Each block is then either led
+  /// (validated and written here, appended to the log, its verdict
+  /// recorded) or followed (the recorded verdict reused when this
+  /// committer's block hash, block size and VSCC codes match it; no dedup
+  /// screen, MVCC, state write or log append: the chain only advances its
+  /// height). Genesis is led or followed the same way, so share before any
+  /// committer installs it. Simulated costs are charged as before. Ignored
+  /// once this committer or the channel has committed a block.
   void ShareState(std::shared_ptr<ChannelState> shared);
 
-  /// Leaves the shared state and log for private copies as of this
-  /// committer's height (the chain keeps a copy of its resident window);
-  /// every later block is validated and written here. Called on any verdict
-  /// mismatch, on a failpoint, on a crash, and on mutable chain access. A
-  /// no-op when the state is private already.
+  /// Moves onto a fresh private channel: a copy of the state as of this
+  /// committer's height plus a copy of its chain's window; every later
+  /// block is validated and written here. Called on any verdict mismatch,
+  /// on a failpoint, on a crash, and on mutable chain access. A no-op on a
+  /// private channel.
   void DetachState();
-  [[nodiscard]] bool SharesState() const { return shared_ != nullptr; }
-
-  /// Seeds genesis data (version {0,0}) into the world state.
-  void SeedState(const std::string& ns, const std::string& key,
-                 proto::Bytes value);
+  /// True while this committer's ledger is not its own (see
+  /// ledger::BlockStore::Shared).
+  [[nodiscard]] bool SharesState() const { return chain_.Store().Shared(); }
 
   /// Failpoint: skip duplicate tx-id screening in SerialCommit. Exists only
   /// so chaos campaigns can prove the double-commit invariant fires (a
@@ -252,9 +262,10 @@ class Committer {
   /// The world state as this committer's endorser sees it: as of its own
   /// height.
   [[nodiscard]] ledger::StateView State() const {
-    if (shared_ == nullptr) return state_;
-    return {shared_->state, next_commit_};
+    return {channel_->state, next_commit_};
   }
+  /// The channel ledger this committer commits into.
+  [[nodiscard]] const ChannelState& Channel() const { return *channel_; }
   /// Key history of the resident blocks, replayed from the block store.
   /// Returned by value: hold it in a local before referencing into it.
   [[nodiscard]] ledger::HistoryIndex History() const {
@@ -314,18 +325,14 @@ class Committer {
   /// how many it flagged.
   std::uint64_t ScreenDuplicates(const proto::Block& block,
                                  std::vector<proto::ValidationCode>& codes);
-  /// The one lead-or-follow decision of a shared committer, for `block`
-  /// at its height: the channel's verdict when the block (header hash and
-  /// wire size) and VSCC codes match it, so this committer follows it.
-  /// nullptr when it leads: it is private, or the first at this height, or
-  /// it found a verdict it does not match and detached.
+  /// The one lead-or-follow decision, for `block` at this committer's
+  /// height: the channel's verdict when the block (header hash and wire
+  /// size) and VSCC codes match it, so this committer follows it. nullptr
+  /// when it leads: it is the first at this height (always, on a private
+  /// channel), or it found a verdict it does not match and detached.
   [[nodiscard]] const ChannelState::Verdict* FollowedVerdict(
       const proto::Block& block,
       const std::vector<proto::ValidationCode>& vscc_codes);
-  void AdvanceCursor();
-  [[nodiscard]] ledger::StateDb& Db() {
-    return shared_ != nullptr ? shared_->state : state_;
-  }
 
   sim::Environment& env_;
   sim::Machine& machine_;
@@ -342,9 +349,7 @@ class Committer {
   std::unique_ptr<sim::Cpu> vscc_cpu_;  // dedicated VSCC workers
 
   ledger::Blockchain chain_;
-  ledger::StateDb state_;  // the world state, unless shared_ is set
-  std::shared_ptr<ChannelState> shared_;
-  ledger::StateDb::ReaderId reader_ = 0;  // this committer's cursor in shared_
+  std::shared_ptr<ChannelState> channel_;  // its log is the one chain_ views
 
   // Blocks by number: received, undergoing VSCC, awaiting serial commit.
   std::map<std::uint64_t, PendingBlock> pending_;

@@ -62,16 +62,6 @@ void PeerNode::SetPolicy(const std::string& channel_id,
                                                  std::move(policy));
 }
 
-void PeerNode::SeedState(const std::string& ns, const std::string& key,
-                         proto::Bytes value) {
-  SeedState(default_channel_, ns, key, std::move(value));
-}
-
-void PeerNode::SeedState(const std::string& channel_id, const std::string& ns,
-                         const std::string& key, proto::Bytes value) {
-  channels_.at(channel_id)->committer->SeedState(ns, key, std::move(value));
-}
-
 void PeerNode::OnCrash() {
   for (auto& [id, ledger] : channels_) ledger->committer->DetachState();
 }

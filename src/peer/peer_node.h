@@ -94,12 +94,6 @@ class PeerNode {
                  const std::string& chaincode_id,
                  policy::EndorsementPolicy policy);
 
-  /// Seeds the default channel's world state before the run (genesis data).
-  void SeedState(const std::string& ns, const std::string& key,
-                 proto::Bytes value);
-  void SeedState(const std::string& channel_id, const std::string& ns,
-                 const std::string& key, proto::Bytes value);
-
   /// Crash hook: every channel committer leaves its channel's shared world
   /// state, so a peer that stops committing never pins old versions there.
   void OnCrash();

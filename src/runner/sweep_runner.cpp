@@ -14,20 +14,19 @@ PointOutcome RunPointOnce(const SweepPoint& point,
                           const SweepOptions& options) {
   using Clock = std::chrono::steady_clock;
 
-  // The tracer must outlive the runs it observes; the attribution itself is
-  // captured by value into the result before the tracer dies.
-  fabric::ExperimentConfig config = point.config;
-  std::optional<obs::Tracer> tracer;
-  if (options.attribution) {
-    tracer.emplace();
-    config.network.tracer = &*tracer;
-  }
-
   PointOutcome out;
   out.label = point.label;
   std::optional<fabric::ExperimentResult> result;
   const int total_runs = options.reps > 1 ? options.reps + 1 : 1;
   for (int rep = 0; rep < total_runs; ++rep) {
+    // Each run records into a tracer of its own; the attribution itself is
+    // captured by value into the result before the tracer dies.
+    fabric::ExperimentConfig config = point.config;
+    std::optional<obs::Tracer> tracer;
+    if (options.attribution) {
+      tracer.emplace();
+      config.network.tracer = &*tracer;
+    }
     const auto t0 = Clock::now();
     fabric::ExperimentResult r = fabric::RunExperiment(config);
     const std::chrono::duration<double> wall = Clock::now() - t0;

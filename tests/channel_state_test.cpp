@@ -1,11 +1,13 @@
 // Oracle for the shared channel state: after a faulty run, every peer's
 // world state as of its own height must equal a fresh StateDb replayed from
-// that peer's own stored blocks and validation codes, and its chain must
+// that peer's own committed blocks and validation codes, and its chain must
 // answer as a private chain replayed from them — whether the peer followed
 // the channel's leaders throughout, or detached when it crashed or was
-// handed an equivocated block.
+// handed an equivocated block. The channel itself must keep nothing below
+// the committers still attached to it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -38,6 +40,12 @@ struct Case {
   const char* faults;
   // Each peer's DuplicateTxRejects() at the end of the run.
   std::vector<std::uint64_t> duplicates;
+};
+
+/// A block as a peer committed it.
+struct Committed {
+  proto::BlockPtr block;
+  std::vector<proto::ValidationCode> codes;
 };
 
 /// The genesis state FabricNetwork::SeedAccounts writes.
@@ -73,22 +81,25 @@ void ExpectSameState(ledger::StateView got, ledger::StateView want,
 }
 
 /// A peer's chain, whether a view of the channel's shared log or forked
-/// onto a private one, must answer as a private chain replayed from the
-/// peer's own blocks and codes: height, tip, every block and its codes,
-/// and the tx-id index over `probes`.
+/// onto a private one, must answer as a private chain with the same
+/// retention replayed from the peer's own blocks and codes: height, tip,
+/// window, every block and its codes, and the tx-id index over `probes`.
 void ExpectSameChain(const ledger::Blockchain& chain,
+                     const std::vector<Committed>& committed,
                      const std::vector<std::string>& probes,
                      const std::string& who) {
   const ledger::BlockStore& store = chain.Store();
   ledger::Blockchain replay;
-  for (std::uint64_t n = 0; n < store.Height(); ++n) {
-    ASSERT_TRUE(replay.Append(store.GetBlock(n), store.CodesFor(n)))
-        << who << " block " << n;
+  replay.MutableStore().SetRetention(store.Retention());
+  for (const Committed& c : committed) {
+    ASSERT_TRUE(replay.Append(c.block, c.codes))
+        << who << " block " << c.block->header.number;
   }
   EXPECT_EQ(chain.Height(), replay.Height()) << who;
   EXPECT_EQ(chain.TipHash(), replay.TipHash()) << who;
   EXPECT_TRUE(chain.Audit().ok) << who;
   const ledger::BlockStore& want = replay.Store();
+  EXPECT_EQ(store.FirstBlockNumber(), want.FirstBlockNumber()) << who;
   EXPECT_EQ(store.TxCount(), want.TxCount()) << who;
   EXPECT_EQ(store.StoredBytes(), want.StoredBytes()) << who;
   for (std::uint64_t n = 0; n <= store.Height(); ++n) {
@@ -107,10 +118,10 @@ void ExpectSameChain(const ledger::Blockchain& chain,
   }
 }
 
-class ChannelStateOracle : public ::testing::TestWithParam<Case> {};
-
-TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
-  const Case& c = GetParam();
+/// Runs `c` with ledger and OSN retention of `retain_blocks` (0 = every
+/// block) and checks every peer, and the channel they share, against
+/// replays of what each peer committed.
+void CheckChannelState(const Case& c, std::uint64_t retain_blocks) {
   const faults::FaultSchedule schedule = faults::FaultSchedule::Parse(c.faults);
   fabric::NetworkOptions options;
   options.topology.ordering = c.ordering;
@@ -122,6 +133,8 @@ TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
   options.seeded_accounts = kSeededAccounts;
   options.seeded_balance = kSeededBalance;
   options.recovery.enabled = true;
+  options.retention.ledger_blocks = retain_blocks;
+  options.retention.osn_history_blocks = retain_blocks;
   options.byzantine_defense = schedule.HasByzantine();
   options.seed = 11;
   fabric::FabricNetwork net(options);
@@ -139,18 +152,30 @@ TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
   wl.duration = sim::FromSeconds(20);
   client::WorkloadController controller(net.Env(), net.Clients(), wl);
   controller.Start();
-  net.Env().Sched().RunUntil(sim::FromSeconds(40));
-
-  // Ids to probe every peer's tx-id index with: every id any peer holds,
-  // resubmitted ones (stored more than once) among them, so a peer is also
-  // asked about ids that only peers above its height committed.
-  std::map<std::string, int> occurrences;
-  for (std::size_t p = 0; p < net.PeerCount(); ++p) {
-    const ledger::BlockStore& store = net.Peer(p).GetCommitter().Chain().Store();
-    for (std::uint64_t n = 0; n < store.Height(); ++n) {
-      for (const auto& tx : store.GetBlock(n)->transactions) {
-        ++occurrences[tx.tx_id];
+  // Each peer's blocks are collected as they commit, before retention can
+  // prune them.
+  std::vector<std::vector<Committed>> committed(net.PeerCount());
+  for (sim::SimTime t = 0; t < sim::FromSeconds(40);) {
+    t += sim::FromMillis(250);
+    net.Env().Sched().RunUntil(t);
+    for (std::size_t p = 0; p < net.PeerCount(); ++p) {
+      const ledger::BlockStore& store =
+          net.Peer(p).GetCommitter().Chain().Store();
+      for (std::uint64_t n = committed[p].size(); n < store.Height(); ++n) {
+        ASSERT_NE(store.GetBlock(n), nullptr) << "block " << n << " pruned";
+        committed[p].push_back({store.GetBlock(n), store.CodesFor(n)});
       }
+    }
+  }
+
+  // Ids to probe every peer's tx-id index with: every id any peer
+  // committed, resubmitted ones (committed more than once) among them, so a
+  // peer is also asked about ids that only peers above its height, or
+  // blocks below its window, hold.
+  std::map<std::string, int> occurrences;
+  for (const auto& blocks : committed) {
+    for (const Committed& c : blocks) {
+      for (const auto& tx : c.block->transactions) ++occurrences[tx.tx_id];
     }
   }
   std::vector<std::string> probes;
@@ -164,21 +189,23 @@ TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
 
   std::vector<std::uint64_t> duplicates;
   std::optional<crypto::Digest> shared_tip;
+  const peer::ChannelState* shared = nullptr;
+  std::uint64_t lowest_first = ~std::uint64_t{0};
+  std::uint64_t lowest_height = ~std::uint64_t{0};
   for (std::size_t p = 0; p < net.PeerCount(); ++p) {
     const peer::Committer& committer = net.Peer(p).GetCommitter();
     const ledger::BlockStore& store = committer.Chain().Store();
-    ASSERT_EQ(store.FirstBlockNumber(), 0u);  // every block resident
     ASSERT_GT(store.Height(), 5u);
+    ASSERT_EQ(committed[p].size(), store.Height());
     ledger::StateDb replay = GenesisState();
-    for (std::uint64_t n = 1; n < store.Height(); ++n) {
-      ledger::MvccValidator::Commit(*store.GetBlock(n), store.CodesFor(n),
-                                    replay);
+    for (std::size_t n = 1; n < committed[p].size(); ++n) {
+      ledger::MvccValidator::Commit(*committed[p][n].block,
+                                    committed[p][n].codes, replay);
     }
-    EXPECT_EQ(committer.State().Height(), committer.SharesState()
-                                              ? store.Height()
-                                              : ledger::StateDb::kHead);
+    EXPECT_EQ(committer.State().Height(), store.Height());
     ExpectSameState(committer.State(), replay, "peer " + std::to_string(p));
-    ExpectSameChain(committer.Chain(), probes, "peer " + std::to_string(p));
+    ExpectSameChain(committer.Chain(), committed[p], probes,
+                    "peer " + std::to_string(p));
     duplicates.push_back(committer.DuplicateTxRejects());
     // Crashed peers detached; every peer still sharing is on one chain.
     const std::string name = net.Env().Net().NameOf(net.Peer(p).NetId());
@@ -187,15 +214,34 @@ TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
                 name != "peer.endorse1" && name != "peer.commit5")
           << name;
     }
-    // A peer on the shared state also reads the shared block log.
-    EXPECT_EQ(committer.Chain().Store().Shared(), committer.SharesState())
-        << name;
     if (committer.SharesState()) {
       if (!shared_tip) shared_tip = committer.Chain().TipHash();
       EXPECT_EQ(committer.Chain().TipHash(), *shared_tip) << name;
+      if (shared == nullptr) shared = &committer.Channel();
+      EXPECT_EQ(&committer.Channel(), shared) << name;
+      lowest_first = std::min(lowest_first, store.FirstBlockNumber());
+      lowest_height = std::min(lowest_height, store.Height());
     }
   }
   EXPECT_EQ(duplicates, c.duplicates);
+
+  // The channel keeps nothing below the committers still attached to it:
+  // its log holds no block below the lowest of their windows, and with
+  // every one of them at the head its state keeps no superseded version
+  // and it holds no verdict.
+  ASSERT_NE(shared, nullptr);
+  const ledger::BlockLog& log = *shared->blocks;
+  EXPECT_EQ(log.Height() - log.ResidentBlocks(), lowest_first);
+  EXPECT_EQ(log.OldestHeight(), lowest_height);
+  ASSERT_EQ(lowest_height, log.Height());
+  EXPECT_EQ(shared->state.RetainedVersions(), 0u);
+  EXPECT_TRUE(shared->verdicts.empty());
+}
+
+class ChannelStateOracle : public ::testing::TestWithParam<Case> {};
+
+TEST_P(ChannelStateOracle, EveryPeerMatchesAReplayOfItsOwnChain) {
+  CheckChannelState(GetParam(), 0);
 }
 
 // The duplicate counts are those of peers that each validate every block
@@ -218,6 +264,13 @@ std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Faults, ChannelStateOracle,
                          ::testing::ValuesIn(kCases), CaseName);
+
+// With a 16-block window, peers prune the blocks below it while the
+// channel's log keeps none below the lowest attached committer's window.
+TEST(ChannelStateOracleRetention, RaftCrashRetain16) {
+  CheckChannelState({fabric::OrderingType::kRaft, kCrash, {0, 0, 0, 0, 0, 0}},
+                    16);
+}
 
 }  // namespace
 }  // namespace fabricsim

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "faults/fault_schedule.h"
 #include "faults/shrinker.h"
 
@@ -36,6 +37,14 @@ TEST(ChaosFuzzerGenerate, CasesAreValidAndCanonical) {
     EXPECT_LE(c.peers, 5) << "case " << i;
     EXPECT_GE(c.duration_s, 14.0) << "case " << i;
     EXPECT_LE(c.duration_s, 30.0) << "case " << i;
+    EXPECT_GE(c.committing_peers, 1) << "case " << i;
+    EXPECT_LE(c.committing_peers, 3) << "case " << i;
+    EXPECT_TRUE(c.optimizations.vscc_workers == 0 ||
+                (c.optimizations.vscc_workers >= 2 &&
+                 c.optimizations.vscc_workers <= 4))
+        << "case " << i;
+    // The short-circuit skips checks the no-forged-commit oracle makes.
+    EXPECT_FALSE(c.optimizations.policy_shortcircuit) << "case " << i;
     // Audited-recoverable schedules are all-windowed by construction.
     if (c.expect_recovery) {
       for (const FaultEvent& ev : schedule.events) {
@@ -139,6 +148,72 @@ TEST(ChaosFuzzerGenerate, CasesWithinACampaignDiverge) {
   std::set<std::string> specs;
   for (int i = 0; i < 30; ++i) specs.insert(fuzzer.GenerateCase(i).faults);
   EXPECT_GE(specs.size(), 25u);
+}
+
+/// `c` without what the generator draws from its second stream: the
+/// committing-peer count, the VSCC knobs, and which committing peer a crash
+/// names (back to the first, the validator).
+ChaosCase WithoutCommitterDimensions(ChaosCase c) {
+  c.committing_peers = 1;
+  c.optimizations = {};
+  FaultSchedule schedule = FaultSchedule::Parse(c.faults);
+  const std::string validator = "peer.commit" + std::to_string(c.peers);
+  for (FaultEvent& ev : schedule.events) {
+    if (ev.kind != FaultKind::kCrash) continue;
+    for (auto& group : ev.groups) {
+      for (std::string& target : group) {
+        if (target.starts_with("peer.commit")) target = validator;
+      }
+    }
+  }
+  c.faults = schedule.ToSpec();
+  return c;
+}
+
+TEST(ChaosFuzzerGenerate, CommitterDimensionsLeaveTheOthersUnchanged) {
+  // The digest of cases 0-199 of campaigns 1, 7 and 99 and of Byzantine
+  // campaign 99, as rendered before the generator drew the committer
+  // dimensions: drawn from a stream of their own, they change no other
+  // dimension of any case.
+  std::string rendered;
+  auto render = [&](const FuzzerOptions& options) {
+    const ChaosFuzzer fuzzer(options);
+    for (int i = 0; i < 200; ++i) {
+      for (const std::string& arg :
+           WithoutCommitterDimensions(fuzzer.GenerateCase(i)).ToArgs()) {
+        rendered += arg + " ";
+      }
+      rendered += "\n";
+    }
+  };
+  for (const std::uint64_t seed : {1, 7, 99}) render(SmallCampaign(seed, 0));
+  FuzzerOptions byzantine = SmallCampaign(99, 0);
+  byzantine.byzantine = true;
+  render(byzantine);
+
+  // The new dimensions do vary: every knob is drawn, and some crash names
+  // a committing peer other than the validator.
+  const ChaosFuzzer fuzzer(SmallCampaign(99, 0));
+  int multi = 0, msp_cache = 0, workers = 0, bulk = 0, other_crashed = 0;
+  for (int i = 0; i < 200; ++i) {
+    const ChaosCase c = fuzzer.GenerateCase(i);
+    multi += c.committing_peers > 1 ? 1 : 0;
+    msp_cache += c.optimizations.msp_cache ? 1 : 0;
+    workers += c.optimizations.vscc_workers > 0 ? 1 : 0;
+    bulk += c.optimizations.bulk_commit ? 1 : 0;
+    for (int k = 1; k < c.committing_peers; ++k) {
+      // Only a crash may name a committing peer past the validator.
+      const std::string other = "peer.commit" + std::to_string(c.peers + k);
+      if (c.faults.find(other) != std::string::npos) ++other_crashed;
+    }
+  }
+  EXPECT_GT(multi, 0);
+  EXPECT_GT(msp_cache, 0);
+  EXPECT_GT(workers, 0);
+  EXPECT_GT(bulk, 0);
+  EXPECT_GT(other_crashed, 0);
+  EXPECT_EQ(crypto::DigestHex(crypto::HashStr(rendered)),
+            "9e885bc624eb66f828a4ab72be8051bc898c2b0f8f35006503921fbdd3fd9df6");
 }
 
 TEST(ChaosCaseArgs, FromArgsInvertsToArgs) {

@@ -373,7 +373,9 @@ TEST(SharedCommitter, FollowerHandedADifferentBlockDetaches) {
       1, prev, {f.MakeTx("f1", {f.peer1.get()}, {{"k", std::nullopt}}, {"j"})});
   EXPECT_EQ(f.CommitOn(*f.follower, fork)[0], proto::ValidationCode::kValid);
   EXPECT_FALSE(f.follower->SharesState());
-  EXPECT_TRUE(f.committer->SharesState());
+  // The leader stays on the channel, which is now its own.
+  EXPECT_EQ(&f.committer->Channel(), f.shared.get());
+  EXPECT_NE(&f.follower->Channel(), f.shared.get());
   // Each holds its own chain's state.
   EXPECT_TRUE(f.follower->State().Get("cc", "j").has_value());
   EXPECT_FALSE(f.follower->State().Get("cc", "k").has_value());
@@ -441,7 +443,62 @@ TEST(SharedCommitter, FailpointAndMutableChainDetach) {
   EXPECT_FALSE(f.committer->SharesState());
   (void)f.follower->MutableChainForTest();
   EXPECT_FALSE(f.follower->SharesState());
-  EXPECT_EQ(f.shared->state.MinReaderHeight(), ledger::StateDb::kHead);
+  // Left alone on the channel, the follower owns it; the channel no longer
+  // counts the committer that detached.
+  EXPECT_NE(&f.committer->Channel(), f.shared.get());
+  EXPECT_EQ(&f.follower->Channel(), f.shared.get());
+  EXPECT_EQ(f.shared->blocks->OldestHeight(), f.follower->Chain().Height());
+}
+
+TEST(SharedCommitter, PrivateChannelsKeepOnlyTheirOwnWindow) {
+  // A standalone committer and a detached one each commit into a channel
+  // of one: under retention, neither keeps a block outside its own chain's
+  // window, a superseded version, or a verdict. The leader, left alone on
+  // the shared channel, keeps no more than they do.
+  SharedFixture f;
+  sim::Machine& solo_machine = f.env.AddMachine("peer-c", sim::I7_2600());
+  sim::Cpu solo_disk(f.env.Sched(), 1);
+  Committer solo(f.env, solo_machine, solo_disk, f.msps,
+                 fabric::DefaultCalibration(), nullptr);
+  solo.SetPolicy("cc", policy::MustParsePolicy("'Org1MSP.peer'"));
+  solo.InstallGenesis(f.committer->Chain().Store().GetBlock(0));
+  constexpr std::uint64_t kKeep = 3;
+  Committer* const committers[] = {f.committer.get(), f.follower.get(), &solo};
+  for (Committer* c : committers) c->SetLedgerRetention(kKeep);
+  f.follower->DetachState();
+  EXPECT_FALSE(f.follower->SharesState());
+  EXPECT_FALSE(f.committer->SharesState());
+
+  for (int b = 1; b <= 10; ++b) {
+    // Every block overwrites "k", superseding the version before it.
+    const auto block =
+        f.MakeBlock({f.MakeTx("t" + std::to_string(b), {f.peer1.get()})});
+    for (Committer* c : committers) {
+      const std::string who = "block " + std::to_string(b) + " committer " +
+                              std::to_string(c - committers[0]);
+      ASSERT_EQ(f.CommitOn(*c, block)[0], proto::ValidationCode::kValid)
+          << who;
+      const ChannelState& channel = c->Channel();
+      const ledger::BlockStore& store = c->Chain().Store();
+      EXPECT_EQ(channel.blocks, store.Log()) << who;
+      EXPECT_EQ(channel.blocks->Height(), store.Height()) << who;
+      EXPECT_EQ(channel.blocks->ResidentBlocks(), store.ResidentBlocks())
+          << who;
+      std::size_t resident_txs = 0;
+      for (std::uint64_t n = store.FirstBlockNumber(); n < store.Height();
+           ++n) {
+        resident_txs += store.GetBlock(n)->TxCount();
+      }
+      EXPECT_EQ(channel.blocks->IndexedTransactions(), resident_txs) << who;
+      EXPECT_EQ(channel.state.RetainedVersions(), 0u) << who;
+      EXPECT_TRUE(channel.verdicts.empty()) << who;
+      EXPECT_EQ(c->State().Get("cc", "k")->version,
+                (proto::KeyVersion{static_cast<std::uint64_t>(b), 0}))
+          << who;
+    }
+  }
+  EXPECT_EQ(solo.Chain().Store().FirstBlockNumber(), 11 - kKeep);
+  EXPECT_EQ(&f.committer->Channel(), f.shared.get());
 }
 
 }  // namespace

@@ -382,9 +382,10 @@ TEST(LedgerProperty, StateDbMatchesAnOrderedMapReference) {
 
 TEST(LedgerProperty, ReadsAsOfAHeightMatchASnapshotPerHeight) {
   // One store, written block by block at its head, read by cursors that
-  // lag behind it: every read at a height between the slowest cursor and
-  // the head must match the full snapshot the reference kept for that
-  // height, however the cursors advance and whatever the collector drops.
+  // lag behind it and collected to the slowest of them after every block:
+  // every read at a height between the slowest cursor and the head must
+  // match the full snapshot the reference kept for that height, however
+  // the cursors advance and whatever the collector drops.
   const std::vector<std::string> spaces = {"cc", "other"};
   constexpr std::size_t kKeys = 24;
   constexpr std::uint64_t kBlocks = 400;
@@ -400,13 +401,16 @@ TEST(LedgerProperty, ReadsAsOfAHeightMatchASnapshotPerHeight) {
         ledger::VersionedValue{proto::ToBytes("seed"), proto::KeyVersion{0, 0}};
   }
   db.SetHeight(1);
-  std::vector<ledger::StateDb::ReaderId> readers;
-  std::vector<std::uint64_t> cursor;
-  for (int r = 0; r < 4; ++r) {
-    readers.push_back(db.AttachReader(1));
-    cursor.push_back(1);
-  }
-  std::vector<bool> attached(readers.size(), true);
+  std::vector<std::uint64_t> cursor(4, 1);
+  std::vector<bool> attached(cursor.size(), true);
+  auto lowest = [&] {
+    std::uint64_t low = db.Height();
+    for (std::size_t r = 0; r < cursor.size(); ++r) {
+      if (attached[r]) low = std::min(low, cursor[r]);
+    }
+    return low;
+  };
+  db.Collect(1);
 
   auto check_reads = [&](std::uint64_t low) {
     for (int i = 0; i < 6; ++i) {
@@ -470,33 +474,24 @@ TEST(LedgerProperty, ReadsAsOfAHeightMatchASnapshotPerHeight) {
 
     // Cursors move forward at random, never past the head; one detaches
     // midway and comes back at the head.
-    for (std::size_t r = 0; r < readers.size(); ++r) {
-      if (!attached[r]) continue;
-      if (rng.NextBool(0.4)) {
+    for (std::size_t r = 0; r < cursor.size(); ++r) {
+      if (attached[r] && rng.NextBool(0.4)) {
         cursor[r] += rng.NextBelow(db.Height() - cursor[r] + 1);
-        db.AdvanceReader(readers[r], cursor[r]);
       }
     }
-    if (b == kBlocks / 2) {
-      db.DetachReader(readers[0]);
-      attached[0] = false;
-    }
+    if (b == kBlocks / 2) attached[0] = false;
     if (b == kBlocks * 3 / 4) {
       cursor[0] = db.Height();
-      readers[0] = db.AttachReader(cursor[0]);
       attached[0] = true;
     }
-    std::uint64_t low = db.Height();
-    for (std::size_t r = 0; r < readers.size(); ++r) {
-      if (attached[r]) low = std::min(low, cursor[r]);
-    }
-    ASSERT_EQ(db.MinReaderHeight(), low);
+    const std::uint64_t low = lowest();
+    db.Collect(low);
     check_reads(low);
     if (HasFatalFailure()) return;
   }
 
   // A snapshot at a lagging height is that height's state on its own.
-  const std::uint64_t low = db.MinReaderHeight();
+  const std::uint64_t low = lowest();
   const ledger::StateDb snapshot = db.Snapshot(low);
   EXPECT_EQ(snapshot.Height(), low);
   EXPECT_EQ(snapshot.RetainedVersions(), 0u);
@@ -504,10 +499,7 @@ TEST(LedgerProperty, ReadsAsOfAHeightMatchASnapshotPerHeight) {
 
   // With every reader gone, nothing is retained and the head is exact.
   EXPECT_GT(db.RetainedVersions(), 0u);
-  for (std::size_t r = 0; r < readers.size(); ++r) {
-    if (attached[r]) db.DetachReader(readers[r]);
-  }
-  EXPECT_EQ(db.MinReaderHeight(), ledger::StateDb::kHead);
+  db.Collect(ledger::StateDb::kHead);
   EXPECT_EQ(db.RetainedVersions(), 0u);
   ExpectStateMatches(db, ref.back(), spaces, kKeys);
 }
@@ -517,9 +509,8 @@ TEST(LedgerProperty, WritesWithNoReaderBehindRetainNothing) {
   // a single-reader one.
   ledger::StateDb db;
   db.SetHeight(1);
-  const auto reader = db.AttachReader(1);
   for (std::uint64_t b = 1; b <= 50; ++b) {
-    db.AdvanceReader(reader, b + 1);
+    db.Collect(b + 1);
     db.Put("cc", "k", proto::ToBytes(std::to_string(b)), {b, 0});
     db.Delete("cc", "gone", {b, 1});
     db.Put("cc", "gone", proto::ToBytes("x"), {b, 2});
