@@ -245,6 +245,9 @@ class FabricNetwork {
   std::unique_ptr<sim::Environment> env_;
   std::vector<proto::BlockPtr> genesis_;  // one per channel
   // One committed ledger per channel, shared by every peer that joins it.
+  // Only construction reads it, but it is kept for the network's lifetime:
+  // leaving the ledgers to the committers alone measured 0.12 MB more peak
+  // RSS on perfbench's and5-kafka (cause not traced).
   std::vector<std::shared_ptr<peer::ChannelState>> ledgers_;
   metrics::TxTracker tracker_;
   crypto::MspRegistry msps_;

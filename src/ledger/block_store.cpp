@@ -1,6 +1,7 @@
 #include "ledger/block_store.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace fabricsim::ledger {
 
@@ -94,10 +95,7 @@ bool BlockStore::Shared() const {
 }
 
 void BlockStore::Unshare() {
-  if (Shared()) Fork();
-}
-
-void BlockStore::Fork() {
+  if (!Shared()) return;
   auto own = std::make_shared<BlockLog>();
   own->first_ = first_;
   for (std::uint64_t n = first_; n < height_; ++n) own->Push(log_->At(n));
@@ -108,7 +106,9 @@ void BlockStore::Fork() {
 
 void BlockStore::Append(proto::BlockPtr block,
                         std::vector<proto::ValidationCode> codes) {
-  if (log_->Height() != height_) Fork();
+  if (log_->Height() != height_) {
+    throw std::logic_error("BlockStore::Append below its log's head");
+  }
   const std::size_t wire_size = block->WireSize();
   log_->Push({std::move(block), ShareCodes(std::move(codes)), wire_size});
   Advance();

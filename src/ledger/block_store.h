@@ -140,8 +140,8 @@ class BlockStore {
   /// committer fills the metadata; storing the codes beside the shared
   /// immutable block avoids deep-copying it on every peer). The caller
   /// (Blockchain) is responsible for chain integrity; the store only
-  /// indexes. A view behind its shared log's head cannot write there, so it
-  /// continues on a private copy of its window first.
+  /// indexes. Throws std::logic_error when the log holds a block at this
+  /// view's height: a view that diverges from its log Unshares first.
   void Append(proto::BlockPtr block,
               std::vector<proto::ValidationCode> codes = {});
 
@@ -208,8 +208,6 @@ class BlockStore {
   [[nodiscard]] std::uint64_t StoredBytes() const { return stored_bytes_; }
 
  private:
-  /// Moves this view onto a private log holding a copy of its window.
-  void Fork();
   /// Counts the logged block at Height() into this view and moves past it.
   void Advance();
   [[nodiscard]] bool Resident(std::uint64_t number) const {

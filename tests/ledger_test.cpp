@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 
 #include "crypto/ca.h"
 #include "ledger/block_store.h"
@@ -520,9 +521,14 @@ TEST(BlockStore, SharedLogKeepsWhatItsSlowestViewReads) {
   EXPECT_EQ(log->ResidentBlocks(), 3u);  // blocks 3-5
   EXPECT_EQ(log->IndexedTransactions(), 3u);
 
-  // Appending below the head (here: other codes) moves the follower onto a
-  // private copy of its window; the shared log then serves the leader
-  // alone.
+  // A view below the head may not append there (here: other codes). It
+  // moves onto a private copy of its window first; the shared log then
+  // serves the leader alone.
+  EXPECT_THROW(follower.Append(blocks[5], {ValidationCode::kMvccReadConflict}),
+               std::logic_error);
+  EXPECT_EQ(follower.Height(), 5u);
+  EXPECT_EQ(log->Height(), 6u);
+  follower.Unshare();
   follower.Append(blocks[5], {ValidationCode::kMvccReadConflict});
   EXPECT_FALSE(follower.Shared());
   EXPECT_FALSE(leader.Shared());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "fabric/channel.h"
 #include "policy/parser.h"
 
@@ -438,16 +440,25 @@ TEST(SharedCommitter, FollowerWithDifferentVsccCodesDetaches) {
 }
 
 TEST(SharedCommitter, FailpointAndMutableChainDetach) {
-  SharedFixture f;
-  f.committer->SetDedupDisabled(true);
-  EXPECT_FALSE(f.committer->SharesState());
-  (void)f.follower->MutableChainForTest();
-  EXPECT_FALSE(f.follower->SharesState());
-  // Left alone on the channel, the follower owns it; the channel no longer
-  // counts the committer that detached.
-  EXPECT_NE(&f.committer->Channel(), f.shared.get());
-  EXPECT_EQ(&f.follower->Channel(), f.shared.get());
-  EXPECT_EQ(f.shared->blocks->OldestHeight(), f.follower->Chain().Height());
+  // A committer failpoint and MutableChainForTest each move a follower off
+  // the channel while the leader still reads it: the channel stops counting
+  // the follower, so its lowest height becomes the leader's.
+  const std::function<void(Committer&)> detaches[] = {
+      [](Committer& c) { c.SetDedupDisabled(true); },
+      [](Committer& c) { (void)c.MutableChainForTest(); }};
+  for (const auto& detach : detaches) {
+    SharedFixture f;
+    f.CommitOn(*f.committer, f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})}));
+    ASSERT_TRUE(f.follower->SharesState());
+    ASSERT_TRUE(f.committer->SharesState());
+    ASSERT_EQ(f.shared->blocks->OldestHeight(), f.follower->Chain().Height());
+    ASSERT_LT(f.follower->Chain().Height(), f.committer->Chain().Height());
+    detach(*f.follower);
+    EXPECT_FALSE(f.follower->SharesState());
+    EXPECT_NE(&f.follower->Channel(), f.shared.get());
+    EXPECT_EQ(&f.committer->Channel(), f.shared.get());
+    EXPECT_EQ(f.shared->blocks->OldestHeight(), f.committer->Chain().Height());
+  }
 }
 
 TEST(SharedCommitter, PrivateChannelsKeepOnlyTheirOwnWindow) {

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -577,9 +578,9 @@ TEST(LedgerProperty, BlockStoreFindsTheNewestResidentOccurrence) {
 // store that was handed the same blocks and codes. As a committer does,
 // each view leads a height (appends at the log's head), follows it (the
 // log holds the block and codes it would append), or diverges (another
-// block or other codes: it appends below the head or Unshares first, and
-// continues privately). Views also join late and leave; the ids repeat,
-// so resubmitted ids sit at several heights.
+// block or other codes: it Unshares, since appending below the head is
+// refused, and continues privately). Views also join late and leave; the
+// ids repeat, so resubmitted ids sit at several heights.
 TEST(LedgerProperty, BlockStoreViewsAnswerAsPrivateStores) {
   constexpr std::uint64_t kPool = 16;
   constexpr std::size_t kMaxViews = 5;
@@ -658,8 +659,12 @@ TEST(LedgerProperty, BlockStoreViewsAnswerAsPrivateStores) {
           ASSERT_TRUE(v.store->Follow());
         } else {
           if (v.on_log && h < logged.size()) {
-            // Diverging: fork explicitly, or let Append below the head do it.
-            if (rng.NextBelow(2) == 0) v.store->Unshare();
+            // Diverging: a view below the log's head may not append there,
+            // so it Unshares first.
+            if (rng.NextBelow(2) == 0) {
+              EXPECT_THROW(v.store->Append(block, codes), std::logic_error);
+            }
+            v.store->Unshare();
             v.on_log = false;
           }
           if (v.on_log) {
