@@ -39,57 +39,26 @@ FabricNetwork::FabricNetwork(NetworkOptions options)
         proto::Block::Make(0, nullptr, {std::move(config_tx)})));
   }
 
+  BuildLedgers();
   BuildPeers();
   BuildOrdering();
   BuildClients();
-  SeedAccounts();
   ApplyOverloadProtection();
   ApplyRetention();
   ApplyFailpoints();
-  ApplyOptimizations();
-}
-
-void FabricNetwork::ApplyOptimizations() {
-  const OptimizationOptions& opt = options_.optimizations;
-  if (!opt.Any()) return;  // knobs-off never touches a committer
-  for (auto& p : peers_) p->SetOptimizations(opt);
 }
 
 void FabricNetwork::ApplyFailpoints() {
-  const FailpointOptions& fp = options_.failpoints;
-  if (!fp.Any()) return;
-  if (fp.disable_committer_dedup) {
-    for (auto& p : peers_) p->SetCommitterDedupDisabled(true);
-  }
-  if (fp.client_silent_drop_every > 0) {
-    for (auto& c : clients_) {
-      c->FailpointSilentDropEvery(fp.client_silent_drop_every);
-    }
-  }
-  if (fp.disable_byzantine_defense) {
-    // Attestation is suppressed at Start(); also drop the committer's
-    // commit-time data-hash re-check so a tampered block reaches the
-    // ledger and the no-forged-commit invariant can be shown to fire.
-    for (auto& p : peers_) {
-      for (int c = 0; c < options_.channels; ++c) {
-        if (p->HasChannel(ChannelId(c))) {
-          p->GetCommitter(ChannelId(c)).SetDataHashCheckDisabled(true);
-        }
-      }
-    }
-  }
+  const int drop_every = options_.failpoints.client_silent_drop_every;
+  if (drop_every <= 0) return;
+  for (auto& c : clients_) c->FailpointSilentDropEvery(drop_every);
 }
 
 void FabricNetwork::ApplyRetention() {
-  const RetentionOptions& r = options_.retention;
-  if (r.ledger_blocks == 0 && r.osn_history_blocks == 0) return;
-  for (auto& p : peers_) p->SetLedgerRetention(r.ledger_blocks);
-  if (r.osn_history_blocks > 0) {
-    for (int c = 0; c < ChannelCount(); ++c) {
-      for (ordering::OsnBase* osn : Osns(c)) {
-        osn->SetHistoryBlocks(r.osn_history_blocks);
-      }
-    }
+  const std::size_t keep = options_.retention.osn_history_blocks;
+  if (keep == 0) return;
+  for (int c = 0; c < ChannelCount(); ++c) {
+    for (ordering::OsnBase* osn : Osns(c)) osn->SetHistoryBlocks(keep);
   }
 }
 
@@ -102,21 +71,26 @@ void FabricNetwork::BuildPeers() {
   const auto& topo = options_.topology;
   endorsing_count_ = topo.endorsing_peers;
 
-  // One world state and block log per channel, shared by every peer that
-  // joins it: each honest peer would hold an identical copy (see
-  // peer::ChannelState).
-  for (int c = 0; c < options_.channels; ++c) {
-    ledgers_.push_back(std::make_shared<peer::ChannelState>());
+  // Every committer's settings, fixed when it is built.
+  peer::CommitterConfig committer;
+  if (options_.overload.enabled) {
+    committer.max_pipeline_blocks = options_.overload.committer_max_blocks;
   }
+  committer.optimizations = options_.optimizations;
+  committer.dedup_disabled = options_.failpoints.disable_committer_dedup;
+  // Attestation is suppressed at Start(); the failpoint also drops the
+  // committer's commit-time data-hash re-check so a tampered block reaches
+  // the ledger and the no-forged-commit invariant can be shown to fire.
+  committer.data_hash_check_disabled =
+      options_.failpoints.disable_byzantine_defense;
+
   auto setup_channels = [this](peer::PeerNode& peer) {
     for (int c = 0; c < options_.channels; ++c) {
       const std::string id = ChannelId(c);
-      const auto index = static_cast<std::size_t>(c);
-      peer.JoinChannel(id);
+      peer.JoinChannel(id, ledgers_[static_cast<std::size_t>(c)]);
       peer.SetPolicy(id, "kvwrite", policy_);
       peer.SetPolicy(id, "token", policy_);
       peer.SetPolicy(id, "smallbank", policy_);
-      peer.GetCommitter(id).ShareState(ledgers_[index]);
     }
   };
 
@@ -131,7 +105,7 @@ void FabricNetwork::BuildPeers() {
     sim::Scheduler::LaneScope scope(env_->Sched(), machine.Lane());
     peers_.push_back(std::make_unique<peer::PeerNode>(
         *env_, machine, std::move(identity), msps_, chaincodes_,
-        options_.calibration, ChannelId(0),
+        options_.calibration, ChannelId(0), ledgers_.front(), committer,
         /*tracker=*/nullptr, /*endorsing=*/true, i));
     setup_channels(*peers_.back());
   }
@@ -146,13 +120,13 @@ void FabricNetwork::BuildPeers() {
     sim::Scheduler::LaneScope scope(env_->Sched(), machine.Lane());
     peers_.push_back(std::make_unique<peer::PeerNode>(
         *env_, machine, std::move(identity), msps_, chaincodes_,
-        options_.calibration, ChannelId(0), tracker,
-        /*endorsing=*/false, endorsing_count_ + i));
+        options_.calibration, ChannelId(0), ledgers_.front(), committer,
+        tracker, /*endorsing=*/false, endorsing_count_ + i));
     setup_channels(*peers_.back());
   }
-  // Genesis goes in once every peer shares its channel's state, so the
-  // verdict the first peer records for it is still held when the last one
-  // follows it.
+  // Genesis goes in once every peer's committer is built on its channel,
+  // so the verdict the first peer records for it is still held when the
+  // last one follows it.
   for (auto& p : peers_) {
     for (int c = 0; c < options_.channels; ++c) {
       p->GetCommitter(ChannelId(c))
@@ -428,16 +402,21 @@ void FabricNetwork::ApplyOverloadProtection() {
   }
   for (auto& p : peers_) {
     if (p->IsEndorsing()) p->SetEndorseAdmission(endorse_cfg, ov.retry_after);
-    p->SetCommitterPipelineLimit(ov.committer_max_blocks);
   }
 }
 
-void FabricNetwork::SeedAccounts() {
+void FabricNetwork::BuildLedgers() {
+  // One world state and block log per channel, shared by every peer that
+  // joins it: each honest peer would hold an identical copy (see
+  // peer::ChannelState). The accounts are seeded before any committer is
+  // built, so a committer that starts on a private copy holds them too.
   const proto::Bytes balance =
       proto::ToBytes(std::to_string(options_.seeded_balance));
   const proto::KeyVersion genesis{0, 0};
-  for (const auto& ledger : ledgers_) {
-    ledger::StateDb& state = ledger->state;
+  for (int c = 0; c < options_.channels; ++c) {
+    ledgers_.push_back(
+        std::make_shared<peer::ChannelState>(options_.retention.ledger_blocks));
+    ledger::StateDb& state = ledgers_.back()->state;
     for (std::size_t a = 0; a < options_.seeded_accounts; ++a) {
       const std::string acct = "acct" + std::to_string(a);
       state.Put("token", acct, balance, genesis);

@@ -123,11 +123,6 @@ struct FailpointOptions {
   bool disable_byzantine_defense = false;
 
   bool operator==(const FailpointOptions&) const = default;
-
-  [[nodiscard]] bool Any() const {
-    return disable_committer_dedup || client_silent_drop_every > 0 ||
-           disable_byzantine_defense;
-  }
 };
 
 struct NetworkOptions {
@@ -231,14 +226,13 @@ class FabricNetwork {
   [[nodiscard]] const crypto::MspRegistry& Msps() const { return msps_; }
 
  private:
+  void BuildLedgers();
   void BuildPeers();
   void BuildOrdering();
   void BuildClients();
-  void SeedAccounts();
   void ApplyOverloadProtection();
   void ApplyRetention();
   void ApplyFailpoints();
-  void ApplyOptimizations();
   [[nodiscard]] sim::NodeId OsnNetId(int channel, std::size_t index) const;
 
   NetworkOptions options_;

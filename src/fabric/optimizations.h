@@ -36,10 +36,6 @@ struct OptimizationOptions {
   bool policy_shortcircuit = false;
 
   bool operator==(const OptimizationOptions&) const = default;
-
-  [[nodiscard]] bool Any() const {
-    return msp_cache || vscc_workers > 0 || bulk_commit || policy_shortcircuit;
-  }
 };
 
 }  // namespace fabricsim::fabric

@@ -75,18 +75,13 @@ void BlockLog::DropUnread() {
 
 // --- BlockStore -------------------------------------------------------------
 
-BlockStore::BlockStore() : log_(std::make_shared<BlockLog>()) {
+BlockStore::BlockStore() : BlockStore(std::make_shared<BlockLog>()) {}
+
+BlockStore::BlockStore(std::shared_ptr<BlockLog> log) : log_(std::move(log)) {
   view_ = log_->Join({0, 0});
 }
 
 BlockStore::~BlockStore() { log_->Leave(view_); }
-
-void BlockStore::Share(std::shared_ptr<BlockLog> log) {
-  if (log == nullptr || height_ != 0) return;
-  log_->Leave(view_);
-  log_ = std::move(log);
-  view_ = log_->Join({first_, height_});
-}
 
 bool BlockStore::Shared() const {
   return log_->Height() != height_ ||

@@ -19,8 +19,8 @@
 // the blocks, their validation codes and the tx-id index; the view holds
 // its own height, retention and running totals, and answers every query as
 // of its own window [FirstBlockNumber(), Height()). A standalone store owns
-// a private log. The stores of the peers of one channel can share one log
-// (Share): every honest peer commits the same blocks with the same codes,
+// a private log. The stores of the peers of one channel are built on one
+// log: every honest peer commits the same blocks with the same codes,
 // so the first view to reach a height appends the block to the log, and a
 // view that arrives later only advances over it (Follow). The store never
 // compares blocks: its owner (peer::Committer) decides whether it follows
@@ -132,6 +132,8 @@ class BlockStore {
  public:
   /// A standalone store on a private log.
   BlockStore();
+  /// A view of `log`, the channel's shared log, from height 0.
+  explicit BlockStore(std::shared_ptr<BlockLog> log);
   ~BlockStore();
   BlockStore(const BlockStore&) = delete;
   BlockStore& operator=(const BlockStore&) = delete;
@@ -155,9 +157,6 @@ class BlockStore {
   void SetRetention(std::uint64_t keep_blocks) { keep_blocks_ = keep_blocks; }
   [[nodiscard]] std::uint64_t Retention() const { return keep_blocks_; }
 
-  /// Becomes a view of `log`, the channel's shared log. Ignored unless this
-  /// store is still empty.
-  void Share(std::shared_ptr<BlockLog> log);
   /// Continues on a private log holding a copy of this view's window. A
   /// no-op when the log is this store's own already.
   void Unshare();

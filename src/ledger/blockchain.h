@@ -20,6 +20,11 @@ struct ChainCheck {
 
 class Blockchain {
  public:
+  /// A standalone chain on a private block log.
+  Blockchain() = default;
+  /// A chain whose store is a view of `log`, its channel's block log.
+  explicit Blockchain(std::shared_ptr<BlockLog> log) : store_(std::move(log)) {}
+
   /// Validates the block's linkage and appends it (with the committer's
   /// per-transaction validation codes, if any).
   /// Returns false (and stores nothing) if linkage or data hash is wrong.

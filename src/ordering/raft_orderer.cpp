@@ -18,8 +18,8 @@ RaftOrderer::RaftOrderer(sim::Environment& env, sim::Machine& machine,
 void RaftOrderer::SetGroup(const std::vector<sim::NodeId>& group) {
   raft_ = std::make_unique<RaftNode>(
       env_.Sched(), env_.Net(), env_.ForkRng(), NetId(), group, raft_config_,
-      [this](std::uint64_t index, const RaftEntry& entry) {
-        OnCommitted(index, entry);
+      [this](std::uint64_t /*index*/, const RaftEntry& entry) {
+        OnCommitted(entry);
       });
   raft_->SetLeadershipCallback(
       [this](bool is_leader) { OnLeadershipChange(is_leader); });
@@ -139,8 +139,7 @@ void RaftOrderer::ProposeBatch(Batch batch) {
   });
 }
 
-void RaftOrderer::OnCommitted(std::uint64_t index, const RaftEntry& entry) {
-  last_delivered_raft_index_ = index;
+void RaftOrderer::OnCommitted(const RaftEntry& entry) {
   if (auto* tr = env_.Trace()) {
     // First OSN to learn of the commit closes the replication span.
     tr->End("block:" + channel_id_ + ":" +

@@ -47,14 +47,13 @@ class RaftOrderer final : public OsnBase {
   void ArmTimerIfNeeded();
   void OnTimeout();
   void ProposeBatch(Batch batch);
-  void OnCommitted(std::uint64_t index, const RaftEntry& entry);
+  void OnCommitted(const RaftEntry& entry);
   void OnLeadershipChange(bool is_leader);
 
   RaftConfig raft_config_;
   std::unique_ptr<RaftNode> raft_;
   BlockCutter cutter_;
   sim::EventId timer_ = 0;
-  std::uint64_t last_delivered_raft_index_ = 0;
 };
 
 }  // namespace fabricsim::ordering

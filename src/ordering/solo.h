@@ -16,10 +16,6 @@ class SoloOrderer final : public OsnBase {
               BatchConfig batch, metrics::TxTracker* tracker,
               std::string channel_id = "mychannel");
 
-  [[nodiscard]] std::uint64_t BlocksCut() const {
-    return DeliveredBlocks();
-  }
-
  protected:
   AcceptResult AcceptEnvelope(const EnvelopePtr& env, std::size_t wire_size,
                               sim::NodeId origin) override;

@@ -1,5 +1,6 @@
 #include "peer/committer.h"
 
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -9,25 +10,56 @@
 
 namespace fabricsim::peer {
 
+namespace {
+
+/// The channel a committer with `config` commits into: `channel` itself, or
+/// a private copy of it when a validation check is off.
+std::shared_ptr<ChannelState> ChannelFor(std::shared_ptr<ChannelState> channel,
+                                         const CommitterConfig& config) {
+  if (channel->blocks->Height() != 0) {
+    throw std::invalid_argument("Committer built on a channel past genesis");
+  }
+  if (!config.dedup_disabled && !config.data_hash_check_disabled) {
+    return channel;
+  }
+  return std::make_shared<ChannelState>(channel->retention,
+                                        channel->state.Snapshot(0));
+}
+
+}  // namespace
+
 Committer::Committer(sim::Environment& env, sim::Machine& machine,
                      sim::Cpu& ledger_disk, const crypto::MspRegistry& msps,
                      const fabric::Calibration& cal,
-                     metrics::TxTracker* tracker)
+                     metrics::TxTracker* tracker,
+                     std::shared_ptr<ChannelState> channel,
+                     CommitterConfig config)
     : env_(env),
       machine_(machine),
       disk_(ledger_disk),
       msps_(msps),
       cal_(cal),
       tracker_(tracker),
-      channel_(std::make_shared<ChannelState>(chain_.Store().Log())) {}
-
-void Committer::ShareState(std::shared_ptr<ChannelState> shared) {
-  if (shared == nullptr || chain_.Height() != 0 ||
-      shared->state.Height() > 1) {
-    return;
+      config_(std::move(config)),
+      channel_(ChannelFor(std::move(channel), config_)),
+      chain_(channel_->blocks) {
+  chain_.MutableStore().SetRetention(channel_->retention);
+  // The ledger's append-time linkage check re-verifies the data hash
+  // independently (defense in depth); the drill must lower both gates or
+  // the tampered block still bounces — as a linkage reject — before the
+  // invariant can see it.
+  chain_.SetDataHashCheckDisabled(config_.data_hash_check_disabled);
+  if (config_.optimizations.msp_cache) {
+    msp_cache_ = std::make_unique<crypto::MspIdentityCache>(msps_);
   }
-  chain_.MutableStore().Share(shared->blocks);
-  channel_ = std::move(shared);
+  if (config_.optimizations.vscc_workers > 0) {
+    // Dedicated validation workers at the peer machine's clock speed. The
+    // station is created once and lives as long as the committer, so its
+    // utilization history is available to telemetry.
+    vscc_cpu_ = std::make_unique<sim::Cpu>(env_.Sched(),
+                                           config_.optimizations.vscc_workers,
+                                           machine_.GetCpu().SpeedFactor());
+  }
 }
 
 void Committer::DetachState() {
@@ -35,29 +67,13 @@ void Committer::DetachState() {
   ledger::StateDb own = channel_->state.Snapshot(next_commit_);
   chain_.MutableStore().Unshare();
   channel_->Collect();  // the channel no longer waits for this committer
-  channel_ = std::make_shared<ChannelState>(chain_.Store().Log(),
-                                            std::move(own));
+  channel_ = std::make_shared<ChannelState>(
+      channel_->retention, std::move(own), chain_.Store().Log());
 }
 
 void Committer::SetPolicy(const std::string& chaincode_id,
                           policy::EndorsementPolicy policy) {
   policies_.insert_or_assign(chaincode_id, std::move(policy));
-}
-
-void Committer::SetOptimizations(const fabric::OptimizationOptions& opts) {
-  opts_ = opts;
-  msp_cache_ = opts.msp_cache
-                   ? std::make_unique<crypto::MspIdentityCache>(msps_)
-                   : nullptr;
-  if (opts.vscc_workers > 0) {
-    // Dedicated validation workers at the peer machine's clock speed. The
-    // station is created once and lives as long as the committer, so its
-    // utilization history is available to telemetry.
-    vscc_cpu_ = std::make_unique<sim::Cpu>(env_.Sched(), opts.vscc_workers,
-                                           machine_.GetCpu().SpeedFactor());
-  } else {
-    vscc_cpu_.reset();
-  }
 }
 
 Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
@@ -96,7 +112,7 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
                    : cal_.vscc_per_endorsement_cpu;
   };
 
-  if (!opts_.policy_shortcircuit) {
+  if (!config_.optimizations.policy_shortcircuit) {
     // msp_cache-only plan: the verdict is the ordinary full VSCC (computed
     // here rather than at job completion); only the cost changes with the
     // cache hits.
@@ -161,8 +177,7 @@ void Committer::InstallGenesis(proto::BlockPtr genesis) {
   }
   if (leading) {
     channel_->state.SetHeight(1);
-    channel_->Record(0, {genesis->header.Hash(), {}, 0,
-                         chain_.Store().Retention(), genesis->WireSize()});
+    channel_->Record(0, {genesis->header.Hash(), {}, 0, genesis->WireSize()});
   }
   channel_->Collect();
   next_commit_ = 1;
@@ -215,14 +230,14 @@ void Committer::OnBlock(proto::BlockPtr block, OnCommit on_commit) {
   // signed header but no longer hashes to header.data_hash. The Merkle root
   // is memoized on the shared block, so the honest path pays one host-side
   // hash per block and zero simulated CPU — results stay byte-identical.
-  if (!data_hash_check_disabled_ &&
+  if (!config_.data_hash_check_disabled &&
       block->DataHash() != block->header.data_hash) {
     ++rejected_data_hash_;
     return;
   }
 
-  if (max_pipeline_blocks_ > 0 &&
-      pending_.size() + ready_.size() >= max_pipeline_blocks_) {
+  const std::size_t max_blocks = config_.max_pipeline_blocks;
+  if (max_blocks > 0 && pending_.size() + ready_.size() >= max_blocks) {
     // Bounded validation pipeline: park the block until VSCC/commit drain.
     ++deferred_total_;
     deferred_.emplace(number,
@@ -245,9 +260,9 @@ void Committer::Admit(std::uint64_t number, proto::BlockPtr block,
 }
 
 void Committer::PromoteDeferred() {
+  const std::size_t max_blocks = config_.max_pipeline_blocks;
   while (!deferred_.empty() &&
-         (max_pipeline_blocks_ == 0 ||
-          pending_.size() + ready_.size() < max_pipeline_blocks_)) {
+         (max_blocks == 0 || pending_.size() + ready_.size() < max_blocks)) {
     auto it = deferred_.begin();
     const std::uint64_t number = it->first;
     DeferredBlock d = std::move(it->second);
@@ -275,7 +290,8 @@ void Committer::StartVscc(std::uint64_t number) {
   // a cost-affecting knob is on, the verdict and cost are planned here, in
   // submission order (cache hits and short-circuit savings depend on it);
   // knobs-off keeps the original formula and completion-time verdict.
-  const bool planned = opts_.msp_cache || opts_.policy_shortcircuit;
+  const bool planned = config_.optimizations.msp_cache ||
+                       config_.optimizations.policy_shortcircuit;
   const sim::SimTime enqueued = env_.Now();
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
     const auto& tx = pb.block->transactions[i];
@@ -343,7 +359,7 @@ void Committer::TrySerialCommit() {
   // Bulk commit replaces the three per-tx write costs with one batched
   // ledger write per block: a larger fixed cost, a small residual per tx.
   const sim::SimDuration cost =
-      opts_.bulk_commit
+      config_.optimizations.bulk_commit
           ? cal_.bulk_block_write_base_disk +
                 static_cast<sim::SimDuration>(tx_count) *
                     cal_.bulk_write_per_tx_disk
@@ -371,7 +387,7 @@ std::uint64_t Committer::ScreenDuplicates(
     const proto::Block& block, std::vector<proto::ValidationCode>& codes) {
   // Duplicate tx-id screening (Fabric flags later duplicates invalid).
   // The failpoint skips it so chaos tests can observe double commits.
-  if (dedup_disabled_) return 0;
+  if (config_.dedup_disabled) return 0;
   std::uint64_t flagged = 0;
   // The block's earlier tx ids, by position in the block.
   const proto::EnvelopeList& txs = block.transactions;
@@ -404,7 +420,6 @@ const ChannelState::Verdict* Committer::FollowedVerdict(
   }
   const ChannelState::Verdict* v = channel_->VerdictAt(next_commit_);
   if (v != nullptr && v->vscc_codes == vscc_codes &&
-      v->retention == chain_.Store().Retention() &&
       v->block_hash == block.header.Hash() &&
       v->wire_size == block.WireSize()) {
     return v;
@@ -435,8 +450,7 @@ void Committer::SerialCommit(PendingBlock pb) {
     if (linked) {
       channel_->Record(next_commit_,
                        {pb.block->header.Hash(), std::move(pb.vscc_codes),
-                        duplicates, chain_.Store().Retention(),
-                        pb.block->WireSize()});
+                        duplicates, pb.block->WireSize()});
     }
   } else {
     // The follower's chain advances over the leader's logged block and

@@ -37,15 +37,16 @@
 
 namespace fabricsim::peer {
 
-/// One channel's committed ledger: its world state, its block log, and the
-/// verdict each height was committed with. Every committer commits into
-/// one. The network gives the committers of every peer that joined a
-/// channel the same one: the first committer to reach a height (the leader)
-/// validates the block, writes the state, appends the block to the log and
-/// records the verdict; the others (followers) reuse the verdict when their
-/// block and VSCC codes match it, and their chains advance over the logged
-/// block. A standalone or detached committer holds its own: a channel of
-/// one, which leads every height. See Committer::ShareState.
+/// One channel's committed ledger: its world state, its block log, the
+/// verdict each height was committed with, and the ledger retention every
+/// view of its log keeps. Every committer is built on one. The network
+/// builds the committers of every peer that joined a channel on the same
+/// one: the first committer to reach a height (the leader) validates the
+/// block, writes the state, appends the block to the log and records the
+/// verdict; the others (followers) reuse the verdict when their block and
+/// VSCC codes match it, and their chains advance over the logged block. A
+/// standalone or detached committer holds its own: a channel of one, which
+/// leads every height. See Committer::Committer.
 ///
 /// The log's view table (ledger::BlockLog) is the one record of where the
 /// committers are: the state keeps superseded versions, and the verdicts
@@ -55,18 +56,18 @@ struct ChannelState {
     crypto::Digest block_hash{};
     std::vector<proto::ValidationCode> vscc_codes;
     std::uint64_t duplicates = 0;  // kDuplicateTxId flags
-    std::uint64_t retention = 0;   // the leader's ledger retention
     // Each orderer signs its own copy of a block: the same header hash can
     // come with other metadata. The same size keeps every byte count a
     // follower derives from the logged block its own.
     std::size_t wire_size = 0;
   };
 
-  explicit ChannelState(
-      std::shared_ptr<ledger::BlockLog> log =
-          std::make_shared<ledger::BlockLog>(),
-      ledger::StateDb db = {})
-      : state(std::move(db)), blocks(std::move(log)) {}
+  /// `retention`: blocks each view keeps resident (0 = all); see
+  /// ledger::BlockStore::SetRetention.
+  explicit ChannelState(std::uint64_t retention = 0, ledger::StateDb db = {},
+                        std::shared_ptr<ledger::BlockLog> log =
+                            std::make_shared<ledger::BlockLog>())
+      : retention(retention), state(std::move(db)), blocks(std::move(log)) {}
 
   /// The verdict of height `h`, while some committer is still below it.
   [[nodiscard]] const Verdict* VerdictAt(std::uint64_t h) const {
@@ -91,6 +92,7 @@ struct ChannelState {
     }
   }
 
+  const std::uint64_t retention;
   ledger::StateDb state;
   std::shared_ptr<ledger::BlockLog> blocks;
   std::deque<Verdict> verdicts;  // heights first_verdict, first_verdict + 1..
@@ -103,13 +105,48 @@ struct CommittedBlock {
   ledger::CodesPtr codes;  // as stored in the chain
 };
 
+/// A committer's settings, fixed when it is built.
+struct CommitterConfig {
+  /// Caps the validation pipeline (blocks in VSCC + awaiting serial
+  /// commit). Excess blocks are deferred and promoted as the pipeline
+  /// drains — never shed: a delivered block is acked work, so deferral is
+  /// the only policy that keeps "nothing acked is lost" intact. 0 =
+  /// unbounded (legacy behavior).
+  std::size_t max_pipeline_blocks = 0;
+  /// The Thakkar-style validate-phase optimizations (see
+  /// fabric/optimizations.h). With every knob off — the default — the
+  /// commit pipeline is byte-identical to the unoptimized committer: the
+  /// VSCC cost formula, the serial disk cost, and the CPU the jobs run on
+  /// are untouched.
+  fabric::OptimizationOptions optimizations;
+  /// Failpoint: skip duplicate tx-id screening in SerialCommit. Exists only
+  /// so chaos campaigns can prove the double-commit invariant fires (a
+  /// client resubmission then commits twice). Never set in production runs.
+  bool dedup_disabled = false;
+  /// Failpoint: skip the commit-time data-hash re-verification, and the
+  /// ledger's append-time one, so planted tamper-block drills can show the
+  /// no-forged-commit invariant fire. Never set in production runs.
+  bool data_hash_check_disabled = false;
+};
+
 class Committer {
  public:
   using OnCommit = std::function<void(const CommittedBlock&)>;
 
+  /// A committer on `channel`, the ledger it commits into, from its first
+  /// block on. Each block is then either led (validated and written here,
+  /// appended to the log, its verdict recorded) or followed (the recorded
+  /// verdict reused when this committer's block hash, block size and VSCC
+  /// codes match it; no dedup screen, MVCC, state write or log append: the
+  /// chain only advances its height). Genesis is led or followed the same
+  /// way, so build every committer of a channel before any installs it.
+  /// A committer whose config disables a validation check starts on a
+  /// private copy of `channel` instead: its verdicts are never another's.
+  /// Throws std::invalid_argument when `channel` has logged a block.
   Committer(sim::Environment& env, sim::Machine& machine,
             sim::Cpu& ledger_disk, const crypto::MspRegistry& msps,
-            const fabric::Calibration& cal, metrics::TxTracker* tracker);
+            const fabric::Calibration& cal, metrics::TxTracker* tracker,
+            std::shared_ptr<ChannelState> channel, CommitterConfig config);
   Committer(const Committer&) = delete;
   Committer& operator=(const Committer&) = delete;
 
@@ -127,66 +164,16 @@ class Committer {
   /// or out-of-order blocks are buffered / dropped as appropriate.
   void OnBlock(proto::BlockPtr block, OnCommit on_commit);
 
-  /// Caps the validation pipeline (blocks in VSCC + awaiting serial
-  /// commit). Excess blocks are deferred and promoted as the pipeline
-  /// drains — never shed: a delivered block is acked work, so deferral is
-  /// the only policy that keeps "nothing acked is lost" intact. 0 =
-  /// unbounded (legacy behavior).
-  void SetMaxPipelineBlocks(std::size_t max_blocks) {
-    max_pipeline_blocks_ = max_blocks;
-  }
-
-  /// Commits into `shared`, the channel's one world state and block log,
-  /// instead of a private channel of one. Each block is then either led
-  /// (validated and written here, appended to the log, its verdict
-  /// recorded) or followed (the recorded verdict reused when this
-  /// committer's block hash, block size and VSCC codes match it; no dedup
-  /// screen, MVCC, state write or log append: the chain only advances its
-  /// height). Genesis is led or followed the same way, so share before any
-  /// committer installs it. Simulated costs are charged as before. Ignored
-  /// once this committer or the channel has committed a block.
-  void ShareState(std::shared_ptr<ChannelState> shared);
-
   /// Moves onto a fresh private channel: a copy of the state as of this
-  /// committer's height plus a copy of its chain's window; every later
-  /// block is validated and written here. Called on any verdict mismatch,
-  /// on a failpoint, on a crash, and on mutable chain access. A no-op on a
-  /// private channel.
+  /// committer's height plus a copy of its chain's window, under the same
+  /// retention; every later block is validated and written here. Called on
+  /// any verdict mismatch, on a crash, and on mutable chain access. A no-op
+  /// on a private channel.
   void DetachState();
   /// True while this committer's ledger is not its own (see
   /// ledger::BlockStore::Shared).
   [[nodiscard]] bool SharesState() const { return chain_.Store().Shared(); }
 
-  /// Failpoint: skip duplicate tx-id screening in SerialCommit. Exists only
-  /// so chaos campaigns can prove the double-commit invariant fires (a
-  /// client resubmission then commits twice). Never set in production runs.
-  void SetDedupDisabled(bool disabled) {
-    if (disabled) DetachState();
-    dedup_disabled_ = disabled;
-  }
-
-  /// Failpoint: skip the commit-time data-hash re-verification so planted
-  /// tamper-block drills can show the no-forged-commit invariant fire.
-  /// Never set in production runs.
-  void SetDataHashCheckDisabled(bool disabled) {
-    if (disabled) DetachState();
-    data_hash_check_disabled_ = disabled;
-    // The ledger's append-time linkage check re-verifies the data hash
-    // independently (defense in depth); the drill must lower both gates or
-    // the tampered block still bounces — as a linkage reject — before the
-    // invariant can see it.
-    chain_.SetDataHashCheckDisabled(disabled);
-  }
-
-  /// Arms the Thakkar-style validate-phase optimizations (see
-  /// fabric/optimizations.h). With every knob off — the default — the
-  /// commit pipeline is byte-identical to the unoptimized committer: the
-  /// VSCC cost formula, the serial disk cost, and the CPU the jobs run on
-  /// are untouched. Call before the first block arrives.
-  void SetOptimizations(const fabric::OptimizationOptions& opts);
-  [[nodiscard]] const fabric::OptimizationOptions& Optimizations() const {
-    return opts_;
-  }
   /// The MSP identity cache, when --opt-msp-cache armed one (else nullptr).
   [[nodiscard]] const crypto::MspIdentityCache* MspCache() const {
     return msp_cache_.get();
@@ -195,13 +182,6 @@ class Committer {
   /// (else nullptr: VSCC shares the peer CPU).
   [[nodiscard]] const sim::Cpu* VsccWorkerCpu() const {
     return vscc_cpu_.get();
-  }
-
-  /// Applies ledger retention for bounded-memory soak runs: keep only the
-  /// newest `keep_blocks` blocks resident (0 = all). See
-  /// ledger::BlockStore::SetRetention for the dedup-horizon caveat.
-  void SetLedgerRetention(std::uint64_t keep_blocks) {
-    chain_.MutableStore().SetRetention(keep_blocks);
   }
 
   /// Blocks currently in VSCC or awaiting serial commit.
@@ -343,22 +323,18 @@ class Committer {
 
   std::unordered_map<std::string, policy::EndorsementPolicy> policies_;
 
-  // Validate-phase optimization knobs (all off by default).
-  fabric::OptimizationOptions opts_;
+  const CommitterConfig config_;
   std::unique_ptr<crypto::MspIdentityCache> msp_cache_;
   std::unique_ptr<sim::Cpu> vscc_cpu_;  // dedicated VSCC workers
 
-  ledger::Blockchain chain_;
   std::shared_ptr<ChannelState> channel_;  // its log is the one chain_ views
+  ledger::Blockchain chain_;
 
   // Blocks by number: received, undergoing VSCC, awaiting serial commit.
   std::map<std::uint64_t, PendingBlock> pending_;
   std::map<std::uint64_t, PendingBlock> ready_;  // VSCC finished
   // Parked behind the bounded pipeline, lowest number promoted first.
   std::map<std::uint64_t, DeferredBlock> deferred_;
-  std::size_t max_pipeline_blocks_ = 0;  // 0 = unbounded
-  bool dedup_disabled_ = false;          // failpoint, see SetDedupDisabled
-  bool data_hash_check_disabled_ = false;  // failpoint
   std::uint64_t deferred_total_ = 0;
   std::uint64_t rejected_orderer_sig_ = 0;
   std::uint64_t rejected_data_hash_ = 0;

@@ -8,10 +8,11 @@
 namespace fabricsim::peer {
 
 PeerNode::ChannelLedger::ChannelLedger(PeerNode& peer,
-                                       const std::string& channel_id) {
-  committer = std::make_unique<Committer>(peer.env_, peer.machine_,
-                                          peer.disk_, peer.msps_, peer.cal_,
-                                          peer.tracker_);
+                                       const std::string& channel_id,
+                                       std::shared_ptr<ChannelState> channel) {
+  committer = std::make_unique<Committer>(
+      peer.env_, peer.machine_, peer.disk_, peer.msps_, peer.cal_,
+      peer.tracker_, std::move(channel), peer.committer_config_);
   endorser = std::make_unique<Endorser>(
       peer.identity_, peer.msps_, *peer.chaincodes_,
       [&c = *committer] { return c.State(); }, committer->Chain().Store(),
@@ -22,6 +23,8 @@ PeerNode::PeerNode(sim::Environment& env, sim::Machine& machine,
                    crypto::Identity identity, const crypto::MspRegistry& msps,
                    std::shared_ptr<const chaincode::Registry> chaincodes,
                    const fabric::Calibration& cal, std::string channel_id,
+                   std::shared_ptr<ChannelState> channel,
+                   CommitterConfig committer_config,
                    metrics::TxTracker* tracker, bool endorsing, int index)
     : env_(env),
       machine_(machine),
@@ -32,6 +35,7 @@ PeerNode::PeerNode(sim::Environment& env, sim::Machine& machine,
       default_channel_(std::move(channel_id)),
       tracker_(tracker),
       endorsing_(endorsing),
+      committer_config_(std::move(committer_config)),
       net_id_(env.Net().Register(
           (endorsing ? "peer.endorse" : "peer.commit") + std::to_string(index),
           [this](sim::NodeId from, sim::MessagePtr msg) {
@@ -39,18 +43,14 @@ PeerNode::PeerNode(sim::Environment& env, sim::Machine& machine,
           })),
       disk_(env.Sched(), 1, machine.Profile().speed_factor),
       gossip_rng_(env.ForkRng()) {
-  JoinChannel(default_channel_);
+  JoinChannel(default_channel_, std::move(channel));
 }
 
-void PeerNode::JoinChannel(const std::string& channel_id) {
+void PeerNode::JoinChannel(const std::string& channel_id,
+                           std::shared_ptr<ChannelState> channel) {
   if (channels_.count(channel_id) != 0) return;
-  auto ledger = std::make_unique<ChannelLedger>(*this, channel_id);
-  ledger->committer->SetMaxPipelineBlocks(committer_pipeline_limit_);
-  ledger->committer->SetDedupDisabled(committer_dedup_disabled_);
-  ledger->committer->SetLedgerRetention(retain_blocks_);
-  if (optimizations_.Any()) {
-    ledger->committer->SetOptimizations(optimizations_);
-  }
+  auto ledger =
+      std::make_unique<ChannelLedger>(*this, channel_id, std::move(channel));
   ledger->endorser->SetForgeSignatures(forge_endorsements_);
   channels_.emplace(channel_id, std::move(ledger));
 }
@@ -434,34 +434,6 @@ void PeerNode::SetEndorseAdmission(const sim::AdmissionConfig& config,
                                    sim::SimDuration retry_after) {
   endorse_ingress_.Configure(config);
   endorse_retry_after_ = retry_after;
-}
-
-void PeerNode::SetCommitterPipelineLimit(std::size_t max_blocks) {
-  committer_pipeline_limit_ = max_blocks;
-  for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetMaxPipelineBlocks(max_blocks);
-  }
-}
-
-void PeerNode::SetCommitterDedupDisabled(bool disabled) {
-  committer_dedup_disabled_ = disabled;
-  for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetDedupDisabled(disabled);
-  }
-}
-
-void PeerNode::SetLedgerRetention(std::uint64_t keep_blocks) {
-  retain_blocks_ = keep_blocks;
-  for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetLedgerRetention(keep_blocks);
-  }
-}
-
-void PeerNode::SetOptimizations(const fabric::OptimizationOptions& opts) {
-  optimizations_ = opts;
-  for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetOptimizations(opts);
-  }
 }
 
 void PeerNode::HandleEndorseRequest(

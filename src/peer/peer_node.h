@@ -39,19 +39,25 @@ struct DeliverFailoverConfig {
 
 class PeerNode {
  public:
-  /// Constructs the peer and joins it to `channel_id` (its first channel).
+  /// Constructs the peer and joins it to `channel_id` (its first channel),
+  /// committing into `channel`. Every channel committer of the peer is
+  /// built with `committer_config`.
   PeerNode(sim::Environment& env, sim::Machine& machine,
            crypto::Identity identity, const crypto::MspRegistry& msps,
            std::shared_ptr<const chaincode::Registry> chaincodes,
            const fabric::Calibration& cal, std::string channel_id,
-           metrics::TxTracker* tracker, bool endorsing, int index);
+           std::shared_ptr<ChannelState> channel,
+           CommitterConfig committer_config, metrics::TxTracker* tracker,
+           bool endorsing, int index);
 
   PeerNode(const PeerNode&) = delete;
   PeerNode& operator=(const PeerNode&) = delete;
 
-  /// Joins an additional channel (fresh ledger; same tracker policy as the
-  /// constructor: only the peer-level tracker is reported to).
-  void JoinChannel(const std::string& channel_id);
+  /// Joins an additional channel, committing into `channel` (same tracker
+  /// policy as the constructor: only the peer-level tracker is reported
+  /// to). A no-op for a channel already joined.
+  void JoinChannel(const std::string& channel_id,
+                   std::shared_ptr<ChannelState> channel);
 
   [[nodiscard]] sim::NodeId NetId() const { return net_id_; }
 
@@ -133,25 +139,6 @@ class PeerNode {
   void SetEndorseAdmission(const sim::AdmissionConfig& config,
                            sim::SimDuration retry_after);
 
-  /// Caps each channel committer's validation pipeline (pending + ready
-  /// blocks); excess delivered blocks are deferred, not dropped. 0 =
-  /// unbounded. Applies to current and future channels.
-  void SetCommitterPipelineLimit(std::size_t max_blocks);
-
-  /// Failpoint: disable every channel committer's duplicate tx-id
-  /// screening (see Committer::SetDedupDisabled). Applies to current and
-  /// future channels.
-  void SetCommitterDedupDisabled(bool disabled);
-
-  /// Ledger retention for bounded-memory runs (see Committer::
-  /// SetLedgerRetention). Applies to current and future channels.
-  void SetLedgerRetention(std::uint64_t keep_blocks);
-
-  /// Arms the validate-phase optimization knobs on every channel committer
-  /// (see Committer::SetOptimizations). Applies to current and future
-  /// channels.
-  void SetOptimizations(const fabric::OptimizationOptions& opts);
-
   [[nodiscard]] std::size_t EndorseDepth() const {
     return endorse_ingress_.Depth();
   }
@@ -231,7 +218,8 @@ class PeerNode {
 
  private:
   struct ChannelLedger {
-    explicit ChannelLedger(PeerNode& peer, const std::string& channel_id);
+    ChannelLedger(PeerNode& peer, const std::string& channel_id,
+                  std::shared_ptr<ChannelState> channel);
     std::unique_ptr<Committer> committer;
     std::unique_ptr<Endorser> endorser;
   };
@@ -283,6 +271,7 @@ class PeerNode {
   std::string default_channel_;
   metrics::TxTracker* tracker_;
   bool endorsing_;
+  const CommitterConfig committer_config_;  // every channel committer's
   sim::NodeId net_id_;
   sim::Cpu disk_;  // single-writer ledger path, shared by all channels
   std::map<std::string, std::unique_ptr<ChannelLedger>> channels_;
@@ -338,10 +327,6 @@ class PeerNode {
   // Bounded ProcessProposal ingress (overload protection).
   sim::AdmissionQueue<PendingEndorse> endorse_ingress_;
   sim::SimDuration endorse_retry_after_ = 0;
-  std::size_t committer_pipeline_limit_ = 0;
-  bool committer_dedup_disabled_ = false;
-  std::uint64_t retain_blocks_ = 0;
-  fabric::OptimizationOptions optimizations_;  // all off by default
 };
 
 }  // namespace fabricsim::peer

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,7 @@ struct Committed {
   std::vector<proto::ValidationCode> codes;
 };
 
-/// The genesis state FabricNetwork::SeedAccounts writes.
+/// The genesis state FabricNetwork::BuildLedgers writes.
 ledger::StateDb GenesisState() {
   ledger::StateDb db;
   const proto::Bytes balance = proto::ToBytes(std::to_string(kSeededBalance));
@@ -270,6 +271,54 @@ INSTANTIATE_TEST_SUITE_P(Faults, ChannelStateOracle,
 TEST(ChannelStateOracleRetention, RaftCrashRetain16) {
   CheckChannelState({fabric::OrderingType::kRaft, kCrash, {0, 0, 0, 0, 0, 0}},
                     16);
+}
+
+// Every committer is built on its channel's ledger. In a default network
+// the committers of a channel all hold the same one; with a failpoint that
+// turns a committer check off, each starts on a private copy, seeded
+// accounts included. Every view keeps the channel's retention.
+TEST(ChannelLedgers, CommittersAreBuiltOnTheirChannel) {
+  struct Variant {
+    const char* name;
+    fabric::FailpointOptions failpoints;
+    bool shared;
+  };
+  Variant variants[] = {{"default", {}, true},
+                        {"no-committer-dedup", {}, false},
+                        {"no-byzantine-defense", {}, false}};
+  variants[1].failpoints.disable_committer_dedup = true;
+  variants[2].failpoints.disable_byzantine_defense = true;
+  constexpr std::uint64_t kRetain = 7;
+  for (const Variant& v : variants) {
+    fabric::NetworkOptions options;
+    options.topology.endorsing_peers = 2;
+    options.topology.committing_peers = 2;
+    options.channels = 2;
+    options.seeded_accounts = kSeededAccounts;
+    options.seeded_balance = kSeededBalance;
+    options.retention.ledger_blocks = kRetain;
+    options.failpoints = v.failpoints;
+    fabric::FabricNetwork net(options);
+    for (int ch = 0; ch < net.ChannelCount(); ++ch) {
+      const std::string channel = net.ChannelId(ch);
+      std::set<const peer::ChannelState*> ledgers;
+      for (std::size_t p = 0; p < net.PeerCount(); ++p) {
+        const std::string who =
+            std::string(v.name) + " " + channel + " peer " + std::to_string(p);
+        const peer::Committer& c = net.Peer(p).GetCommitter(channel);
+        ledgers.insert(&c.Channel());
+        EXPECT_EQ(c.SharesState(), v.shared) << who;
+        EXPECT_EQ(c.Chain().Height(), 1u) << who;
+        EXPECT_EQ(c.Chain().Store().Retention(), kRetain) << who;
+        const auto balance = c.State().Get("token", "acct0");
+        ASSERT_TRUE(balance.has_value()) << who;
+        EXPECT_EQ(balance->value,
+                  proto::ToBytes(std::to_string(kSeededBalance)))
+            << who;
+      }
+      EXPECT_EQ(ledgers.size(), v.shared ? 1u : net.PeerCount()) << v.name;
+    }
+  }
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ namespace {
 /// shape as peer_committer_test.cpp; identities derive deterministically, so
 /// two fixtures produce byte-identical blocks).
 struct Fixture {
-  Fixture() : env(3) {
+  explicit Fixture(const fabric::OptimizationOptions& opt = {}) : env(3) {
     msps.AddOrganization("Org1MSP");
     msps.AddOrganization("Org2MSP");
     msps.AddOrganization("ClientOrgMSP");
@@ -42,9 +42,11 @@ struct Fixture {
 
     machine = &env.AddMachine("peer", sim::I7_2600());
     disk = std::make_unique<sim::Cpu>(env.Sched(), 1);
-    committer = std::make_unique<Committer>(env, *machine, *disk, msps,
-                                            fabric::DefaultCalibration(),
-                                            &tracker);
+    CommitterConfig config;
+    config.optimizations = opt;
+    committer = std::make_unique<Committer>(
+        env, *machine, *disk, msps, fabric::DefaultCalibration(), &tracker,
+        std::make_shared<ChannelState>(), config);
     committer->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
                                                        "'Org2MSP.peer')"));
   }
@@ -120,8 +122,7 @@ using CodeSeq = std::vector<std::vector<proto::ValidationCode>>;
 std::pair<CodeSeq, CodeSeq> RunBoth(const fabric::OptimizationOptions& opt) {
   CodeSeq base_codes, opt_codes;
   for (int which = 0; which < 2; ++which) {
-    Fixture f;
-    if (which == 1) f.committer->SetOptimizations(opt);
+    Fixture f(which == 1 ? opt : fabric::OptimizationOptions{});
     CodeSeq& out = which == 0 ? base_codes : opt_codes;
     // Block 0: all valid, multi-tx. Block 1: unendorsed + tampered
     // endorsement + valid + duplicate id. Block 2: valid again (the
@@ -161,10 +162,9 @@ TEST(CommitterVsccWorkersTest, VerdictsMatchSerialValidation) {
 TEST(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
   // Parallel VSCC must not reorder commits: blocks delivered out of order
   // still commit 0, 1, 2.
-  Fixture f;
   fabric::OptimizationOptions opt;
   opt.vscc_workers = 4;
-  f.committer->SetOptimizations(opt);
+  Fixture f(opt);
   auto b0 = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()}),
                          f.MakeTx("t2", {f.peer2.get()})});
   auto b1 = f.MakeBlock({f.MakeTx("t3", {f.peer1.get()})});
@@ -188,8 +188,8 @@ TEST(CommitterOptimizations, BulkCommitEndStateIdentical) {
   EXPECT_EQ(base, with);
 
   // And the world state written with bulk commit on matches key-by-key.
-  Fixture serial, bulk;
-  bulk.committer->SetOptimizations(opt);
+  Fixture serial;
+  Fixture bulk(opt);
   for (Fixture* f : {&serial, &bulk}) {
     f->Commit(f->MakeBlock({f->MakeTx("a", {f->peer1.get()}, {"k1"}),
                             f->MakeTx("b", {}, {"k2"}),
@@ -214,8 +214,7 @@ TEST(CommitterOptimizations, MspCacheChangesNoVerdictsAndCountsHits) {
   const auto [base, with] = RunBoth(opt);
   EXPECT_EQ(base, with);
 
-  Fixture f;
-  f.committer->SetOptimizations(opt);
+  Fixture f(opt);
   f.Commit(f.MakeBlock({f.MakeTx("a", {f.peer1.get()}, {"k1"}),
                         f.MakeTx("b", {f.peer1.get()}, {"k2"})}));
   ASSERT_NE(f.committer->MspCache(), nullptr);
@@ -249,10 +248,9 @@ TEST(CommitterOptimizations, OptMspCacheAloneDecidesTheMspCache) {
   EXPECT_EQ(off_cpu.BusyTime(), uncached);
 
   // Knob on: the cache records hits, and its hits make VSCC cheaper.
-  Fixture on;
   fabric::OptimizationOptions opt;
   opt.msp_cache = true;
-  on.committer->SetOptimizations(opt);
+  Fixture on(opt);
   on.Commit(block(on));
   ASSERT_NE(on.committer->MspCache(), nullptr);
   EXPECT_GT(on.committer->MspCache()->Hits(), 0u);
@@ -271,14 +269,11 @@ TEST(CommitterOptimizations, ShortcircuitStopsAtPolicySatisfaction) {
   // This is the knob's one deliberate divergence from Fabric's VSCC —
   // EXPERIMENTS.md documents it — pinned here so it cannot drift silently.
   for (const bool shortcircuit : {false, true}) {
-    Fixture f;
+    fabric::OptimizationOptions opt;
+    opt.policy_shortcircuit = shortcircuit;
+    Fixture f(opt);
     f.committer->SetPolicy(
         "cc", policy::MustParsePolicy("AND('Org1MSP.peer','Org2MSP.peer')"));
-    if (shortcircuit) {
-      fabric::OptimizationOptions opt;
-      opt.policy_shortcircuit = true;
-      f.committer->SetOptimizations(opt);
-    }
     auto tx = f.MakeTx("t1", {f.peer1.get(), f.peer2.get(), f.peer1.get()});
     // Tamper the surplus endorsement, then re-sign as the client: the
     // submitted envelope legitimately carries a junk third endorsement
@@ -302,8 +297,7 @@ TEST(CommitterOptimizations, ShortcircuitStillRejectsWhatMatters) {
   fabric::OptimizationOptions opt;
   opt.policy_shortcircuit = true;
 
-  Fixture f;
-  f.committer->SetOptimizations(opt);
+  Fixture f(opt);
   auto bad_client = f.MakeTx("t1", {f.peer1.get()}, {"k1"});
   bad_client.client_signature.bytes[0] ^= 1;
   bad_client.InvalidateCaches();

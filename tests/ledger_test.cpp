@@ -490,12 +490,10 @@ TEST(BlockStore, IndexLookupsWorkAfterPruning) {
 
 TEST(BlockStore, SharedLogKeepsWhatItsSlowestViewReads) {
   auto log = std::make_shared<BlockLog>();
-  BlockStore leader;
-  BlockStore follower;
+  BlockStore leader(log);
+  BlockStore follower(log);
   leader.SetRetention(2);
   follower.SetRetention(2);
-  leader.Share(log);
-  follower.Share(log);
   std::vector<proto::BlockPtr> blocks;
   for (std::uint64_t n = 0; n < 6; ++n) {
     const std::string id = "t" + std::to_string(n);
@@ -541,10 +539,8 @@ TEST(BlockStore, SharedLogKeepsWhatItsSlowestViewReads) {
 
 TEST(BlockStore, ViewFollowsOnlyABlockItsLogHolds) {
   auto log = std::make_shared<BlockLog>();
-  BlockStore a;
-  BlockStore b;
-  a.Share(log);
-  b.Share(log);
+  BlockStore a(log);
+  BlockStore b(log);
   EXPECT_FALSE(b.Follow());  // nothing logged yet
   const auto block = MakeBlock(0, nullptr, {TxRW("t", {}, {"k"})});
   a.Append(block, {ValidationCode::kValid});
@@ -564,10 +560,8 @@ TEST(BlockStore, ViewFollowsOnlyABlockItsLogHolds) {
 
 TEST(Blockchain, FollowChecksTheLinkageOfTheFollowersOwnBlock) {
   auto log = std::make_shared<BlockLog>();
-  Blockchain leader;
-  Blockchain follower;
-  leader.MutableStore().Share(log);
-  follower.MutableStore().Share(log);
+  Blockchain leader(log);
+  Blockchain follower(log);
   const auto b0 = MakeBlock(0, nullptr, {TxRW("t1", {}, {"a"})});
   ASSERT_TRUE(leader.Append(b0));
   // The follower's copy names another height: linkage fails, and the

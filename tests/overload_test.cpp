@@ -262,7 +262,8 @@ TEST(OsnOverload, BackfillIsWindowedByDeliverAcks) {
 // ------------------------------------------------- committer pipeline bound
 
 struct DeferralFixture {
-  DeferralFixture() : env(3), cal(fabric::DefaultCalibration()) {
+  explicit DeferralFixture(std::size_t max_pipeline_blocks)
+      : env(3), cal(fabric::DefaultCalibration()) {
     msps.AddOrganization("Org1MSP");
     msps.AddOrganization("ClientOrgMSP");
     msps.AddOrganization("OrdererMSP");
@@ -274,8 +275,11 @@ struct DeferralFixture {
         msps.Find("OrdererMSP")->Enroll("orderer0", crypto::Role::kOrderer));
     machine = &env.AddMachine("peer", sim::I7_2600());
     disk = std::make_unique<sim::Cpu>(env.Sched(), 1);
-    committer = std::make_unique<peer::Committer>(env, *machine, *disk, msps,
-                                                  cal, nullptr);
+    peer::CommitterConfig config;
+    config.max_pipeline_blocks = max_pipeline_blocks;
+    committer = std::make_unique<peer::Committer>(
+        env, *machine, *disk, msps, cal, nullptr,
+        std::make_shared<peer::ChannelState>(), config);
     committer->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer')"));
   }
 
@@ -321,8 +325,7 @@ struct DeferralFixture {
 };
 
 TEST(CommitterOverload, BoundedPipelineDefersThenCommitsEverything) {
-  DeferralFixture f;
-  f.committer->SetMaxPipelineBlocks(1);
+  DeferralFixture f(1);
 
   int committed_blocks = 0;
   std::vector<std::uint64_t> order;

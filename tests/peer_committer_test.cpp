@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <stdexcept>
 
 #include "fabric/channel.h"
 #include "policy/parser.h"
@@ -10,9 +10,13 @@
 namespace fabricsim::peer {
 namespace {
 
-/// Builds valid endorsed envelopes against a fixed trust registry.
+/// Builds valid endorsed envelopes against a fixed trust registry. Its
+/// committer is built with `config` on `channel`.
 struct CommitterFixture {
-  CommitterFixture() : env(3) {
+  explicit CommitterFixture(
+      CommitterConfig config = {},
+      std::shared_ptr<ChannelState> channel = std::make_shared<ChannelState>())
+      : env(3) {
     msps.AddOrganization("Org1MSP");
     msps.AddOrganization("Org2MSP");
     msps.AddOrganization("ClientOrgMSP");
@@ -28,9 +32,9 @@ struct CommitterFixture {
 
     machine = &env.AddMachine("peer", sim::I7_2600());
     disk = std::make_unique<sim::Cpu>(env.Sched(), 1);
-    committer = std::make_unique<Committer>(env, *machine, *disk, msps,
-                                            fabric::DefaultCalibration(),
-                                            &tracker);
+    committer = std::make_unique<Committer>(
+        env, *machine, *disk, msps, fabric::DefaultCalibration(), &tracker,
+        std::move(channel), config);
     committer->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
                                                        "'Org2MSP.peer')"));
   }
@@ -268,21 +272,20 @@ TEST(Committer, UnknownChaincodePolicyInvalid) {
   EXPECT_EQ(codes[0], proto::ValidationCode::kInvalidOtherReason);
 }
 
-/// The fixture's committer plus a second one on its own machine, both on
-/// one shared channel state from genesis on. The fixture's committer leads
-/// each height it commits first.
+/// The fixture's committer plus a second one on its own machine, both
+/// built on `channel` and sharing it from genesis on. The fixture's
+/// committer leads each height it commits first.
 struct SharedFixture : CommitterFixture {
-  SharedFixture() {
+  explicit SharedFixture(
+      std::shared_ptr<ChannelState> channel = std::make_shared<ChannelState>())
+      : CommitterFixture({}, channel), shared(std::move(channel)) {
     follower_machine = &env.AddMachine("peer-b", sim::I7_2600());
     follower_disk = std::make_unique<sim::Cpu>(env.Sched(), 1);
-    follower = std::make_unique<Committer>(env, *follower_machine,
-                                           *follower_disk, msps,
-                                           fabric::DefaultCalibration(),
-                                           nullptr);
+    follower = std::make_unique<Committer>(
+        env, *follower_machine, *follower_disk, msps,
+        fabric::DefaultCalibration(), nullptr, shared, CommitterConfig{});
     follower->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
                                                       "'Org2MSP.peer')"));
-    committer->ShareState(shared);
-    follower->ShareState(shared);
     const proto::BlockPtr genesis = MakeBlock({});
     committer->InstallGenesis(genesis);
     follower->InstallGenesis(genesis);
@@ -310,7 +313,7 @@ struct SharedFixture : CommitterFixture {
     return out;
   }
 
-  std::shared_ptr<ChannelState> shared = std::make_shared<ChannelState>();
+  std::shared_ptr<ChannelState> shared;
   sim::Machine* follower_machine = nullptr;
   std::unique_ptr<sim::Cpu> follower_disk;
   std::unique_ptr<Committer> follower;
@@ -439,26 +442,80 @@ TEST(SharedCommitter, FollowerWithDifferentVsccCodesDetaches) {
   EXPECT_EQ(f.follower->InvalidTx(), 1u);
 }
 
-TEST(SharedCommitter, FailpointAndMutableChainDetach) {
-  // A committer failpoint and MutableChainForTest each move a follower off
-  // the channel while the leader still reads it: the channel stops counting
-  // the follower, so its lowest height becomes the leader's.
-  const std::function<void(Committer&)> detaches[] = {
-      [](Committer& c) { c.SetDedupDisabled(true); },
-      [](Committer& c) { (void)c.MutableChainForTest(); }};
-  for (const auto& detach : detaches) {
-    SharedFixture f;
-    f.CommitOn(*f.committer, f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})}));
-    ASSERT_TRUE(f.follower->SharesState());
-    ASSERT_TRUE(f.committer->SharesState());
-    ASSERT_EQ(f.shared->blocks->OldestHeight(), f.follower->Chain().Height());
-    ASSERT_LT(f.follower->Chain().Height(), f.committer->Chain().Height());
-    detach(*f.follower);
-    EXPECT_FALSE(f.follower->SharesState());
-    EXPECT_NE(&f.follower->Channel(), f.shared.get());
-    EXPECT_EQ(&f.committer->Channel(), f.shared.get());
-    EXPECT_EQ(f.shared->blocks->OldestHeight(), f.committer->Chain().Height());
+TEST(SharedCommitter, MutableChainDetaches) {
+  // MutableChainForTest moves a follower off the channel while the leader
+  // still reads it: the channel stops counting the follower, so its lowest
+  // height becomes the leader's.
+  SharedFixture f;
+  f.CommitOn(*f.committer, f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})}));
+  ASSERT_TRUE(f.follower->SharesState());
+  ASSERT_TRUE(f.committer->SharesState());
+  ASSERT_EQ(f.shared->blocks->OldestHeight(), f.follower->Chain().Height());
+  ASSERT_LT(f.follower->Chain().Height(), f.committer->Chain().Height());
+  (void)f.follower->MutableChainForTest();
+  EXPECT_FALSE(f.follower->SharesState());
+  EXPECT_NE(&f.follower->Channel(), f.shared.get());
+  EXPECT_EQ(&f.committer->Channel(), f.shared.get());
+  EXPECT_EQ(f.shared->blocks->OldestHeight(), f.committer->Chain().Height());
+}
+
+TEST(SharedCommitter, CommitterWithDedupOffStartsOnAPrivateCopy) {
+  // Built on a channel two committers share, a committer whose dedup
+  // screen is off starts on a copy of it, seeded state included: the block
+  // it leads, holding t1 twice, never becomes a verdict that a committer
+  // with the screen on follows.
+  auto channel = std::make_shared<ChannelState>();
+  channel->state.Put("cc", "seeded", proto::ToBytes("1"), {0, 0});
+  CommitterFixture f({}, channel);
+  sim::Machine& machine_b = f.env.AddMachine("peer-b", sim::I7_2600());
+  sim::Machine& machine_c = f.env.AddMachine("peer-c", sim::I7_2600());
+  sim::Cpu disk_b(f.env.Sched(), 1);
+  sim::Cpu disk_c(f.env.Sched(), 1);
+  CommitterConfig dedup_off;
+  dedup_off.dedup_disabled = true;
+  Committer follower(f.env, machine_b, disk_b, f.msps,
+                     fabric::DefaultCalibration(), nullptr, channel, {});
+  Committer unscreened(f.env, machine_c, disk_c, f.msps,
+                       fabric::DefaultCalibration(), nullptr, channel,
+                       dedup_off);
+  const proto::BlockPtr genesis = f.MakeBlock({});
+  for (Committer* c : {f.committer.get(), &follower, &unscreened}) {
+    c->SetPolicy("cc", policy::MustParsePolicy("'Org1MSP.peer'"));
+    c->InstallGenesis(genesis);
   }
+  EXPECT_TRUE(f.committer->SharesState());
+  EXPECT_TRUE(follower.SharesState());
+  EXPECT_EQ(&follower.Channel(), channel.get());
+  EXPECT_FALSE(unscreened.SharesState());
+  EXPECT_NE(&unscreened.Channel(), channel.get());
+  EXPECT_TRUE(unscreened.State().Get("cc", "seeded").has_value());
+
+  const auto t1 = f.MakeTx("t1", {f.peer1.get()}, {}, {"k"});
+  const auto block = f.MakeBlock({t1, t1});
+  auto commit_on = [&](Committer& c) {
+    std::vector<proto::ValidationCode> out;
+    c.OnBlock(block, [&](const CommittedBlock& cb) { out = *cb.codes; });
+    f.env.Sched().RunUntil(f.env.Now() + sim::FromSeconds(5));
+    return out;
+  };
+  using proto::ValidationCode;
+  EXPECT_EQ(commit_on(unscreened),
+            (std::vector{ValidationCode::kValid, ValidationCode::kValid}));
+  const std::vector screened{ValidationCode::kValid,
+                             ValidationCode::kDuplicateTxId};
+  EXPECT_EQ(commit_on(*f.committer), screened);
+  EXPECT_EQ(commit_on(follower), screened);
+  EXPECT_EQ(unscreened.DuplicateTxRejects(), 0u);
+  EXPECT_EQ(f.committer->DuplicateTxRejects(), 1u);
+  EXPECT_EQ(follower.DuplicateTxRejects(), 1u);
+  EXPECT_TRUE(follower.SharesState());
+}
+
+TEST(SharedCommitter, CommitterOnAChannelPastGenesisIsRefused) {
+  SharedFixture f;
+  EXPECT_THROW(Committer(f.env, *f.machine, *f.disk, f.msps,
+                         fabric::DefaultCalibration(), nullptr, f.shared, {}),
+               std::invalid_argument);
 }
 
 TEST(SharedCommitter, PrivateChannelsKeepOnlyTheirOwnWindow) {
@@ -466,16 +523,16 @@ TEST(SharedCommitter, PrivateChannelsKeepOnlyTheirOwnWindow) {
   // of one: under retention, neither keeps a block outside its own chain's
   // window, a superseded version, or a verdict. The leader, left alone on
   // the shared channel, keeps no more than they do.
-  SharedFixture f;
+  constexpr std::uint64_t kKeep = 3;
+  SharedFixture f(std::make_shared<ChannelState>(kKeep));
   sim::Machine& solo_machine = f.env.AddMachine("peer-c", sim::I7_2600());
   sim::Cpu solo_disk(f.env.Sched(), 1);
   Committer solo(f.env, solo_machine, solo_disk, f.msps,
-                 fabric::DefaultCalibration(), nullptr);
+                 fabric::DefaultCalibration(), nullptr,
+                 std::make_shared<ChannelState>(kKeep), {});
   solo.SetPolicy("cc", policy::MustParsePolicy("'Org1MSP.peer'"));
   solo.InstallGenesis(f.committer->Chain().Store().GetBlock(0));
-  constexpr std::uint64_t kKeep = 3;
   Committer* const committers[] = {f.committer.get(), f.follower.get(), &solo};
-  for (Committer* c : committers) c->SetLedgerRetention(kKeep);
   f.follower->DetachState();
   EXPECT_FALSE(f.follower->SharesState());
   EXPECT_FALSE(f.committer->SharesState());
@@ -492,6 +549,8 @@ TEST(SharedCommitter, PrivateChannelsKeepOnlyTheirOwnWindow) {
       const ChannelState& channel = c->Channel();
       const ledger::BlockStore& store = c->Chain().Store();
       EXPECT_EQ(channel.blocks, store.Log()) << who;
+      EXPECT_EQ(channel.retention, kKeep) << who;
+      EXPECT_EQ(store.Retention(), kKeep) << who;
       EXPECT_EQ(channel.blocks->Height(), store.Height()) << who;
       EXPECT_EQ(channel.blocks->ResidentBlocks(), store.ResidentBlocks())
           << who;

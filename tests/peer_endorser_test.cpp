@@ -45,7 +45,8 @@ struct EndorserFixture {
   std::unique_ptr<crypto::Identity> client_identity;
   chaincode::Registry chaincodes;
   ledger::StateDb state;
-  ledger::BlockStore store;
+  std::shared_ptr<ledger::BlockLog> log = std::make_shared<ledger::BlockLog>();
+  ledger::BlockStore store{log};
   std::unique_ptr<Endorser> endorser;
   int nonce_counter = 0;
 };
@@ -155,10 +156,7 @@ TEST(Endorser, LaggingPeerAcceptsAnIdCommittedOnlyAboveItsHeight) {
   // newest block, so the lagging peer has not seen it yet.
   EndorserFixture f;
   const auto sp = f.MakeProposal("kvwrite", "write", {"k", "v"});
-  auto log = std::make_shared<ledger::BlockLog>();
-  ledger::BlockStore leader;
-  leader.Share(log);
-  f.store.Share(log);
+  ledger::BlockStore leader(f.log);
   for (std::uint64_t n = 0; n < 3; ++n) {
     proto::TransactionEnvelope env;
     env.tx_id = n == 2 ? sp.proposal.tx_id : "other" + std::to_string(n);
@@ -166,7 +164,7 @@ TEST(Endorser, LaggingPeerAcceptsAnIdCommittedOnlyAboveItsHeight) {
         proto::Block::Make(n, nullptr, {env})));
   }
   ASSERT_TRUE(f.store.Follow());
-  EXPECT_EQ(log->ResidentBlocks(), 3u);
+  EXPECT_EQ(f.log->ResidentBlocks(), 3u);
   EXPECT_TRUE(leader.HasTransaction(sp.proposal.tx_id));
   EXPECT_FALSE(f.store.HasTransaction(sp.proposal.tx_id));
   EXPECT_EQ(f.endorser->Process(sp).payload.status,

@@ -615,12 +615,11 @@ TEST(LedgerProperty, BlockStoreViewsAnswerAsPrivateStores) {
     };
     std::vector<View> views;
     auto attach = [&] {
-      View v{std::make_unique<ledger::BlockStore>(),
+      View v{std::make_unique<ledger::BlockStore>(log),
              std::make_unique<ledger::BlockStore>()};
       const std::uint64_t keep = kKeeps[rng.NextBelow(std::size(kKeeps))];
       v.store->SetRetention(keep);
       v.reference->SetRetention(keep);
-      v.store->Share(log);
       views.push_back(std::move(v));
     };
     attach();
