@@ -87,11 +87,6 @@ class Recorder {
     return deterministic_;
   }
 
-  [[nodiscard]] std::size_t PointCount() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return points_.size();
-  }
-
   /// Full document, including the whole-process host summary (total wall
   /// clock, peak RSS, aggregate events/sec).
   [[nodiscard]] Json ToJson() const;

@@ -4,6 +4,27 @@
 #include "proto/encode.h"
 
 namespace fabricsim::client {
+namespace {
+
+constexpr sim::SimDuration kEndorseTimeout = sim::FromSeconds(10);
+// Broadcast retry backoff: kRetryDelay doubles per attempt up to
+// kBackoffMax, scaled by 1 +/- kBackoffJitter.
+constexpr sim::SimDuration kRetryDelay = sim::FromMillis(200);
+constexpr double kBackoffFactor = 2.0;
+constexpr sim::SimDuration kBackoffMax = sim::FromSeconds(5);
+constexpr double kBackoffJitter = 0.1;
+// Flow-control AIMD: the window grows by kAdditiveIncrease per window's
+// worth of acks and shrinks by kMultiplicativeDecrease on an overload nack,
+// within [kMinWindow, kMaxWindow]; the pace rate moves the same way, floored
+// at kPaceMinTps, with a kPaceBurst-token bucket.
+constexpr double kMinWindow = 1.0;
+constexpr double kMaxWindow = 512.0;
+constexpr double kAdditiveIncrease = 1.0;
+constexpr double kMultiplicativeDecrease = 0.5;
+constexpr double kPaceMinTps = 1.0;
+constexpr double kPaceBurst = 16.0;
+
+}  // namespace
 
 const char* FailureReasonName(FailureReason reason) {
   switch (reason) {
@@ -52,9 +73,10 @@ Client::Client(sim::Environment& env, sim::Machine& machine,
           [this](sim::NodeId from, sim::MessagePtr msg) {
             OnMessage(from, std::move(msg));
           })) {
+  if (config_.track_outcomes) outcomes_.emplace();
   window_ = config_.flow.initial_window;
   pace_rate_ = config_.flow.pace_tps;
-  tokens_ = config_.flow.pace_burst;
+  tokens_ = kPaceBurst;
 }
 
 void Client::SetEndorsers(std::vector<sim::NodeId> ids,
@@ -86,13 +108,13 @@ sim::SimDuration Client::Jittered(sim::SimDuration base) {
 }
 
 sim::SimDuration Client::Backoff(int attempt) {
-  double d = static_cast<double>(config_.broadcast_retry_delay);
-  for (int i = 1; i < attempt; ++i) d *= config_.backoff_factor;
-  const auto cap = static_cast<double>(config_.backoff_max);
+  double d = static_cast<double>(kRetryDelay);
+  for (int i = 1; i < attempt; ++i) d *= kBackoffFactor;
+  const auto cap = static_cast<double>(kBackoffMax);
   if (d > cap) d = cap;
   // Deterministic jitter: the client's forked RNG stream makes the delay
   // reproducible for a given seed while decorrelating clients.
-  d *= 1.0 + config_.backoff_jitter * (2.0 * rng_.NextDouble() - 1.0);
+  d *= 1.0 + kBackoffJitter * (2.0 * rng_.NextDouble() - 1.0);
   return static_cast<sim::SimDuration>(d);
 }
 
@@ -124,13 +146,13 @@ void Client::Submit(proto::ChaincodeInvocation inv,
   p.tx_id = proto::Proposal::ComputeTxId(p.nonce, p.creator_cert);
 
   if (tracker_ != nullptr) tracker_->MarkSubmitted(p.tx_id, env_.Now());
-  if (config_.track_outcomes) outcomes_.submitted.insert(p.tx_id);
+  if (outcomes_) outcomes_->submitted.insert(p.tx_id);
 
   // Failpoint: the tx counts as submitted but vanishes before the wire —
   // no pending entry, no retry, no terminal status (a true silent drop).
-  if (silent_drop_every_ > 0 &&
+  if (config_.silent_drop_every > 0 &&
       ++silent_drop_counter_ % static_cast<std::uint64_t>(
-                                   silent_drop_every_) == 0) {
+                                   config_.silent_drop_every) == 0) {
     return;
   }
 
@@ -201,7 +223,7 @@ void Client::RefillTokens() {
   const double dt = static_cast<double>(now - tokens_refilled_at_) * 1e-9;
   tokens_refilled_at_ = now;
   tokens_ += dt * pace_rate_;
-  if (tokens_ > config_.flow.pace_burst) tokens_ = config_.flow.pace_burst;
+  if (tokens_ > kPaceBurst) tokens_ = kPaceBurst;
 }
 
 void Client::ArmPumpTimer(sim::SimDuration delay) {
@@ -227,8 +249,7 @@ void Client::PumpLaunchQueue() {
       return;
     }
     if (config_.flow.pace_tps > 0 && tokens_ < 1.0) {
-      const double rate =
-          pace_rate_ > 0 ? pace_rate_ : config_.flow.pace_min_tps;
+      const double rate = pace_rate_ > 0 ? pace_rate_ : kPaceMinTps;
       ArmPumpTimer(
           static_cast<sim::SimDuration>((1.0 - tokens_) / rate * 1e9) + 1);
       return;
@@ -242,12 +263,11 @@ void Client::PumpLaunchQueue() {
 
 void Client::OnOverloadSignal(sim::SimDuration retry_after) {
   if (!config_.flow.enabled) return;
-  const FlowControlConfig& f = config_.flow;
-  window_ *= f.multiplicative_decrease;
-  if (window_ < f.min_window) window_ = f.min_window;
-  if (f.pace_tps > 0) {
-    pace_rate_ *= f.multiplicative_decrease;
-    if (pace_rate_ < f.pace_min_tps) pace_rate_ = f.pace_min_tps;
+  window_ *= kMultiplicativeDecrease;
+  if (window_ < kMinWindow) window_ = kMinWindow;
+  if (config_.flow.pace_tps > 0) {
+    pace_rate_ *= kMultiplicativeDecrease;
+    if (pace_rate_ < kPaceMinTps) pace_rate_ = kPaceMinTps;
   }
   if (retry_after > 0) {
     const sim::SimTime until = env_.Now() + retry_after;
@@ -257,12 +277,12 @@ void Client::OnOverloadSignal(sim::SimDuration retry_after) {
 
 void Client::OnAckSuccess() {
   if (!config_.flow.enabled) return;
-  const FlowControlConfig& f = config_.flow;
-  window_ += f.additive_increase / (window_ < 1.0 ? 1.0 : window_);
-  if (window_ > f.max_window) window_ = f.max_window;
-  if (f.pace_tps > 0) {
-    pace_rate_ += f.additive_increase;
-    if (pace_rate_ > f.pace_tps) pace_rate_ = f.pace_tps;
+  window_ += kAdditiveIncrease / (window_ < 1.0 ? 1.0 : window_);
+  if (window_ > kMaxWindow) window_ = kMaxWindow;
+  const double pace_tps = config_.flow.pace_tps;
+  if (pace_tps > 0) {
+    pace_rate_ += kAdditiveIncrease;
+    if (pace_rate_ > pace_tps) pace_rate_ = pace_tps;
   }
   PumpLaunchQueue();
 }
@@ -317,7 +337,7 @@ void Client::SendProposals(const std::string& tx_id) {
   // of the const reference would be a const member), so the closure fits
   // the scheduler's inline storage.
   tx.endorse_timer = env_.Sched().ScheduleAfter(
-      config_.endorse_timeout, [this, tx_id = std::string(tx_id)] {
+      kEndorseTimeout, [this, tx_id = std::string(tx_id)] {
         auto pit = pending_.find(tx_id);
         if (pit == pending_.end() || pit->second.done) return;
         PendingTx& tx2 = pit->second;
@@ -550,7 +570,7 @@ void Client::OnBroadcastAck(const ordering::BroadcastAckMsg& ack) {
     // envelope is resubmitted if the event never arrives (an acked tx can
     // still be lost when the accepting OSN dies before ordering it); the
     // committer's tx-id dedup makes resubmission safe.
-    if (config_.track_outcomes) outcomes_.acked.insert(ack.TxId());
+    if (outcomes_) outcomes_->acked.insert(ack.TxId());
     OnAckSuccess();
     if (config_.commit_timeout > 0) {
       if (tx.commit_timer != 0) env_.Sched().Cancel(tx.commit_timer);
@@ -603,10 +623,10 @@ void Client::OnCommitEvent(const peer::CommitEventMsg& ev) {
     // Outcome bookkeeping sees every commit event for our transactions,
     // including duplicates committed after this client already finished
     // the tx — exactly what the exactly-once invariant needs to audit.
-    if (config_.track_outcomes && outcomes_.submitted.count(tx_id) != 0) {
-      ++outcomes_.commits[tx_id];
+    if (outcomes_ && outcomes_->submitted.count(tx_id) != 0) {
+      ++outcomes_->commits[tx_id];
       if (code == proto::ValidationCode::kValid) {
-        ++outcomes_.valid_commits[tx_id];
+        ++outcomes_->valid_commits[tx_id];
       }
     }
     auto it = pending_.find(tx_id);
@@ -627,7 +647,7 @@ void Client::Reject(const std::string& tx_id, bool shed) {
                            shed ? metrics::RejectKind::kShed
                                 : metrics::RejectKind::kFailed);
   }
-  if (config_.track_outcomes) outcomes_.rejected.insert(tx_id);
+  if (outcomes_) outcomes_->rejected.insert(tx_id);
   Finish(tx_id);
 }
 

@@ -58,37 +58,25 @@ enum class FailureReason : std::size_t {
 /// token-bucket pacing, both driven by SERVICE_UNAVAILABLE nacks from
 /// overloaded endorsers and orderers (gRPC clients against Fabric use the
 /// same shape: bounded inflight RPCs + retry-after honoring).
+/// The AIMD shape (window bounds, step sizes, pace floor and burst) is
+/// fixed in client.cpp.
 struct FlowControlConfig {
   bool enabled = false;
   /// Transactions allowed between launch and terminal status at once.
   double initial_window = 16.0;
-  double min_window = 1.0;
-  double max_window = 512.0;
-  /// Window growth per acked broadcast (divided by the current window, so
-  /// the window grows by ~this much per window's worth of acks).
-  double additive_increase = 1.0;
-  /// Window/pace shrink factor on an overload nack.
-  double multiplicative_decrease = 0.5;
   /// Built proposals parked behind the window; overflow is shed locally
   /// with a clean terminal status (never silently).
   std::size_t max_queue = 512;
   /// Token-bucket launch rate in tx/s; 0 disables pacing.
   double pace_tps = 0.0;
-  double pace_min_tps = 1.0;
-  double pace_burst = 16.0;
 };
 
+/// The endorse timeout and the broadcast-retry backoff are fixed in
+/// client.cpp.
 struct ClientConfig {
   std::string channel_id = "mychannel";
-  sim::SimDuration endorse_timeout = sim::FromSeconds(10);
   /// Broadcast-nack retry budget (the SDK's existing behaviour).
   int broadcast_retries = 2;
-  /// Base delay before a retry; grows by `backoff_factor` per attempt up to
-  /// `backoff_max`, with +/- `backoff_jitter` deterministic jitter.
-  sim::SimDuration broadcast_retry_delay = sim::FromMillis(200);
-  double backoff_factor = 2.0;
-  sim::SimDuration backoff_max = sim::FromSeconds(5);
-  double backoff_jitter = 0.1;
   /// Retries after a *silent* broadcast timeout (0 = reject immediately,
   /// the paper's behaviour). Each retry rotates to the next orderer.
   int broadcast_timeout_retries = 0;
@@ -103,6 +91,11 @@ struct ClientConfig {
   /// for the ledger-consistency invariant checker. Off by default: the
   /// bookkeeping is per-tx memory that steady-state benchmarks don't need.
   bool track_outcomes = false;
+  /// Failpoint: silently discard every `n`th submission right after it is
+  /// accounted as submitted — it never reaches the wire and the client
+  /// never retries. Exists to prove the silent-drop invariant fires; 0
+  /// (default) disables it.
+  int silent_drop_every = 0;
   /// Client-side flow control (off = legacy fire-at-will behaviour).
   FlowControlConfig flow;
 };
@@ -196,14 +189,8 @@ class Client {
     std::unordered_map<std::string, int> valid_commits;
   };
   [[nodiscard]] const OutcomeLog* Outcomes() const {
-    return config_.track_outcomes ? &outcomes_ : nullptr;
+    return outcomes_ ? &*outcomes_ : nullptr;
   }
-
-  /// Failpoint: silently discard every `n`th submission right after it is
-  /// accounted as submitted — it never reaches the wire and the client
-  /// never retries. Exists to prove the silent-drop invariant fires; 0
-  /// (default) disables it.
-  void FailpointSilentDropEvery(int n) { silent_drop_every_ = n; }
 
  private:
   struct PendingTx {
@@ -286,7 +273,6 @@ class Client {
   std::unordered_map<std::string, PendingTx> pending_;
   std::uint64_t next_rotation_ = 0;
   std::uint64_t nonce_counter_ = 0;
-  int silent_drop_every_ = 0;  // failpoint, see FailpointSilentDropEvery
   std::uint64_t silent_drop_counter_ = 0;
 
   std::uint64_t submitted_ = 0;
@@ -295,7 +281,7 @@ class Client {
   std::uint64_t rejected_ = 0;
   std::array<std::uint64_t, static_cast<std::size_t>(FailureReason::kCount)>
       failure_counts_{};
-  OutcomeLog outcomes_;
+  std::optional<OutcomeLog> outcomes_;  // engaged iff track_outcomes
 
   // Flow-control state (idle unless config_.flow.enabled).
   double window_ = 0;             // AIMD max-inflight window

@@ -65,7 +65,6 @@ class Identity {
   }
   [[nodiscard]] const std::string& MspId() const { return cert_.msp_id; }
   [[nodiscard]] const std::string& Subject() const { return cert_.subject; }
-  [[nodiscard]] Role GetRole() const { return cert_.role; }
   [[nodiscard]] const Digest& PublicKey() const {
     return cert_.subject_public_key;
   }

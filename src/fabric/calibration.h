@@ -18,7 +18,6 @@ namespace fabricsim::fabric {
 
 struct Calibration {
   // --- Client (Fabric SDK Node v1.0 on Node.js 8.16, single-threaded) -----
-  int client_cores = 1;
   /// Building + signing one proposal (crypto in JS-land is expensive).
   sim::SimDuration client_proposal_cpu = sim::FromMillis(12.0);
   /// Handling one endorsement response (verify + bookkeeping).

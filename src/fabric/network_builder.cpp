@@ -3,6 +3,19 @@
 #include <algorithm>
 
 namespace fabricsim::fabric {
+namespace {
+
+// Client budgets with RecoveryOptions on: rotate orderers on up to 3 silent
+// broadcast timeouts and 5 nacks, resubmit an acked envelope whose commit
+// event has not arrived after 8 s up to twice (the committer's tx-id dedup
+// makes this safe), and retry endorsement once against the survivors.
+constexpr int kRecoveryTimeoutRetries = 3;
+constexpr int kRecoveryNackRetries = 5;
+constexpr sim::SimDuration kRecoveryCommitTimeout = sim::FromSeconds(8);
+constexpr int kRecoveryCommitRetries = 2;
+constexpr int kRecoveryEndorseRetries = 1;
+
+}  // namespace
 
 FabricNetwork::FabricNetwork(NetworkOptions options)
     : options_(std::move(options)),
@@ -45,13 +58,6 @@ FabricNetwork::FabricNetwork(NetworkOptions options)
   BuildClients();
   ApplyOverloadProtection();
   ApplyRetention();
-  ApplyFailpoints();
-}
-
-void FabricNetwork::ApplyFailpoints() {
-  const int drop_every = options_.failpoints.client_silent_drop_every;
-  if (drop_every <= 0) return;
-  for (auto& c : clients_) c->FailpointSilentDropEvery(drop_every);
 }
 
 void FabricNetwork::ApplyRetention() {
@@ -163,7 +169,7 @@ void FabricNetwork::BuildOrdering() {
         env_->Sched(), zk_machines.empty() ? sim::Scheduler::kGlobalLane
                                            : zk_machines[0]->Lane());
     zk_ = std::make_unique<ordering::ZooKeeperEnsemble>(
-        *env_, options_.calibration, ordering::ZkConfig{}, zk_machines);
+        *env_, options_.calibration, zk_machines);
     for (int i = 0; i < topo.kafka_brokers; ++i) {
       broker_machines_.push_back(&env_->AddMachine(
           "broker-machine" + std::to_string(i), ProfileForBroker()));
@@ -199,8 +205,7 @@ void FabricNetwork::BuildOrdering() {
                   "orderer" + std::to_string(i) + "." + channel_id,
                   crypto::Role::kOrderer),
               options_.calibration, options_.channel.batch,
-              ordering::RaftConfig{}, i == 0 ? tracker : nullptr, i,
-              channel_id));
+              i == 0 ? tracker : nullptr, i, channel_id));
           group.back()->SetGenesis(*genesis_[static_cast<std::size_t>(c)]);
         }
         std::vector<sim::NodeId> ids;
@@ -336,22 +341,23 @@ void FabricNetwork::BuildClients() {
     const int channel = i % options_.channels;
     client::ClientConfig config;
     config.channel_id = ChannelId(channel);
-    const RecoveryOptions& recovery = options_.recovery;
-    if (recovery.enabled) {
-      config.broadcast_timeout_retries = recovery.broadcast_timeout_retries;
-      config.broadcast_retries = recovery.broadcast_nack_retries;
-      config.commit_timeout = recovery.commit_timeout;
-      config.commit_retries = recovery.commit_retries;
-      config.endorse_retries = recovery.endorse_retries;
+    const bool recovery = options_.recovery.enabled;
+    if (recovery) {
+      config.broadcast_timeout_retries = kRecoveryTimeoutRetries;
+      config.broadcast_retries = kRecoveryNackRetries;
+      config.commit_timeout = kRecoveryCommitTimeout;
+      config.commit_retries = kRecoveryCommitRetries;
+      config.endorse_retries = kRecoveryEndorseRetries;
       config.track_outcomes = true;
     }
     if (options_.track_outcomes) config.track_outcomes = true;
+    config.silent_drop_every = options_.failpoints.client_silent_drop_every;
     if (options_.overload.enabled) config.flow = options_.overload.flow;
     auto c = std::make_unique<client::Client>(
         *env_, machine, std::move(identity), options_.calibration,
         std::move(config), policy_, &tracker_, i);
     c->SetEndorsers(endorser_ids, endorser_principals);
-    if (recovery.enabled || options_.overload.enabled) {
+    if (recovery || options_.overload.enabled) {
       // The full endpoint list: broadcasts start at this client's usual OSN
       // and rotate through the rest on failure or overload nacks.
       c->SetOrderers(OsnNetIds(channel), static_cast<std::size_t>(i));
@@ -387,13 +393,13 @@ void FabricNetwork::ApplyOverloadProtection() {
   osn_cfg.enabled = true;
   osn_cfg.policy = ov.policy;
   osn_cfg.max_inflight = ov.osn_max_inflight;
-  osn_cfg.max_waiting = ov.osn_max_waiting;
+  osn_cfg.max_waiting = ov.osn_max_inflight;
 
   sim::AdmissionConfig endorse_cfg;
   endorse_cfg.enabled = true;
   endorse_cfg.policy = ov.policy;
   endorse_cfg.max_inflight = ov.endorser_max_inflight;
-  endorse_cfg.max_waiting = ov.endorser_max_waiting;
+  endorse_cfg.max_waiting = ov.endorser_max_inflight * 4;
 
   for (int c = 0; c < options_.channels; ++c) {
     for (ordering::OsnBase* osn : Osns(c)) {
@@ -484,8 +490,7 @@ void FabricNetwork::Start() {
       const std::vector<sim::NodeId> osns = OsnNetIds(c);
       for (std::size_t i = 0; i < subscribers; ++i) {
         sim::Scheduler::LaneScope scope(sched, peers_[i]->Host().Lane());
-        peers_[i]->EnableDeliverFailover(ChannelId(c), osns, i % osns.size(),
-                                         options_.recovery.deliver);
+        peers_[i]->EnableDeliverFailover(ChannelId(c), osns, i % osns.size());
         // Cross-OSN attestation rides on the watchdog's OSN list; it only
         // arms on channels with a second OSN to ask (PeerNode enforces
         // that), and the failpoint keeps it off for oracle self-tests.

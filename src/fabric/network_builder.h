@@ -40,25 +40,13 @@ namespace fabricsim::fabric {
 /// Failure-recovery behaviour for chaos experiments. Off by default, which
 /// reproduces the paper's SDK exactly: one pinned orderer endpoint, a fixed
 /// 200 ms nack retry, no endorsement retries, no deliver-stream failover.
+/// On, every client rotates orderer endpoints on silent broadcast timeouts
+/// and nacks, retries endorsement against the surviving endorsers, and
+/// resubmits an acked envelope whose commit event never arrives (budgets in
+/// FabricNetwork::BuildClients); every subscribing peer runs the deliver
+/// watchdog (PeerNode::EnableDeliverFailover).
 struct RecoveryOptions {
   bool enabled = false;
-  /// Client: rotate orderer endpoints on silent broadcast timeouts.
-  int broadcast_timeout_retries = 3;
-  /// Client: nack retry budget (each retry rotates endpoints and backs off).
-  int broadcast_nack_retries = 5;
-  /// Client: resubmit an acked envelope whose commit event never arrives
-  /// (the committer's tx-id dedup makes this safe).
-  sim::SimDuration commit_timeout = sim::FromSeconds(8);
-  int commit_retries = 2;
-  /// Client: retry endorsement against the surviving endorsers.
-  int endorse_retries = 1;
-  /// Peer: deliver-stream watchdog tuning. The watchdog re-subscribes to an
-  /// alternate OSN when the stream dies, and re-subscribes in place to
-  /// backfill a dropped block when the stream is alive but gapped. On a
-  /// single-OSN channel (Solo) there is nowhere to rotate to, but the
-  /// in-place re-subscribe still repairs gaps and catches the peer up once
-  /// the OSN revives.
-  peer::DeliverFailoverConfig deliver;
 };
 
 /// Overload protection: bounded ingress queues with admission control at
@@ -71,15 +59,14 @@ struct OverloadOptions {
   /// What happens when a bounded queue overflows (reject newest, displace
   /// oldest, or model transport backpressure by dropping silently).
   sim::OverloadPolicy policy = sim::OverloadPolicy::kReject;
-  /// OSN broadcast ingress: envelopes in verify/order plus parked. A slot
-  /// is held until the envelope's block finishes, so this bound must exceed
-  /// capacity x block residence (~300 tps x ~1 s blocks needs > 300 slots)
-  /// or admission, not the CPU, sets the saturation knee.
+  /// OSN broadcast ingress: envelopes in verify/order. A slot is held until
+  /// the envelope's block finishes, so this bound must exceed capacity x
+  /// block residence (~300 tps x ~1 s blocks needs > 300 slots) or
+  /// admission, not the CPU, sets the saturation knee. As many again may
+  /// wait parked.
   std::size_t osn_max_inflight = 512;
-  std::size_t osn_max_waiting = 512;
-  /// Endorser ProcessProposal ingress.
+  /// Endorser ProcessProposal ingress; four times as many may wait parked.
   std::size_t endorser_max_inflight = 32;
-  std::size_t endorser_max_waiting = 128;
   /// Committer validation pipeline bound in blocks (0 = unbounded).
   /// Delivered blocks are deferred, never shed — they are acked work.
   std::size_t committer_max_blocks = 8;
@@ -232,7 +219,6 @@ class FabricNetwork {
   void BuildClients();
   void ApplyOverloadProtection();
   void ApplyRetention();
-  void ApplyFailpoints();
   [[nodiscard]] sim::NodeId OsnNetId(int channel, std::size_t index) const;
 
   NetworkOptions options_;

@@ -260,9 +260,7 @@ ExperimentConfig RunFlags::ToConfig() const {
                 : overload == "block"     ? sim::OverloadPolicy::kBlock
                                           : sim::OverloadPolicy::kReject;
     ov.osn_max_inflight = osn_queue;
-    ov.osn_max_waiting = osn_queue;
     ov.endorser_max_inflight = endorser_queue;
-    ov.endorser_max_waiting = endorser_queue * 4;
     ov.committer_max_blocks = committer_blocks;
     ov.retry_after = sim::FromMillis(retry_after_ms);
     if (flow_window > 0) {

@@ -41,7 +41,6 @@ class FaultInjector {
   /// node (e.g. `peer99`, or `broker0` without Kafka).
   void Arm();
 
-  [[nodiscard]] const FaultSchedule& Schedule() const { return schedule_; }
   [[nodiscard]] const std::vector<LogEntry>& Log() const { return log_; }
   /// The injector's actions rendered one per line ("5.00s crash orderer0...").
   [[nodiscard]] std::string LogText() const;

@@ -25,8 +25,6 @@ class Histogram {
   /// Approximate percentile (p in [0,100]).
   [[nodiscard]] sim::SimDuration Percentile(double p) const;
 
-  [[nodiscard]] sim::SimDuration Median() const { return Percentile(50.0); }
-
   /// Merges another histogram into this one.
   void Merge(const Histogram& other);
 

@@ -3,6 +3,17 @@
 #include <algorithm>
 
 namespace fabricsim::ordering {
+namespace {
+
+// A broker renews its ZooKeeper session every kZkHeartbeat.
+constexpr sim::SimDuration kZkHeartbeat = sim::FromSeconds(2);
+// One fetch or replication batch carries at most this many records.
+constexpr std::size_t kMaxFetchRecords = 256;
+// A follower that stays behind and silent for this long is dropped from the
+// in-sync replica set (Kafka's replica.lag.time.max.ms).
+constexpr sim::SimDuration kIsrLagLimit = sim::FromSeconds(6);
+
+}  // namespace
 
 KafkaBroker::KafkaBroker(sim::Environment& env, sim::Machine& machine,
                          const fabric::Calibration& cal, KafkaConfig config,
@@ -12,7 +23,6 @@ KafkaBroker::KafkaBroker(sim::Environment& env, sim::Machine& machine,
       machine_(machine),
       cal_(cal),
       config_(config),
-      index_(index),
       topic_(std::move(topic)),
       zk_ids_(std::move(zk_ids)) {
   net_id_ = env_.Net().Register(
@@ -47,7 +57,7 @@ void KafkaBroker::SendZk(ZkOp op, const std::string& path,
 
 void KafkaBroker::HeartbeatTick() {
   SendZk(ZkOp::kHeartbeat, "", "", nullptr);
-  env_.Sched().ScheduleAfter(config_.zk_heartbeat, [this] { HeartbeatTick(); },
+  env_.Sched().ScheduleAfter(kZkHeartbeat, [this] { HeartbeatTick(); },
                              "kafka_broker/zk_heartbeat");
 }
 
@@ -93,7 +103,7 @@ void KafkaBroker::IsrMaintenanceTick() {
     const bool behind = it->second < log_.size();
     const sim::SimDuration silence =
         env_.Now() - follower_last_ack_[it->first];
-    if (behind && silence > config_.isr_lag_limit) {
+    if (behind && silence > kIsrLagLimit) {
       // Keep replicating to the dropped follower so it can catch up and
       // re-enter the ISR once it revives.
       catchup_log_end_[it->first] = it->second;
@@ -242,7 +252,7 @@ void KafkaBroker::ReplicateToFollowers() {
     auto rep = std::make_shared<KafkaReplicateMsg>();
     rep->high_watermark = high_watermark_;
     const std::uint64_t end =
-        std::min<std::uint64_t>(log_.size(), acked + config_.max_fetch_records);
+        std::min<std::uint64_t>(log_.size(), acked + kMaxFetchRecords);
     for (std::uint64_t i = acked; i < end; ++i) {
       rep->records.push_back(log_[i]);
     }
@@ -289,7 +299,7 @@ void KafkaBroker::AnswerPendingFetches() {
     }
     auto resp = std::make_shared<KafkaFetchResponseMsg>();
     const std::uint64_t end = std::min<std::uint64_t>(
-        high_watermark_, offset + config_.max_fetch_records);
+        high_watermark_, offset + kMaxFetchRecords);
     for (std::uint64_t i = offset; i < end; ++i) {
       resp->records.push_back(log_[i]);
     }

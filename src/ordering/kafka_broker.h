@@ -27,11 +27,6 @@ namespace fabricsim::ordering {
 
 struct KafkaConfig {
   int replication_factor = 3;  // the paper's default
-  sim::SimDuration zk_heartbeat = sim::FromSeconds(2);
-  std::size_t max_fetch_records = 256;
-  /// A follower that stays behind and silent for this long is dropped from
-  /// the in-sync replica set (Kafka's replica.lag.time.max.ms).
-  sim::SimDuration isr_lag_limit = sim::FromSeconds(6);
 };
 
 class KafkaBroker {
@@ -86,7 +81,6 @@ class KafkaBroker {
   sim::Machine& machine_;
   const fabric::Calibration& cal_;
   KafkaConfig config_;
-  int index_;
   std::string topic_;
   sim::NodeId net_id_ = sim::kInvalidNode;
   std::vector<sim::NodeId> zk_ids_;

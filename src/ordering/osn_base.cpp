@@ -3,6 +3,14 @@
 #include "obs/trace.h"
 
 namespace fabricsim::ordering {
+namespace {
+
+// Backfill blocks in flight per subscriber, and how long an unacked window
+// may stall before it is assumed delivered.
+constexpr std::size_t kBackfillWindow = 4;
+constexpr sim::SimDuration kBackfillTimeout = sim::FromSeconds(2);
+
+}  // namespace
 
 OsnBase::OsnBase(sim::Environment& env, sim::Machine& machine,
                  crypto::Identity identity, const fabric::Calibration& cal,
@@ -38,7 +46,6 @@ void OsnBase::SetAdmission(const sim::AdmissionConfig& config,
 
 void OsnBase::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
   if (auto bc = std::dynamic_pointer_cast<const BroadcastEnvelopeMsg>(msg)) {
-    broadcast_log_.Record(env_.Now());
     if (auto* tr = env_.Trace()) {
       tr->Record(tr->PidFor(machine_.Name()), obs::SpanKind::kWire,
                  "rpc.broadcast", bc->Envelope()->tx_id, bc->SentAt(),
@@ -186,7 +193,7 @@ void OsnBase::SubscribePeerFrom(sim::NodeId peer, std::uint64_t from_number) {
   // Backfill what this OSN already delivered past the peer's height; blocks
   // the OSN has not seen yet will arrive through the normal deliver path.
   // The backfill is windowed so a rejoining peer's catch-up traffic cannot
-  // monopolize the wire: at most backfill_window_ blocks in flight, each
+  // monopolize the wire: at most kBackfillWindow blocks in flight, each
   // acked by the peer before the window slides.
   BackfillState& st = backfill_[peer];
   st.next = from_number;
@@ -199,7 +206,7 @@ void OsnBase::PumpBackfill(sim::NodeId peer) {
   auto it = backfill_.find(peer);
   if (it == backfill_.end()) return;
   BackfillState& st = it->second;
-  while (st.inflight < backfill_window_) {
+  while (st.inflight < kBackfillWindow) {
     auto h = history_.lower_bound(st.next);
     if (h == history_.end()) break;
     st.next = h->first + 1;
@@ -225,7 +232,7 @@ void OsnBase::PumpBackfill(sim::NodeId peer) {
   // window made it (legacy backfill had no retransmit either) and advance.
   const std::uint64_t version = st.version;
   env_.Sched().ScheduleAfter(
-      backfill_timeout_,
+      kBackfillTimeout,
       [this, peer, version]() {
         auto g = backfill_.find(peer);
         if (g == backfill_.end() || g->second.version != version) return;

@@ -22,7 +22,6 @@
 #include "crypto/identity.h"
 #include "fabric/calibration.h"
 #include "metrics/phase_stats.h"
-#include "metrics/rate_log.h"
 #include "ordering/deliver.h"
 #include "ordering/messages.h"
 #include "sim/admission.h"
@@ -60,19 +59,15 @@ class OsnBase {
   /// Subscribes `peer` and backfills every already-delivered block from
   /// `from_number` on (Fabric's Deliver seek). Used by peers failing over
   /// from a crashed OSN; idempotent for existing subscribers. The backfill
-  /// is windowed: at most `BackfillWindow()` blocks in flight per
-  /// subscriber, advanced by DeliverAckMsg, so recovery traffic cannot
-  /// monopolize the wire during failover.
+  /// is windowed: at most 4 blocks in flight per subscriber, advanced by
+  /// DeliverAckMsg, so recovery traffic cannot monopolize the wire during
+  /// failover.
   void SubscribePeerFrom(sim::NodeId peer, std::uint64_t from_number);
 
   /// Bounds the ingress queue. `retry_after` is the pause hint attached to
   /// overload nacks.
   void SetAdmission(const sim::AdmissionConfig& config,
                     sim::SimDuration retry_after);
-
-  /// Blocks in flight per backfilling subscriber (default 4).
-  void SetBackfillWindow(std::size_t window) { backfill_window_ = window; }
-  [[nodiscard]] std::size_t BackfillWindow() const { return backfill_window_; }
 
   /// Caps the retained backfill history to the newest `blocks` delivered
   /// blocks (0 = keep all, the default). Memory is otherwise O(chain
@@ -81,18 +76,12 @@ class OsnBase {
 
   /// Envelopes currently admitted or waiting at the ingress queue.
   [[nodiscard]] std::size_t IngressDepth() const { return ingress_.Depth(); }
-  [[nodiscard]] std::size_t IngressWaiting() const {
-    return ingress_.Waiting();
-  }
   /// Peak ingress depth ever observed (catches spikes between samples).
   [[nodiscard]] std::size_t IngressDepthHighWatermark() const {
     return ingress_.DepthHighWatermark();
   }
   [[nodiscard]] std::uint64_t IngressShed() const {
     return ingress_.ShedTotal();
-  }
-  [[nodiscard]] std::uint64_t IngressAdmitted() const {
-    return ingress_.AdmittedTotal();
   }
 
   /// Anchors this OSN on the channel's genesis block: user blocks start at
@@ -127,20 +116,11 @@ class OsnBase {
   void SetTamperDeliver(bool on) { byz_tamper_ = on; }
   /// Serve corrupted copies on backfill/catch-up subscriptions.
   void SetBogusBackfill(bool on) { byz_bogus_backfill_ = on; }
-  [[nodiscard]] bool ByzantineActive() const {
-    return byz_equivocate_ || byz_tamper_ || byz_bogus_backfill_;
-  }
 
   /// Header hash of the block this OSN holds at `number`, for attestation
   /// and the fork invariant; nullopt outside the retained history.
   [[nodiscard]] std::optional<crypto::Digest> HistoryHeaderHash(
       std::uint64_t number) const;
-
-  /// Per-second log of broadcasts received (the paper's rate double-check
-  /// on the load actually reaching the ordering service).
-  [[nodiscard]] const metrics::RateLog& BroadcastLog() const {
-    return broadcast_log_;
-  }
 
  protected:
   /// What the consenter did with a verified envelope.
@@ -186,9 +166,6 @@ class OsnBase {
 
   [[nodiscard]] bool AdmissionEnabled() const {
     return ingress_.Config().enabled;
-  }
-  [[nodiscard]] sim::SimDuration AdmissionRetryAfter() const {
-    return retry_after_;
   }
 
   /// Sends a SERVICE_UNAVAILABLE-style nack with the retry-after hint.
@@ -243,7 +220,6 @@ class OsnBase {
   // backfilled. Blocks are shared_ptrs into the same objects the peers hold,
   // so retention costs pointers, not copies.
   std::map<std::uint64_t, AssembledBlock> history_;
-  metrics::RateLog broadcast_log_{"broadcast-received"};
   std::uint64_t genesis_next_number_ = 0;
   crypto::Digest genesis_hash_{};
 
@@ -256,8 +232,6 @@ class OsnBase {
 
   std::map<sim::NodeId, BackfillState> backfill_;
   std::size_t history_blocks_ = 0;  // 0 = unbounded
-  std::size_t backfill_window_ = 4;
-  sim::SimDuration backfill_timeout_ = sim::FromSeconds(2);
 
   bool byz_equivocate_ = false;
   bool byz_tamper_ = false;

@@ -4,16 +4,26 @@
 #include <cassert>
 
 namespace fabricsim::ordering {
+namespace {
+
+// An election timeout drawn uniformly from [150, 300) ms (the range the
+// Raft paper suggests), a 50 ms leader heartbeat, and at most 16 log
+// entries per AppendEntries.
+constexpr sim::SimDuration kElectionTimeoutMin = sim::FromMillis(150);
+constexpr sim::SimDuration kElectionTimeoutMax = sim::FromMillis(300);
+constexpr sim::SimDuration kHeartbeatInterval = sim::FromMillis(50);
+constexpr std::size_t kMaxEntriesPerAppend = 16;
+
+}  // namespace
 
 RaftNode::RaftNode(sim::Scheduler& sched, sim::Network& net, sim::Rng rng,
                    sim::NodeId self, std::vector<sim::NodeId> group,
-                   RaftConfig config, ApplyFn apply)
+                   ApplyFn apply)
     : sched_(sched),
       net_(net),
       rng_(rng),
       self_(self),
       group_(std::move(group)),
-      config_(config),
       apply_(std::move(apply)) {
   next_index_.assign(group_.size(), 1);
   match_index_.assign(group_.size(), 0);
@@ -45,9 +55,9 @@ std::optional<sim::NodeId> RaftNode::KnownLeader() const {
 
 void RaftNode::ResetElectionTimer() {
   CancelElectionTimer();
-  const auto span = config_.election_timeout_max - config_.election_timeout_min;
+  const auto span = kElectionTimeoutMax - kElectionTimeoutMin;
   const auto delay =
-      config_.election_timeout_min +
+      kElectionTimeoutMin +
       static_cast<sim::SimDuration>(rng_.NextDouble() *
                                     static_cast<double>(span));
   election_timer_ = sched_.ScheduleAfter(delay, [this] { StartElection(); },
@@ -121,7 +131,7 @@ void RaftNode::SendHeartbeats() {
     if (peer == self_) continue;
     ReplicateTo(peer);
   }
-  heartbeat_timer_ = sched_.ScheduleAfter(config_.heartbeat_interval,
+  heartbeat_timer_ = sched_.ScheduleAfter(kHeartbeatInterval,
                                           [this] { SendHeartbeats(); },
                                           "raft/heartbeat");
 }
@@ -141,7 +151,7 @@ void RaftNode::ReplicateTo(sim::NodeId peer) {
   msg->leader_commit = commit_index_;
   for (std::uint64_t i = next;
        i <= LastLogIndex() &&
-       msg->entries.size() < config_.max_entries_per_append;
+       msg->entries.size() < kMaxEntriesPerAppend;
        ++i) {
     msg->entries.push_back(log_[i - 1]);
   }

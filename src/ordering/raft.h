@@ -17,13 +17,6 @@
 
 namespace fabricsim::ordering {
 
-struct RaftConfig {
-  sim::SimDuration election_timeout_min = sim::FromMillis(150);
-  sim::SimDuration election_timeout_max = sim::FromMillis(300);
-  sim::SimDuration heartbeat_interval = sim::FromMillis(50);
-  std::size_t max_entries_per_append = 16;
-};
-
 /// One Raft participant. The owner registers a network endpoint, routes
 /// incoming raft messages to OnMessage, and receives committed entries via
 /// the apply callback (in log order, exactly once per run).
@@ -35,8 +28,7 @@ class RaftNode {
   using LeadershipFn = std::function<void(bool is_leader)>;
 
   RaftNode(sim::Scheduler& sched, sim::Network& net, sim::Rng rng,
-           sim::NodeId self, std::vector<sim::NodeId> group,
-           RaftConfig config, ApplyFn apply);
+           sim::NodeId self, std::vector<sim::NodeId> group, ApplyFn apply);
 
   RaftNode(const RaftNode&) = delete;
   RaftNode& operator=(const RaftNode&) = delete;
@@ -101,7 +93,6 @@ class RaftNode {
   sim::Rng rng_;
   sim::NodeId self_;
   std::vector<sim::NodeId> group_;  // includes self
-  RaftConfig config_;
   ApplyFn apply_;
   LeadershipFn on_leadership_;
 

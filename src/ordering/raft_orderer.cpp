@@ -7,17 +7,16 @@ namespace fabricsim::ordering {
 RaftOrderer::RaftOrderer(sim::Environment& env, sim::Machine& machine,
                          crypto::Identity identity,
                          const fabric::Calibration& cal, BatchConfig batch,
-                         RaftConfig raft_config, metrics::TxTracker* tracker,
+                         metrics::TxTracker* tracker,
                          int index, std::string channel_id)
     : OsnBase(env, machine, std::move(identity), cal, tracker,
               "orderer.raft" + std::to_string(index) + "/" + channel_id,
               channel_id),
-      raft_config_(raft_config),
       cutter_(batch) {}
 
 void RaftOrderer::SetGroup(const std::vector<sim::NodeId>& group) {
   raft_ = std::make_unique<RaftNode>(
-      env_.Sched(), env_.Net(), env_.ForkRng(), NetId(), group, raft_config_,
+      env_.Sched(), env_.Net(), env_.ForkRng(), NetId(), group,
       [this](std::uint64_t /*index*/, const RaftEntry& entry) {
         OnCommitted(entry);
       });

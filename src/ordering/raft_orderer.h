@@ -19,8 +19,7 @@ class RaftOrderer final : public OsnBase {
  public:
   RaftOrderer(sim::Environment& env, sim::Machine& machine,
               crypto::Identity identity, const fabric::Calibration& cal,
-              BatchConfig batch, RaftConfig raft_config,
-              metrics::TxTracker* tracker, int index,
+              BatchConfig batch, metrics::TxTracker* tracker, int index,
               std::string channel_id = "mychannel");
 
   /// Wires the consenter group. Call once for each node, then StartAll.
@@ -50,7 +49,6 @@ class RaftOrderer final : public OsnBase {
   void OnCommitted(const RaftEntry& entry);
   void OnLeadershipChange(bool is_leader);
 
-  RaftConfig raft_config_;
   std::unique_ptr<RaftNode> raft_;
   BlockCutter cutter_;
   sim::EventId timer_ = 0;

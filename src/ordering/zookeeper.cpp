@@ -1,11 +1,18 @@
 #include "ordering/zookeeper.h"
 
 namespace fabricsim::ordering {
+namespace {
+
+// A session silent for longer than kSessionTimeout expires; the leader
+// sweeps for expired sessions every kSweepTick.
+constexpr sim::SimDuration kSessionTimeout = sim::FromSeconds(6);
+constexpr sim::SimDuration kSweepTick = sim::FromSeconds(1);
+
+}  // namespace
 
 ZooKeeperServer::ZooKeeperServer(sim::Environment& env, sim::Machine& machine,
-                                 const fabric::Calibration& cal,
-                                 ZkConfig config, int index)
-    : env_(env), machine_(machine), cal_(cal), config_(config), index_(index) {
+                                 const fabric::Calibration& cal, int index)
+    : env_(env), machine_(machine), cal_(cal) {
   net_id_ = env_.Net().Register(
       "zookeeper" + std::to_string(index),
       [this](sim::NodeId from, sim::MessagePtr msg) {
@@ -18,12 +25,12 @@ void ZooKeeperServer::SetEnsemble(std::vector<sim::NodeId> ensemble) {
 }
 
 bool ZooKeeperServer::IsLeader() const {
-  return !ensemble_.empty() && ensemble_[leader_slot_] == net_id_;
+  return !ensemble_.empty() && ensemble_.front() == net_id_;
 }
 
 void ZooKeeperServer::Start() {
   if (IsLeader()) {
-    env_.Sched().ScheduleAfter(config_.tick, [this] { SweepSessions(); },
+    env_.Sched().ScheduleAfter(kSweepTick, [this] { SweepSessions(); },
                                "zookeeper/session_sweep");
   }
 }
@@ -219,7 +226,7 @@ void ZooKeeperServer::SweepSessions() {
   const sim::SimTime now = env_.Now();
   std::vector<std::uint64_t> expired;
   for (const auto& [session, last] : sessions_) {
-    if (now - last > config_.session_timeout) expired.push_back(session);
+    if (now - last > kSessionTimeout) expired.push_back(session);
   }
   for (std::uint64_t session : expired) {
     sessions_.erase(session);
@@ -236,17 +243,16 @@ void ZooKeeperServer::SweepSessions() {
       ProposeWrite(std::move(w));
     }
   }
-  env_.Sched().ScheduleAfter(config_.tick, [this] { SweepSessions(); },
+  env_.Sched().ScheduleAfter(kSweepTick, [this] { SweepSessions(); },
                                "zookeeper/session_sweep");
 }
 
 ZooKeeperEnsemble::ZooKeeperEnsemble(sim::Environment& env,
                                      const fabric::Calibration& cal,
-                                     ZkConfig config,
                                      std::vector<sim::Machine*> machines) {
   for (std::size_t i = 0; i < machines.size(); ++i) {
     servers_.push_back(std::make_unique<ZooKeeperServer>(
-        env, *machines[i], cal, config, static_cast<int>(i)));
+        env, *machines[i], cal, static_cast<int>(i)));
   }
   std::vector<sim::NodeId> ids = NetIds();
   for (auto& s : servers_) s->SetEnsemble(ids);

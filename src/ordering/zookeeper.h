@@ -28,15 +28,10 @@
 
 namespace fabricsim::ordering {
 
-struct ZkConfig {
-  sim::SimDuration session_timeout = sim::FromSeconds(6);
-  sim::SimDuration tick = sim::FromSeconds(1);  // expiry sweep interval
-};
-
 class ZooKeeperServer {
  public:
   ZooKeeperServer(sim::Environment& env, sim::Machine& machine,
-                  const fabric::Calibration& cal, ZkConfig config, int index);
+                  const fabric::Calibration& cal, int index);
 
   void SetEnsemble(std::vector<sim::NodeId> ensemble);
   void Start();
@@ -44,7 +39,6 @@ class ZooKeeperServer {
   [[nodiscard]] sim::NodeId NetId() const { return net_id_; }
   [[nodiscard]] sim::Machine& Host() { return machine_; }
   [[nodiscard]] bool IsLeader() const;
-  [[nodiscard]] std::size_t ZnodeCount() const { return znodes_.size(); }
 
   /// Test hook: inspect a znode's data on this replica.
   [[nodiscard]] std::optional<std::string> Peek(const std::string& path) const;
@@ -72,16 +66,12 @@ class ZooKeeperServer {
                   bool is_delete, std::uint64_t owner_session);
   void FireWatches(const std::string& path);
   void SweepSessions();
-  [[nodiscard]] std::size_t LeaderSlot() const { return leader_slot_; }
 
   sim::Environment& env_;
   sim::Machine& machine_;
   const fabric::Calibration& cal_;
-  ZkConfig config_;
-  int index_;
   sim::NodeId net_id_ = sim::kInvalidNode;
   std::vector<sim::NodeId> ensemble_;
-  std::size_t leader_slot_ = 0;
 
   // Replicated state (applied writes).
   std::map<std::string, Znode> znodes_;
@@ -99,7 +89,7 @@ class ZooKeeperServer {
 class ZooKeeperEnsemble {
  public:
   ZooKeeperEnsemble(sim::Environment& env, const fabric::Calibration& cal,
-                    ZkConfig config, std::vector<sim::Machine*> machines);
+                    std::vector<sim::Machine*> machines);
 
   void Start();
   [[nodiscard]] std::size_t Size() const { return servers_.size(); }

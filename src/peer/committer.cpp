@@ -53,9 +53,7 @@ Committer::Committer(sim::Environment& env, sim::Machine& machine,
     msp_cache_ = std::make_unique<crypto::MspIdentityCache>(msps_);
   }
   if (config_.optimizations.vscc_workers > 0) {
-    // Dedicated validation workers at the peer machine's clock speed. The
-    // station is created once and lives as long as the committer, so its
-    // utilization history is available to telemetry.
+    // Dedicated validation workers at the peer machine's clock speed.
     vscc_cpu_ = std::make_unique<sim::Cpu>(env_.Sched(),
                                            config_.optimizations.vscc_workers,
                                            machine_.GetCpu().SpeedFactor());

@@ -178,12 +178,6 @@ class Committer {
   [[nodiscard]] const crypto::MspIdentityCache* MspCache() const {
     return msp_cache_.get();
   }
-  /// The dedicated VSCC worker station, when --opt-vscc-workers armed one
-  /// (else nullptr: VSCC shares the peer CPU).
-  [[nodiscard]] const sim::Cpu* VsccWorkerCpu() const {
-    return vscc_cpu_.get();
-  }
-
   /// Blocks currently in VSCC or awaiting serial commit.
   [[nodiscard]] std::size_t PipelineDepth() const {
     return pending_.size() + ready_.size();

@@ -45,7 +45,6 @@ class Endorser {
   /// well-formed — exactly what a compromised endorser key would emit — so
   /// it exercises the client-side verification and VSCC rejection paths.
   void SetForgeSignatures(bool on) { forge_signatures_ = on; }
-  [[nodiscard]] bool ForgingSignatures() const { return forge_signatures_; }
 
  private:
   [[nodiscard]] proto::ProposalResponse Refuse(const std::string& tx_id,

@@ -6,6 +6,14 @@
 #include "ordering/messages.h"
 
 namespace fabricsim::peer {
+namespace {
+
+// Deliver watchdog: ping the current OSN every kDeliverPingPeriod; after
+// kDeliverMissThreshold consecutive unanswered pings, rotate to the next.
+constexpr sim::SimDuration kDeliverPingPeriod = sim::FromMillis(500);
+constexpr int kDeliverMissThreshold = 4;
+
+}  // namespace
 
 PeerNode::ChannelLedger::ChannelLedger(PeerNode& peer,
                                        const std::string& channel_id,
@@ -104,15 +112,13 @@ void PeerNode::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
 
 void PeerNode::EnableDeliverFailover(const std::string& channel_id,
                                      std::vector<sim::NodeId> osns,
-                                     std::size_t current_index,
-                                     DeliverFailoverConfig cfg) {
+                                     std::size_t current_index) {
   if (osns.empty() || channels_.count(channel_id) == 0) return;
   DeliverWatch w;
   w.osns = std::move(osns);
   w.index = current_index % w.osns.size();
-  w.cfg = cfg;
   deliver_watch_[channel_id] = std::move(w);
-  env_.Sched().ScheduleAfter(cfg.ping_period,
+  env_.Sched().ScheduleAfter(kDeliverPingPeriod,
                              [this, channel_id] { DeliverWatchTick(channel_id); },
                              "peer/deliver_watch");
 }
@@ -123,13 +129,12 @@ void PeerNode::DeliverWatchTick(const std::string& channel_id) {
   DeliverWatch& w = it->second;
   if (w.awaiting_pong) {
     ++w.missed;
-    if (w.missed >= w.cfg.miss_threshold) {
+    if (w.missed >= kDeliverMissThreshold) {
       // The OSN looks dead: rotate and re-subscribe from the current chain
       // height. The committer drops duplicate blocks, so a backfill overlap
       // with blocks still in the validation pipeline is harmless.
       w.index = (w.index + 1) % w.osns.size();
       w.missed = 0;
-      ++deliver_failovers_;
       const std::uint64_t height =
           channels_.at(channel_id)->committer->Chain().Height();
       env_.Net().Send(net_id_, w.osns[w.index],
@@ -146,7 +151,6 @@ void PeerNode::DeliverWatchTick(const std::string& channel_id) {
   if (committer.AwaitingGapBlock()) {
     const std::uint64_t stuck_on = committer.NextCommit();
     if (w.gap_next == stuck_on) {
-      ++deliver_gap_repairs_;
       env_.Net().Send(net_id_, w.osns[w.index],
                       std::make_shared<ordering::SubscribeRequestMsg>(
                           channel_id, committer.Chain().Height()));
@@ -161,7 +165,7 @@ void PeerNode::DeliverWatchTick(const std::string& channel_id) {
   w.awaiting_pong = true;
   env_.Net().Send(net_id_, w.osns[w.index],
                   std::make_shared<ordering::DeliverPingMsg>(channel_id));
-  env_.Sched().ScheduleAfter(w.cfg.ping_period,
+  env_.Sched().ScheduleAfter(kDeliverPingPeriod,
                              [this, channel_id] { DeliverWatchTick(channel_id); },
                              "peer/deliver_watch");
 }
@@ -281,7 +285,6 @@ void PeerNode::SendAttestRequest(const std::string& channel_id,
   if (others.empty()) {
     auto msg = pa.msg;
     attest_pending_.erase(pit);
-    ++attest_fail_open_;
     ReleaseDeliveredBlock(channel_id, msg);
     return;
   }
@@ -324,7 +327,6 @@ void PeerNode::OnAttestReply(sim::NodeId from,
     return;
   }
   if (m.HeaderHash() == pa.msg->GetBlock()->header.Hash()) {
-    ++attest_passed_;
     auto msg = pa.msg;
     const std::string channel_id = m.ChannelId();
     attest_pending_.erase(pit);
@@ -360,7 +362,6 @@ void PeerNode::RetryAttestation(const std::string& channel_id,
     // Fail open: nobody reachable can vouch (e.g. every other OSN crashed).
     // The committer's orderer-signature, data-hash and linkage checks still
     // stand between this block and the ledger.
-    ++attest_fail_open_;
     auto msg = pa.msg;
     attest_pending_.erase(pit);
     ReleaseDeliveredBlock(channel_id, msg);
@@ -375,8 +376,8 @@ void PeerNode::QuarantineDeliverer(const std::string& channel_id,
   if (wit == deliver_watch_.end()) return;
   DeliverWatch& w = wit->second;
   if (w.osns[w.index] == deliverer) {
-    // Rotate to the next OSN that is not the quarantined one and count it
-    // as a failover — the same recovery machinery a crashed OSN triggers.
+    // Rotate to the next OSN that is not the quarantined one — the same
+    // recovery machinery a crashed OSN triggers.
     for (std::size_t step = 1; step <= w.osns.size(); ++step) {
       const std::size_t cand = (w.index + step) % w.osns.size();
       if (w.osns[cand] != deliverer) {
@@ -385,7 +386,6 @@ void PeerNode::QuarantineDeliverer(const std::string& channel_id,
       }
     }
     w.missed = 0;
-    ++deliver_failovers_;
   }
   env_.Net().Send(net_id_, w.osns[w.index],
                   std::make_shared<ordering::SubscribeRequestMsg>(

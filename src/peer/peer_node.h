@@ -31,12 +31,6 @@ class BlockAttestReplyMsg;
 
 namespace fabricsim::peer {
 
-/// Watchdog tuning for the deliver-stream failover (see PeerNode below).
-struct DeliverFailoverConfig {
-  sim::SimDuration ping_period = sim::FromMillis(500);
-  int miss_threshold = 4;
-};
-
 class PeerNode {
  public:
   /// Constructs the peer and joins it to `channel_id` (its first channel),
@@ -78,9 +72,6 @@ class PeerNode {
   }
   [[nodiscard]] const Committer& GetCommitter() const {
     return *channels_.at(default_channel_)->committer;
-  }
-  [[nodiscard]] const Endorser& GetEndorser() const {
-    return *channels_.at(default_channel_)->endorser;
   }
 
   /// Per-channel accessors. Throws std::out_of_range for unknown channels.
@@ -152,32 +143,20 @@ class PeerNode {
 
   // --- deliver-stream failover --------------------------------------------
   // A peer subscribed to one OSN's deliver stream loses its block feed when
-  // that OSN crashes. The watchdog pings the current OSN every ping period;
-  // after `miss_threshold` consecutive unanswered pings it rotates to the
-  // next OSN in the list and re-subscribes from its current chain height
-  // (the OSN backfills any blocks it already delivered past that height).
+  // that OSN crashes. The watchdog pings the current OSN every 500 ms;
+  // after 4 consecutive unanswered pings it rotates to the next OSN in the
+  // list and re-subscribes from its current chain height (the OSN backfills
+  // any blocks it already delivered past that height). When the stream is
+  // alive but gapped, it re-subscribes in place to backfill the dropped
+  // block. On a single-OSN channel (Solo) there is nowhere to rotate to,
+  // but the in-place re-subscribe still repairs gaps and catches the peer
+  // up once the OSN revives.
 
   /// Arms the watchdog for `channel_id`. `osns` is the rotation list and
   /// `current_index` the OSN this peer is currently subscribed to.
   void EnableDeliverFailover(const std::string& channel_id,
                              std::vector<sim::NodeId> osns,
-                             std::size_t current_index,
-                             DeliverFailoverConfig cfg = DeliverFailoverConfig());
-
-  /// Number of deliver-stream rotations performed (tests/telemetry).
-  [[nodiscard]] std::uint64_t DeliverFailovers() const {
-    return deliver_failovers_;
-  }
-  [[nodiscard]] std::uint64_t DeliverGapRepairs() const {
-    return deliver_gap_repairs_;
-  }
-  /// The OSN the watchdog currently tracks for `channel_id` (tests).
-  [[nodiscard]] sim::NodeId CurrentDeliverOsn(
-      const std::string& channel_id) const {
-    auto it = deliver_watch_.find(channel_id);
-    return it == deliver_watch_.end() ? sim::kInvalidNode
-                                      : it->second.osns[it->second.index];
-  }
+                             std::size_t current_index);
 
   // --- Byzantine defense: cross-OSN attestation ---------------------------
   // Before handing a freshly delivered block to the committer, ask a
@@ -206,14 +185,6 @@ class PeerNode {
   /// Blocks dropped on an attestation mismatch, deliverer quarantined.
   [[nodiscard]] std::uint64_t ByzantineQuarantines() const {
     return byz_quarantines_;
-  }
-  /// Attestations that matched and released the held block (telemetry).
-  [[nodiscard]] std::uint64_t AttestationsPassed() const {
-    return attest_passed_;
-  }
-  /// Blocks released unattested after exhausting every attester.
-  [[nodiscard]] std::uint64_t AttestationFailOpens() const {
-    return attest_fail_open_;
   }
 
  private:
@@ -293,7 +264,6 @@ class PeerNode {
   struct DeliverWatch {
     std::vector<sim::NodeId> osns;
     std::size_t index = 0;
-    DeliverFailoverConfig cfg;
     bool awaiting_pong = false;
     int missed = 0;
     /// Gap repair: block number the committer was stuck on last tick
@@ -302,8 +272,6 @@ class PeerNode {
     std::uint64_t gap_next = 0;
   };
   std::map<std::string, DeliverWatch> deliver_watch_;
-  std::uint64_t deliver_failovers_ = 0;
-  std::uint64_t deliver_gap_repairs_ = 0;
 
   // Byzantine defense state.
   struct PendingAttest {
@@ -319,8 +287,6 @@ class PeerNode {
   std::set<std::string> byz_defense_;  // channels with attestation armed
   sim::SimDuration attest_timeout_ = sim::FromMillis(300);
   std::uint64_t attest_version_ = 0;
-  std::uint64_t attest_passed_ = 0;
-  std::uint64_t attest_fail_open_ = 0;
   std::uint64_t byz_quarantines_ = 0;
   bool forge_endorsements_ = false;
 

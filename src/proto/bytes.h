@@ -221,7 +221,6 @@ class Reader {
   std::string Str();
 
   [[nodiscard]] bool AtEnd() const { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t Remaining() const { return data_.size() - pos_; }
 
  private:
   void Need(std::size_t n) const;

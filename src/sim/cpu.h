@@ -45,8 +45,6 @@ class Cpu {
   /// Number of cores currently busy.
   [[nodiscard]] int BusyCores() const { return busy_cores_; }
 
-  [[nodiscard]] int Cores() const { return cores_; }
-
   /// The wall duration a job of nominal cost `cost` occupies a core for
   /// (speed-factor scaled) — what Submit charges.
   [[nodiscard]] SimDuration ScaledCost(SimDuration cost) const;

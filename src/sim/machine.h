@@ -77,7 +77,6 @@ class Environment {
   [[nodiscard]] const Scheduler& Sched() const { return sched_; }
   [[nodiscard]] Network& Net() { return *net_; }
   [[nodiscard]] const Network& Net() const { return *net_; }
-  [[nodiscard]] Rng& GlobalRng() { return rng_; }
 
   /// Creates a machine owned by the environment on a fresh scheduler lane.
   /// Pass an existing machine's lane as `share_lane_with` to co-locate (the

@@ -120,12 +120,6 @@ class Network {
   /// Current simulated time (convenience for senders stamping messages).
   [[nodiscard]] SimTime Now() const { return sched_.Now(); }
 
-  /// The scheduler lane of an endpoint (the lane active when it was
-  /// registered — its machine's logical process).
-  [[nodiscard]] int LaneOf(NodeId id) const {
-    return nodes_.at(static_cast<std::size_t>(id)).lane;
-  }
-
  private:
   struct Endpoint {
     std::string name;

@@ -82,16 +82,17 @@ void ExpectSameState(ledger::StateView got, ledger::StateView want,
 }
 
 /// A peer's chain, whether a view of the channel's shared log or forked
-/// onto a private one, must answer as a private chain with the same
-/// retention replayed from the peer's own blocks and codes: height, tip,
-/// window, every block and its codes, and the tx-id index over `probes`.
+/// onto a private one, must answer as a private chain with the configured
+/// retention `retain_blocks` replayed from the peer's own blocks and codes:
+/// height, tip, window, every block and its codes, and the tx-id index over
+/// `probes`.
 void ExpectSameChain(const ledger::Blockchain& chain,
                      const std::vector<Committed>& committed,
                      const std::vector<std::string>& probes,
-                     const std::string& who) {
+                     std::uint64_t retain_blocks, const std::string& who) {
   const ledger::BlockStore& store = chain.Store();
   ledger::Blockchain replay;
-  replay.MutableStore().SetRetention(store.Retention());
+  replay.MutableStore().SetRetention(retain_blocks);
   for (const Committed& c : committed) {
     ASSERT_TRUE(replay.Append(c.block, c.codes))
         << who << " block " << c.block->header.number;
@@ -205,7 +206,7 @@ void CheckChannelState(const Case& c, std::uint64_t retain_blocks) {
     }
     EXPECT_EQ(committer.State().Height(), store.Height());
     ExpectSameState(committer.State(), replay, "peer " + std::to_string(p));
-    ExpectSameChain(committer.Chain(), committed[p], probes,
+    ExpectSameChain(committer.Chain(), committed[p], probes, retain_blocks,
                     "peer " + std::to_string(p));
     duplicates.push_back(committer.DuplicateTxRejects());
     // Crashed peers detached; every peer still sharing is on one chain.

@@ -337,12 +337,12 @@ TEST(ClientRetry, TimeoutBudgetExhaustionRejectsWithPerReasonCount) {
 
 TEST(ClientRetry, EndorseRetryBudgetIsPerReason) {
   ClientConfig cfg;
-  cfg.endorse_timeout = sim::FromSeconds(1);
   cfg.endorse_retries = 1;
   ClientFixture f(FakeEndorser::Mode::kSilent, FakeOrderer::Mode::kAck, cfg);
 
   f.SubmitOne();
-  f.env.Sched().RunUntil(sim::FromSeconds(10));
+  // Two 10 s endorse timeouts with a ~200 ms backoff between them.
+  f.env.Sched().RunUntil(sim::FromSeconds(25));
   // One retry against the (only) endorser, then rejection; both attempts
   // counted under the endorse-timeout reason and in the aggregate.
   EXPECT_EQ(f.endorser->Requests(), 2);

@@ -1,12 +1,108 @@
 // End-to-end chaos tests: declarative fault schedules against the full
 // network, with hard assertions on committed counts, the ledger-consistency
-// invariants, and determinism of the injected runs.
+// invariants, and determinism of the injected runs. Also pins the deliver
+// watchdog's timing against fake OSN endpoints.
 #include <gtest/gtest.h>
 
+#include "crypto/ca.h"
 #include "fabric/experiment.h"
+#include "ordering/messages.h"
+#include "peer/peer_node.h"
 
 namespace fabricsim {
 namespace {
+
+// ------------------------------------------------------- deliver watchdog
+
+/// A fake OSN endpoint that records the watchdog traffic it receives and,
+/// when `answer_pings`, answers each ping with a pong.
+struct FakeOsn {
+  FakeOsn(sim::Environment& env, const std::string& name, bool answer_pings) {
+    id = env.Net().Register(
+        name, [this, &env, answer_pings](sim::NodeId from,
+                                         sim::MessagePtr msg) {
+          if (auto ping =
+                  std::dynamic_pointer_cast<const ordering::DeliverPingMsg>(
+                      msg)) {
+            pings.push_back(env.Now());
+            if (answer_pings) {
+              env.Net().Send(id, from,
+                             std::make_shared<ordering::DeliverPongMsg>(
+                                 ping->ChannelId()));
+            }
+          } else if (std::dynamic_pointer_cast<
+                         const ordering::SubscribeRequestMsg>(msg)) {
+            subscribes.push_back(env.Now());
+          }
+        });
+  }
+  sim::NodeId id = sim::kInvalidNode;
+  std::vector<sim::SimTime> pings;
+  std::vector<sim::SimTime> subscribes;
+};
+
+/// One peer on channel "ch" whose watchdog rotates over two fake OSNs,
+/// starting at `first`. On jitter-free links a message's delay depends only
+/// on its size, so pings arrive spaced exactly as the watchdog sends them,
+/// and messages of other sizes within a microsecond of that.
+struct WatchdogFixture {
+  explicit WatchdogFixture(bool first_answers)
+      : env(5, sim::NetworkConfig{.jitter_fraction = 0.0}),
+        first(env, "osn-a", first_answers),
+        second(env, "osn-b", /*answer_pings=*/true) {
+    const auto& ca = msps.AddOrganization("Org1MSP");
+    auto& machine = env.AddMachine("peer", sim::I7_2600());
+    peer = std::make_unique<peer::PeerNode>(
+        env, machine, ca.Enroll("peer0", crypto::Role::kPeer), msps,
+        std::make_shared<chaincode::Registry>(), fabric::DefaultCalibration(),
+        "ch", std::make_shared<peer::ChannelState>(), peer::CommitterConfig{},
+        nullptr, /*endorsing=*/false, 0);
+    peer->EnableDeliverFailover("ch", {first.id, second.id}, 0);
+  }
+  sim::Environment env;
+  crypto::MspRegistry msps;
+  FakeOsn first;
+  FakeOsn second;
+  std::unique_ptr<peer::PeerNode> peer;
+};
+
+TEST(DeliverWatchdog, SilentOsnIsPingedEvery500msThenLeftAfterFourMisses) {
+  WatchdogFixture f(/*first_answers=*/false);
+  f.env.Sched().RunUntil(sim::FromSeconds(3));
+
+  // Pings every 500 ms from 0.5 s on; the 4th goes unanswered at 2.5 s,
+  // when the peer re-subscribes to the second OSN and pings it instead.
+  ASSERT_EQ(f.first.pings.size(), 4u);
+  for (std::size_t i = 1; i < f.first.pings.size(); ++i) {
+    EXPECT_EQ(f.first.pings[i] - f.first.pings[i - 1], sim::FromMillis(500));
+  }
+  EXPECT_GT(f.first.pings.front(), sim::FromMillis(500));
+  EXPECT_LT(f.first.pings.front(), sim::FromMillis(501));
+  EXPECT_TRUE(f.first.subscribes.empty());
+  ASSERT_EQ(f.second.subscribes.size(), 1u);
+  EXPECT_NEAR(sim::ToSeconds(f.second.subscribes.front()), 2.5, 1e-3);
+  ASSERT_EQ(f.second.pings.size(), 1u);
+  // Sent 500 ms after the last ping to the first OSN, queued on the link
+  // behind the re-subscribe.
+  EXPECT_NEAR(sim::ToSeconds(f.second.pings.front() - f.first.pings.back()),
+              0.5, 1e-5);
+
+  // The second OSN answers, so the peer stays on it.
+  f.env.Sched().RunUntil(sim::FromSeconds(10));
+  EXPECT_EQ(f.first.pings.size(), 4u);
+  EXPECT_EQ(f.second.subscribes.size(), 1u);
+  EXPECT_EQ(f.second.pings.size(), 15u);  // sent at 2.5 s .. 9.5 s
+}
+
+TEST(DeliverWatchdog, AnsweredPingsNeverRotate) {
+  WatchdogFixture f(/*first_answers=*/true);
+  f.env.Sched().RunUntil(sim::FromSeconds(30));
+
+  EXPECT_EQ(f.first.pings.size(), 59u);  // sent at 0.5 s .. 29.5 s
+  EXPECT_TRUE(f.first.subscribes.empty());
+  EXPECT_TRUE(f.second.pings.empty());
+  EXPECT_TRUE(f.second.subscribes.empty());
+}
 
 fabric::ExperimentConfig ChaosConfig(fabric::OrderingType ordering,
                                      const std::string& faults) {

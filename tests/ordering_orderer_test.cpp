@@ -116,7 +116,7 @@ struct RaftOrdererFixture {
       auto& m = env.AddMachine("osn" + std::to_string(i), sim::I7_2600());
       osns.push_back(std::make_unique<RaftOrderer>(
           env, m, OrdererIdentity(i), fabric::DefaultCalibration(), batch,
-          RaftConfig{}, nullptr, i));
+          nullptr, i));
     }
     std::vector<sim::NodeId> group;
     for (auto& o : osns) group.push_back(o->NetId());

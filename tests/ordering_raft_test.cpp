@@ -38,7 +38,7 @@ class RaftCluster {
       const std::size_t slot = static_cast<std::size_t>(i);
       nodes_.push_back(std::make_unique<RaftNode>(
           env_.Sched(), env_.Net(), env_.ForkRng(), ids[slot], ids,
-          RaftConfig{}, [this, slot](std::uint64_t index, const RaftEntry& e) {
+          [this, slot](std::uint64_t index, const RaftEntry& e) {
             applied_[slot].emplace_back(index, e.block);
           }));
     }

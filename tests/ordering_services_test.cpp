@@ -130,7 +130,7 @@ struct ZkFixture {
                                          sim::I7_920()));
     }
     ensemble = std::make_unique<ZooKeeperEnsemble>(
-        env, fabric::DefaultCalibration(), ZkConfig{}, machines);
+        env, fabric::DefaultCalibration(), machines);
     ensemble->Start();
     client_id = env.Net().Register(
         "zk-client", [this](sim::NodeId, sim::MessagePtr msg) {
@@ -247,7 +247,7 @@ struct KafkaFixture {
           &env.AddMachine("zk" + std::to_string(i), sim::I7_920()));
     }
     zk = std::make_unique<ZooKeeperEnsemble>(env, fabric::DefaultCalibration(),
-                                             ZkConfig{}, zk_machines);
+                                             zk_machines);
     KafkaConfig kcfg;
     for (int i = 0; i < brokers; ++i) {
       auto& m = env.AddMachine("broker" + std::to_string(i), sim::I7_920());

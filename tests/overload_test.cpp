@@ -232,7 +232,7 @@ TEST(OsnOverload, BackfillIsWindowedByDeliverAcks) {
   env.Sched().RunUntil(sim::FromSeconds(2));
   ASSERT_EQ(osn.DeliveredBlocks(), 6u);
 
-  // A rejoining peer that withholds acks receives exactly one window.
+  // A rejoining peer that withholds acks receives exactly one window of 4.
   std::vector<std::uint64_t> got;
   bool ack_requested = true;
   const sim::NodeId peer_id = env.Net().Register(
@@ -244,10 +244,9 @@ TEST(OsnOverload, BackfillIsWindowedByDeliverAcks) {
           ack_requested = ack_requested && b->AckRequested();
         }
       });
-  osn.SetBackfillWindow(2);
   osn.SubscribePeerFrom(peer_id, 0);
   env.Sched().RunUntil(env.Now() + sim::FromMillis(200));
-  EXPECT_EQ(got.size(), 2u);
+  EXPECT_EQ(got.size(), 4u);
   EXPECT_TRUE(ack_requested);
 
   // Each ack advances the window by one block until the peer catches up.
@@ -257,6 +256,7 @@ TEST(OsnOverload, BackfillIsWindowedByDeliverAcks) {
                                                            got.front()));
   env.Sched().RunUntil(env.Now() + sim::FromMillis(200));
   EXPECT_EQ(got.size(), before + 1);
+  EXPECT_EQ(got.size(), 5u);
 }
 
 // ------------------------------------------------- committer pipeline bound
@@ -524,9 +524,9 @@ TEST(ClientFlow, AcksGrowWindowAdditively) {
 
 TEST(ClientFlow, FullLaunchQueueShedsLocallyWithTerminalStatus) {
   client::ClientConfig cfg = FlowConfig(1.0);
-  cfg.flow.max_window = 1.0;
   cfg.flow.max_queue = 2;
-  // Silent endorser: the single launched tx pins the window open.
+  // Silent endorser: the single launched tx pins the window open, and with
+  // no acks the window never grows past 1.
   FlowFixture f(cfg, FlowOrderer::Mode::kAck, FlowEndorser::Mode::kSilent);
   for (int i = 0; i < 5; ++i) f.SubmitOne();
   f.env.Sched().RunUntil(sim::FromSeconds(1));

@@ -137,9 +137,7 @@ TEST(RunFlags, ToConfigMapsTheOverloadFlags) {
   EXPECT_TRUE(ov.enabled);
   EXPECT_EQ(ov.policy, sim::OverloadPolicy::kBlock);
   EXPECT_EQ(ov.osn_max_inflight, 512u);
-  EXPECT_EQ(ov.osn_max_waiting, 512u);
   EXPECT_EQ(ov.endorser_max_inflight, 8u);
-  EXPECT_EQ(ov.endorser_max_waiting, 32u);
   EXPECT_EQ(ov.committer_max_blocks, 8u);
   EXPECT_EQ(ov.retry_after, sim::FromMillis(200.0));
   EXPECT_FALSE(ov.flow.enabled);
