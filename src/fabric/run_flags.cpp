@@ -1,9 +1,12 @@
 #include "fabric/run_flags.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
-#include <utility>
+#include <system_error>
+#include <type_traits>
 
 #include "faults/fault_schedule.h"
 
@@ -11,208 +14,397 @@ namespace fabricsim::fabric {
 
 namespace {
 
-constexpr std::pair<std::string_view, OrderingType> kOrderings[] = {
-    {"solo", OrderingType::kSolo},
-    {"kafka", OrderingType::kKafka},
-    {"raft", OrderingType::kRaft},
+constexpr std::string_view kHelpKey = "--help";
+constexpr std::string_view kOff = "off";
+
+constexpr std::string_view kOrderings[] = {"solo", "kafka", "raft"};
+constexpr std::string_view kWorkloads[] = {"kvwrite", "readwrite", "token",
+                                           "smallbank"};
+constexpr std::string_view kOverloads[] = {kOff, "reject", "drop-oldest",
+                                           "block"};
+constexpr std::string_view kMetricsFormats[] = {"json", "prom", "csv"};
+
+constexpr std::string_view kNoCommitterDedup = "no-committer-dedup";
+constexpr std::string_view kSilentDrop = "silent-drop:";
+constexpr std::string_view kNoByzantineDefense = "no-byzantine-defense";
+
+// Simulated times are int64 nanoseconds. These caps keep each conversion,
+// and the sums a run forms from it, far below 2^63 ns (~292 years).
+constexpr Bounds kSeconds{.max = 1e6, .positive = true};
+constexpr Bounds kMillis{.min = 0, .max = 1e9};
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
 };
 
-constexpr std::pair<std::string_view, client::WorkloadKind> kWorkloads[] = {
-    {"kvwrite", client::WorkloadKind::kKvWrite},
-    {"readwrite", client::WorkloadKind::kKvReadWrite},
-    {"token", client::WorkloadKind::kTokenTransfer},
-    {"smallbank", client::WorkloadKind::kSmallBank},
-};
+template <typename P>
+constexpr bool kIsEnumPointer = std::is_enum_v<std::remove_pointer_t<P>>;
 
-template <typename E, std::size_t N>
-bool Lookup(const std::pair<std::string_view, E> (&table)[N],
-            std::string_view name, E& out) {
-  for (const auto& [n, value] : table) {
-    if (n == name) {
-      out = value;
-      return true;
-    }
-  }
-  return false;
-}
-
-template <typename E, std::size_t N>
-std::string NameOf(const std::pair<std::string_view, E> (&table)[N], E value) {
-  for (const auto& [name, v] : table) {
-    if (v == value) return std::string(name);
-  }
-  return "";
-}
-
-/// Calls fn(key, always_rendered, field...) for every numeric flag, in
-/// rendering order, with that flag's field of each `f`.
-template <typename Fn, typename... Flags>
-void ForEachNumber(Fn&& fn, Flags&... f) {
-  fn("--rate", true, f.rate...);
-  fn("--duration", true, f.duration_s...);
-  fn("--peers", true, f.peers...);
-  fn("--committing-peers", false, f.committing_peers...);
-  fn("--clients", false, f.clients...);
-  fn("--osns", true, f.osns...);
-  fn("--brokers", false, f.brokers...);
-  fn("--zookeepers", false, f.zookeepers...);
-  fn("--channels", false, f.channels...);
-  fn("--batch-size", true, f.batch_size...);
-  fn("--batch-timeout", false, f.batch_timeout_s...);
-  fn("--value-size", false, f.value_size...);
-  fn("--key-space", false, f.key_space...);
-  fn("--seed", true, f.seed...);
-  fn("--retain-blocks", false, f.retain_blocks...);
-  fn("--osn-queue", false, f.osn_queue...);
-  fn("--endorser-queue", false, f.endorser_queue...);
-  fn("--committer-blocks", false, f.committer_blocks...);
-  fn("--retry-after-ms", false, f.retry_after_ms...);
-  fn("--flow-window", false, f.flow_window...);
-  fn("--pace-tps", false, f.pace_tps...);
-  fn("--metrics-period-ms", false, f.metrics_period_ms...);
-  fn("--opt-vscc-workers", false, f.optimizations.vscc_workers...);
-  fn("--jobs", false, f.jobs...);
-}
-
-/// Calls fn(flag, field) for every on/off flag, in rendering order.
-template <typename Fn, typename Flags>
-void ForEachSwitch(Fn&& fn, Flags& f) {
-  fn("--streaming-stats", f.streaming_stats);
-  fn("--opt-msp-cache", f.optimizations.msp_cache);
-  fn("--opt-bulk-commit", f.optimizations.bulk_commit);
-  fn("--opt-policy-shortcircuit", f.optimizations.policy_shortcircuit);
-  fn("--profile", f.profile);
-  fn("--check-invariants", f.check_invariants);
-  fn("--csv", f.csv);
-}
-
-/// Shortest decimal that parses back to the same double.
-std::string Text(double v) {
+/// Decimal text of `v`; for a double, the shortest that parses back to it.
+template <typename T>
+std::string Text(T v) {
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
   return std::string(buf, res.ptr);
 }
 
+/// Parses one number into `field` and returns the error text, empty on
+/// success; `field` is left alone on failure.
 template <typename T>
-  requires std::is_integral_v<T>
-std::string Text(T v) {
-  return std::to_string(v);
+std::string ParseNumber(const std::string& key, const std::string& text,
+                        const Bounds& bounds, T& field) {
+  T value{};
+  if constexpr (std::is_integral_v<T>) {
+    if (std::is_unsigned_v<T> && text.starts_with('-')) {
+      return key + " must not be negative";
+    }
+    const char* last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+    if (ec == std::errc::result_out_of_range) {
+      return key + " is out of range: " + text;
+    }
+    if (ec != std::errc() || ptr != last) {
+      return key + " needs an integer, got " + text;
+    }
+  } else {
+    std::size_t used = 0;
+    try {
+      value = std::stod(text, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used == 0 || used != text.size()) {
+      return key + " needs a number, got " + text;
+    }
+    if (!std::isfinite(value)) {
+      return key + " needs a finite number, got " + text;
+    }
+  }
+  const auto v = static_cast<double>(value);
+  if (bounds.positive && !(v > 0)) return key + " must be positive";
+  if (v < bounds.min) {
+    return key + (bounds.min == 0 ? " must not be negative"
+                                  : " must be at least " + Text(bounds.min));
+  }
+  if (v > bounds.max) return key + " must be at most " + Text(bounds.max);
+  field = value;
+  return "";
 }
 
-std::string Text(const std::optional<int>& v) { return Text(*v); }
+/// Sets `field` to the choice named `text`.
+template <typename T>
+std::string Choose(const Flag& flag, const std::string& text, T& field) {
+  const std::span<const std::string_view> names = flag.choice.names;
+  const auto it = std::ranges::find(names, text);
+  if (it == names.end()) {
+    return "unknown " + std::string(flag.choice.noun) + ": " + text;
+  }
+  if constexpr (std::is_enum_v<T>) {
+    field = static_cast<T>(it - names.begin());
+  } else {
+    field = text == kOff ? "" : text;
+  }
+  return "";
+}
 
-std::optional<std::string> ArgValue(const std::string& arg,
-                                    std::string_view key) {
-  const std::string prefix = std::string(key) + "=";
-  if (arg.starts_with(prefix)) return arg.substr(prefix.size());
-  return std::nullopt;
+std::string ParseFailpoint(const std::string& key, const std::string& text,
+                           FailpointOptions& failpoints) {
+  if (text == kNoCommitterDedup) {
+    failpoints.disable_committer_dedup = true;
+  } else if (text == kNoByzantineDefense) {
+    failpoints.disable_byzantine_defense = true;
+  } else if (!text.starts_with(kSilentDrop)) {
+    return "unknown failpoint: " + text;
+  } else if (!ParseNumber(key, text.substr(kSilentDrop.size()), kAtLeast1,
+                          failpoints.client_silent_drop_every)
+                  .empty()) {
+    return "bad " + key + " silent-drop count: " + text;
+  }
+  return "";
+}
+
+/// Parses `text` into the field `flag` binds; a switch takes no text.
+std::string ParseValue(const Flag& flag, const std::string& text) {
+  const std::string key(flag.key);
+  return std::visit(
+      Overloaded{
+          [](bool* on) {
+            *on = true;
+            return std::string();
+          },
+          [&](std::optional<int>* field) {
+            int value = 0;
+            std::string error = ParseNumber(key, text, flag.bounds, value);
+            if (error.empty()) *field = value;
+            return error;
+          },
+          [&](std::string* field) {
+            if (!flag.choice.names.empty()) return Choose(flag, text, *field);
+            *field = text;
+            return std::string();
+          },
+          [&](FailpointOptions* field) {
+            return ParseFailpoint(key, text, *field);
+          },
+          [&](std::vector<double>* rates) {
+            std::stringstream ss(text);
+            std::string item;
+            while (std::getline(ss, item, ',')) {
+              double rate = 0;
+              if (!ParseNumber(key, item, flag.bounds, rate).empty()) {
+                return "bad " + key + " rate: " + item;
+              }
+              rates->push_back(rate);
+            }
+            if (rates->empty()) return key + " needs at least one rate";
+            return std::string();
+          },
+          [&](auto* field) {
+            if constexpr (kIsEnumPointer<decltype(field)>) {
+              return Choose(flag, text, *field);
+            } else {
+              return ParseNumber(key, text, flag.bounds, *field);
+            }
+          },
+      },
+      flag.field);
+}
+
+/// The texts `flag` renders as after its key and "=": one per failpoint
+/// set, one empty text (the bare key) for a switch that is on, and none for
+/// a switch that is off, an unset optional or empty free text.
+std::vector<std::string> Values(const Flag& flag) {
+  using Texts = std::vector<std::string>;
+  return std::visit(
+      Overloaded{
+          [](bool* on) { return *on ? Texts{""} : Texts{}; },
+          [](std::optional<int>* field) {
+            return *field ? Texts{Text(**field)} : Texts{};
+          },
+          [&](std::string* field) {
+            if (!field->empty()) return Texts{*field};
+            if (flag.choice.names.empty()) return Texts{};
+            return Texts{std::string(kOff)};
+          },
+          [](FailpointOptions* fp) {
+            Texts out;
+            if (fp->disable_committer_dedup) {
+              out.emplace_back(kNoCommitterDedup);
+            }
+            if (fp->client_silent_drop_every > 0) {
+              out.push_back(std::string(kSilentDrop) +
+                            Text(fp->client_silent_drop_every));
+            }
+            if (fp->disable_byzantine_defense) {
+              out.emplace_back(kNoByzantineDefense);
+            }
+            return out;
+          },
+          [](std::vector<double>* rates) {
+            std::string list;
+            for (double rate : *rates) {
+              list += (list.empty() ? "" : ",") + Text(rate);
+            }
+            return list.empty() ? Texts{} : Texts{list};
+          },
+          [&](auto* field) {
+            if constexpr (kIsEnumPointer<decltype(field)>) {
+              return Texts{std::string(
+                  flag.choice.names[static_cast<std::size_t>(*field)])};
+            } else {
+              return Texts{Text(*field)};
+            }
+          },
+      },
+      flag.field);
+}
+
+/// What HelpText shows after the key: the value grammar.
+std::string Grammar(const Flag& flag) {
+  if (!flag.choice.names.empty()) {
+    std::string names;
+    for (std::string_view name : flag.choice.names) {
+      names += (names.empty() ? "=" : "|") + std::string(name);
+    }
+    return names;
+  }
+  return std::visit(
+      Overloaded{
+          [](bool*) -> std::string { return ""; },
+          [](double*) -> std::string { return "=<x>"; },
+          [](std::string*) -> std::string { return "=<text>"; },
+          [](FailpointOptions*) {
+            return "=" + std::string(kNoCommitterDedup) + "|" +
+                   std::string(kSilentDrop) + "<n>|" +
+                   std::string(kNoByzantineDefense);
+          },
+          [](std::vector<double>*) -> std::string { return "=<x1,x2,...>"; },
+          [](auto*) -> std::string { return "=<n>"; },
+      },
+      flag.field);
 }
 
 }  // namespace
 
-std::string ParseRunFlags(const std::vector<std::string>& args,
-                          RunFlags& out) {
+std::vector<Flag> RunFlagTable(RunFlags& f) {
+  OptimizationOptions& opt = f.optimizations;
+  return {
+      {.key = "--ordering", .field = &f.ordering, .always = true,
+       .choice = {kOrderings, "ordering"}, .help = "ordering service"},
+      {.key = "--rate", .field = &f.rate, .always = true, .bounds = kPositive,
+       .help = "aggregate arrival rate, tps"},
+      {.key = "--duration", .field = &f.duration_s, .always = true,
+       .bounds = kSeconds, .help = "measurement window, simulated seconds"},
+      {.key = "--peers", .field = &f.peers, .always = true,
+       .bounds = kAtLeast1, .help = "endorsing peers"},
+      {.key = "--committing-peers", .field = &f.committing_peers,
+       .bounds = kAtLeast1, .help = "dedicated validators"},
+      {.key = "--clients", .field = &f.clients, .bounds = kAtLeast1,
+       .help = "client machines (unset = one per endorsing peer)"},
+      {.key = "--osns", .field = &f.osns, .always = true, .bounds = kAtLeast1,
+       .help = "ordering service nodes"},
+      {.key = "--brokers", .field = &f.brokers, .bounds = kAtLeast1,
+       .help = "kafka brokers"},
+      {.key = "--zookeepers", .field = &f.zookeepers, .bounds = kAtLeast1,
+       .help = "zookeeper servers"},
+      {.key = "--channels", .field = &f.channels, .bounds = kAtLeast1,
+       .help = "channels"},
+      {.key = "--batch-size", .field = &f.batch_size, .always = true,
+       .bounds = kAtLeast1, .help = "BatchSize, transactions per block"},
+      {.key = "--batch-timeout", .field = &f.batch_timeout_s,
+       .bounds = kSeconds, .help = "BatchTimeout, simulated seconds"},
+      {.key = "--value-size", .field = &f.value_size,
+       .help = "kvwrite value size, bytes"},
+      {.key = "--key-space", .field = &f.key_space, .bounds = kAtLeast1,
+       .help = "shared-key pool size"},
+      {.key = "--seed", .field = &f.seed, .always = true, .help = "RNG seed"},
+      {.key = "--retain-blocks", .field = &f.retain_blocks,
+       .help = "blocks kept per ledger and OSN history (0 = all)"},
+      {.key = "--osn-queue", .field = &f.osn_queue, .bounds = kAtLeast1,
+       .help = "OSN ingress max inflight under --overload"},
+      {.key = "--endorser-queue", .field = &f.endorser_queue,
+       .bounds = kAtLeast1,
+       .help = "endorser ingress max inflight under --overload"},
+      {.key = "--committer-blocks", .field = &f.committer_blocks,
+       .help = "committer pipeline bound in blocks (0 = none)"},
+      {.key = "--retry-after-ms", .field = &f.retry_after_ms,
+       .bounds = kMillis, .help = "retry-after hint on overload nacks, ms"},
+      {.key = "--flow-window", .field = &f.flow_window,
+       .bounds = kNonNegative,
+       .help = "client AIMD initial window (0 = no flow control)"},
+      {.key = "--pace-tps", .field = &f.pace_tps, .bounds = kNonNegative,
+       .help = "client token-bucket pacing, tps (0 = off)"},
+      {.key = "--metrics-period-ms", .field = &f.metrics_period_ms,
+       .bounds = {.min = 1, .max = kMillis.max},
+       .help = "metrics sampling period, simulated ms"},
+      {.key = "--opt-vscc-workers", .field = &opt.vscc_workers,
+       .bounds = kNonNegative,
+       .help = "dedicated VSCC workers per committer (0 = off)"},
+      {.key = "--jobs", .field = &f.jobs, .bounds = kNonNegative,
+       .help = "host threads for --sweep (0 = hardware concurrency)"},
+      {.key = "--workload", .field = &f.workload,
+       .choice = {kWorkloads, "workload"}, .help = "chaincode workload"},
+      {.key = "--policy", .field = &f.policy,
+       .help = "endorsement policy, e.g. AND('Org1MSP.peer','Org2MSP.peer')"},
+      {.key = "--overload", .field = &f.overload,
+       .choice = {kOverloads, "overload policy"},
+       .help = "bounded ingress queues with this overflow policy"},
+      {.key = "--faults", .field = &f.faults,
+       .help = "fault schedule, e.g. crash:leader@15s,revive:leader@25s"},
+      {.key = "--failpoint", .field = &f.failpoints,
+       .help = "plant a deliberate bug, as chaos_fuzz repros do"},
+      {.key = "--streaming-stats", .field = &f.streaming_stats,
+       .help = "retire per-tx records at their terminal state"},
+      {.key = "--opt-msp-cache", .field = &opt.msp_cache,
+       .help = "cache MSP identity validation on the committers"},
+      {.key = "--opt-bulk-commit", .field = &opt.bulk_commit,
+       .help = "write a block's state updates as one ledger write"},
+      {.key = "--opt-policy-shortcircuit", .field = &opt.policy_shortcircuit,
+       .help = "stop verifying endorsements once the policy holds"},
+      {.key = "--profile", .field = &f.profile,
+       .help = "print the host-side DES profiler's top-10 handlers"},
+      {.key = "--check-invariants", .field = &f.check_invariants,
+       .help = "check the ledger invariants; exit 1 on a violation"},
+      {.key = "--csv", .field = &f.csv, .help = "CSV output"},
+      {.key = "--invariants-out", .field = &f.invariants_out,
+       .implies = &f.check_invariants,
+       .help = "write the invariant report as JSON"},
+      {.key = "--trace-out", .field = &f.trace_out,
+       .help = "write a Chrome trace; print the bottleneck attribution"},
+      {.key = "--metrics-out", .field = &f.metrics_out,
+       .help = "write the sampled metrics timeline"},
+      {.key = "--metrics-format", .field = &f.metrics_format,
+       .choice = {kMetricsFormats, "metrics format"},
+       .help = "metrics timeline format"},
+      {.key = "--profile-trace", .field = &f.profile_trace,
+       .implies = &f.profile,
+       .help = "write sampled handler spans as a Chrome trace"},
+      {.key = "--sweep", .field = &f.sweep, .bounds = kPositive,
+       .help = "run once per arrival rate, one summary row each"},
+  };
+}
+
+std::string ParseFlags(const std::vector<Flag>& table,
+                       const std::vector<std::string>& args, bool& help) {
   for (const std::string& arg : args) {
-    if (arg == "--help" || arg == "-h") {
-      out.help = true;
+    if (arg == kHelpKey || arg == "-h") {
+      help = true;
       return "";
     }
-    bool matched = false;
-    ForEachSwitch(
-        [&](std::string_view key, bool& on) {
-          if (arg == key) on = matched = true;
-        },
-        out);
-    std::string error;
-    ForEachNumber(
-        [&](const char* key, bool, auto& field) {
-          if (const auto v = ArgValue(arg, key)) {
-            error = ParseNumber(key, *v, field);
-            matched = true;
-          }
-        },
-        out);
-    if (!error.empty()) return error;
-    if (matched) continue;
-
-    if (auto v = ArgValue(arg, "--ordering")) {
-      if (!Lookup(kOrderings, *v, out.ordering)) {
-        return "unknown ordering: " + *v;
-      }
-    } else if (auto v = ArgValue(arg, "--workload")) {
-      if (!Lookup(kWorkloads, *v, out.workload)) {
-        return "unknown workload: " + *v;
-      }
-    } else if (auto v = ArgValue(arg, "--policy")) {
-      out.policy = *v;
-    } else if (auto v = ArgValue(arg, "--trace-out")) {
-      out.trace_out = *v;
-    } else if (auto v = ArgValue(arg, "--faults")) {
-      out.faults = *v;
-    } else if (auto v = ArgValue(arg, "--overload")) {
-      if (*v != "off" && *v != "reject" && *v != "drop-oldest" &&
-          *v != "block") {
-        return "unknown overload policy: " + *v;
-      }
-      out.overload = (*v == "off") ? "" : *v;
-    } else if (auto v = ArgValue(arg, "--invariants-out")) {
-      out.invariants_out = *v;
-      out.check_invariants = true;
-    } else if (auto v = ArgValue(arg, "--failpoint")) {
-      if (*v == "no-committer-dedup") {
-        out.failpoints.disable_committer_dedup = true;
-      } else if (v->starts_with("silent-drop:")) {
-        int& every = out.failpoints.client_silent_drop_every;
-        if (!ParseNumber("--failpoint", v->substr(12), every).empty() ||
-            every <= 0) {
-          every = 0;
-          return "bad --failpoint silent-drop count: " + *v;
-        }
-      } else if (*v == "no-byzantine-defense") {
-        out.failpoints.disable_byzantine_defense = true;
-      } else {
-        return "unknown failpoint: " + *v;
-      }
-    } else if (auto v = ArgValue(arg, "--profile-trace")) {
-      out.profile_trace = *v;
-      out.profile = true;
-    } else if (auto v = ArgValue(arg, "--metrics-out")) {
-      out.metrics_out = *v;
-    } else if (auto v = ArgValue(arg, "--metrics-format")) {
-      if (*v != "json" && *v != "prom" && *v != "csv") {
-        return "unknown metrics format: " + *v;
-      }
-      out.metrics_format = *v;
-    } else if (auto v = ArgValue(arg, "--sweep")) {
-      std::stringstream ss(*v);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        double rate = 0;
-        if (!ParseNumber("--sweep", item, rate).empty()) {
-          return "bad --sweep rate: " + item;
-        }
-        out.sweep.push_back(rate);
-      }
-      if (out.sweep.empty()) return "--sweep needs at least one rate";
-    } else {
+    const std::size_t eq = arg.find('=');
+    const auto flag = std::ranges::find(
+        table, std::string_view(arg).substr(0, eq), &Flag::key);
+    const bool is_switch =
+        flag != table.end() && std::holds_alternative<bool*>(flag->field);
+    if (flag == table.end() || is_switch != (eq == std::string::npos)) {
       return "unknown argument: " + arg;
     }
+    std::string error =
+        ParseValue(*flag, is_switch ? "" : arg.substr(eq + 1));
+    if (!error.empty()) return error;
+    if (flag->implies != nullptr) *flag->implies = true;
   }
-  // Sizes the network cannot be built with, and a sampling period that
-  // would never advance: rejected here instead of crashing mid-run.
-  const std::pair<const char*, double> minimums[] = {
-      {"--peers", out.peers},
-      {"--committing-peers", out.committing_peers},
-      {"--clients", out.clients.value_or(1)},
-      {"--channels", out.channels},
-      {"--osns", out.osns},
-      {"--brokers", out.brokers},
-      {"--zookeepers", out.zookeepers},
-      {"--metrics-period-ms", out.metrics_period_ms},
-  };
-  for (const auto& [key, value] : minimums) {
-    if (!(value >= 1)) return std::string(key) + " must be at least 1";
+  return "";
+}
+
+std::vector<std::string> RenderFlags(const std::vector<Flag>& table,
+                                     const std::vector<Flag>& defaults) {
+  std::vector<std::string> args;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const std::vector<std::string> values = Values(table[i]);
+    if (!table[i].always && values == Values(defaults[i])) continue;
+    for (const std::string& value : values) {
+      args.push_back(std::string(table[i].key) +
+                     (value.empty() ? "" : "=" + value));
+    }
   }
+  return args;
+}
+
+std::string HelpText(const std::vector<Flag>& table) {
+  std::string out;
+  for (const Flag& flag : table) {
+    out += "  " + std::string(flag.key) + Grammar(flag) + "\n      " +
+           std::string(flag.help);
+    for (const Flag& implied : table) {
+      if (flag.implies && implied.field == Field(flag.implies)) {
+        out += "; implies " + std::string(implied.key);
+      }
+    }
+    const std::vector<std::string> values = Values(flag);
+    if (!values.empty() && !values.front().empty()) {
+      out += " (default " + values.front() + ")";
+    }
+    out += "\n";
+  }
+  return out + "  " + std::string(kHelpKey) + "\n      this text\n";
+}
+
+std::string ParseRunFlags(const std::vector<std::string>& args,
+                          RunFlags& out) {
+  const std::string error = ParseFlags(RunFlagTable(out), args, out.help);
+  if (!error.empty() || out.help) return error;
   // Validate the fault spec before any run so a typo fails fast.
   try {
     (void)faults::FaultSchedule::Parse(out.faults);
@@ -273,55 +465,9 @@ ExperimentConfig RunFlags::ToConfig() const {
 }
 
 std::vector<std::string> RunFlags::ToArgs() const {
-  static const RunFlags kDefaults;
-  std::vector<std::string> args;
-  args.push_back("--ordering=" + NameOf(kOrderings, ordering));
-  ForEachNumber(
-      [&](const char* key, bool always, const auto& value,
-          const auto& default_value) {
-        if (always || value != default_value) {
-          args.push_back(std::string(key) + "=" + Text(value));
-        }
-      },
-      *this, kDefaults);
-  if (workload != kDefaults.workload) {
-    args.push_back("--workload=" + NameOf(kWorkloads, workload));
-  }
-  if (!policy.empty()) args.push_back("--policy=" + policy);
-  if (!overload.empty()) args.push_back("--overload=" + overload);
-  if (!faults.empty()) args.push_back("--faults=" + faults);
-  if (failpoints.disable_committer_dedup) {
-    args.push_back("--failpoint=no-committer-dedup");
-  }
-  if (failpoints.client_silent_drop_every > 0) {
-    args.push_back("--failpoint=silent-drop:" +
-                   Text(failpoints.client_silent_drop_every));
-  }
-  if (failpoints.disable_byzantine_defense) {
-    args.push_back("--failpoint=no-byzantine-defense");
-  }
-  ForEachSwitch(
-      [&](std::string_view key, bool on) {
-        if (on) args.emplace_back(key);
-      },
-      *this);
-  if (!invariants_out.empty()) {
-    args.push_back("--invariants-out=" + invariants_out);
-  }
-  if (!trace_out.empty()) args.push_back("--trace-out=" + trace_out);
-  if (!metrics_out.empty()) args.push_back("--metrics-out=" + metrics_out);
-  if (metrics_format != kDefaults.metrics_format) {
-    args.push_back("--metrics-format=" + metrics_format);
-  }
-  if (!profile_trace.empty()) {
-    args.push_back("--profile-trace=" + profile_trace);
-  }
-  if (!sweep.empty()) {
-    std::string rates;
-    for (double rate : sweep) rates += (rates.empty() ? "" : ",") + Text(rate);
-    args.push_back("--sweep=" + rates);
-  }
-  return args;
+  RunFlags self = *this;
+  RunFlags defaults;
+  return RenderFlags(RunFlagTable(self), RunFlagTable(defaults));
 }
 
 }  // namespace fabricsim::fabric

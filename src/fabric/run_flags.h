@@ -1,5 +1,6 @@
-// The fabricsim_cli flag grammar: one flag struct, its parser, the
-// flag -> ExperimentConfig builder and a canonical renderer.
+// The fabricsim_cli flag grammar: one flag struct, the table that declares
+// each of its flags once, and the table-driven parser, canonical renderer,
+// help text and flag -> ExperimentConfig builder.
 //
 // fabricsim_cli parses its command line here, and the chaos fuzzer stores
 // every case as this struct, so a corpus entry, a fuzzer repro line and a
@@ -9,14 +10,18 @@
 //   std::string error = ParseRunFlags({"--ordering=raft", "--peers=4"}, flags);
 //   ExperimentConfig config = flags.ToConfig();
 //   std::vector<std::string> args = flags.ToArgs();  // parses back to `flags`
+//
+// Another tool declares its flags as a table of `Flag` entries bound to its
+// own options and reads them with ParseFlags and HelpText.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
-#include <system_error>
-#include <type_traits>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "fabric/experiment.h"
@@ -75,65 +80,79 @@ struct RunFlags {
   /// --jobs) are left to the caller, which owns the files and the sweep.
   [[nodiscard]] ExperimentConfig ToConfig() const;
 
-  /// Canonical flag list, one flag per element, no shell quoting: ordering,
-  /// rate, duration, peers, osns, batch size and seed always, every other
-  /// flag only when it differs from its default. ParseRunFlags of the
+  /// Canonical flag list, one flag per element, no shell quoting: the
+  /// RunFlagTable entries marked `always`, and every other entry only when
+  /// it differs from its default, in table order. ParseRunFlags of the
   /// result gives these flags back (`help` is never rendered).
   [[nodiscard]] std::vector<std::string> ToArgs() const;
 };
 
-/// Parses `args` (argv without the program name) into `out`, on top of its
-/// current values. Returns the one-line usage error, or "" on success. After
-/// the last flag it checks the sizes a network cannot be built with and the
-/// --faults spec. A --help flag stops parsing with `out.help` set.
+/// The field a flag binds; its type is the flag's value grammar. A number
+/// (`--key=<n>`; integers parse in the field's own type, so a 64-bit seed
+/// keeps every bit and a fraction is an error; reals must be finite), an
+/// optional number, a switch (`bool`, set by the bare key), a choice (an
+/// enum, or a string with a name list), free text (a string), failpoints
+/// (`no-committer-dedup`, `silent-drop:<n>` or `no-byzantine-defense`, one
+/// per flag) or a comma-separated rate list. The integer alternatives are
+/// the fundamental types, so std::size_t and std::uint64_t are each one of
+/// them on every platform.
+using Field =
+    std::variant<int*, unsigned*, unsigned long*, unsigned long long*,
+                 double*, std::optional<int>*, bool*, OrderingType*,
+                 client::WorkloadKind*, std::string*, FailpointOptions*,
+                 std::vector<double>*>;
+
+/// The values a number, or each rate of a list, may take.
+struct Bounds {
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+  bool positive = false;  // also above 0
+};
+inline constexpr Bounds kPositive{.positive = true};
+inline constexpr Bounds kNonNegative{.min = 0};
+inline constexpr Bounds kAtLeast1{.min = 1};
+
+/// A choice's names, in enum order for an enum field. A string field holds
+/// the name, except that `off` is the empty string.
+struct Choice {
+  std::span<const std::string_view> names;
+  std::string_view noun;  // as in "unknown <noun>: <value>"
+};
+
+/// One command-line flag.
+struct Flag {
+  std::string_view key;  // e.g. "--osn-queue"
+  Field field;
+  bool always = false;  // rendered even at its default
+  Bounds bounds = {};
+  Choice choice = {};
+  bool* implies = nullptr;  // a switch that a value of this flag turns on
+  std::string_view help;    // one line; HelpText appends the default
+};
+
+/// Every fabricsim_cli flag bound to the fields of `flags`, in ToArgs order.
+[[nodiscard]] std::vector<Flag> RunFlagTable(RunFlags& flags);
+
+/// Parses `args` (argv without the program name) into the fields `table`
+/// binds, on top of their current values. Returns the one-line usage error
+/// of the first bad flag, or "" on success. A --help (or -h) flag stops
+/// parsing with `help` set.
+[[nodiscard]] std::string ParseFlags(const std::vector<Flag>& table,
+                                     const std::vector<std::string>& args,
+                                     bool& help);
+
+/// One flag per element, in table order: each entry that is `always` or
+/// whose value differs from the same entry of `defaults`.
+[[nodiscard]] std::vector<std::string> RenderFlags(
+    const std::vector<Flag>& table, const std::vector<Flag>& defaults);
+
+/// Two lines per flag, then --help: the key and its value grammar, then the
+/// help line and the field's current value as the default. Pass a table
+/// bound to default options.
+[[nodiscard]] std::string HelpText(const std::vector<Flag>& table);
+
+/// ParseFlags over RunFlagTable(out); then checks the --faults spec.
 [[nodiscard]] std::string ParseRunFlags(const std::vector<std::string>& args,
                                         RunFlags& out);
-
-/// Parses one flag value into `field` and returns the error text, empty on
-/// success. Integer fields go through std::from_chars in the field's own
-/// type, so a 64-bit seed keeps every bit and a fractional or out-of-range
-/// value is an error instead of being rounded or truncated; floating-point
-/// fields go through std::stod.
-template <typename T>
-[[nodiscard]] std::string ParseNumber(const std::string& key,
-                                      const std::string& text, T& field) {
-  if constexpr (std::is_integral_v<T>) {
-    if (std::is_unsigned_v<T> && text.starts_with('-')) {
-      return key + " must not be negative";
-    }
-    T value{};
-    const char* last = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
-    if (ec == std::errc::result_out_of_range) {
-      return key + " is out of range: " + text;
-    }
-    if (ec != std::errc() || ptr != last) {
-      return key + " needs an integer, got " + text;
-    }
-    field = value;
-  } else {
-    std::size_t used = 0;
-    try {
-      field = std::stod(text, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used == 0 || used != text.size()) {
-      return key + " needs a number, got " + text;
-    }
-  }
-  return "";
-}
-
-/// An optional field is set only by a value that parses.
-template <typename T>
-[[nodiscard]] std::string ParseNumber(const std::string& key,
-                                      const std::string& text,
-                                      std::optional<T>& field) {
-  T value{};
-  std::string error = ParseNumber(key, text, value);
-  if (error.empty()) field = value;
-  return error;
-}
 
 }  // namespace fabricsim::fabric

@@ -1,10 +1,12 @@
 // The fabricsim_cli flag grammar (fabric/run_flags.h), shared by the CLI,
 // the chaos fuzzer and its corpus: the usage errors the CLI prints, the
-// canonical renderer's round trip, and the flag -> config builder.
+// canonical renderer's round trip, the generated help text, and the flag ->
+// config builder.
 #include "fabric/run_flags.h"
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,34 @@ TEST(RunFlags, ParseRejectsWhatTheCliRejects) {
       {{"--sweep=50,fast"}, "bad --sweep rate: fast"},
       {{"--sweep=50x,1e9zz"}, "bad --sweep rate: 50x"},
       {{"--bogus=1"}, "unknown argument: --bogus=1"},
+      // Each number is checked against its entry's bounds as it is parsed.
+      // Reals must be finite: an infinite period used to convert to a
+      // negative simulated time.
+      {{"--rate=nan"}, "--rate needs a finite number, got nan"},
+      {{"--metrics-period-ms=inf"},
+       "--metrics-period-ms needs a finite number, got inf"},
+      {{"--sweep=50,inf"}, "bad --sweep rate: inf"},
+      {{"--rate=0"}, "--rate must be positive"},
+      {{"--sweep=50,0"}, "bad --sweep rate: 0"},
+      {{"--duration=-1"}, "--duration must be positive"},
+      {{"--batch-timeout=-1"}, "--batch-timeout must be positive"},
+      {{"--batch-size=0"}, "--batch-size must be at least 1"},
+      {{"--osn-queue=0"}, "--osn-queue must be at least 1"},
+      {{"--endorser-queue=0"}, "--endorser-queue must be at least 1"},
+      {{"--key-space=0"}, "--key-space must be at least 1"},
+      {{"--flow-window=-1"}, "--flow-window must not be negative"},
+      {{"--pace-tps=-0.5"}, "--pace-tps must not be negative"},
+      {{"--retry-after-ms=-1"}, "--retry-after-ms must not be negative"},
+      {{"--opt-vscc-workers=-1"}, "--opt-vscc-workers must not be negative"},
+      {{"--jobs=-1"}, "--jobs must not be negative"},
+      // Time-valued flags are capped far below int64 nanoseconds.
+      {{"--duration=1e7"}, "--duration must be at most 1e+06"},
+      {{"--batch-timeout=1e300"}, "--batch-timeout must be at most 1e+06"},
+      {{"--retry-after-ms=1e10"}, "--retry-after-ms must be at most 1e+09"},
+      {{"--metrics-period-ms=1e10"},
+       "--metrics-period-ms must be at most 1e+09"},
+      // A short smoke run stays accepted, though its report window is empty.
+      {{"--duration=0.5"}, ""},
       // The first bad flag is the one reported; --help stops parsing.
       {{"--peers=x", "--rate=y"}, "--peers needs an integer, got x"},
       {{"--bogus", "--help"}, "unknown argument: --bogus"},
@@ -123,6 +153,59 @@ TEST(RunFlags, ToArgsRoundTripsEveryFlag) {
   RunFlags back;
   ASSERT_EQ(ParseRunFlags(flags.ToArgs(), back), "");
   EXPECT_EQ(back, flags);
+
+  // The flags above are off their default in every table entry, so an
+  // entry added without a value here fails.
+  RunFlags defaults;
+  const std::vector<Flag> table = RunFlagTable(flags);
+  const std::vector<Flag> default_table = RunFlagTable(defaults);
+  ASSERT_EQ(table.size(), default_table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    Flag entry = table[i];
+    entry.always = false;
+    EXPECT_FALSE(RenderFlags({entry}, {default_table[i]}).empty())
+        << entry.key;
+  }
+}
+
+TEST(RunFlags, HelpListsEachEntryOnceWithItsDefault) {
+  RunFlags defaults;
+  const std::vector<Flag> table = RunFlagTable(defaults);
+  // Each entry starts a line with its key; continuation lines are joined.
+  std::vector<std::string> keys;
+  std::vector<std::string> entries;
+  std::istringstream lines(HelpText(table));
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("  --")) {
+      keys.push_back(line.substr(2, line.find_first_of("= ", 2) - 2));
+      entries.push_back(line);
+    } else {
+      ASSERT_FALSE(entries.empty()) << line;
+      entries.back() += " " + line.substr(line.find_first_not_of(' '));
+    }
+  }
+  std::vector<std::string> expected;
+  for (const Flag& flag : table) expected.emplace_back(flag.key);
+  expected.emplace_back("--help");
+  ASSERT_EQ(keys, expected);
+
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    // What the entry renders at its default is the default the help
+    // shows, and it parses back to the defaults.
+    Flag entry = table[i];
+    entry.always = true;
+    const std::vector<std::string> rendered = RenderFlags({entry}, {entry});
+    if (rendered.empty()) {
+      EXPECT_EQ(entries[i].find("(default"), std::string::npos) << entries[i];
+      continue;
+    }
+    const std::string value = rendered.front().substr(entry.key.size() + 1);
+    EXPECT_NE(entries[i].find("(default " + value + ")"), std::string::npos)
+        << entries[i];
+    RunFlags parsed;
+    EXPECT_EQ(ParseRunFlags(rendered, parsed), "");
+    EXPECT_EQ(parsed, RunFlags()) << rendered.front();
+  }
 }
 
 TEST(RunFlags, ToConfigMapsTheOverloadFlags) {

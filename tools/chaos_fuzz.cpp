@@ -12,8 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,104 +27,44 @@ namespace {
 struct CliOptions {
   faults::FuzzerOptions fuzzer;
   std::string corpus_dir;
+  bool no_shrink = false;
+  bool no_determinism = false;
   bool help = false;
 };
 
+std::vector<fabric::Flag> FlagTable(CliOptions& o) {
+  faults::FuzzerOptions& f = o.fuzzer;
+  return {
+      {.key = "--seed", .field = &f.campaign_seed,
+       .help = "campaign seed; every case derives from it"},
+      {.key = "--runs", .field = &f.runs, .bounds = fabric::kAtLeast1,
+       .help = "cases to generate"},
+      {.key = "--time-budget", .field = &f.time_budget_s,
+       .bounds = fabric::kNonNegative,
+       .help = "wall seconds after which no case starts (0 = off; a "
+               "budgeted campaign is not byte-reproducible)"},
+      {.key = "--jobs", .field = &f.jobs, .bounds = fabric::kNonNegative,
+       .help = "host threads (0 = hardware concurrency); same stdout"},
+      {.key = "--corpus-dir", .field = &o.corpus_dir,
+       .help = "directory for one .repro corpus file per failure"},
+      {.key = "--max-shrink", .field = &f.max_shrink_runs,
+       .bounds = fabric::kNonNegative, .help = "oracle-run budget per shrink"},
+      {.key = "--no-shrink", .field = &o.no_shrink,
+       .help = "report failing cases unminimized"},
+      {.key = "--no-determinism", .field = &o.no_determinism,
+       .help = "skip the repeat-run fingerprint check (2x faster)"},
+      {.key = "--byzantine", .field = &f.byzantine,
+       .help = "every case schedules one Byzantine attack"},
+      {.key = "--inject-bug", .field = &f.failpoints,
+       .help = "plant a bug in every case, as fabricsim_cli --failpoint"},
+  };
+}
+
 void PrintHelp() {
-  std::cout <<
-      "chaos_fuzz: randomized fault-schedule campaigns with an invariant\n"
-      "oracle and failing-schedule minimization\n"
-      "\n"
-      "  --seed=<n>          campaign seed; every case derives from it, so\n"
-      "                      a campaign is byte-reproducible (default 1)\n"
-      "  --runs=<n>          cases to generate (default 50)\n"
-      "  --time-budget=<s>   stop starting new cases after this many wall\n"
-      "                      seconds (0 = off; budgeted campaigns are not\n"
-      "                      byte-reproducible)\n"
-      "  --jobs=<n>          host threads (default 1, 0 = hardware\n"
-      "                      concurrency); output identical at any setting\n"
-      "  --corpus-dir=<dir>  write one .repro corpus file per failure\n"
-      "  --max-shrink=<n>    oracle-run budget per shrink (default 200)\n"
-      "  --no-shrink         report original failing cases unminimized\n"
-      "  --no-determinism    skip the repeat-run fingerprint check (2x\n"
-      "                      faster, misses nondeterminism bugs)\n"
-      "  --byzantine         every case schedules one Byzantine attack\n"
-      "                      (equivocate, tamper-block, bogus-backfill,\n"
-      "                      forge-endorsement, replay-tx) against the\n"
-      "                      armed defenses; any violation is a bug\n"
-      "  --inject-bug=<b>    deliberate bug for demo campaigns:\n"
-      "                      no-committer-dedup | silent-drop |\n"
-      "                      no-byzantine-defense\n"
-      "  --help              this text\n";
-}
-
-std::optional<std::string> ArgValue(const std::string& arg,
-                                    const std::string& key) {
-  const std::string prefix = key + "=";
-  if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  return std::nullopt;
-}
-
-bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      out.help = true;
-      return true;
-    }
-    if (arg == "--no-shrink") {
-      out.fuzzer.shrink = false;
-      continue;
-    }
-    if (arg == "--no-determinism") {
-      out.fuzzer.verify_determinism = false;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--corpus-dir")) {
-      out.corpus_dir = *v;
-      continue;
-    }
-    if (arg == "--byzantine") {
-      out.fuzzer.byzantine = true;
-      continue;
-    }
-    if (auto v = ArgValue(arg, "--inject-bug")) {
-      if (*v == "no-committer-dedup") {
-        out.fuzzer.failpoints.disable_committer_dedup = true;
-      } else if (*v == "silent-drop") {
-        out.fuzzer.failpoints.client_silent_drop_every = 97;
-      } else if (*v == "no-byzantine-defense") {
-        out.fuzzer.failpoints.disable_byzantine_defense = true;
-      } else {
-        error = "unknown --inject-bug: " + *v;
-        return false;
-      }
-      continue;
-    }
-    // Matches `key`, then parses its value into `field` with the
-    // fabricsim_cli number parser; a bad value sets `error`.
-    auto number = [&](const char* key, auto& field) -> bool {
-      const auto v = ArgValue(arg, key);
-      if (!v) return false;
-      error = fabric::ParseNumber(key, *v, field);
-      return true;
-    };
-    if (number("--seed", out.fuzzer.campaign_seed) ||
-        number("--runs", out.fuzzer.runs) ||
-        number("--time-budget", out.fuzzer.time_budget_s) ||
-        number("--jobs", out.fuzzer.jobs) ||
-        number("--max-shrink", out.fuzzer.max_shrink_runs)) {
-      if (!error.empty()) return false;
-      continue;
-    }
-    error = "unknown argument: " + arg;
-    return false;
-  }
-  if (out.fuzzer.runs <= 0) {
-    error = "--runs must be positive";
-    return false;
-  }
-  return true;
+  CliOptions defaults;
+  std::cout << "chaos_fuzz: randomized fault-schedule campaigns with an "
+               "invariant\noracle and failing-schedule minimization\n\n"
+            << fabric::HelpText(FlagTable(defaults));
 }
 
 std::string CorpusFileName(const faults::CampaignFailure& failure) {
@@ -169,8 +107,10 @@ void WriteCorpusFile(const std::string& dir,
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  std::string error;
-  if (!Parse(argc, argv, cli, error)) {
+  const std::string error = fabric::ParseFlags(
+      FlagTable(cli), std::vector<std::string>(argv + 1, argv + argc),
+      cli.help);
+  if (!error.empty()) {
     std::cerr << "error: " << error << "\n\n";
     PrintHelp();
     return 2;
@@ -179,6 +119,8 @@ int main(int argc, char** argv) {
     PrintHelp();
     return 0;
   }
+  cli.fuzzer.shrink = !cli.no_shrink;
+  cli.fuzzer.verify_determinism = !cli.no_determinism;
 
   const faults::ChaosFuzzer fuzzer(cli.fuzzer);
   std::cout << "chaos_fuzz campaign seed=" << cli.fuzzer.campaign_seed

@@ -29,126 +29,10 @@ using namespace fabricsim;
 namespace {
 
 void PrintHelp() {
-  std::cout <<
-      "fabricsim-cli: drive one experiment on the simulated Fabric network\n"
-      "\n"
-      "  --ordering=solo|kafka|raft   consenter type (default solo)\n"
-      "  --rate=<tps>                 aggregate arrival rate (default 200)\n"
-      "  --duration=<s>               measurement window (default 30)\n"
-      "  --peers=<n>                  endorsing peers (default 10)\n"
-      "  --committing-peers=<n>       dedicated validators (default 1)\n"
-      "  --clients=<n>                client machines (default: = peers)\n"
-      "  --osns=<n>                   ordering service nodes (default 3)\n"
-      "  --brokers=<n>                kafka brokers (default 3)\n"
-      "  --zookeepers=<n>             zookeeper servers (default 3)\n"
-      "  --channels=<n>               channels (default 1)\n"
-      "  --policy=<expr>              endorsement policy, e.g.\n"
-      "                               \"AND('Org1MSP.peer','Org2MSP.peer')\"\n"
-      "  --workload=kvwrite|readwrite|token|smallbank (default kvwrite)\n"
-      "  --value-size=<bytes>         kvwrite value size (default 1)\n"
-      "  --key-space=<n>              shared-key pool size (default 1000)\n"
-      "  --batch-size=<n>             BatchSize (default 100)\n"
-      "  --batch-timeout=<s>          BatchTimeout (default 1.0)\n"
-      "  --seed=<n>                   RNG seed (default 42)\n"
-      "  --csv                        CSV output\n"
-      "  --trace-out=<file>           write a Chrome trace-event JSON of the\n"
-      "                               run (open in chrome://tracing or\n"
-      "                               https://ui.perfetto.dev); also prints\n"
-      "                               the bottleneck-attribution table\n"
-      "  --faults=<spec>              chaos schedule, e.g.\n"
-      "                               \"crash:leader@15s,revive:leader@25s\"\n"
-      "                               or \"tamper-block:osn0@20s-25s\"\n"
-      "                               (see src/faults/fault_schedule.h);\n"
-      "                               enables client/peer failover, checks\n"
-      "                               ledger invariants, reports recovery;\n"
-      "                               Byzantine kinds (equivocate,\n"
-      "                               tamper-block, bogus-backfill,\n"
-      "                               forge-endorsement, replay-tx) also\n"
-      "                               arm the peer-side defenses\n"
-      "  --overload=reject|drop-oldest|block\n"
-      "                               overload protection: bounded ingress\n"
-      "                               queues with the given overflow policy\n"
-      "                               plus client flow control (default off)\n"
-      "  --osn-queue=<n>              OSN ingress max inflight; slots are\n"
-      "                               held until the block finishes, so size\n"
-      "                               above capacity x block time (default\n"
-      "                               512; parked slots are 1x this)\n"
-      "  --endorser-queue=<n>         endorser ingress max inflight\n"
-      "                               (default 32; parked slots 4x)\n"
-      "  --committer-blocks=<n>       committer pipeline bound in blocks\n"
-      "                               (default 8; 0 = unbounded)\n"
-      "  --retry-after-ms=<ms>        retry-after hint on overload nacks\n"
-      "                               (default 200)\n"
-      "  --flow-window=<n>            client AIMD initial window (default\n"
-      "                               16; 0 disables client flow control)\n"
-      "  --pace-tps=<tps>             client token-bucket pacing (0 = off)\n"
-      "  --check-invariants           check ledger invariants (and the\n"
-      "                               no-silent-drop rule) even without\n"
-      "                               faults; non-zero exit on violation\n"
-      "  --invariants-out=<file>      write the invariant report as JSON\n"
-      "                               (ok, check counts, violations, chain\n"
-      "                               audit, stall flag); implies\n"
-      "                               --check-invariants\n"
-      "  --failpoint=<bug>            inject a deliberate bug so chaos-fuzz\n"
-      "                               repros replay exactly:\n"
-      "                               no-committer-dedup (committers skip\n"
-      "                               tx-id screening), silent-drop:<n>\n"
-      "                               (clients drop every nth submission\n"
-      "                               without a terminal status), or\n"
-      "                               no-byzantine-defense (attestation and\n"
-      "                               the commit-time data-hash re-check\n"
-      "                               stay off, so planted attacks reach\n"
-      "                               the ledger and the invariants fire)\n"
-      "  --streaming-stats            bounded-memory tracker accounting:\n"
-      "                               per-tx records retire on terminal\n"
-      "                               state; identical metrics, flat RSS\n"
-      "                               (ignored when faults/trace/invariants\n"
-      "                               need post-hoc records)\n"
-      "  --retain-blocks=<n>          blocks kept per peer ledger and OSN\n"
-      "                               backfill history (0 = all); bounds\n"
-      "                               memory for long runs, shrinks the\n"
-      "                               dedup horizon to the retained window\n"
-      "  --metrics-out=<file>         write the metrics-registry timeline\n"
-      "                               (per-machine CPU busy cores and queue\n"
-      "                               length, validator disk, network bytes\n"
-      "                               in flight, queue depths, sheds,\n"
-      "                               scheduler backlog, tracker occupancy)\n"
-      "                               sampled every --metrics-period-ms of\n"
-      "                               simulated time; simulated results are\n"
-      "                               unchanged\n"
-      "  --metrics-format=json|prom|csv\n"
-      "                               timeline format (default json; prom =\n"
-      "                               Prometheus text exposition; csv = long\n"
-      "                               format time_s,resource,metric,value)\n"
-      "  --metrics-period-ms=<ms>     sampling cadence (default 250)\n"
-      "  --profile                    host-side DES profiler: prints the\n"
-      "                               top-10 handler table (dispatch count,\n"
-      "                               host time) after the run\n"
-      "  --profile-trace=<file>       write sampled handler spans as Chrome\n"
-      "                               trace-event JSON (implies --profile)\n"
-      "  --sweep=<r1,r2,...>          run the base configuration once per\n"
-      "                               arrival rate and print one summary row\n"
-      "                               per rate; non-zero exit if any run's\n"
-      "                               chain audit fails (not combinable with\n"
-      "                               --trace-out/--faults/--metrics-out/\n"
-      "                               --profile-trace)\n"
-      "  --jobs=<n>                   host worker threads for --sweep\n"
-      "                               (default 1; 0 = hardware concurrency);\n"
-      "                               results are identical at any setting\n"
-      "  --opt-msp-cache              MSP identity-verification cache on the\n"
-      "                               committers: repeat cert chains skip the\n"
-      "                               full validation cost (Thakkar et al.,\n"
-      "                               arXiv:1805.11390); changes simulated\n"
-      "                               VSCC service times\n"
-      "  --opt-vscc-workers=<n>       dedicated VSCC validation workers per\n"
-      "                               committer; txs within a block validate\n"
-      "                               concurrently, commit order unchanged\n"
-      "                               (0 = off, share the peer cores)\n"
-      "  --opt-bulk-commit            batch all of a block's state-db writes\n"
-      "                               into one ledger write\n"
-      "  --opt-policy-shortcircuit    stop verifying endorsements once the\n"
-      "                               endorsement policy is satisfied\n"
-      "  --help                       this text\n";
+  fabric::RunFlags defaults;
+  std::cout << "fabricsim-cli: drive one experiment on the simulated Fabric "
+               "network\n\n"
+            << fabric::HelpText(fabric::RunFlagTable(defaults));
 }
 
 }  // namespace
