@@ -33,12 +33,9 @@ void WorkloadController::ScheduleNext(std::size_t ci) {
   if (per_client_rate <= 0) return;
   const double mean_gap_s = 1.0 / per_client_rate;
 
-  sim::SimDuration gap;
-  if (config_.arrivals == ArrivalProcess::kPoisson) {
-    gap = sim::FromSeconds(rngs_[ci].NextExponential(mean_gap_s));
-  } else {
-    gap = sim::FromSeconds(mean_gap_s);
-  }
+  const double gap_s = config_.arrivals == ArrivalProcess::kPoisson
+                           ? rngs_[ci].NextExponential(mean_gap_s)
+                           : mean_gap_s;
 
   // Open-loop arrival schedule, executed through the client's event loop.
   // Each client keeps its ideal (rate-faithful) arrival schedule, but a
@@ -48,8 +45,13 @@ void WorkloadController::ScheduleNext(std::size_t ci) {
   // of building an unbounded callback queue.
   sim::SimTime& ideal = next_ideal_[ci];
   if (ideal < config_.start) ideal = config_.start;
-  ideal += gap;
-  if (ideal > config_.start + config_.duration) return;  // window over
+  // A gap past the window's end stops this client. It is compared before
+  // FromSeconds converts it, which overflows on a gap too large for
+  // SimTime; a one-second margin keeps rounding out of the comparison.
+  const sim::SimTime end = config_.start + config_.duration;
+  if (gap_s >= sim::ToSeconds(end - ideal) + 1.0) return;
+  ideal += sim::FromSeconds(gap_s);
+  if (ideal > end) return;  // window over
   const sim::SimTime when = ideal > env_.Now() ? ideal : env_.Now();
 
   env_.Sched().ScheduleAt(

@@ -94,9 +94,6 @@ void FabricNetwork::BuildPeers() {
     for (int c = 0; c < options_.channels; ++c) {
       const std::string id = ChannelId(c);
       peer.JoinChannel(id, ledgers_[static_cast<std::size_t>(c)]);
-      peer.SetPolicy(id, "kvwrite", policy_);
-      peer.SetPolicy(id, "token", policy_);
-      peer.SetPolicy(id, "smallbank", policy_);
     }
   };
 
@@ -414,14 +411,18 @@ void FabricNetwork::ApplyOverloadProtection() {
 void FabricNetwork::BuildLedgers() {
   // One world state and block log per channel, shared by every peer that
   // joins it: each honest peer would hold an identical copy (see
-  // peer::ChannelState). The accounts are seeded before any committer is
-  // built, so a committer that starts on a private copy holds them too.
+  // peer::ChannelState). Every chaincode is endorsed under the policy the
+  // genesis config transaction records. The accounts are seeded before any
+  // committer is built, so a committer that starts on a private copy holds
+  // them too.
   const proto::Bytes balance =
       proto::ToBytes(std::to_string(options_.seeded_balance));
   const proto::KeyVersion genesis{0, 0};
+  const peer::PolicyTable policies{
+      {"kvwrite", policy_}, {"token", policy_}, {"smallbank", policy_}};
   for (int c = 0; c < options_.channels; ++c) {
-    ledgers_.push_back(
-        std::make_shared<peer::ChannelState>(options_.retention.ledger_blocks));
+    ledgers_.push_back(std::make_shared<peer::ChannelState>(
+        policies, options_.retention.ledger_blocks));
     ledger::StateDb& state = ledgers_.back()->state;
     for (std::size_t a = 0; a < options_.seeded_accounts; ++a) {
       const std::string acct = "acct" + std::to_string(a);

@@ -405,6 +405,11 @@ std::string ParseRunFlags(const std::vector<std::string>& args,
                           RunFlags& out) {
   const std::string error = ParseFlags(RunFlagTable(out), args, out.help);
   if (!error.empty() || out.help) return error;
+  // A transfer needs a sender and a receiver that differ.
+  if (out.workload == client::WorkloadKind::kTokenTransfer &&
+      out.key_space < 2) {
+    return "--key-space must be at least 2 for --workload=token";
+  }
   // Validate the fault spec before any run so a typo fails fast.
   try {
     (void)faults::FaultSchedule::Parse(out.faults);

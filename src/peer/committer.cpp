@@ -22,8 +22,8 @@ std::shared_ptr<ChannelState> ChannelFor(std::shared_ptr<ChannelState> channel,
   if (!config.dedup_disabled && !config.data_hash_check_disabled) {
     return channel;
   }
-  return std::make_shared<ChannelState>(channel->retention,
-                                        channel->state.Snapshot(0));
+  return std::make_shared<ChannelState>(
+      channel->policies, channel->retention, channel->state.Snapshot(0));
 }
 
 }  // namespace
@@ -65,57 +65,42 @@ void Committer::DetachState() {
   ledger::StateDb own = channel_->state.Snapshot(next_commit_);
   chain_.MutableStore().Unshare();
   channel_->Collect();  // the channel no longer waits for this committer
-  channel_ = std::make_shared<ChannelState>(
-      channel_->retention, std::move(own), chain_.Store().Log());
+  channel_ = std::make_shared<ChannelState>(channel_->policies,
+                                            channel_->retention, std::move(own),
+                                            chain_.Store().Log());
 }
 
-void Committer::SetPolicy(const std::string& chaincode_id,
-                          policy::EndorsementPolicy policy) {
-  policies_.insert_or_assign(chaincode_id, std::move(policy));
-}
-
-Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
-  VsccPlan plan;
-
-  // Creator identity: full deserialize + chain walk on a miss, map hit on a
-  // cache hit (the cached-vs-full split of the VSCC base cost).
-  const crypto::Certificate* creator = nullptr;
-  bool creator_hit = false;
-  if (msp_cache_ != nullptr) {
-    const auto r = msp_cache_->Lookup(tx.creator_cert);
-    creator = r.cert;
-    creator_hit = r.hit;
-  } else {
-    creator = msps_.CachedCertificate(tx.creator_cert);
-  }
-  plan.cost = creator_hit ? cal_.vscc_cached_base_cpu : cal_.vscc_base_cpu;
-
-  // Per-endorsement identity lookups (cost charged only for endorsements
-  // whose signature is actually verified; principal extraction beyond that
-  // is folded into the base cost — see fabric/optimizations.h).
-  const std::size_t n = tx.endorsements.size();
-  std::vector<const crypto::Certificate*> certs(n, nullptr);
-  std::vector<bool> hits(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (msp_cache_ != nullptr) {
-      const auto r = msp_cache_->Lookup(tx.endorsements[i].endorser_cert);
-      certs[i] = r.cert;
-      hits[i] = r.hit;
-    } else {
-      certs[i] = msps_.CachedCertificate(tx.endorsements[i].endorser_cert);
-    }
-  }
-  const auto endorse_cost = [&](std::size_t i) {
-    return hits[i] ? cal_.vscc_cached_per_endorsement_cpu
-                   : cal_.vscc_per_endorsement_cpu;
+Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx,
+                                        const proto::ValidationCode* decided) {
+  const bool shortcircuit = config_.optimizations.policy_shortcircuit;
+  // Identity lookups: under --opt-msp-cache a full deserialize + chain walk
+  // on a miss and a map hit on a hit (the cached-vs-full split of the VSCC
+  // cost); the short-circuit evaluator reads the certificates. Full VSCC
+  // without the cache looks nothing up.
+  const auto lookup =
+      [&](proto::BytesView cert) -> crypto::MspIdentityCache::Result {
+    if (msp_cache_ != nullptr) return msp_cache_->Lookup(cert);
+    if (shortcircuit) return {msps_.CachedCertificate(cert)};
+    return {};
   };
+  // Charged only for endorsements whose signature is actually verified;
+  // principal extraction beyond that is folded into the base cost — see
+  // fabric/optimizations.h.
+  const auto endorse_cost = [&](bool hit) {
+    return hit ? cal_.vscc_cached_per_endorsement_cpu
+               : cal_.vscc_per_endorsement_cpu;
+  };
+  const crypto::MspIdentityCache::Result creator = lookup(tx.creator_cert);
+  VsccPlan plan{proto::ValidationCode::kValid,
+                creator.hit ? cal_.vscc_cached_base_cpu : cal_.vscc_base_cpu};
 
-  if (!config_.optimizations.policy_shortcircuit) {
-    // msp_cache-only plan: the verdict is the ordinary full VSCC (computed
-    // here rather than at job completion); only the cost changes with the
-    // cache hits.
-    for (std::size_t i = 0; i < n; ++i) plan.cost += endorse_cost(i);
-    plan.code = Vscc(tx);
+  if (!shortcircuit) {
+    // Full VSCC: every endorsement is verified, and the code is the one
+    // the channel decided, if any.
+    for (const auto& e : tx.endorsements) {
+      plan.cost += endorse_cost(lookup(e.endorser_cert).hit);
+    }
+    plan.code = decided != nullptr ? *decided : Vscc(tx);
     return plan;
   }
 
@@ -125,14 +110,19 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
   // short-circuit evaluator): an invalid endorsement *after* the satisfying
   // prefix is never examined, and an unsatisfiable endorsement set reports
   // kEndorsementPolicyFailure without looking at its signatures.
-  if (creator == nullptr ||
-      !crypto::VerifyDigest(creator->subject_public_key, tx.SignedBodyDigest(),
-                            tx.client_signature)) {
+  std::vector<crypto::MspIdentityCache::Result> endorsers;
+  endorsers.reserve(tx.endorsements.size());
+  for (const auto& e : tx.endorsements) {
+    endorsers.push_back(lookup(e.endorser_cert));
+  }
+  if (creator.cert == nullptr ||
+      !crypto::VerifyDigest(creator.cert->subject_public_key,
+                            tx.SignedBodyDigest(), tx.client_signature)) {
     plan.code = proto::ValidationCode::kBadSignature;
     return plan;
   }
-  const auto pit = policies_.find(tx.chaincode_id);
-  if (pit == policies_.end()) {
+  const auto pit = channel_->policies.find(tx.chaincode_id);
+  if (pit == channel_->policies.end()) {
     plan.code = proto::ValidationCode::kInvalidOtherReason;
     return plan;
   }
@@ -140,11 +130,10 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
   // principal that can match nothing, so a forged identity can never help
   // satisfy the policy.
   std::vector<crypto::Principal> principals;
-  principals.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    principals.push_back(certs[i] != nullptr
-                             ? crypto::Principal{certs[i]->msp_id,
-                                                 certs[i]->role}
+  principals.reserve(endorsers.size());
+  for (const auto& e : endorsers) {
+    principals.push_back(e.cert != nullptr
+                             ? crypto::Principal{e.cert->msp_id, e.cert->role}
                              : crypto::Principal{"", crypto::Role::kClient});
   }
   const auto prefix = policy::SatisfiedPrefix(pit->second, principals);
@@ -154,9 +143,11 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
   }
   const crypto::Digest& endorsed = tx.EndorsedPayloadDigest();
   for (std::size_t i = 0; i < *prefix; ++i) {
-    plan.cost += endorse_cost(i);  // the failing check is still paid for
-    if (certs[i] == nullptr ||
-        !crypto::VerifyDigest(certs[i]->subject_public_key, endorsed,
+    // The failing check is still paid for.
+    plan.cost += endorse_cost(endorsers[i].hit);
+    const crypto::Certificate* cert = endorsers[i].cert;
+    if (cert == nullptr ||
+        !crypto::VerifyDigest(cert->subject_public_key, endorsed,
                               tx.endorsements[i].signature)) {
       plan.code = proto::ValidationCode::kBadSignature;
       return plan;
@@ -191,10 +182,10 @@ proto::ValidationCode Committer::Vscc(
   const auto& signers = tx.VerifiedSigners(msps_);
   if (!signers) return proto::ValidationCode::kBadSignature;
 
-  // Evaluate the chaincode's endorsement policy (policy-dependent: not
-  // memoized; different committers may hold different policies).
-  auto it = policies_.find(tx.chaincode_id);
-  if (it == policies_.end()) {
+  // Evaluate the chaincode's endorsement policy from the channel's table.
+  // Not memoized: the invariant oracle re-checks committed codes here.
+  const auto it = channel_->policies.find(tx.chaincode_id);
+  if (it == channel_->policies.end()) {
     return proto::ValidationCode::kInvalidOtherReason;
   }
   if (!policy::Satisfied(it->second, *signers)) {
@@ -221,7 +212,7 @@ void Committer::OnBlock(proto::BlockPtr block, OnCommit on_commit) {
       !crypto::VerifyDigest(orderer_cert->subject_public_key,
                             block->header.Hash(),
                             block->metadata.orderer_signature)) {
-    ++rejected_orderer_sig_;
+    ++rejected_blocks_;
     return;
   }
   // Data-hash re-verification: a payload tampered in flight keeps the
@@ -230,7 +221,7 @@ void Committer::OnBlock(proto::BlockPtr block, OnCommit on_commit) {
   // hash per block and zero simulated CPU — results stay byte-identical.
   if (!config_.data_hash_check_disabled &&
       block->DataHash() != block->header.data_hash) {
-    ++rejected_data_hash_;
+    ++rejected_blocks_;
     return;
   }
 
@@ -284,32 +275,33 @@ void Committer::StartVscc(std::uint64_t number) {
   if (tracing) pb.vscc_done_at.assign(pb.block->transactions.size(), 0);
 
   // Fan one VSCC job per transaction onto the validation station — the
-  // peer CPU, or the dedicated worker pool under --opt-vscc-workers. When
-  // a cost-affecting knob is on, the verdict and cost are planned here, in
-  // submission order (cache hits and short-circuit savings depend on it);
-  // knobs-off keeps the original formula and completion-time verdict.
-  const bool planned = config_.optimizations.msp_cache ||
-                       config_.optimizations.policy_shortcircuit;
+  // peer CPU, or the dedicated worker pool under --opt-vscc-workers. Each
+  // job's code and cost are planned here, in submission order. The block's
+  // full-VSCC codes are decided once per channel height, by the first
+  // committer to start VSCC on it (every committer of a channel trusts the
+  // same MSP registry); the others reuse them and still charge their own
+  // simulated cost. Another block at that height (a fork) decides its own
+  // and leaves the record alone. A short-circuit code is this committer's
+  // own.
+  const bool full = !config_.optimizations.policy_shortcircuit;
+  const crypto::Digest block_hash = pb.block->header.Hash();
+  const ChannelState::VsccCodes* recorded =
+      full ? channel_->VsccCodesAt(number) : nullptr;
+  const std::vector<proto::ValidationCode>* decided =
+      recorded != nullptr && recorded->block_hash == block_hash
+          ? &recorded->codes
+          : nullptr;
   const sim::SimTime enqueued = env_.Now();
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
-    const auto& tx = pb.block->transactions[i];
-    sim::SimDuration cost;
-    std::optional<proto::ValidationCode> verdict;
-    if (planned) {
-      const VsccPlan plan = PlanVscc(tx);
-      cost = plan.cost;
-      verdict = plan.code;
-    } else {
-      cost = cal_.vscc_base_cpu +
-             static_cast<sim::SimDuration>(tx.endorsements.size()) *
-                 cal_.vscc_per_endorsement_cpu;
-    }
-    VsccCpuRef().Submit(cost, [this, number, i, cost, enqueued, verdict] {
+    const VsccPlan plan = PlanVscc(pb.block->transactions[i],
+                                   decided != nullptr ? &(*decided)[i]
+                                                      : nullptr);
+    pb.vscc_codes[i] = plan.code;
+    VsccCpuRef().Submit(plan.cost, [this, number, i, cost = plan.cost,
+                                    enqueued] {
       auto pit = pending_.find(number);
       if (pit == pending_.end()) return;
       PendingBlock& blk = pit->second;
-      blk.vscc_codes[i] =
-          verdict ? *verdict : Vscc(blk.block->transactions[i]);
       if (auto* tr = env_.Trace(); tr != nullptr && tracker_ != nullptr) {
         tr->RecordResourceSpan(tr->PidFor(machine_.Name()), "vscc",
                                blk.block->transactions[i].tx_id, enqueued,
@@ -318,6 +310,9 @@ void Committer::StartVscc(std::uint64_t number) {
       }
       if (--blk.vscc_remaining == 0) OnVsccDone(number);
     });
+  }
+  if (full && recorded == nullptr) {
+    channel_->vscc_codes.push_back({number, block_hash, pb.vscc_codes});
   }
 }
 
@@ -462,7 +457,7 @@ void Committer::SerialCommit(PendingBlock pb) {
     // invariant oracle flags any unexplained reject) and left uncommitted,
     // so next_commit_ stays put and the deliver watchdog's gap repair
     // re-fetches the honest copy.
-    ++rejected_linkage_;
+    ++rejected_blocks_;
     serial_busy_ = false;
     TrySerialCommit();
     PromoteDeferred();

@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "crypto/ca.h"
@@ -37,20 +36,24 @@
 
 namespace fabricsim::peer {
 
-/// One channel's committed ledger: its world state, its block log, the
-/// verdict each height was committed with, and the ledger retention every
-/// view of its log keeps. Every committer is built on one. The network
-/// builds the committers of every peer that joined a channel on the same
-/// one: the first committer to reach a height (the leader) validates the
-/// block, writes the state, appends the block to the log and records the
-/// verdict; the others (followers) reuse the verdict when their block and
-/// VSCC codes match it, and their chains advance over the logged block. A
-/// standalone or detached committer holds its own: a channel of one, which
-/// leads every height. See Committer::Committer.
+/// Chaincode id -> endorsement policy: channel config.
+using PolicyTable = std::unordered_map<std::string, policy::EndorsementPolicy>;
+
+/// One channel's endorsement policies and committed ledger: its world
+/// state, its block log, the full-VSCC codes and the verdict of each height,
+/// and the ledger retention every view of its log keeps. Every committer is
+/// built on one. The network builds the committers of every peer that
+/// joined a channel on the same one: the first committer to reach a height
+/// (the leader) validates the block, writes the state, appends the block to
+/// the log and records the verdict; the others (followers) reuse the
+/// verdict when their block and VSCC codes match it, and their chains
+/// advance over the logged block. A standalone or detached committer holds
+/// its own: a channel of one, which leads every height. See
+/// Committer::Committer and Committer::StartVscc.
 ///
 /// The log's view table (ledger::BlockLog) is the one record of where the
-/// committers are: the state keeps superseded versions, and the verdicts
-/// stay, only down to the lowest committer height (Collect).
+/// committers are: the state keeps superseded versions, and the codes and
+/// verdicts stay, only down to the lowest committer height (Collect).
 struct ChannelState {
   struct Verdict {
     crypto::Digest block_hash{};
@@ -62,12 +65,32 @@ struct ChannelState {
     std::size_t wire_size = 0;
   };
 
+  /// The full-VSCC codes of one block, by its height and header hash.
+  struct VsccCodes {
+    std::uint64_t height = 0;
+    crypto::Digest block_hash{};
+    std::vector<proto::ValidationCode> codes;
+  };
+
   /// `retention`: blocks each view keeps resident (0 = all); see
   /// ledger::BlockStore::SetRetention.
-  explicit ChannelState(std::uint64_t retention = 0, ledger::StateDb db = {},
+  explicit ChannelState(PolicyTable policies = {},
+                        std::uint64_t retention = 0, ledger::StateDb db = {},
                         std::shared_ptr<ledger::BlockLog> log =
                             std::make_shared<ledger::BlockLog>())
-      : retention(retention), state(std::move(db)), blocks(std::move(log)) {}
+      : policies(std::move(policies)),
+        retention(retention),
+        state(std::move(db)),
+        blocks(std::move(log)) {}
+
+  /// The full-VSCC codes recorded at height `h`: those of the first block
+  /// to start VSCC there (see Committer::StartVscc).
+  [[nodiscard]] const VsccCodes* VsccCodesAt(std::uint64_t h) const {
+    for (const VsccCodes& r : vscc_codes) {
+      if (r.height == h) return &r;
+    }
+    return nullptr;
+  }
 
   /// The verdict of height `h`, while some committer is still below it.
   [[nodiscard]] const Verdict* VerdictAt(std::uint64_t h) const {
@@ -81,20 +104,24 @@ struct ChannelState {
     if (verdicts.empty()) first_verdict = h;
     verdicts.push_back(std::move(verdict));
   }
-  /// Collects the state, and drops the verdicts, below the lowest height of
-  /// the committers on the log.
+  /// Collects the state, and drops the codes and the verdicts, below the
+  /// lowest height of the committers on the log.
   void Collect() {
     const std::uint64_t oldest = blocks->OldestHeight();
     state.Collect(oldest);
+    std::erase_if(vscc_codes,
+                  [&](const VsccCodes& r) { return r.height < oldest; });
     while (!verdicts.empty() && first_verdict < oldest) {
       verdicts.pop_front();
       ++first_verdict;
     }
   }
 
+  const PolicyTable policies;
   const std::uint64_t retention;
   ledger::StateDb state;
   std::shared_ptr<ledger::BlockLog> blocks;
+  std::vector<VsccCodes> vscc_codes;  // at most one per height
   std::deque<Verdict> verdicts;  // heights first_verdict, first_verdict + 1..
   std::uint64_t first_verdict = 0;
 };
@@ -150,10 +177,6 @@ class Committer {
   Committer(const Committer&) = delete;
   Committer& operator=(const Committer&) = delete;
 
-  /// Registers the endorsement policy for a chaincode (channel config).
-  void SetPolicy(const std::string& chaincode_id,
-                 policy::EndorsementPolicy policy);
-
   /// Installs the channel's genesis block (block 0) directly, as joining a
   /// channel does in Fabric. User blocks then start at 1, which keeps the
   /// (block, tx) state versions of seeded genesis data (version {0,0})
@@ -204,21 +227,12 @@ class Committer {
   /// Block number SerialCommit is waiting for.
   [[nodiscard]] std::uint64_t NextCommit() const { return next_commit_; }
 
-  /// Blocks rejected before/at commit, by cause. All zero on an honest run
-  /// — the invariant oracle flags nonzero counts without a scheduled
-  /// Byzantine fault as a violation (unexplained-reject) instead of letting
-  /// the commit path discard blocks silently.
-  [[nodiscard]] std::uint64_t RejectedOrdererSig() const {
-    return rejected_orderer_sig_;
-  }
-  [[nodiscard]] std::uint64_t RejectedDataHash() const {
-    return rejected_data_hash_;
-  }
-  [[nodiscard]] std::uint64_t RejectedLinkage() const {
-    return rejected_linkage_;
-  }
+  /// Blocks rejected before or at commit (orderer signature, data hash,
+  /// linkage). Zero on an honest run — the invariant oracle flags a nonzero
+  /// count without a scheduled Byzantine fault (unexplained-reject) instead
+  /// of letting the commit path discard blocks silently.
   [[nodiscard]] std::uint64_t RejectedBlocks() const {
-    return rejected_orderer_sig_ + rejected_data_hash_ + rejected_linkage_;
+    return rejected_blocks_;
   }
   /// Transactions flagged kDuplicateTxId by the dedup screen (replay
   /// rejection attribution; benign resubmissions also land here).
@@ -254,7 +268,9 @@ class Committer {
     return commit_log_;
   }
 
-  /// VSCC for one transaction — public for unit tests.
+  /// Full VSCC of one transaction against the channel's policy table,
+  /// evaluated on every call. Read by PlanVscc (once per block and channel
+  /// height), the no-forged-commit invariant and perfbench's replay.
   [[nodiscard]] proto::ValidationCode Vscc(
       const proto::TransactionEnvelope& tx) const;
 
@@ -275,17 +291,15 @@ class Committer {
     OnCommit on_commit;
   };
 
-  /// Submit-time VSCC plan used when a cost-affecting knob (msp_cache /
-  /// policy_shortcircuit) is on: the verdict and the knob-dependent cost
-  /// are computed in deterministic submission order (MSP-cache hits and
-  /// short-circuit savings depend on it). With both knobs off the plan is
-  /// never built and the verdict is computed at job completion, exactly as
-  /// before.
+  /// One VSCC job's code and simulated cost, planned at submission in block
+  /// order (MSP-cache hits and short-circuit savings depend on it). A full
+  /// VSCC code is `decided` when the channel recorded one, else Vscc(tx).
   struct VsccPlan {
     proto::ValidationCode code = proto::ValidationCode::kValid;
     sim::SimDuration cost = 0;
   };
-  [[nodiscard]] VsccPlan PlanVscc(const proto::TransactionEnvelope& tx);
+  [[nodiscard]] VsccPlan PlanVscc(const proto::TransactionEnvelope& tx,
+                                  const proto::ValidationCode* decided);
   [[nodiscard]] sim::Cpu& VsccCpuRef() {
     return vscc_cpu_ ? *vscc_cpu_ : machine_.GetCpu();
   }
@@ -315,8 +329,6 @@ class Committer {
   const fabric::Calibration& cal_;
   metrics::TxTracker* tracker_;
 
-  std::unordered_map<std::string, policy::EndorsementPolicy> policies_;
-
   const CommitterConfig config_;
   std::unique_ptr<crypto::MspIdentityCache> msp_cache_;
   std::unique_ptr<sim::Cpu> vscc_cpu_;  // dedicated VSCC workers
@@ -330,9 +342,7 @@ class Committer {
   // Parked behind the bounded pipeline, lowest number promoted first.
   std::map<std::uint64_t, DeferredBlock> deferred_;
   std::uint64_t deferred_total_ = 0;
-  std::uint64_t rejected_orderer_sig_ = 0;
-  std::uint64_t rejected_data_hash_ = 0;
-  std::uint64_t rejected_linkage_ = 0;
+  std::uint64_t rejected_blocks_ = 0;
   std::uint64_t duplicate_tx_rejects_ = 0;
   std::uint64_t next_commit_ = 0;
   bool serial_busy_ = false;

@@ -63,13 +63,6 @@ void PeerNode::JoinChannel(const std::string& channel_id,
   channels_.emplace(channel_id, std::move(ledger));
 }
 
-void PeerNode::SetPolicy(const std::string& channel_id,
-                         const std::string& chaincode_id,
-                         policy::EndorsementPolicy policy) {
-  channels_.at(channel_id)->committer->SetPolicy(chaincode_id,
-                                                 std::move(policy));
-}
-
 void PeerNode::OnCrash() {
   for (auto& [id, ledger] : channels_) ledger->committer->DetachState();
 }

@@ -83,14 +83,6 @@ class PeerNode {
   }
   [[nodiscard]] std::size_t ChannelCount() const { return channels_.size(); }
 
-  void SetPolicy(const std::string& chaincode_id,
-                 policy::EndorsementPolicy policy) {
-    SetPolicy(default_channel_, chaincode_id, std::move(policy));
-  }
-  void SetPolicy(const std::string& channel_id,
-                 const std::string& chaincode_id,
-                 policy::EndorsementPolicy policy);
-
   /// Crash hook: every channel committer leaves its channel's shared world
   /// state, so a peer that stops committing never pins old versions there.
   void OnCrash();

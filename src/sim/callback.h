@@ -19,7 +19,7 @@ namespace fabricsim::sim {
 class InlineCallback {
  public:
   /// Captures up to this size (pointer-aligned, nothrow-movable) are stored
-  /// inline: the largest hot closure is Committer::StartVscc's (48 bytes).
+  /// inline, as every hot closure is (Committer::StartVscc's is 40 bytes).
   static constexpr std::size_t kInlineBytes = 48;
 
   /// True if a callable of type F is stored without allocating.

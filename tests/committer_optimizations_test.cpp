@@ -26,7 +26,11 @@ namespace {
 /// shape as peer_committer_test.cpp; identities derive deterministically, so
 /// two fixtures produce byte-identical blocks).
 struct Fixture {
-  explicit Fixture(const fabric::OptimizationOptions& opt = {}) : env(3) {
+  /// `policy`: the channel's endorsement policy for chaincode "cc".
+  explicit Fixture(const fabric::OptimizationOptions& opt = {},
+                   const std::string& policy =
+                       "OR('Org1MSP.peer','Org2MSP.peer')")
+      : env(3) {
     msps.AddOrganization("Org1MSP");
     msps.AddOrganization("Org2MSP");
     msps.AddOrganization("ClientOrgMSP");
@@ -46,9 +50,9 @@ struct Fixture {
     config.optimizations = opt;
     committer = std::make_unique<Committer>(
         env, *machine, *disk, msps, fabric::DefaultCalibration(), &tracker,
-        std::make_shared<ChannelState>(), config);
-    committer->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
-                                                       "'Org2MSP.peer')"));
+        std::make_shared<ChannelState>(
+            PolicyTable{{"cc", policy::MustParsePolicy(policy)}}),
+        config);
   }
 
   proto::TransactionEnvelope MakeTx(
@@ -271,9 +275,7 @@ TEST(CommitterOptimizations, ShortcircuitStopsAtPolicySatisfaction) {
   for (const bool shortcircuit : {false, true}) {
     fabric::OptimizationOptions opt;
     opt.policy_shortcircuit = shortcircuit;
-    Fixture f(opt);
-    f.committer->SetPolicy(
-        "cc", policy::MustParsePolicy("AND('Org1MSP.peer','Org2MSP.peer')"));
+    Fixture f(opt, "AND('Org1MSP.peer','Org2MSP.peer')");
     auto tx = f.MakeTx("t1", {f.peer1.get(), f.peer2.get(), f.peer1.get()});
     // Tamper the surplus endorsement, then re-sign as the client: the
     // submitted envelope legitimately carries a junk third endorsement

@@ -151,6 +151,27 @@ TEST(Workload, UniformArrivalsExact) {
   EXPECT_NEAR(static_cast<double>(controller.Generated()), 500.0, 5.0);
 }
 
+TEST(Workload, GapTooLargeForSimTimeEndsTheClientsArrivals) {
+  // At 1e-300 tps the mean gap is far beyond what SimTime holds: no arrival
+  // falls in the window.
+  NetworkOptions opts;
+  opts.topology.endorsing_peers = 2;
+  FabricNetwork net(opts);
+  net.Start();
+  for (const auto arrivals :
+       {client::ArrivalProcess::kPoisson, client::ArrivalProcess::kUniform}) {
+    client::WorkloadConfig wl;
+    wl.rate_tps = 1e-300;
+    wl.start = net.Env().Now();
+    wl.duration = sim::FromSeconds(10);
+    wl.arrivals = arrivals;
+    client::WorkloadController controller(net.Env(), net.Clients(), wl);
+    controller.Start();
+    net.Env().Sched().RunUntil(net.Env().Now() + sim::FromSeconds(20));
+    EXPECT_EQ(controller.Generated(), 0u);
+  }
+}
+
 TEST(Workload, InvocationShapes) {
   NetworkOptions opts;
   opts.topology.endorsing_peers = 1;

@@ -279,8 +279,9 @@ struct DeferralFixture {
     config.max_pipeline_blocks = max_pipeline_blocks;
     committer = std::make_unique<peer::Committer>(
         env, *machine, *disk, msps, cal, nullptr,
-        std::make_shared<peer::ChannelState>(), config);
-    committer->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer')"));
+        std::make_shared<peer::ChannelState>(peer::PolicyTable{
+            {"cc", policy::MustParsePolicy("OR('Org1MSP.peer')")}}),
+        config);
   }
 
   proto::TransactionEnvelope MakeTx(const std::string& tx_id) {

@@ -10,12 +10,21 @@
 namespace fabricsim::peer {
 namespace {
 
+constexpr const char* kOrPolicy = "OR('Org1MSP.peer','Org2MSP.peer')";
+
+/// A channel whose chaincode "cc" is endorsed under `policy`.
+std::shared_ptr<ChannelState> ChannelWith(const std::string& policy = kOrPolicy,
+                                          std::uint64_t retention = 0) {
+  return std::make_shared<ChannelState>(
+      PolicyTable{{"cc", policy::MustParsePolicy(policy)}}, retention);
+}
+
 /// Builds valid endorsed envelopes against a fixed trust registry. Its
 /// committer is built with `config` on `channel`.
 struct CommitterFixture {
   explicit CommitterFixture(
       CommitterConfig config = {},
-      std::shared_ptr<ChannelState> channel = std::make_shared<ChannelState>())
+      std::shared_ptr<ChannelState> channel = ChannelWith())
       : env(3) {
     msps.AddOrganization("Org1MSP");
     msps.AddOrganization("Org2MSP");
@@ -35,8 +44,6 @@ struct CommitterFixture {
     committer = std::make_unique<Committer>(
         env, *machine, *disk, msps, fabric::DefaultCalibration(), &tracker,
         std::move(channel), config);
-    committer->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
-                                                       "'Org2MSP.peer')"));
   }
 
   proto::TransactionEnvelope MakeTx(
@@ -124,8 +131,7 @@ TEST(Committer, VsccRejectsUnendorsedTransaction) {
 }
 
 TEST(Committer, VsccRejectsWrongOrgEndorsement) {
-  CommitterFixture f;
-  f.committer->SetPolicy("cc", policy::MustParsePolicy("'Org1MSP.peer'"));
+  CommitterFixture f({}, ChannelWith("'Org1MSP.peer'"));
   const auto codes = f.Commit(f.MakeBlock({f.MakeTx("t1", {f.peer2.get()})}));
   EXPECT_EQ(codes[0], proto::ValidationCode::kEndorsementPolicyFailure);
 }
@@ -163,9 +169,7 @@ TEST(Committer, VsccRejectsBadClientSignature) {
 }
 
 TEST(Committer, AndPolicyNeedsBothEndorsements) {
-  CommitterFixture f;
-  f.committer->SetPolicy(
-      "cc", policy::MustParsePolicy("AND('Org1MSP.peer','Org2MSP.peer')"));
+  CommitterFixture f({}, ChannelWith("AND('Org1MSP.peer','Org2MSP.peer')"));
   auto block = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()}),
                             f.MakeTx("t2", {f.peer1.get(), f.peer2.get()})});
   const auto codes = f.Commit(block);
@@ -272,20 +276,18 @@ TEST(Committer, UnknownChaincodePolicyInvalid) {
   EXPECT_EQ(codes[0], proto::ValidationCode::kInvalidOtherReason);
 }
 
-/// The fixture's committer plus a second one on its own machine, both
-/// built on `channel` and sharing it from genesis on. The fixture's
-/// committer leads each height it commits first.
+/// The fixture's committer plus a second one on its own machine, built
+/// with `follower_config`, both on `channel` and sharing it from genesis
+/// on. The fixture's committer leads each height it commits first.
 struct SharedFixture : CommitterFixture {
-  explicit SharedFixture(
-      std::shared_ptr<ChannelState> channel = std::make_shared<ChannelState>())
+  explicit SharedFixture(std::shared_ptr<ChannelState> channel = ChannelWith(),
+                         CommitterConfig follower_config = {})
       : CommitterFixture({}, channel), shared(std::move(channel)) {
     follower_machine = &env.AddMachine("peer-b", sim::I7_2600());
     follower_disk = std::make_unique<sim::Cpu>(env.Sched(), 1);
     follower = std::make_unique<Committer>(
         env, *follower_machine, *follower_disk, msps,
-        fabric::DefaultCalibration(), nullptr, shared, CommitterConfig{});
-    follower->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
-                                                      "'Org2MSP.peer')"));
+        fabric::DefaultCalibration(), nullptr, shared, follower_config);
     const proto::BlockPtr genesis = MakeBlock({});
     committer->InstallGenesis(genesis);
     follower->InstallGenesis(genesis);
@@ -344,8 +346,101 @@ TEST(SharedCommitter, FollowerReusesTheLeadersVerdict) {
             (proto::KeyVersion{1, 0}));
   EXPECT_EQ(f.follower->Chain().Store().CodesFor(1), leader_codes);
   EXPECT_TRUE(f.follower->Chain().Audit().ok);
-  // Both cursors passed height 1, so its verdict is gone.
+  // Both cursors passed height 1, so its codes and verdict are gone.
   EXPECT_EQ(f.shared->VerdictAt(1), nullptr);
+  EXPECT_TRUE(f.shared->vscc_codes.empty());
+}
+
+TEST(SharedCommitter, FollowerReusesTheRecordedVsccCodes) {
+  SharedFixture f;
+  const auto block = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})});
+  // Starting VSCC records the block's full-VSCC codes at its height.
+  f.committer->OnBlock(block, [](const CommittedBlock&) {});
+  ASSERT_EQ(f.shared->vscc_codes.size(), 1u);
+  ChannelState::VsccCodes& recorded = f.shared->vscc_codes.front();
+  EXPECT_EQ(recorded.height, 1u);
+  EXPECT_EQ(recorded.block_hash, block->header.Hash());
+  EXPECT_EQ(recorded.codes,
+            std::vector<proto::ValidationCode>{proto::ValidationCode::kValid});
+  f.env.Sched().RunUntil(f.env.Now() + sim::FromSeconds(5));
+  // The follower takes its codes from the record, not from its own
+  // evaluation: a planted code reaches it, and no longer matches the
+  // leader's verdict.
+  recorded.codes[0] = proto::ValidationCode::kEndorsementPolicyFailure;
+  EXPECT_EQ(f.CommitOn(*f.follower, block)[0],
+            proto::ValidationCode::kEndorsementPolicyFailure);
+  EXPECT_FALSE(f.follower->SharesState());
+}
+
+TEST(SharedCommitter, FollowerHandedAForgedBlockAtARecordedHeightKeepsItsCodes) {
+  SharedFixture f;
+  const crypto::Digest prev = f.prev_hash;
+  const auto block = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})});
+  EXPECT_EQ(f.CommitOn(*f.committer, block)[0],
+            proto::ValidationCode::kValid);
+  // The forged block 1 holds a transaction nobody endorsed.
+  const auto fork = f.MakeFork(1, prev, {f.MakeTx("f1", {}, {}, {"j"})});
+  std::vector<proto::ValidationCode> codes;
+  f.follower->OnBlock(fork, [&](const CommittedBlock& cb) {
+    codes = *cb.codes;
+  });
+  // The fork neither reads nor replaces the codes recorded at height 1.
+  ASSERT_EQ(f.shared->vscc_codes.size(), 1u);
+  const ChannelState::VsccCodes* recorded = f.shared->VsccCodesAt(1);
+  ASSERT_NE(recorded, nullptr);
+  EXPECT_EQ(recorded->block_hash, block->header.Hash());
+  EXPECT_EQ(recorded->codes,
+            std::vector<proto::ValidationCode>{proto::ValidationCode::kValid});
+  f.env.Sched().RunUntil(f.env.Now() + sim::FromSeconds(5));
+  EXPECT_EQ(codes, std::vector<proto::ValidationCode>{
+                       proto::ValidationCode::kEndorsementPolicyFailure});
+  EXPECT_FALSE(f.follower->SharesState());
+  EXPECT_EQ(f.follower->Chain().Store().GetBlock(1), fork);
+}
+
+TEST(SharedCommitter, ChannelsWithOtherPoliciesDecideTheirOwnCodes) {
+  // One block, validated by committers of two channels whose tables
+  // endorse "cc" differently: each gets its own channel's code, whichever
+  // channel sees the block first.
+  for (const bool or_first : {true, false}) {
+    CommitterFixture f;
+    sim::Machine& machine_b = f.env.AddMachine("peer-b", sim::I7_2600());
+    sim::Cpu disk_b(f.env.Sched(), 1);
+    Committer org2(f.env, machine_b, disk_b, f.msps,
+                   fabric::DefaultCalibration(), nullptr,
+                   ChannelWith("'Org2MSP.peer'"), {});
+    const proto::BlockPtr genesis = f.MakeBlock({});
+    f.committer->InstallGenesis(genesis);
+    org2.InstallGenesis(genesis);
+    const auto block = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})});
+    std::vector<proto::ValidationCode> or_codes;
+    std::vector<proto::ValidationCode> org2_codes;
+    auto deliver_or = [&] {
+      f.committer->OnBlock(block, [&](const CommittedBlock& cb) {
+        or_codes = *cb.codes;
+      });
+    };
+    auto deliver_org2 = [&] {
+      org2.OnBlock(block, [&](const CommittedBlock& cb) {
+        org2_codes = *cb.codes;
+      });
+    };
+    if (or_first) {
+      deliver_or();
+      deliver_org2();
+    } else {
+      deliver_org2();
+      deliver_or();
+    }
+    f.env.Sched().RunUntil(f.env.Now() + sim::FromSeconds(5));
+    EXPECT_EQ(or_codes, std::vector<proto::ValidationCode>{
+                            proto::ValidationCode::kValid})
+        << or_first;
+    EXPECT_EQ(org2_codes,
+              std::vector<proto::ValidationCode>{
+                  proto::ValidationCode::kEndorsementPolicyFailure})
+        << or_first;
+  }
 }
 
 TEST(SharedCommitter, LaggingFollowerReadsTheVersionItsHeightSees) {
@@ -428,18 +523,69 @@ TEST(SharedCommitter, FollowerHandedACopyOfAnotherSizeKeepsItsOwn) {
 }
 
 TEST(SharedCommitter, FollowerWithDifferentVsccCodesDetaches) {
-  SharedFixture f;
-  // Same block, but the follower's channel policy demands Org2.
-  f.follower->SetPolicy("cc", policy::MustParsePolicy("'Org2MSP.peer'"));
-  const auto block = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()})});
-  EXPECT_EQ(f.CommitOn(*f.committer, block)[0],
-            proto::ValidationCode::kValid);
-  EXPECT_EQ(f.CommitOn(*f.follower, block)[0],
-            proto::ValidationCode::kEndorsementPolicyFailure);
-  EXPECT_FALSE(f.follower->SharesState());
-  EXPECT_FALSE(f.follower->State().Get("cc", "k").has_value());
-  EXPECT_TRUE(f.committer->State().Get("cc", "k").has_value());
-  EXPECT_EQ(f.follower->InvalidTx(), 1u);
+  // The fixture's follower short-circuits policy evaluation, so its VSCC
+  // codes are its own: it stops at the endorsement that satisfies the OR
+  // policy and never sees the forged one after it, which full VSCC
+  // rejects. A short-circuit code is never recorded for the channel, so
+  // whichever committer validates first, each keeps its own code, and the
+  // second detaches.
+  using proto::ValidationCode;
+  for (const bool shortcircuit_first : {false, true}) {
+    CommitterConfig shortcircuit;
+    shortcircuit.optimizations.policy_shortcircuit = true;
+    SharedFixture f(ChannelWith(), shortcircuit);
+    auto tx = f.MakeTx("t1", {f.peer1.get(), f.peer2.get()});
+    tx.endorsements[1].signature.bytes[3] ^= 1;
+    tx.client_signature = f.client->Sign([&] {
+      tx.InvalidateCaches();
+      return tx.SignedBody();
+    }());
+    const auto block = f.MakeBlock({tx});
+    Committer& full = *f.committer;
+    Committer& shortcut = *f.follower;
+    Committer& first = shortcircuit_first ? shortcut : full;
+    Committer& second = shortcircuit_first ? full : shortcut;
+    const ValidationCode first_code = f.CommitOn(first, block)[0];
+    const ValidationCode second_code = f.CommitOn(second, block)[0];
+    EXPECT_EQ(shortcircuit_first ? first_code : second_code,
+              ValidationCode::kValid)
+        << shortcircuit_first;
+    EXPECT_EQ(shortcircuit_first ? second_code : first_code,
+              ValidationCode::kBadSignature)
+        << shortcircuit_first;
+    EXPECT_EQ(&first.Channel(), f.shared.get()) << shortcircuit_first;
+    EXPECT_NE(&second.Channel(), f.shared.get()) << shortcircuit_first;
+    EXPECT_TRUE(shortcut.State().Get("cc", "k").has_value());
+    EXPECT_FALSE(full.State().Get("cc", "k").has_value());
+    EXPECT_EQ(shortcut.CommittedTx(), 1u);
+    EXPECT_EQ(full.InvalidTx(), 1u);
+  }
+}
+
+TEST(SharedCommitter, DetachedCommitterKeepsItsChannelsPolicies) {
+  // Detached by a crash (PeerNode::OnCrash calls DetachState) or by
+  // mutable chain access, a committer validates against the policy table
+  // its private channel copied.
+  for (const bool crash : {true, false}) {
+    SharedFixture f(ChannelWith("'Org2MSP.peer'"));
+    if (crash) {
+      f.follower->DetachState();
+    } else {
+      (void)f.follower->MutableChainForTest();
+    }
+    ASSERT_FALSE(f.follower->SharesState());
+    const auto block =
+        f.MakeBlock({f.MakeTx("t1", {f.peer2.get()}, {}, {"a"}),
+                     f.MakeTx("t2", {f.peer1.get()}, {}, {"b"})});
+    EXPECT_EQ(f.CommitOn(*f.follower, block),
+              (std::vector<proto::ValidationCode>{
+                  proto::ValidationCode::kValid,
+                  proto::ValidationCode::kEndorsementPolicyFailure}))
+        << crash;
+    EXPECT_EQ(f.follower->Vscc(block->transactions[1]),
+              proto::ValidationCode::kEndorsementPolicyFailure)
+        << crash;
+  }
 }
 
 TEST(SharedCommitter, MutableChainDetaches) {
@@ -464,7 +610,7 @@ TEST(SharedCommitter, CommitterWithDedupOffStartsOnAPrivateCopy) {
   // screen is off starts on a copy of it, seeded state included: the block
   // it leads, holding t1 twice, never becomes a verdict that a committer
   // with the screen on follows.
-  auto channel = std::make_shared<ChannelState>();
+  auto channel = ChannelWith("'Org1MSP.peer'");
   channel->state.Put("cc", "seeded", proto::ToBytes("1"), {0, 0});
   CommitterFixture f({}, channel);
   sim::Machine& machine_b = f.env.AddMachine("peer-b", sim::I7_2600());
@@ -480,7 +626,6 @@ TEST(SharedCommitter, CommitterWithDedupOffStartsOnAPrivateCopy) {
                        dedup_off);
   const proto::BlockPtr genesis = f.MakeBlock({});
   for (Committer* c : {f.committer.get(), &follower, &unscreened}) {
-    c->SetPolicy("cc", policy::MustParsePolicy("'Org1MSP.peer'"));
     c->InstallGenesis(genesis);
   }
   EXPECT_TRUE(f.committer->SharesState());
@@ -524,13 +669,12 @@ TEST(SharedCommitter, PrivateChannelsKeepOnlyTheirOwnWindow) {
   // window, a superseded version, or a verdict. The leader, left alone on
   // the shared channel, keeps no more than they do.
   constexpr std::uint64_t kKeep = 3;
-  SharedFixture f(std::make_shared<ChannelState>(kKeep));
+  SharedFixture f(ChannelWith(kOrPolicy, kKeep));
   sim::Machine& solo_machine = f.env.AddMachine("peer-c", sim::I7_2600());
   sim::Cpu solo_disk(f.env.Sched(), 1);
   Committer solo(f.env, solo_machine, solo_disk, f.msps,
                  fabric::DefaultCalibration(), nullptr,
-                 std::make_shared<ChannelState>(kKeep), {});
-  solo.SetPolicy("cc", policy::MustParsePolicy("'Org1MSP.peer'"));
+                 ChannelWith("'Org1MSP.peer'", kKeep), {});
   solo.InstallGenesis(f.committer->Chain().Store().GetBlock(0));
   Committer* const committers[] = {f.committer.get(), f.follower.get(), &solo};
   f.follower->DetachState();
@@ -561,6 +705,7 @@ TEST(SharedCommitter, PrivateChannelsKeepOnlyTheirOwnWindow) {
       }
       EXPECT_EQ(channel.blocks->IndexedTransactions(), resident_txs) << who;
       EXPECT_EQ(channel.state.RetainedVersions(), 0u) << who;
+      EXPECT_TRUE(channel.vscc_codes.empty()) << who;
       EXPECT_TRUE(channel.verdicts.empty()) << who;
       EXPECT_EQ(c->State().Get("cc", "k")->version,
                 (proto::KeyVersion{static_cast<std::uint64_t>(b), 0}))

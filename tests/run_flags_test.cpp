@@ -57,6 +57,14 @@ TEST(RunFlags, ParseRejectsWhatTheCliRejects) {
       {{"--osn-queue=0"}, "--osn-queue must be at least 1"},
       {{"--endorser-queue=0"}, "--endorser-queue must be at least 1"},
       {{"--key-space=0"}, "--key-space must be at least 1"},
+      // Token transfers need two accounts, in either flag order; other
+      // workloads run on one key.
+      {{"--workload=token", "--key-space=1"},
+       "--key-space must be at least 2 for --workload=token"},
+      {{"--key-space=1", "--workload=token"},
+       "--key-space must be at least 2 for --workload=token"},
+      {{"--workload=token", "--key-space=2"}, ""},
+      {{"--workload=readwrite", "--key-space=1"}, ""},
       {{"--flow-window=-1"}, "--flow-window must not be negative"},
       {{"--pace-tps=-0.5"}, "--pace-tps must not be negative"},
       {{"--retry-after-ms=-1"}, "--retry-after-ms must not be negative"},
